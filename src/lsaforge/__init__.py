@@ -2,7 +2,7 @@
 flat Lie algebras, their phase-space doubles, and para-Kahler /
 hyper-para-Kahler structures, with self-certifying constructions."""
 
-from .algebra import (Algebra, BilinMap, Endo, associator, check, curvature,
+from .algebra import (Algebra, Endo, associator, check, curvature,
                       invariance_check, is_derivation, nijenhuis,
                       product_subspaces)
 from .doubling import (build_complex_product, build_hyper, build_symp_double,

@@ -2,20 +2,22 @@
 
 An Algebra stores the products of basis vectors: table[i][j] is the
 coordinate vector of e_i . e_j.  One type covers every species handled
-here (left-symmetric, Lie, associative, ...); the species are predicates
-checked by `check`, not subclasses.  Lie algebras are stored with the
+here (left-symmetric, Lie, associative, ...) and every other bilinear map
+Q^n x Q^n -> Q^n (defects, torsions); the species are predicates checked
+by `check`, not subclasses.  Lie algebras are stored with the
 bracket as the product, so consumers requiring a bracket first assert
 the `jacobi_antisym` predicate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exact import (Mat, Subspace, ZERO, basis_vec, dot, is_zero_vec, vec,
+from .exact import (Mat, Subspace, ZERO, basis_vec, is_zero_vec, vec,
                     vec_add, vec_scale, vec_sub, zero_vec)
 from .report import InternalInconsistency, Report, failing, passing
 
@@ -54,6 +56,36 @@ class Algebra:
     def zero(n: int, basis=None) -> "Algebra":
         z = zero_vec(n)
         return Algebra([[z for _ in range(n)] for _ in range(n)], basis)
+
+    @staticmethod
+    def from_function(basis, fn) -> "Algebra":
+        """The table of a bilinear map fn on the span of `basis`."""
+        n = len(basis)
+        es = [basis_vec(n, i) for i in range(n)]
+        return Algebra([[fn(x, y) for y in es] for x in es], basis)
+
+    @staticmethod
+    def from_blocks(grid, basis, suffix: str) -> "Algebra":
+        """A product on V + V' assembled from four bilinear blocks.
+
+        Shaped like Mat.block: grid[p][q] is the block for a left argument
+        in part p and a right argument in part q (0 for V, 1 for V', both
+        Q^n).  A block is a pair (f, g) of bilinear maps Q^n x Q^n -> Q^n
+        giving the V- and V'-components of the product; None is the zero
+        map.  V' is labelled by appending `suffix` to each label of
+        `basis`: "*" for the dual U*, "'" for the second factor of U x U.
+        """
+        n = len(basis)
+        es = [basis_vec(n, i) for i in range(n)]
+        z = zero_vec(n)
+
+        def part(f, x, y):
+            return z if f is None else tuple(f(x, y))
+
+        table = [[part(f, x, y) + part(g, x, y)
+                  for f, g in blocks for y in es]
+                 for blocks in grid for x in es]
+        return Algebra(table, tuple(basis) + tuple(s + suffix for s in basis))
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
@@ -132,7 +164,7 @@ class Algebra:
         return Algebra([[vec_add(self.table[i][j], other.table[i][j])
                          for j in range(n)] for i in range(n)], self.basis)
 
-    def is_zero_product(self) -> bool:
+    def is_zero(self) -> bool:
         return all(is_zero_vec(cell) for row in self.table for cell in row)
 
     def conjugate(self, p: Mat) -> "Algebra":
@@ -165,82 +197,11 @@ def _mat(x) -> Mat:
     return x.matrix if isinstance(x, Endo) else x
 
 
-class BilinMap:
-    """A bilinear map Q^n x Q^n -> Q^n given on basis pairs."""
-
-    __slots__ = ("dim", "table")
-
-    def __init__(self, table: Sequence[Sequence[Sequence]]):
-        n = len(table)
-        tab = tuple(tuple(vec(cell) for cell in row) for row in table)
-        for row in tab:
-            if len(row) != n or any(len(cell) != n for cell in row):
-                raise ValueError("bilinear map table must be n x n x n")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "table", tab)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinMap is immutable")
-
-    @staticmethod
-    def from_function(n: int, fn) -> "BilinMap":
-        return BilinMap([[fn(basis_vec(n, i), basis_vec(n, j))
-                          for j in range(n)] for i in range(n)])
-
-    def __call__(self, u: Sequence, v: Sequence) -> tuple:
-        n = self.dim
-        out = [ZERO] * n
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                cell = self.table[i][j]
-                c = a * b
-                for k in range(n):
-                    if cell[k]:
-                        out[k] += c * cell[k]
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, BilinMap) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(cell) for row in self.table for cell in row)
-
-    def scale(self, c) -> "BilinMap":
-        c = Fraction(c)
-        n = self.dim
-        return BilinMap([[vec_scale(c, self.table[i][j]) for j in range(n)]
-                         for i in range(n)])
-
-    def sub(self, other: "BilinMap") -> "BilinMap":
-        n = self.dim
-        return BilinMap([[vec_sub(self.table[i][j], other.table[i][j])
-                          for j in range(n)] for i in range(n)])
-
-    def as_algebra(self, basis=None) -> Algebra:
-        return Algebra(self.table, basis)
-
-
-def multiply(alg: Algebra, u, v) -> tuple:
-    return alg.product(u, v)
-
-
-def left_op(alg: Algebra, u) -> Mat:
-    return alg.left_mult(u)
-
-
-def right_op(alg: Algebra, u) -> Mat:
-    return alg.right_mult(u)
-
-
-def commutator(alg: Algebra) -> Algebra:
-    return alg.commutator_algebra()
+def _left_mult_t(alg: Algebra):
+    """x -> L_x^t, memoized over the basis vectors at which
+    Algebra.from_blocks evaluates its blocks."""
+    return functools.lru_cache(maxsize=None)(
+        lambda x: alg.left_mult(x).transpose())
 
 
 def associator(alg: Algebra, u, v, w) -> tuple:
@@ -256,7 +217,7 @@ def curvature(alg: Algebra, u, v) -> Mat:
     return lu.commutator(lv) - alg.left_mult(br)
 
 
-def nijenhuis(a, alg: Algebra) -> BilinMap:
+def nijenhuis(a, alg: Algebra) -> Algebra:
     """Torsion N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v].
 
     The bracket is the Lie bracket attached to alg (the product itself
@@ -273,7 +234,7 @@ def nijenhuis(a, alg: Algebra) -> BilinMap:
         t = vec_sub(t, m.apply(br.product(u, av)))
         return vec_add(t, m2.apply(br.product(u, v)))
 
-    return BilinMap.from_function(alg.dim, torsion)
+    return Algebra.from_function(alg.basis, torsion)
 
 
 def is_derivation(d, alg: Algebra) -> Report:
@@ -522,9 +483,9 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     return passing(name, anchor)
 
 
-def bilinmap_tensor(bm: BilinMap):
-    """Order-3 array T[i][j][k]: the e_k coordinate of bm(e_i, e_j)."""
-    return [[list(cell) for cell in row] for row in bm.table]
+def algebra_tensor(alg: Algebra):
+    """Order-3 array T[i][j][k]: the e_k coordinate of e_i . e_j."""
+    return [[list(cell) for cell in row] for row in alg.table]
 
 
 def endo_tensor(m: Mat):

@@ -23,14 +23,14 @@ from .algebra import (Algebra, Endo, check, invariance_check, is_derivation,
                       product_subspaces)
 from .doubling import is_compatible
 from .exact import (Mat, Subspace, ZERO, ONE, basis_vec, form_value,
-                    format_rational, is_zero_vec, lagrangian_complement,
-                    parse_rational, solve, symp_orthogonal, vec, vec_add,
-                    vec_scale, vec_sub, zero_vec)
+                    is_zero_vec, lagrangian_complement, parse_rational, solve,
+                    symp_orthogonal, vec, vec_add, vec_neg, vec_scale,
+                    vec_sub, zero_vec)
 from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
 from .phase import build_phase, verify_para_kahler
-from .report import (Certificate, InternalInconsistency, Report, failing,
-                     passing)
+from .report import (Certificate, InternalInconsistency, Report, _bool_report,
+                     _relabel, certify)
 from .smatrix import (Tensor2, coadjoint_double, semidirect_bracket,
                       twisted_structures)
 
@@ -458,7 +458,7 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         raise ValueError("normalizer requires dimension 2")
     _require_symplectic_lsa(alg, omega)
     fp = _fingerprint(alg)
-    if alg.is_zero_product():
+    if alg.is_zero():
         return CanonicalId("trivial", {}, Endo(alg, Mat.identity(2)), fp)
     subs = product_subspaces(alg)
     gram = omega.matrix
@@ -537,7 +537,7 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
         raise ValueError("classifier requires dimension 2")
     _require_symplectic_lsa(bullet, omega)
     _require_symplectic_lsa(circ, omega)
-    if bullet.is_zero_product() or circ.is_zero_product() \
+    if bullet.is_zero() or circ.is_zero() \
             or _proportional(bullet, circ) or _proportional(circ, bullet):
         return CompatVerdict("trivially compatible", None)
     comp = is_compatible(bullet, circ)
@@ -901,19 +901,8 @@ def build_quadratic_symplectic(lie: Algebra, n: int) -> QuadraticData:
                      "det != 0"),
         _relabel(is_flat(big, metric), "metric_flat"),
     ]
-    cert = Certificate("quadratic_symplectic", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency("quadratic construction failed: %s"
-                                    % cert.first_failure().line())
+    cert = certify("quadratic_symplectic", reports)
     return QuadraticData(big, pairing, Endo(big, dmat), omega, metric, cert)
-
-
-def _relabel(rep: Report, name: str) -> Report:
-    return Report(name, rep.passed, rep.anchor, rep.witness, rep.details)
-
-
-def _bool_report(name: str, ok: bool, anchor: str) -> Report:
-    return passing(name, anchor) if ok else failing(name, anchor)
 
 
 # -- para-Kahler double of a flat metric --------------------------------------
@@ -970,12 +959,8 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
         "twist_crosscheck", agree,
         "twist by the inverse metric reproduces bracket, metric, and "
         "involution"))
-    cert = Certificate(
-        "flat_double",
-        tuple(reports) + verify_para_kahler(bracket, metric_d, k).reports)
-    if not cert.passed:
-        raise InternalInconsistency("flat double failed: %s"
-                                    % cert.first_failure().line())
+    cert = certify("flat_double", tuple(reports)
+                   + verify_para_kahler(bracket, metric_d, k).reports)
     return FlatDoubleData(triangle, bracket, metric_d, k, cert)
 
 
@@ -1050,24 +1035,21 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                          "of the image of b")
     tw = twisted_structures(dstar, Tensor2(dstar, rmat))
 
+    def r_act(a, y):     # [r_#(a), Y]
+        return lie.product(bsh.apply(a), y)
+
+    # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
+    bracket = Algebra.from_blocks(
+        [[(None, None), (lambda x, b: vec_neg(r_act(b, x)), None)],
+         [(r_act, None), (None, dd.dual_bracket.product)]],
+        lie.basis, "*")
+    # (X+a).(Y+b) = [r_#(a), Y] + a.b with the dual product
+    triangle = Algebra.from_blocks(
+        [[(None, None), (None, None)],
+         [(r_act, None), (None, dstar.product)]],
+        lie.basis, "*")
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)
-    z = zero_vec(n)
-    table = [[z + z for _ in range(2 * n)] for _ in range(2 * n)]
-    tri = [[z + z for _ in range(2 * n)] for _ in range(2 * n)]
-    for a in range(n):
-        adz = lie.ad(zvecs[a])
-        for j in range(n):
-            mixed = tuple(adz.apply(basis_vec(n, j)))
-            table[n + a][j] = mixed + z
-            table[j][n + a] = vec_scale(-ONE, mixed) + z
-            tri[n + a][j] = mixed + z
-        for c in range(n):
-            table[n + a][n + c] = z + dd.dual_bracket.table[a][c]
-            tri[n + a][n + c] = z + dstar.table[a][c]
-    labels = tuple(lie.basis) + tuple(s + "*" for s in lie.basis)
-    bracket = Algebra(table, labels)
-    triangle = Algebra(tri, labels)
     sym = (rmat + rmat.transpose()).scale(Fraction(1, 2))
     metric = Bilinear(Mat.block([[sym.scale(-2), ident],
                                  [ident, zero]]), "symmetric")
@@ -1090,12 +1072,8 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                      triangle.commutator_algebra() == bracket,
                      "commutator of the lifted product == bracket"),
     ]
-    cert = Certificate(
-        "cybe_double",
-        tuple(reports) + verify_para_kahler(bracket, metric, k).reports)
-    if not cert.passed:
-        raise InternalInconsistency("Yang-Baxter double failed: %s"
-                                    % cert.first_failure().line())
+    cert = certify("cybe_double", tuple(reports)
+                   + verify_para_kahler(bracket, metric, k).reports)
     return CybeDoubleData(dstar, triangle, bracket, metric, k, cert)
 
 
@@ -1138,10 +1116,7 @@ def derivation_phase(u: Algebra, d) -> DerivationPhaseData:
         _relabel(is_two_cocycle(omega, ps.extended.commutator_algebra()),
                  "omega_cocycle"),
     ]
-    cert = Certificate("derivation_phase", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency("phase lift failed: %s"
-                                    % cert.first_failure().line())
+    cert = certify("derivation_phase", reports)
     return DerivationPhaseData(ps, Endo(ps.extended, delta), cert)
 
 
@@ -1179,13 +1154,6 @@ def type_two_family_params(a00, a10, d00, e00) -> dict:
 
 def rand_fraction(rng, bound: int = 3) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3)))
-
-
-def rand_nonzero_fraction(rng, bound: int = 3) -> Fraction:
-    while True:
-        x = rand_fraction(rng, bound)
-        if x != 0:
-            return x
 
 
 def rand_symplectic(gram: Mat, rng, steps: int = 4) -> Mat:

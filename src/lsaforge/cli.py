@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra, Endo, check
+from .algebra import Algebra, check
 from .catalog import (DEFAULT_SCALARS, FAMILIES, build_quadratic_symplectic,
                       catalog_load, classify_compatible_dim2, cybe_double,
                       derivation_phase, flat_double, normalize_assoc_symp,
                       normalize_dim2_slsa)
 from .doubling import build_hyper, build_symp_double, build_theta_double
 from .exact import Mat, format_rational, parse_rational, zero_vec
-from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
-                    levi_civita)
+from .forms import Bilinear, is_flat, is_invariant_form, is_two_cocycle
 from .phase import build_phase
-from .report import Report, failing, passing
+from .report import _bool_report, failing
 from .smatrix import twisted_structures
 from .triple import LieTriple
 
@@ -49,8 +48,7 @@ class UsageError(Exception):
 class StructFile:
     path: str
     labels: tuple
-    alg: Optional[Algebra] = None
-    alg2: Optional[Algebra] = None
+    products: dict = field(default_factory=dict)   # "product", "product2"
     forms: dict = field(default_factory=dict)
     endos: dict = field(default_factory=dict)
     tensors: dict = field(default_factory=dict)
@@ -154,7 +152,7 @@ def load_structure(path: str) -> StructFile:
                             ", ".join(_TOP_KEYS)))
     dim = raw.get("dim")
     labels = raw.get("basis")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise UsageError("%s: dim must be a positive integer" % path)
     if dim > _max_dim():
         raise UsageError("%s: dim %d exceeds LSA_FORGE_MAX_DIM=%d"
@@ -166,13 +164,15 @@ def load_structure(path: str) -> StructFile:
                          % (path, dim))
     labels = tuple(labels)
     out = StructFile(path=path, labels=labels)
-    if "product" in raw:
-        out.alg = Algebra(_table(raw["product"], labels, path + ":product"),
-                          labels)
-    if "product2" in raw:
-        out.alg2 = Algebra(_table(raw["product2"], labels,
-                                  path + ":product2"), labels)
-    for name, spec in (raw.get("forms") or {}).items():
+    for section in ("product", "product2"):
+        if section in raw:
+            out.products[section] = Algebra(
+                _table(raw[section], labels, "%s:%s" % (path, section)),
+                labels)
+    for section in ("forms", "endos", "tensors"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise UsageError("%s:%s: expected an object" % (path, section))
+    for name, spec in raw.get("forms", {}).items():
         here = "%s:forms.%s" % (path, name)
         if not isinstance(spec, dict) or set(spec) - {"kind", "matrix"}:
             raise UsageError("%s: expected {kind, matrix}" % here)
@@ -186,7 +186,7 @@ def load_structure(path: str) -> StructFile:
         except ValueError as exc:
             raise UsageError("%s: %s" % (here, exc))
     for section in ("endos", "tensors"):
-        for name, spec in (raw.get(section) or {}).items():
+        for name, spec in raw.get(section, {}).items():
             here = "%s:%s.%s" % (path, section, name)
             getattr(out, section)[name] = _matrix(spec, dim, here)
     if "triple" in raw:
@@ -212,6 +212,8 @@ def _load_triple(raw, labels, where: str) -> LieTriple:
                        for slot in ("first", "second", "third"))
         except KeyError as exc:
             raise UsageError("%s: unknown basis label %s" % (here, exc))
+        if not isinstance(entry["result"], dict):
+            raise UsageError("%s.result: expected an object" % here)
         cell = list(zero_vec(dim))
         for lab, val in entry["result"].items():
             if lab not in index:
@@ -310,28 +312,27 @@ def _int_param(params: dict, name: str, default: Optional[int] = None) -> int:
 
 def _cmd_check(args) -> int:
     struct = load_structure(args.file)
-    if struct.alg is None:
-        raise UsageError("%s: no product to check" % args.file)
+    alg = struct.need("products", "product")
     pred = args.pred
     if pred in _ALGEBRA_PREDICATES:
-        rep = check(struct.alg, pred)
+        rep = check(alg, pred)
         return _emit(args, [rep.line()])
     if ":" in pred:
         head, _, form_name = pred.partition(":")
         if head in _FORM_PREDICATES:
             form = struct.need("forms", form_name)
             if head == "invariant":
-                rep = is_invariant_form(form, struct.alg)
+                rep = is_invariant_form(form, alg)
             elif head == "two_cocycle":
-                rep = is_two_cocycle(form, struct.alg)
+                rep = is_two_cocycle(form, alg)
             elif head == "flat":
                 try:
-                    rep = is_flat(struct.alg, form)
+                    rep = is_flat(alg, form)
                 except ValueError as exc:
                     rep = failing("is_flat", str(exc))
             else:
-                ok = form.is_nondegenerate()
-                rep = (passing if ok else failing)("nondegenerate", "det != 0")
+                rep = _bool_report("nondegenerate", form.is_nondegenerate(),
+                                   "det != 0")
             return _emit(args, [rep.line()])
     raise UsageError(
         "unknown predicate %r (algebra predicates: %s; form predicates: %s)"
@@ -345,16 +346,14 @@ def _math_fail(args, name: str, exc: ValueError) -> int:
 
 def _cmd_build(args) -> int:
     struct = load_structure(args.file)
+    alg = struct.need("products", "product")
     what = args.what
     try:
         if what == "phase":
-            if struct.alg is None:
-                raise UsageError("%s: no product" % args.file)
             dual = None
             if args.dual != "zero":
-                dual_struct = load_structure(args.dual)
-                dual = dual_struct.alg
-            ps = build_phase(struct.alg, dual)
+                dual = load_structure(args.dual).need("products", "product")
+            ps = build_phase(alg, dual)
             reports = [check(ps.extended, "left_symmetric"),
                        is_invariant_form(ps.omega0, ps.extended)]
             artifact = dump_structure(
@@ -364,16 +363,13 @@ def _cmd_build(args) -> int:
             return _emit(args, _report_lines(reports), artifact)
         if what == "twist":
             tensor = struct.need("tensors", args.tensor)
-            tw = twisted_structures(struct.alg, tensor)
+            tw = twisted_structures(alg, tensor)
             artifact = dump_structure(tw.twisted,
                                       forms={"metric_r": tw.metric_r},
                                       endos={"k_r": tw.k_r, "xi": tw.xi})
             return _emit(args, _report_lines(tw.cert.reports), artifact)
         if what == "hyper":
-            if struct.alg is None or struct.alg2 is None:
-                raise UsageError("%s: hyper needs product and product2"
-                                 % args.file)
-            hy = build_hyper(struct.alg, struct.alg2,
+            hy = build_hyper(alg, struct.need("products", "product2"),
                              struct.need("forms", "omega"))
             cp = hy.complex_product
             artifact = dump_structure(cp.lie, forms={"metric": hy.metric},
@@ -381,7 +377,7 @@ def _cmd_build(args) -> int:
             reports = tuple(cp.cert.reports) + tuple(hy.cert.reports)
             return _emit(args, _report_lines(reports), artifact)
         if what == "tsymp":
-            data = build_symp_double(struct.alg,
+            data = build_symp_double(alg,
                                      struct.need("forms", "omega"),
                                      struct.need("endos", "a"))
             artifact = dump_structure(data.bracket,
@@ -389,7 +385,7 @@ def _cmd_build(args) -> int:
                                       endos={"k": data.k})
             return _emit(args, _report_lines(data.cert.reports), artifact)
         if what == "ttheta":
-            data = build_theta_double(struct.alg,
+            data = build_theta_double(alg,
                                       struct.need("forms", "theta"),
                                       struct.need("endos", "a"),
                                       hyper=args.hyper)
@@ -405,7 +401,7 @@ def _cmd_build(args) -> int:
             grades = _int_param(params, "n")
             if grades < 1:
                 raise UsageError("--param n must be at least 1")
-            data = build_quadratic_symplectic(struct.alg, grades)
+            data = build_quadratic_symplectic(alg, grades)
             artifact = dump_structure(
                 data.lie,
                 forms={"metric": data.metric, "omega": data.omega,
@@ -413,14 +409,14 @@ def _cmd_build(args) -> int:
                 endos={"derivation": data.derivation.matrix})
             return _emit(args, _report_lines(data.cert.reports), artifact)
         if what == "flatdouble":
-            data = flat_double(struct.alg, struct.need("forms", "metric"))
+            data = flat_double(alg, struct.need("forms", "metric"))
             artifact = dump_structure(data.bracket,
                                       forms={"metric": data.metric},
                                       endos={"k": data.k},
                                       alg2=data.triangle)
             return _emit(args, _report_lines(data.cert.reports), artifact)
         if what == "cybe":
-            data = cybe_double(struct.alg, struct.need("tensors", "b"),
+            data = cybe_double(alg, struct.need("tensors", "b"),
                                struct.need("forms", "r"))
             artifact = dump_structure(data.bracket,
                                       forms={"metric": data.metric},
@@ -428,7 +424,7 @@ def _cmd_build(args) -> int:
                                       alg2=data.triangle)
             return _emit(args, _report_lines(data.cert.reports), artifact)
         if what == "derphase":
-            data = derivation_phase(struct.alg, struct.need("endos", "d"))
+            data = derivation_phase(alg, struct.need("endos", "d"))
             artifact = dump_structure(
                 data.phase.extended, forms={"omega0": data.phase.omega0},
                 endos={"delta": data.delta.matrix})
@@ -461,12 +457,13 @@ def _params_lines(params: dict) -> list:
 
 def _cmd_normalize(args) -> int:
     struct = load_structure(args.file)
+    alg = struct.need("products", "product")
     omega = struct.need("forms", "omega")
     try:
         if args.what == "dim2":
-            cid = normalize_dim2_slsa(struct.alg, omega)
+            cid = normalize_dim2_slsa(alg, omega)
         else:
-            cid = normalize_assoc_symp(struct.alg, omega)
+            cid = normalize_assoc_symp(alg, omega)
     except ValueError as exc:
         return _math_fail(args, "normalize_" + args.what, exc)
     lines = ["PASS normalize  family=%s" % cid.family]
@@ -474,19 +471,18 @@ def _cmd_normalize(args) -> int:
     lines += ["fingerprint %s=%s" % (k, cid.fingerprint[k])
               for k in sorted(cid.fingerprint)]
     artifact = dump_structure(
-        struct.alg.conjugate(cid.change_of_basis.matrix),
+        alg.conjugate(cid.change_of_basis.matrix),
         endos={"change_of_basis": cid.change_of_basis.matrix})
     return _emit(args, lines, artifact)
 
 
 def _cmd_classify(args) -> int:
     struct = load_structure(args.file)
-    if struct.alg is None or struct.alg2 is None:
-        raise UsageError("%s: classify needs product and product2"
-                         % args.file)
+    bullet = struct.need("products", "product")
+    circ = struct.need("products", "product2")
     omega = struct.need("forms", "omega")
     try:
-        verdict = classify_compatible_dim2(struct.alg, struct.alg2, omega)
+        verdict = classify_compatible_dim2(bullet, circ, omega)
     except ValueError as exc:
         return _math_fail(args, "classify_compat2", exc)
     lines = ["PASS classify  kind=%s" % verdict.kind]

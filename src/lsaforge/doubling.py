@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .algebra import (Algebra, BilinMap, bilinmap_tensor, check, endo_tensor,
+from .algebra import (Algebra, algebra_tensor, check, endo_tensor,
                       invariance_check, nijenhuis)
-from .exact import Mat, basis_vec, vec_add, vec_sub, zero_vec
-from .forms import Bilinear, a_product, is_invariant_form, levi_civita
+from .exact import Mat, basis_vec, vec_add, vec_neg, vec_sub
+from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
-from .report import (Certificate, InternalInconsistency, Report, failing,
-                     passing)
+from .report import (Certificate, InternalInconsistency, Report, _bool_report,
+                     _relabel, certify, failing, passing)
 from .smatrix import Tensor2, classify_r, twisted_structures
 from .triple import LieTriple
 
@@ -103,18 +103,10 @@ def pencil(bullet: Algebra, circ: Algebra, a, b) -> Algebra:
 
 def tu_product(bullet: Algebra, circ: Algebra) -> Algebra:
     """(X,Y).(Z,T) = (X•Z, X•T) + (Y°Z, Y°T) on U x U."""
-    n = bullet.dim
-    z = zero_vec(n)
-    nn = 2 * n
-    table = [[None] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(bullet.table[i][j]) + z
-            table[i][n + j] = z + tuple(bullet.table[i][j])
-            table[n + i][j] = tuple(circ.table[i][j]) + z
-            table[n + i][n + j] = z + tuple(circ.table[i][j])
-    basis = tuple(bullet.basis) + tuple(s + "'" for s in bullet.basis)
-    return Algebra(table, basis)
+    return Algebra.from_blocks(
+        [[(bullet.product, None), (None, bullet.product)],
+         [(circ.product, None), (None, circ.product)]],
+        bullet.basis, "'")
 
 
 def double_k(n: int) -> Mat:
@@ -159,16 +151,16 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
     k1, j1 = double_k(n), double_j(n)
     reports = [_relabel(check(prod, "lie_admissible"), "double_lie_admissible"),
                _relabel(check(lie, "jacobi_antisym"), "double_jacobi")]
-    reports.append(_bool("torsion_k1", nijenhuis(k1, lie).is_zero(),
-                         "N_K1 == 0"))
-    reports.append(_bool("torsion_j1", nijenhuis(j1, lie).is_zero(),
-                         "N_J1 == 0"))
-    reports.append(_bool("involution_k1", k1 * k1 == Mat.identity(2 * n),
-                         "K1.K1 == Id"))
-    reports.append(_bool("complex_j1", j1 * j1 == -Mat.identity(2 * n),
-                         "J1.J1 == -Id"))
-    reports.append(_bool("anticommute", j1 * k1 == -(k1 * j1),
-                         "J1.K1 == -K1.J1"))
+    reports.append(_bool_report("torsion_k1", nijenhuis(k1, lie).is_zero(),
+                                "N_K1 == 0"))
+    reports.append(_bool_report("torsion_j1", nijenhuis(j1, lie).is_zero(),
+                                "N_J1 == 0"))
+    reports.append(_bool_report("involution_k1",
+                                k1 * k1 == Mat.identity(2 * n), "K1.K1 == Id"))
+    reports.append(_bool_report("complex_j1",
+                                j1 * j1 == -Mat.identity(2 * n), "J1.J1 == -Id"))
+    reports.append(_bool_report("anticommute", j1 * k1 == -(k1 * j1),
+                                "J1.K1 == -K1.J1"))
     k_ab = is_abelian_structure(lie, k1, para=True)
     j_ab = is_abelian_structure(lie, j1)
     both_comm = bool(check(bullet, "commutative")) \
@@ -180,11 +172,7 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
                            "K1 abelian iff J1 abelian iff both products"
                            " commutative",
                            details="all three = %s" % both_comm))
-    cert = Certificate("complex_product", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency(
-            "complex product construction failed its own certificate: %s"
-            % cert.first_failure().line())
+    cert = certify("complex_product", reports)
     return ComplexProductData(product=prod, lie=lie, k1=k1, j1=j1, cert=cert)
 
 
@@ -193,13 +181,6 @@ def double_metric(omega: Bilinear) -> Bilinear:
     g = omega.matrix
     zero = Mat.zeros(g.rows, g.cols)
     return Bilinear(Mat.block([[zero, -g], [g, zero]]), "symmetric")
-
-
-def double_omega(omega: Bilinear) -> Bilinear:
-    """Omega_1((u,v),(w,z)) = omega(z,u) - omega(v,w)."""
-    g = omega.matrix
-    zero = Mat.zeros(g.rows, g.cols)
-    return Bilinear(Mat.block([[zero, -g], [-g, zero]]), "skew")
 
 
 @dataclass(frozen=True)
@@ -221,17 +202,14 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
         raise ValueError("omega must be skew and nondegenerate")
     cp = build_complex_product(bullet, circ)
     metric = double_metric(omega)
-    cert = verify_hyper_para_kahler(cp.lie, metric, cp.k1, cp.j1)
-    if not cert.passed:
-        raise InternalInconsistency(
-            "hyper double failed its certificate: %s"
-            % cert.first_failure().line())
+    cert = certify("hyper_para_kahler", verify_hyper_para_kahler(
+        cp.lie, metric, cp.k1, cp.j1).reports)
     return HyperData(complex_product=cp, metric=metric, cert=cert)
 
 
 # -- Yang-Baxter machinery on symplectic Lie algebras -------------------------
 
-def yb(a: Mat, lie: Algebra) -> BilinMap:
+def yb(a: Mat, lie: Algebra) -> Algebra:
     """YB(A)(X,Y) = A[AX,Y] + A[X,AY] - [AX,AY]."""
     jac = check(lie, "jacobi_antisym")
     if not jac:
@@ -242,7 +220,7 @@ def yb(a: Mat, lie: Algebra) -> BilinMap:
         t = vec_add(a.apply(lie.product(ax, y)), a.apply(lie.product(x, ay)))
         return vec_sub(t, lie.product(ax, ay))
 
-    return BilinMap.from_function(lie.dim, defect)
+    return Algebra.from_function(lie.basis, defect)
 
 
 def myb_residual(a: Mat, lie: Algebra, t) -> Report:
@@ -339,7 +317,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
         raise ValueError("omega must be skew and nondegenerate")
     dot = a_product(lie, omega)          # checks bracket + cocycle
     defect = yb(a, lie)
-    inv_yb = invariance_check(bilinmap_tensor(defect),
+    inv_yb = invariance_check(algebra_tensor(defect),
                               ("ad_dual", "ad_dual", "ad"), lie,
                               name="yb_ad_invariant")
     a_s, a_a = sym_skew_parts(a, omega)
@@ -358,19 +336,12 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
         return vec_sub(dot.product(x, diff.apply(y)),
                        dot.product(a.apply(x), y))
 
-    circ = BilinMap.from_function(n, circ_fn).as_algebra(lie.basis)
-
-    z = zero_vec(n)
-    nn = 2 * n
-    table = [[None] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(lie.table[i][j]) + z
-            table[i][n + j] = z + tuple(lie.table[i][j])
-            table[n + j][i] = z + tuple(-x for x in lie.table[i][j])
-            table[n + i][n + j] = tuple(defect.table[i][j]) + z
-    bracket = Algebra(table, tuple(lie.basis)
-                      + tuple(s + "'" for s in lie.basis))
+    circ = Algebra.from_function(lie.basis, circ_fn)
+    # [(X,Y),(Z,T)] = ([X,Z] + YB(A)(Y,T), [X,T] + [Y,Z])
+    bracket = Algebra.from_blocks(
+        [[(lie.product, None), (None, lie.product)],
+         [(None, lie.product), (defect.product, None)]],
+        lie.basis, "'")
 
     g = omega.matrix
     zero = Mat.zeros(n, n)
@@ -386,27 +357,23 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
                _relabel(check(circ, "left_symmetric"), "circ_left_symmetric")]
     cert_pk = verify_para_kahler(bracket, metric, k)
     reports.extend(cert_pk.reports)
-    cert = Certificate("symp_double", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency(
-            "symplectic double failed its certificate: %s"
-            % cert.first_failure().line())
+    cert = certify("symp_double", reports)
     return SympDoubleData(circ=circ, bracket=bracket, metric=metric, k=k,
                           cert=cert)
 
 
 # -- invariant isomorphisms onto the dual --------------------------------------
 
-def delta_op(a: Mat, alg: Algebra) -> BilinMap:
+def delta_op(a: Mat, alg: Algebra) -> Algebra:
     """delta(A)(X,Y) = X.A(Y) - Y.A(X) - A([X,Y])."""
     def defect(x, y):
         t = vec_sub(alg.product(x, a.apply(y)), alg.product(y, a.apply(x)))
         return vec_sub(t, a.apply(alg.bracket(x, y)))
 
-    return BilinMap.from_function(alg.dim, defect)
+    return Algebra.from_function(alg.basis, defect)
 
 
-def o_op(a: Mat, alg: Algebra) -> BilinMap:
+def o_op(a: Mat, alg: Algebra) -> Algebra:
     """O(A)(X,Y) = [AX,AY] - (A(AX.Y) - A(AY.X))."""
     def defect(x, y):
         ax, ay = a.apply(x), a.apply(y)
@@ -414,7 +381,7 @@ def o_op(a: Mat, alg: Algebra) -> BilinMap:
         t = vec_sub(t, a.apply(alg.product(ax, y)))
         return vec_add(t, a.apply(alg.product(ay, x)))
 
-    return BilinMap.from_function(alg.dim, defect)
+    return Algebra.from_function(alg.basis, defect)
 
 
 def oeq_check(a: Mat, alg: Algebra) -> Report:
@@ -465,7 +432,7 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
         comps = []
         for t in range(n):
             pre = theta_inv.apply(basis_vec(n, t))
-            val = theta.value(dl(pre, y), x)
+            val = theta.value(dl.product(pre, y), x)
             comps.append(-val if theta.kind == "skew" else val)
         return tuple(comps)
 
@@ -479,7 +446,7 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
             base = vec_sub(base, a.apply(alg.product(y, x)))
         return vec_add(base, correction(x, y))
 
-    return BilinMap.from_function(n, circ_fn).as_algebra(alg.basis)
+    return Algebra.from_function(alg.basis, circ_fn)
 
 
 def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
@@ -492,14 +459,13 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     multiplications.  For hyper certificates (skew theta) additionally
     delta(A^a) == 0 and N_A invariant.
     """
-    from .forms import is_invariant_iso
     iso = is_invariant_iso(theta, alg)
     if not iso:
         raise ValueError("theta is not an invariant isomorphism: %s"
                          % iso.line())
     n = alg.dim
     o_def = o_op(a, alg)
-    inv_o = invariance_check(bilinmap_tensor(o_def),
+    inv_o = invariance_check(algebra_tensor(o_def),
                              ("L_dual", "L_dual", "ad"), alg,
                              name="o_defect_invariant")
     a_s, a_a = sym_skew_parts(a, theta)
@@ -511,10 +477,10 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
         if theta.kind != "skew":
             raise ValueError("hyper certificates require skew theta")
         da = delta_op(a_a, alg)
-        pre_reports.append(_bool("delta_skew_part_zero", da.is_zero(),
-                                 "delta(A^a) == 0"))
+        pre_reports.append(_bool_report("delta_skew_part_zero", da.is_zero(),
+                                        "delta(A^a) == 0"))
         nij = nijenhuis(a, alg)
-        pre_reports.append(invariance_check(bilinmap_tensor(nij),
+        pre_reports.append(invariance_check(algebra_tensor(nij),
                                             ("L_dual", "L_dual", "ad"), alg,
                                             name="torsion_invariant"))
     for rep in pre_reports:
@@ -522,20 +488,12 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
             raise ValueError("precondition failed: %s" % rep.line())
 
     circ = theta_circ_product(alg, theta, a)
-
-    z = zero_vec(n)
-    nn = 2 * n
-    table = [[None] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(alg.bracket(basis_vec(n, i),
-                                            basis_vec(n, j))) + z
-            table[i][n + j] = z + tuple(alg.table[i][j])
-            table[n + j][i] = z + tuple(-x for x in alg.table[i][j])
-            # O(A)(T, Y) with T in the second slot of the left argument
-            table[n + i][n + j] = tuple(o_def.table[j][i]) + z
-    bracket = Algebra(table, tuple(alg.basis)
-                      + tuple(s + "'" for s in alg.basis))
+    # [(X,Y),(Z,T)] = ([X,Z] + O(A)(T,Y), X.T - Z.Y)
+    bracket = Algebra.from_blocks(
+        [[(alg.bracket_algebra().product, None), (None, alg.product)],
+         [(None, lambda y, z: vec_neg(alg.product(z, y))),
+          (lambda y, t: o_def.product(t, y), None)]],
+        alg.basis, "'")
 
     g = theta.matrix
     zero = Mat.zeros(n, n)
@@ -559,11 +517,7 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     else:
         cert_main = verify_para_kahler(bracket, metric, k)
     reports.extend(cert_main.reports)
-    cert = Certificate("theta_double", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency(
-            "theta double failed its certificate: %s"
-            % cert.first_failure().line())
+    cert = certify("theta_double", reports)
     return ThetaDoubleData(circ=circ, bracket=bracket, metric=metric, k=k,
                            j=j, cert=cert)
 
@@ -573,30 +527,21 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
 def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = [YB(A)(X,Y), Z]; requires YB(A) ad-invariant."""
     defect = yb(a, lie)
-    inv = invariance_check(bilinmap_tensor(defect),
+    inv = invariance_check(algebra_tensor(defect),
                            ("ad_dual", "ad_dual", "ad"), lie,
                            name="yb_ad_invariant")
     if not inv:
         raise ValueError("precondition failed: %s" % inv.line())
     return LieTriple.from_function(
-        lie.dim, lambda x, y, z: lie.product(defect(x, y), z))
+        lie.dim, lambda x, y, z: lie.product(defect.product(x, y), z))
 
 
 def lts_from_o(alg: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = O(A)(X,Y).Z; requires O(A) (L_dual, L_dual, ad)-invariant."""
     o_def = o_op(a, alg)
-    inv = invariance_check(bilinmap_tensor(o_def), ("L_dual", "L_dual", "ad"),
+    inv = invariance_check(algebra_tensor(o_def), ("L_dual", "L_dual", "ad"),
                            alg, name="o_defect_invariant")
     if not inv:
         raise ValueError("precondition failed: %s" % inv.line())
     return LieTriple.from_function(
-        alg.dim, lambda x, y, z: alg.product(o_def(x, y), z))
-
-
-def _bool(name: str, ok: bool, anchor: str) -> Report:
-    return passing(name, anchor) if ok else failing(name, anchor)
-
-
-def _relabel(rep: Report, name: str) -> Report:
-    return Report(name=name, passed=rep.passed, anchor=rep.anchor,
-                  witness=rep.witness, details=rep.details)
+        alg.dim, lambda x, y, z: alg.product(o_def.product(x, y), z))

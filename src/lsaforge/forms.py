@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, check
-from .exact import Mat, basis_vec, dot, vec_add, vec_sub
+from .exact import Mat, basis_vec, dot, vec_sub
 from .report import Report, failing, passing
 
 FORM_KINDS = ("skew", "symmetric", "none")

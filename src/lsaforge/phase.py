@@ -9,16 +9,14 @@ routes, cross-checked), and certifies para-Kahler structures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (Algebra, check, invariance_check, nijenhuis)
-from .exact import (Mat, Subspace, ZERO, basis_vec, dot, is_zero_vec, vec,
-                    vec_add, vec_sub, zero_vec)
+from .algebra import Algebra, _left_mult_t, check, nijenhuis
+from .exact import Mat, Subspace, ZERO, basis_vec, dot, vec_neg, vec_sub
 from .forms import Bilinear, is_two_cocycle, levi_civita
-from .report import (Certificate, InternalInconsistency, Report, failing,
-                     passing)
+from .report import (Certificate, InternalInconsistency, Report, _bool_report,
+                     _relabel, failing, passing)
 
 
 @dataclass(frozen=True)
@@ -33,10 +31,6 @@ class PhaseSpace:
     @property
     def dim(self) -> int:
         return self.u.dim
-
-
-def _phase_basis(u: Algebra):
-    return tuple(u.basis) + tuple(b + "*" for b in u.basis)
 
 
 def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
@@ -56,32 +50,13 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         if not rep:
             raise ValueError("%s is not left symmetric (witness %s)"
                              % (label, rep.witness))
+    lx_t, la_t = _left_mult_t(u), _left_mult_t(dual)
+    extended = Algebra.from_blocks(
+        [[(u.product, None), (None, lambda x, b: vec_neg(lx_t(x).apply(b)))],
+         [(lambda a, y: vec_neg(la_t(a).apply(y)), None),
+          (None, dual.product)]],
+        u.basis, "*")
     n = u.dim
-    nn = 2 * n
-    lu_t = [u.left_mult(basis_vec(n, i)).transpose() for i in range(n)]
-    ld_t = [dual.left_mult(basis_vec(n, a)).transpose() for a in range(n)]
-
-    def pad(vpart, apart):
-        return tuple(vpart) + tuple(apart)
-
-    z = zero_vec(n)
-    table = [[None] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = pad(u.table[i][j], z)
-    for i in range(n):
-        for b in range(n):
-            cov = lu_t[i].apply(basis_vec(n, b))
-            table[i][n + b] = pad(z, tuple(-x for x in cov))
-    for a in range(n):
-        for j in range(n):
-            v = ld_t[a].apply(basis_vec(n, j))
-            table[n + a][j] = pad(tuple(-x for x in v), z)
-    for a in range(n):
-        for b in range(n):
-            table[n + a][n + b] = pad(z, dual.table[a][b])
-    extended = Algebra(table, _phase_basis(u))
-
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)
     pairing0 = Bilinear(Mat.block([[zero, ident], [ident, zero]]), "symmetric")
@@ -332,12 +307,3 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
                           "L_u J == J L_u for the Levi-Civita product",
                           witness=parallel))
     return Certificate("hyper_para_kahler", tuple(reports))
-
-
-def _bool_report(name: str, ok: bool, anchor: str) -> Report:
-    return passing(name, anchor) if ok else failing(name, anchor)
-
-
-def _relabel(rep: Report, name: str) -> Report:
-    return Report(name=name, passed=rep.passed, anchor=rep.anchor,
-                  witness=rep.witness, details=rep.details)

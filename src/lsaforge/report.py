@@ -53,6 +53,15 @@ def failing(name: str, anchor: str, witness=None, details: str = "") -> Report:
                   details=details)
 
 
+def _bool_report(name: str, ok: bool, anchor: str) -> Report:
+    return passing(name, anchor) if ok else failing(name, anchor)
+
+
+def _relabel(rep: Report, name: str) -> Report:
+    return Report(name=name, passed=rep.passed, anchor=rep.anchor,
+                  witness=rep.witness, details=rep.details)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A named bundle of reports; passes only if every report passes."""
@@ -76,3 +85,18 @@ class Certificate:
             if not r.passed:
                 return r
         return None
+
+
+def certify(name: str, reports) -> Certificate:
+    """The certificate of a construction, which must pass.
+
+    A failing report means the construction is wrong, never that its
+    input is: InternalInconsistency is raised naming the construction and
+    the first failing line.
+    """
+    cert = Certificate(name, tuple(reports))
+    if not cert.passed:
+        raise InternalInconsistency(
+            "%s construction failed its own certificate: %s"
+            % (name, cert.first_failure().line()))
+    return cert

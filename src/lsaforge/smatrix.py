@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, BilinMap, bilinmap_tensor, check,
+from .algebra import (Algebra, _left_mult_t, algebra_tensor, check,
                       invariance_check)
-from .exact import Mat, ZERO, basis_vec, dot, vec_add, vec_sub, zero_vec
-from .forms import Bilinear, is_two_cocycle
+from .exact import Mat, ZERO, basis_vec, dot, vec_neg, vec_sub
+from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
-from .report import (Certificate, InternalInconsistency, Report, failing,
-                     passing)
+from .report import (Certificate, InternalInconsistency, Report, _relabel,
+                     certify, failing, passing)
 from .triple import LieTriple
 
 
@@ -90,65 +90,18 @@ def dual_product_from_r(u: Algebra, r) -> Algebra:
     return Algebra(table, tuple(b + "*" for b in u.basis))
 
 
-def structure_identities(u: Algebra, r) -> Report:
-    """Consequences of the dual-product definition, verified entrywise:
-
-    La^t(X) == r_#(L_X^t a) + [X, r_#(a)]
-    <[a,b], X> == <L_{r_#(b)}^t a - L_{r_#(a)}^t b, X> + 2 (L_X s')(a,b)
-
-    with s' the skew part of r and (L_X s')(a,b) = s'(L_X^t a, b)
-    + s'(a, L_X^t b).
-    """
-    r = _as_tensor2(u, r)
-    dual = dual_product_from_r(u, r)
-    n = u.dim
-    rs = r.r_sharp
-    skew = r.skew_matrix
-    name = "structure_identities"
-    anchor = "La^t X == r#(L_X^t a) + [X, r#(a)]"
-    for a in range(n):
-        la_t = dual.left_mult(basis_vec(n, a)).transpose()
-        ra = rs.apply(basis_vec(n, a))
-        for k in range(n):
-            x = basis_vec(n, k)
-            lhs = la_t.apply(x)
-            lx_t = u.left_mult(x).transpose()
-            rhs = vec_add(rs.apply(lx_t.apply(basis_vec(n, a))),
-                          u.bracket(x, ra))
-            if lhs != rhs:
-                return failing(name, anchor, witness=(a, k))
-    anchor2 = ("<[a,b],X> == <L_{r#b}^t a - L_{r#a}^t b, X> + 2(L_X s')(a,b)")
-    for a in range(n):
-        for b in range(n):
-            ea, eb = basis_vec(n, a), basis_vec(n, b)
-            br = vec_sub(dual.product(ea, eb), dual.product(eb, ea))
-            ra, rb = rs.apply(ea), rs.apply(eb)
-            for k in range(n):
-                x = basis_vec(n, k)
-                lx_t = u.left_mult(x).transpose()
-                lhs = dot(br, x)
-                first = dot(u.left_mult(rb).transpose().apply(ea), x) \
-                    - dot(u.left_mult(ra).transpose().apply(eb), x)
-                sk = dot(lx_t.apply(ea), skew.apply(eb)) \
-                    + dot(ea, skew.apply(lx_t.apply(eb)))
-                if lhs != first + 2 * sk:
-                    return failing(name, anchor2, witness=(a, b, k))
-    return passing(name, anchor + " ; " + anchor2)
-
-
-def delta_r(u: Algebra, r) -> BilinMap:
+def delta_r(u: Algebra, r) -> Algebra:
     """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] : U* x U* -> U."""
     r = _as_tensor2(u, r)
     dual = dual_product_from_r(u, r)
     rs = r.r_sharp
-    n = u.dim
 
     def defect(alpha, beta):
         br_dual = vec_sub(dual.product(alpha, beta), dual.product(beta, alpha))
         return vec_sub(rs.apply(br_dual),
                        u.bracket(rs.apply(alpha), rs.apply(beta)))
 
-    return BilinMap.from_function(n, defect)
+    return Algebra.from_function(u.basis, defect)
 
 
 def rr_bracket(u: Algebra, r):
@@ -232,7 +185,7 @@ def classify_r(u: Algebra, r) -> RClass:
     skew_inv = invariance_check(_skew_tensor(r), ("L", "L"), u,
                                 name="skew_part_invariant")
     delta = delta_r(u, r)
-    q_inv = invariance_check(bilinmap_tensor(delta), ("L", "L", "ad"), u,
+    q_inv = invariance_check(algebra_tensor(delta), ("L", "L", "ad"), u,
                              name="delta_invariant")
     agree = rr_delta_agree(u, r)
     if not agree:
@@ -245,38 +198,6 @@ def classify_r(u: Algebra, r) -> RClass:
     return RClass(is_quasi_s=bool(skew_inv) and bool(q_inv),
                   is_s=sym and rr_zero,
                   reports=reports)
-
-
-def morphism_and_cocycle_views(u: Algebra, r) -> Report:
-    """Two reformulations of [[r,r]] == 0, all computed and compared:
-
-    - r_# intertwines the dual bracket with the bracket of U
-      (Delta(r) == 0 by definition);
-    - when r is symmetric and invertible, B(X,Y) = <r_#^{-1} X, Y> is a
-      two-cocycle of the commutator Lie algebra of U exactly when
-      [[r,r]] == 0.
-    """
-    r = _as_tensor2(u, r)
-    delta = delta_r(u, r)
-    zero = delta.is_zero()
-    anchor = "[[r,r]] == 0 iff r# is a bracket morphism"
-    if r.is_symmetric() and r.r_sharp.is_invertible():
-        b = Bilinear(r.r_sharp.inverse().transpose(), "none")
-        n = u.dim
-        coc_ok = True
-        lie = u.bracket_algebra()
-        for i, j, k in itertools.product(range(n), repeat=3):
-            x, y, z = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-            val = b.value(x, u.product(y, z)) - b.value(y, u.product(x, z)) \
-                - b.value(z, lie.product(x, y))
-            if val != 0:
-                coc_ok = False
-                break
-        if coc_ok != zero:
-            raise InternalInconsistency(
-                "two-cocycle reformulation disagrees with Delta(r) == 0")
-        anchor += " iff B(X,Y) = <r#^{-1}X, Y> is a two-cocycle"
-    return Report("s_matrix_views", zero, anchor)
 
 
 @dataclass(frozen=True)
@@ -292,26 +213,20 @@ class TwistData:
     cert: Certificate
 
 
+def _semidirect(u: Algebra, corner) -> Algebra:
+    """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
+    with the bilinear map corner: U* x U* -> U (None for zero)."""
+    lt = _left_mult_t(u)
+    return Algebra.from_blocks(
+        [[(u.bracket_algebra().product, None),
+          (None, lambda x, b: vec_neg(lt(x).apply(b)))],
+         [(None, lambda a, y: lt(y).apply(a)), (corner, None)]],
+        u.basis, "*")
+
+
 def semidirect_bracket(u: Algebra) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a on U + U*."""
-    n = u.dim
-    nn = 2 * n
-    z = zero_vec(n)
-    table = [[None] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(u.bracket(basis_vec(n, i), basis_vec(n, j))) + z
-    for i in range(n):
-        li_t = u.left_mult(basis_vec(n, i)).transpose()
-        for b in range(n):
-            cov = tuple(-x for x in li_t.apply(basis_vec(n, b)))
-            table[i][n + b] = z + cov
-            table[n + b][i] = z + tuple(-x for x in cov)
-    for a in range(n):
-        for b in range(n):
-            table[n + a][n + b] = z + z
-    basis = tuple(u.basis) + tuple(s + "*" for s in u.basis)
-    return Algebra(table, basis)
+    return _semidirect(u, None)
 
 
 def twisted_structures(u: Algebra, r) -> TwistData:
@@ -333,14 +248,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     ps = build_phase(u, dual)
     triangle = semidirect_bracket(u)
     delta = delta_r(u, r)
-
-    rows = [list(row) for row in
-            [[triangle.table[i][j] for j in range(2 * n)] for i in range(2 * n)]]
-    for a in range(n):
-        for b in range(n):
-            add = tuple(delta.table[a][b]) + zero_vec(n)
-            rows[n + a][n + b] = vec_add(rows[n + a][n + b], add)
-    twisted = Algebra(rows, triangle.basis)
+    twisted = _semidirect(u, delta.product)
 
     bracket_r = ps.extended.commutator_algebra()
     ident = Mat.identity(n)
@@ -353,7 +261,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
 
     lts = LieTriple.from_function(
         n, lambda a, b, c:
-        tuple(-x for x in u.left_mult(delta(a, b)).transpose().apply(c)))
+        vec_neg(u.left_mult(delta.product(a, b)).transpose().apply(c)))
 
     reports = []
     reports.append(_xi_report(twisted, bracket_r, xi))
@@ -361,11 +269,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     reports.extend(cert_pk.reports)
     lts_cert = lts.check()
     reports.extend(lts_cert.reports)
-    cert = Certificate("twist", tuple(reports))
-    if not cert.passed:
-        raise InternalInconsistency(
-            "twist construction failed its own certificate: %s"
-            % cert.first_failure().line())
+    cert = certify("twist", reports)
     return TwistData(phase=ps, triangle=triangle, twisted=twisted,
                      bracket_r=bracket_r, xi=xi, metric_r=metric_r, k_r=k_r,
                      lts=lts, cert=cert)
@@ -390,7 +294,7 @@ def _xi_report(src: Algebra, dst: Algebra, xi: Mat,
 @dataclass(frozen=True)
 class CoadjointDoubleData:
     dual_bracket: Algebra      # [a,b]* on g*
-    rr: BilinMap               # [r,r](a,b) = r#([a,b]*) - [r#a, r#b]
+    rr: Algebra                # [r,r](a,b) = r#([a,b]*) - [r#a, r#b]
     bracket_r: Algebra         # full bracket on g + g*
     twisted: Algebra           # diamond bracket + [r,r] on dual pairs
     xi: Mat
@@ -419,50 +323,39 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     rs = r.r_sharp
 
     def star(alpha, beta):
-        t = tuple(-x for x in
-                  lie.left_mult(rs.apply(alpha)).transpose().apply(beta))
-        s = tuple(-x for x in
-                  lie.left_mult(rs.apply(beta)).transpose().apply(alpha))
+        t = vec_neg(lie.left_mult(rs.apply(alpha)).transpose().apply(beta))
+        s = vec_neg(lie.left_mult(rs.apply(beta)).transpose().apply(alpha))
         return vec_sub(t, s)
 
-    dual_bracket = Algebra(
-        [[star(basis_vec(n, a), basis_vec(n, b)) for b in range(n)]
-         for a in range(n)], tuple(s + "*" for s in lie.basis))
+    dual_bracket = Algebra.from_function(tuple(s + "*" for s in lie.basis),
+                                         star)
 
-    rr = BilinMap.from_function(
-        n, lambda a, b: vec_sub(rs.apply(dual_bracket.product(a, b)),
-                                lie.product(rs.apply(a), rs.apply(b))))
+    rr = Algebra.from_function(
+        lie.basis, lambda a, b: vec_sub(rs.apply(dual_bracket.product(a, b)),
+                                        lie.product(rs.apply(a), rs.apply(b))))
 
-    reports = [invariance_check(bilinmap_tensor(rr), ("ad", "ad", "ad"), lie,
+    reports = [invariance_check(algebra_tensor(rr), ("ad", "ad", "ad"), lie,
                                 name="rr_ad_invariant")]
     reports.append(_relabel(check(dual_bracket, "jacobi_antisym"),
                             "dual_bracket_jacobi"))
 
-    z = zero_vec(n)
-    full = [[None] * (2 * n) for _ in range(2 * n)]
-    twist = [[None] * (2 * n) for _ in range(2 * n)]
-    ads = [lie.left_mult(basis_vec(n, i)) for i in range(n)]
-    ad_star = [dual_bracket.left_mult(basis_vec(n, a)) for a in range(n)]
-    for i in range(n):
-        for j in range(n):
-            full[i][j] = tuple(lie.table[i][j]) + z
-            twist[i][j] = tuple(lie.table[i][j]) + z
-    for i in range(n):
-        for b in range(n):
-            cov = tuple(-x for x in ads[i].transpose().apply(basis_vec(n, b)))
-            vpart = tuple(ad_star[b].transpose().apply(basis_vec(n, i)))
-            full[i][n + b] = vpart + cov
-            full[n + b][i] = tuple(-x for x in vpart) \
-                + tuple(-x for x in cov)
-            twist[i][n + b] = z + cov
-            twist[n + b][i] = z + tuple(-x for x in cov)
-    for a in range(n):
-        for b in range(n):
-            full[n + a][n + b] = z + tuple(dual_bracket.table[a][b])
-            twist[n + a][n + b] = tuple(rr.table[a][b]) + z
-    basis = tuple(lie.basis) + tuple(s + "*" for s in lie.basis)
-    bracket_r = Algebra(full, basis)
-    twisted = Algebra(twist, basis)
+    # [X+a, Y+b] = [X,Y] + ad*_b^t X - ad*_a^t Y - ad_X^t b + ad_Y^t a
+    #              + [a,b]*, with ad* the left multiplication of [,]*
+    ad_t, ad_star_t = _left_mult_t(lie), _left_mult_t(dual_bracket)
+
+    def mixed_u(x, b):
+        return ad_star_t(b).apply(x)
+
+    def mixed_dual(x, b):
+        return vec_neg(ad_t(x).apply(b))
+
+    bracket_r = Algebra.from_blocks(
+        [[(lie.product, None), (mixed_u, mixed_dual)],
+         [(lambda a, y: vec_neg(mixed_u(y, a)),
+           lambda a, y: vec_neg(mixed_dual(y, a))),
+          (None, dual_bracket.product)]],
+        lie.basis, "*")
+    twisted = _semidirect(lie, rr.product)
     reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),
@@ -470,10 +363,6 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     ident = Mat.identity(n)
     xi = Mat.block([[ident, -rs], [Mat.zeros(n, n), ident]])
     reports.append(_xi_report(twisted, bracket_r, xi))
-    return CoadjointDoubleData(dual_bracket=dual_bracket, rr=rr, bracket_r=bracket_r,
-                      twisted=twisted, xi=xi, reports=tuple(reports))
-
-
-def _relabel(rep: Report, name: str) -> Report:
-    return Report(name=name, passed=rep.passed, anchor=rep.anchor,
-                  witness=rep.witness, details=rep.details)
+    return CoadjointDoubleData(dual_bracket=dual_bracket, rr=rr,
+                               bracket_r=bracket_r, twisted=twisted, xi=xi,
+                               reports=tuple(reports))

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Algebra, BilinMap, Endo, Mat, check, invariance_check,
+from lsaforge import (Algebra, Endo, Mat, check, invariance_check,
                       is_derivation, product_subspaces)
-from lsaforge.algebra import associator, bilinmap_tensor, curvature, endo_tensor
+from lsaforge.algebra import associator, algebra_tensor, curvature, endo_tensor
 from lsaforge.exact import basis_vec
 
 
@@ -52,8 +52,8 @@ def test_product_subspaces(nab_lsa, ab_lsa):
 
 def test_bracket_tensor_invariance(aff, heis, sl2):
     for lie in (aff, heis, sl2):
-        tensor = bilinmap_tensor(
-            BilinMap.from_function(lie.dim, lie.bracket))
+        tensor = algebra_tensor(
+            Algebra.from_function(lie.basis, lie.bracket))
         assert invariance_check(tensor, ("ad_dual", "ad_dual", "ad"), lie)
 
 
@@ -84,9 +84,28 @@ def test_endo_tensor_convention():
 
 def test_scale_add_conjugate_roundtrip(nab_lsa):
     doubled = nab_lsa.scale(2)
-    assert doubled.add(nab_lsa.scale(-2)).is_zero_product()
+    assert doubled.add(nab_lsa.scale(-2)).is_zero()
     p = Mat.from_rows([[2, 1], [1, 1]])
     assert nab_lsa.conjugate(p).conjugate(p.inverse()) == nab_lsa
+
+
+def test_from_blocks_layout():
+    def pick(k):
+        return lambda x, y: (x[0] * y[1] * k, x[1] * y[0] * k)
+
+    double = Algebra.from_blocks([[(pick(1), None), (None, pick(2))],
+                                  [(None, None), (pick(3), pick(4))]],
+                                 ("x", "y"), "'")
+    assert double.basis == ("x", "y", "x'", "y'")
+    f = Fraction
+    # UU block: U-part only
+    assert double.table[0][1] == (f(1), f(0), f(0), f(0))
+    # UU' block: U'-part only
+    assert double.table[0][3] == (f(0), f(0), f(2), f(0))
+    # U'U block: zero
+    assert double.table[2][1] == (f(0),) * 4
+    # U'U' block: both parts
+    assert double.table[3][2] == (f(0), f(3), f(0), f(4))
 
 
 def test_bad_table_rejected():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from lsaforge.cli import run
+from lsaforge import Algebra, Bilinear, Mat, canonical, graded_tensor_algebra
+from lsaforge.cli import dump_structure, run
 
 
 def go(capsys, argv):
@@ -175,3 +176,129 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = go(capsys, ["check", str(tmp_path / "nope.json"),
                                "--pred", "abelian"])
     assert code == 2
+
+
+def _no_traceback_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+_BUILD_TARGETS = ("phase", "twist", "hyper", "tsymp", "ttheta", "quadratic",
+                  "flatdouble", "cybe", "derphase")
+
+
+@pytest.mark.parametrize(
+    "argv", [["build", what] for what in _BUILD_TARGETS]
+    + [["normalize", "dim2"], ["normalize", "assoc"]],
+    ids=lambda argv: " ".join(argv))
+def test_missing_product_is_usage_error(capsys, tmp_path, argv):
+    # every other section a target reads is present, so only the missing
+    # product can stop it
+    skew = {"kind": "skew", "matrix": [["0", "1"], ["-1", "0"]]}
+    ident = [["1", "0"], ["0", "1"]]
+    path = tmp_path / "noproduct.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "basis": ["e1", "e2"],
+         "forms": {"omega": skew, "theta": skew,
+                   "metric": {"kind": "symmetric", "matrix": ident},
+                   "r": {"kind": "none", "matrix": ident}},
+         "endos": {"a": ident, "d": ident},
+         "tensors": {"r": ident, "b": ident}}))
+    code, out, err = go(capsys, argv + [str(path), "--param", "n=1"])
+    _no_traceback_usage_error(code, err)
+    assert "missing product 'product'" in err
+    assert out == ""
+
+
+def test_dim_true_rejected(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": True, "basis": ["e1"], "product": []}))
+    code, _, err = go(capsys, ["check", str(path), "--pred", "commutative"])
+    _no_traceback_usage_error(code, err)
+    assert "dim must be a positive integer" in err
+
+
+@pytest.mark.parametrize("section", ["forms", "endos", "tensors"])
+def test_section_not_an_object_rejected(capsys, tmp_path, section):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "basis": ["e1", "e2"], "product": [], section: [1]}))
+    code, _, err = go(capsys, ["check", str(path), "--pred", "abelian"])
+    _no_traceback_usage_error(code, err)
+    assert "%s:%s: expected an object" % (path, section) in err
+
+
+def test_triple_result_not_an_object_rejected(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "basis": ["x", "y"],
+         "triple": [{"first": "x", "second": "y", "third": "x",
+                     "result": ["x"]}]}))
+    code, _, err = go(capsys, ["lts", "verify", str(path)])
+    _no_traceback_usage_error(code, err)
+    assert "triple[0].result: expected an object" in err
+
+
+def _omega2():
+    return Bilinear(Mat.from_rows([[0, 1], [-1, 0]]), "skew")
+
+
+def _hyper_input():
+    pair = canonical("compat_family1", {"a": 1, "b": 1})
+    return dump_structure(pair["bullet"], forms={"omega": pair["omega"]},
+                          alg2=pair["circ"])
+
+
+def _tsymp_input():
+    return dump_structure(Algebra.zero(2), forms={"omega": _omega2()},
+                          endos={"a": Mat.identity(2)})
+
+
+def _ttheta_input():
+    ab = canonical("dim2_abelian", {"a": 1})["alg"]
+    return dump_structure(ab, forms={"theta": _omega2()},
+                          endos={"a": Mat.identity(2)})
+
+
+def _flatdouble_input():
+    metric = Bilinear(Mat.from_rows([[2, 1], [1, 1]]), "symmetric")
+    return dump_structure(Algebra.zero(2), forms={"metric": metric})
+
+
+def _cybe_input():
+    heis = Algebra([[(0, 0, 0), (0, 0, 1), (0, 0, 0)],
+                    [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+                    [(0, 0, 0), (0, 0, 0), (0, 0, 0)]])
+    return dump_structure(
+        heis, forms={"r": Bilinear(Mat.zeros(3, 3), "none")},
+        tensors={"b": Mat.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])})
+
+
+def _derphase_input():
+    aff = Algebra([[(0, 0), (1, 0)], [(-1, 0), (0, 0)]])
+    graded, deriv = graded_tensor_algebra(aff, 2)
+    return dump_structure(graded, endos={"d": deriv})
+
+
+@pytest.mark.parametrize("what, flags, make, dim, line", [
+    ("hyper", [], _hyper_input, 4, "PASS parallel_j"),
+    ("tsymp", [], _tsymp_input, 4, "PASS circ_left_symmetric"),
+    ("ttheta", [], _ttheta_input, 4, "PASS circ_left_symmetric"),
+    ("ttheta", ["--hyper"], _ttheta_input, 4, "PASS complex_j"),
+    ("flatdouble", [], _flatdouble_input, 4, "PASS twist_crosscheck"),
+    ("cybe", [], _cybe_input, 6, "PASS twist_crosscheck"),
+    ("derphase", [], _derphase_input, 8, "PASS lift_derivation"),
+], ids=["hyper", "tsymp", "ttheta", "ttheta-hyper", "flatdouble", "cybe",
+        "derphase"])
+def test_build_target_passes(capsys, tmp_path, what, flags, make, dim, line):
+    source = tmp_path / "in.json"
+    source.write_text(make())
+    out_file = tmp_path / "out.json"
+    code, out, err = go(capsys, ["build", what, str(source),
+                                 "--out", str(out_file)] + flags)
+    assert code == 0 and err == ""
+    body = out.splitlines()[4:]
+    assert body and all(rep.startswith("PASS ") for rep in body)
+    assert line in body
+    assert json.loads(out_file.read_text())["dim"] == dim

@@ -5,7 +5,7 @@ import pytest
 from lsaforge import (Bilinear, Mat, a_product, check, is_flat,
                       is_invariant_form, is_two_cocycle, killing_form,
                       levi_civita)
-from lsaforge.algebra import Algebra, BilinMap
+from lsaforge.algebra import Algebra
 from lsaforge.exact import basis_vec, dot
 
 
