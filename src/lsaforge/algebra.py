@@ -11,7 +11,6 @@ the `jacobi_antisym` predicate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +28,20 @@ def _default_basis(n: int) -> Tuple[str, ...]:
     return tuple("e%d" % (i + 1) for i in range(n))
 
 
-class Algebra:
-    """An algebra on Q^n with product table[i][j] = e_i . e_j."""
+# memo value of Algebra.bracket_algebra for an antisymmetric product: the
+# algebra itself, stored without a reference cycle
+_SELF = object()
 
-    __slots__ = ("dim", "basis", "table")
+
+class Algebra:
+    """An algebra on Q^n with product table[i][j] = e_i . e_j.
+
+    The attached bracket algebra and the left multiplications L_{e_i} are
+    computed on first use and kept on the object; they are derived from
+    the table alone, so equality and hashing ignore them.
+    """
+
+    __slots__ = ("dim", "basis", "table", "_bracket", "_lefts")
 
     def __init__(self, table: Sequence[Sequence[Sequence]], basis=None):
         n = len(table)
@@ -48,6 +57,8 @@ class Algebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "_bracket", None)
+        object.__setattr__(self, "_lefts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -99,26 +110,37 @@ class Algebra:
 
     # -- products ---------------------------------------------------------
     def product(self, u: Sequence, v: Sequence) -> tuple:
-        n = self.dim
-        out = [ZERO] * n
+        out = [ZERO] * self.dim
+        support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if a == 0:
                 continue
             row = self.table[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                cell = row[j]
+            for j, b in support:
                 c = a * b
-                for k in range(n):
-                    if cell[k]:
-                        out[k] += c * cell[k]
+                for k, x in enumerate(row[j]):
+                    if x:
+                        out[k] += c * x
         return tuple(out)
 
+    def left_mults(self) -> Tuple[Mat, ...]:
+        """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j."""
+        if self._lefts is None:
+            n, tab = self.dim, self.table
+            object.__setattr__(self, "_lefts", tuple(
+                Mat(n, n, [tab[i][j][k] for k in range(n) for j in range(n)])
+                for i in range(n)))
+        return self._lefts
+
     def left_mult(self, u: Sequence) -> Mat:
-        n = self.dim
-        cols = [self.product(u, basis_vec(n, j)) for j in range(n)]
-        return Mat.from_cols(cols)
+        """L_u = sum_i u_i L_{e_i}; the memoized matrix itself for a
+        basis vector."""
+        out = None
+        for a, li in zip(u, self.left_mults()):
+            if a:
+                term = li if a == 1 else li.scale(a)
+                out = term if out is None else out + term
+        return Mat.zeros(self.dim, self.dim) if out is None else out
 
     def right_mult(self, u: Sequence) -> Mat:
         n = self.dim
@@ -141,11 +163,15 @@ class Algebra:
         For an antisymmetric product (a stored Lie algebra) the product
         itself; otherwise the commutator.
         """
-        return self if self.is_antisymmetric() else self.commutator_algebra()
+        br = self._bracket
+        if br is None:
+            br = (_SELF if self.is_antisymmetric()
+                  else self.commutator_algebra())
+            object.__setattr__(self, "_bracket", br)
+        return self if br is _SELF else br
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        return vec_sub(self.product(u, v), self.product(v, u)) \
-            if not self.is_antisymmetric() else self.product(u, v)
+        return self.bracket_algebra().product(u, v)
 
     def ad(self, u: Sequence) -> Mat:
         return self.bracket_algebra().left_mult(u)
@@ -197,13 +223,6 @@ def _mat(x) -> Mat:
     return x.matrix if isinstance(x, Endo) else x
 
 
-def _left_mult_t(alg: Algebra):
-    """x -> L_x^t, memoized over the basis vectors at which
-    Algebra.from_blocks evaluates its blocks."""
-    return functools.lru_cache(maxsize=None)(
-        lambda x: alg.left_mult(x).transpose())
-
-
 def associator(alg: Algebra, u, v, w) -> tuple:
     return vec_sub(alg.product(alg.product(u, v), w),
                    alg.product(u, alg.product(v, w)))
@@ -225,16 +244,13 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     """
     m = _mat(a)
     br = alg.bracket_algebra()
-    m2 = m * m
-
-    def torsion(u, v):
-        au, av = m.apply(u), m.apply(v)
-        t = br.product(au, av)
-        t = vec_sub(t, m.apply(br.product(au, v)))
-        t = vec_sub(t, m.apply(br.product(u, av)))
-        return vec_add(t, m2.apply(br.product(u, v)))
-
-    return Algebra.from_function(alg.basis, torsion)
+    n = alg.dim
+    table = []
+    for i, li in enumerate(br.left_mults()):
+        # N_A(e_i, .) = [L_{Ae_i}, A] - A [L_{e_i}, A], column j N_A(e_i,e_j)
+        ni = br.left_mult(m.col(i)).commutator(m) - m * li.commutator(m)
+        table.append([ni.col(j) for j in range(n)])
+    return Algebra(table, alg.basis)
 
 
 def is_derivation(d, alg: Algebra) -> Report:
@@ -253,23 +269,31 @@ def is_derivation(d, alg: Algebra) -> Report:
 
 # -- predicate checks -------------------------------------------------------
 
+def _basis_associator(alg: Algebra):
+    """(i, j, k) -> ass(e_i,e_j,e_k) = (e_i.e_j).e_k - e_i.(e_j.e_k), read
+    off the table and the memoized L_{e_i}."""
+    n, tab, lefts = alg.dim, alg.table, alg.left_mults()
+    es = [basis_vec(n, k) for k in range(n)]
+    return lambda i, j, k: vec_sub(alg.product(tab[i][j], es[k]),
+                                   lefts[i].apply(tab[j][k]))
+
+
 def _check_left_symmetric(alg: Algebra):
     n = alg.dim
+    ass = _basis_associator(alg)
     for i, j, k in itertools.product(range(n), repeat=3):
         if j <= i:
             continue
-        a = associator(alg, basis_vec(n, i), basis_vec(n, j), basis_vec(n, k))
-        b = associator(alg, basis_vec(n, j), basis_vec(n, i), basis_vec(n, k))
-        if a != b:
+        if ass(i, j, k) != ass(j, i, k):
             return (i, j, k)
     return None
 
 
 def _check_associative(alg: Algebra):
     n = alg.dim
+    ass = _basis_associator(alg)
     for i, j, k in itertools.product(range(n), repeat=3):
-        if not is_zero_vec(associator(alg, basis_vec(n, i), basis_vec(n, j),
-                                      basis_vec(n, k))):
+        if not is_zero_vec(ass(i, j, k)):
             return (i, j, k)
     return None
 
@@ -284,12 +308,13 @@ def _check_commutative(alg: Algebra):
 
 
 def _jacobi_witness(br: Algebra):
-    n = br.dim
+    """First basis triple violating Jacobi for an antisymmetric table,
+    where [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]] = -L_{e_k} [e_i,e_j]."""
+    n, tab, lefts = br.dim, br.table, br.left_mults()
     for i, j, k in itertools.combinations(range(n), 3):
-        u, v, w = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-        s = vec_add(vec_add(br.product(br.product(u, v), w),
-                            br.product(br.product(v, w), u)),
-                    br.product(br.product(w, u), v))
+        s = vec_add(vec_add(lefts[k].apply(tab[i][j]),
+                            lefts[i].apply(tab[j][k])),
+                    lefts[j].apply(tab[k][i]))
         if not is_zero_vec(s):
             return (i, j, k)
     return None
@@ -308,16 +333,23 @@ def _check_lie_admissible(alg: Algebra):
     """Commutator satisfies Jacobi; checked both through the cyclic
     curvature sum and directly, which must agree."""
     n = alg.dim
+    tab, lefts = alg.table, alg.left_mults()
+    comm = alg.commutator_algebra()
+    es = [basis_vec(n, i) for i in range(n)]
+
+    def curv(i, j, k):
+        # K(e_i,e_j)e_k = e_i.(e_j.e_k) - e_j.(e_i.e_k) - [e_i,e_j].e_k
+        return vec_sub(vec_sub(lefts[i].apply(tab[j][k]),
+                               lefts[j].apply(tab[i][k])),
+                       alg.product(comm.table[i][j], es[k]))
+
     via_curvature = None
     for i, j, k in itertools.combinations(range(n), 3):
-        u, v, w = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-        s = vec_add(vec_add(curvature(alg, u, v).apply(w),
-                            curvature(alg, v, w).apply(u)),
-                    curvature(alg, w, u).apply(v))
+        s = vec_add(vec_add(curv(i, j, k), curv(j, k, i)), curv(k, i, j))
         if not is_zero_vec(s):
             via_curvature = (i, j, k)
             break
-    via_jacobi = _jacobi_witness(alg.commutator_algebra())
+    via_jacobi = _jacobi_witness(comm)
     if (via_curvature is None) != (via_jacobi is None):
         raise InternalInconsistency(
             "cyclic curvature sum and commutator Jacobi check disagree")
@@ -432,17 +464,12 @@ def _slot_apply(flat, shape, slot, m: Mat):
 
 
 def _rep_matrix(tag: str, alg: Algebra, m: int) -> Mat:
-    e = basis_vec(alg.dim, m)
-    if tag == "ad":
-        return alg.ad(e)
-    if tag == "L":
-        return alg.left_mult(e)
-    if tag == "ad_dual":
-        return -alg.ad(e).transpose()
-    if tag == "L_dual":
-        return -alg.left_mult(e).transpose()
-    raise ValueError("unknown representation tag %r (expected one of %s)"
-                     % (tag, ", ".join(INVARIANCE_TAGS)))
+    if tag not in INVARIANCE_TAGS:
+        raise ValueError("unknown representation tag %r (expected one of %s)"
+                         % (tag, ", ".join(INVARIANCE_TAGS)))
+    src = alg.bracket_algebra() if tag.startswith("ad") else alg
+    mat = src.left_mults()[m]
+    return -mat.transpose() if tag.endswith("_dual") else mat
 
 
 def invariance_check(tensor, reps: Sequence[str], alg: Algebra,

@@ -411,9 +411,9 @@ def canonical(family: str, params: dict) -> dict:
 def _fingerprint(alg: Algebra) -> dict:
     subs = product_subspaces(alg)
     n = alg.dim
-    ltr = Mat(n, n, [
-        (alg.left_mult(basis_vec(n, i)) * alg.left_mult(basis_vec(n, j))).trace()
-        for i in range(n) for j in range(n)])
+    ls = alg.left_mults()
+    ltr = Mat(n, n, [(ls[i] * ls[j]).trace()
+                     for i in range(n) for j in range(n)])
     rtr = Mat(n, n, [
         (alg.right_mult(basis_vec(n, i)) * alg.right_mult(basis_vec(n, j))).trace()
         for i in range(n) for j in range(n)])
@@ -972,7 +972,7 @@ def killing_form(lie: Algebra) -> Bilinear:
     if not jac:
         raise ValueError("product is not a Lie bracket: %s" % jac.line())
     n = lie.dim
-    ads = [lie.ad(basis_vec(n, i)) for i in range(n)]
+    ads = lie.bracket_algebra().left_mults()
     return Bilinear(Mat(n, n, [(ads[i] * ads[j]).trace()
                                for i in range(n) for j in range(n)]),
                     "symmetric")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, algebra_tensor, check, endo_tensor,
+from .algebra import (Algebra, algebra_tensor, check, curvature, endo_tensor,
                       invariance_check, nijenhuis)
 from .exact import Mat, basis_vec, vec_add, vec_neg, vec_sub
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
@@ -83,18 +83,13 @@ def pencil_identity(bullet: Algebra, circ: Algebra) -> Report:
     for i in range(n):
         for j in range(n):
             x, y = basis_vec(n, i), basis_vec(n, j)
-            lhs = _curvature(total, x, y)
-            rhs = (_curvature(bullet, x, y) + _curvature(circ, x, y)
+            lhs = curvature(total, x, y)
+            rhs = (curvature(bullet, x, y) + curvature(circ, x, y)
                    + compat_curvature(bullet, circ, x, y)
                    - compat_curvature(bullet, circ, y, x))
             if lhs != rhs:
                 return failing("pencil_identity", anchor, witness=(i, j))
     return passing("pencil_identity", anchor)
-
-
-def _curvature(alg: Algebra, x, y) -> Mat:
-    return alg.left_mult(x).commutator(alg.left_mult(y)) \
-        - alg.left_mult(vec_sub(alg.product(x, y), alg.product(y, x)))
 
 
 def pencil(bullet: Algebra, circ: Algebra, a, b) -> Algebra:

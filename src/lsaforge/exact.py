@@ -34,8 +34,13 @@ def format_rational(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _q(x) -> Fraction:
+    """x as a Fraction; a Fraction is kept as is (they are immutable)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def vec(entries: Iterable) -> tuple:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(_q(e) for e in entries)
 
 
 def zero_vec(n: int) -> tuple:
@@ -46,12 +51,14 @@ def basis_vec(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+# the vector helpers skip the arithmetic where an entry is zero
+
 def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vec_scale(c, u: Sequence) -> tuple:
@@ -60,15 +67,19 @@ def vec_scale(c, u: Sequence) -> tuple:
 
 
 def vec_neg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
+    return tuple(-a if a else a for a in u)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    s = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            s += a * b
+    return s
 
 
 def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 class Mat:
@@ -77,7 +88,7 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable):
-        data = tuple(Fraction(x) for x in data)
+        data = tuple(_q(x) for x in data)
         if len(data) != rows * cols:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "rows", rows)
@@ -86,6 +97,16 @@ class Mat:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
+
+    @staticmethod
+    def _of(rows: int, cols: int, data) -> "Mat":
+        """A matrix from entries that are already Fractions, in a tuple of
+        the right length; for results of Mat arithmetic only."""
+        m = object.__new__(Mat)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -153,21 +174,24 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.data, other.data)])
+        return Mat._of(self.rows, self.cols,
+                       tuple(a + b if b else a
+                             for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [a - b for a, b in zip(self.data, other.data)])
+        return Mat._of(self.rows, self.cols,
+                       tuple(a - b if b else a
+                             for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.data])
+        return Mat._of(self.rows, self.cols,
+                       tuple(-a if a else a for a in self.data))
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)
-        return Mat(self.rows, self.cols, [c * a for a in self.data])
+        return Mat._of(self.rows, self.cols, tuple(c * a for a in self.data))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -185,18 +209,32 @@ class Mat:
                     for j in range(other.cols):
                         acc[j] += coeff * orow[j]
             out.extend(acc)
-        return Mat(self.rows, other.cols, out)
+        return Mat._of(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
+        """Matrix-vector product; zero entries of v and of the matrix are
+        skipped."""
+        cols = self.cols
+        if len(v) != cols:
             raise ValueError("vector length mismatch")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        data = self.data
+        support = [(j, b) for j, b in enumerate(v) if b]
+        out = []
+        for i in range(self.rows):
+            base = i * cols
+            s = ZERO
+            for j, b in support:
+                a = data[base + j]
+                if a:
+                    s += a * b
+            out.append(s)
+        return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self.data[i * self.cols + j]
-                    for j in range(self.cols) for i in range(self.rows)])
+        return Mat._of(self.cols, self.rows,
+                       tuple(self.data[i * self.cols + j]
+                             for j in range(self.cols)
+                             for i in range(self.rows)))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -204,7 +242,7 @@ class Mat:
         return sum((self[i, i] for i in range(self.rows)), ZERO)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self.data)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()

@@ -69,11 +69,11 @@ def is_two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     if omega.kind != "skew":
         return failing("is_two_cocycle", "omega(u,v) == -omega(v,u)")
     n = lie.dim
+    t = lie.table
+    cols = [omega.matrix.col(k) for k in range(n)]  # omega(x,e_k) = x.cols[k]
     for i, j, k in itertools.combinations(range(n), 3):
-        u, v, w = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-        s = (omega.value(lie.product(u, v), w)
-             + omega.value(lie.product(v, w), u)
-             + omega.value(lie.product(w, u), v))
+        s = (dot(t[i][j], cols[k]) + dot(t[j][k], cols[i])
+             + dot(t[k][i], cols[j]))
         if s != 0:
             return failing("is_two_cocycle", anchor, witness=(i, j, k))
     return passing("is_two_cocycle", anchor)
@@ -83,9 +83,11 @@ def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
     """omega(u.v, w) + omega(v, u.w) == 0 for all basis triples."""
     anchor = "omega(u.v,w) + omega(v,u.w) == 0"
     n = alg.dim
+    t, g = alg.table, omega.matrix
+    rows = [g.row(k) for k in range(n)]     # omega(e_k, x) = rows[k] . x
+    cols = [g.col(k) for k in range(n)]     # omega(x, e_k) = x . cols[k]
     for i, j, k in itertools.product(range(n), repeat=3):
-        u, v, w = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-        if omega.value(alg.product(u, v), w) + omega.value(v, alg.product(u, w)) != 0:
+        if dot(t[i][j], cols[k]) + dot(rows[j], t[i][k]) != 0:
             return failing("is_invariant_form", anchor, witness=(i, j, k))
     return passing("is_invariant_form", anchor)
 
@@ -132,14 +134,14 @@ def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     m = metric.matrix
     m_inv = m.inverse()
     half = Fraction(1, 2)
-    ad_t = [lie.left_mult(basis_vec(n, i)).transpose() for i in range(n)]
+    # column j of ad_t[i] is ad_{e_i}^t M e_j, the covector <[e_i, .], e_j>
+    ad_t = [li.transpose() * m for li in lie.left_mults()]
     table = []
     for i in range(n):
         row = []
         for j in range(n):
-            cov = m.apply(lie.table[i][j])
-            cov = vec_sub(cov, ad_t[i].apply(m.apply(basis_vec(n, j))))
-            cov = vec_sub(cov, ad_t[j].apply(m.apply(basis_vec(n, i))))
+            cov = vec_sub(vec_sub(m.apply(lie.table[i][j]), ad_t[i].col(j)),
+                          ad_t[j].col(i))
             row.append(tuple(half * x for x in m_inv.apply(cov)))
         table.append(row)
     return Algebra(table, lie.basis)

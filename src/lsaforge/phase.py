@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, _left_mult_t, check, nijenhuis
+from .algebra import Algebra, check, nijenhuis
 from .exact import Mat, Subspace, ZERO, basis_vec, dot, vec_neg, vec_sub
 from .forms import Bilinear, is_two_cocycle, levi_civita
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
@@ -50,10 +50,11 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         if not rep:
             raise ValueError("%s is not left symmetric (witness %s)"
                              % (label, rep.witness))
-    lx_t, la_t = _left_mult_t(u), _left_mult_t(dual)
     extended = Algebra.from_blocks(
-        [[(u.product, None), (None, lambda x, b: vec_neg(lx_t(x).apply(b)))],
-         [(lambda a, y: vec_neg(la_t(a).apply(y)), None),
+        [[(u.product, None),
+          (None, lambda x, b: vec_neg(u.left_mult(x).transpose().apply(b)))],
+         [(lambda a, y: vec_neg(dual.left_mult(a).transpose().apply(y)),
+           None),
           (None, dual.product)]],
         u.basis, "*")
     n = u.dim
@@ -156,8 +157,8 @@ def _cocycle_witness(alg: Algebra, other: Algebra):
     """
     n = alg.dim
     xi = _dualized(other)
-    ls = [alg.left_mult(basis_vec(n, i)) for i in range(n)]
-    ads = [alg.ad(basis_vec(n, i)) for i in range(n)]
+    ls = alg.left_mults()
+    ads = alg.bracket_algebra().left_mults()
     for i in range(n):
         for j in range(i + 1, n):
             br = vec_sub(alg.table[i][j], alg.table[j][i])
@@ -236,8 +237,7 @@ def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
                                 "<Ku,v> + <u,Kv> == 0"))
     lc = levi_civita(lie, metric)
     parallel = None
-    for i in range(n):
-        li = lc.left_mult(basis_vec(n, i))
+    for i, li in enumerate(lc.left_mults()):
         if li * kmat != kmat * li:
             parallel = (i,)
             break
@@ -298,8 +298,7 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
                                 "N_J(u,v) == 0"))
     lc = levi_civita(lie, metric)
     parallel = None
-    for i in range(n):
-        li = lc.left_mult(basis_vec(n, i))
+    for i, li in enumerate(lc.left_mults()):
         if li * jmat != jmat * li:
             parallel = (i,)
             break

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _left_mult_t, algebra_tensor, check,
-                      invariance_check)
+from .algebra import Algebra, algebra_tensor, check, invariance_check
 from .exact import Mat, ZERO, basis_vec, dot, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
@@ -77,14 +76,15 @@ def _as_tensor2(u: Algebra, r) -> Tensor2:
 
 def dual_product_from_r(u: Algebra, r) -> Algebra:
     """Product on U* defined by <a.b, X> = r(L_X^t a, b) + r(a, ad_X^t b)."""
-    r = _as_tensor2(u, r)
+    return _dual_product(u, _as_tensor2(u, r))
+
+
+def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
     n = u.dim
     rm = r.matrix
-    comps = []
-    for k in range(n):
-        lk = u.left_mult(basis_vec(n, k))
-        adk = u.ad(basis_vec(n, k))
-        comps.append(lk * rm + rm * adk.transpose())
+    ads = u.bracket_algebra().left_mults()
+    comps = [lk * rm + rm * adk.transpose()
+             for lk, adk in zip(u.left_mults(), ads)]
     table = [[tuple(comps[k][a, b] for k in range(n)) for b in range(n)]
              for a in range(n)]
     return Algebra(table, tuple(b + "*" for b in u.basis))
@@ -93,7 +93,11 @@ def dual_product_from_r(u: Algebra, r) -> Algebra:
 def delta_r(u: Algebra, r) -> Algebra:
     """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] : U* x U* -> U."""
     r = _as_tensor2(u, r)
-    dual = dual_product_from_r(u, r)
+    return _delta(u, r, dual_product_from_r(u, r))
+
+
+def _delta(u: Algebra, r: Tensor2, dual: Algebra) -> Algebra:
+    """Delta(r) from the r-induced product `dual` on U*."""
     rs = r.r_sharp
 
     def defect(alpha, beta):
@@ -150,8 +154,11 @@ def rr_delta_agree(u: Algebra, r) -> Report:
     """[[r,r]](a,b,c) == <c, Delta(r)(a,b)> for all basis triples;
     the two are computed by entirely separate routes."""
     r = _as_tensor2(u, r)
+    return _rr_delta_report(u, r, delta_r(u, r))
+
+
+def _rr_delta_report(u: Algebra, r: Tensor2, delta: Algebra) -> Report:
     rr = rr_bracket(u, r)
-    delta = delta_r(u, r)
     n = u.dim
     anchor = "[[r,r]](a,b,c) == <c, Delta(r)(a,b)>"
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -182,12 +189,16 @@ def classify_r(u: Algebra, r) -> RClass:
     multiplications and Delta(r) invariant under (L, L, ad)) and
     S (symmetric with vanishing [[r,r]])."""
     r = _as_tensor2(u, r)
+    return _classify(u, r, delta_r(u, r))
+
+
+def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
+    """classify_r with Delta(r) already computed."""
     skew_inv = invariance_check(_skew_tensor(r), ("L", "L"), u,
                                 name="skew_part_invariant")
-    delta = delta_r(u, r)
     q_inv = invariance_check(algebra_tensor(delta), ("L", "L", "ad"), u,
                              name="delta_invariant")
-    agree = rr_delta_agree(u, r)
+    agree = _rr_delta_report(u, r, delta)
     if not agree:
         raise InternalInconsistency("Delta(r) and [[r,r]] pairing disagree")
     sym = r.is_symmetric()
@@ -216,11 +227,11 @@ class TwistData:
 def _semidirect(u: Algebra, corner) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
     with the bilinear map corner: U* x U* -> U (None for zero)."""
-    lt = _left_mult_t(u)
     return Algebra.from_blocks(
         [[(u.bracket_algebra().product, None),
-          (None, lambda x, b: vec_neg(lt(x).apply(b)))],
-         [(None, lambda a, y: lt(y).apply(a)), (corner, None)]],
+          (None, lambda x, b: vec_neg(u.left_mult(x).transpose().apply(b)))],
+         [(None, lambda a, y: u.left_mult(y).transpose().apply(a)),
+          (corner, None)]],
         u.basis, "*")
 
 
@@ -239,15 +250,15 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     by the dual.  Raises if r is not quasi-S.
     """
     r = _as_tensor2(u, r)
-    cls = classify_r(u, r)
+    dual = _dual_product(u, r)
+    delta = _delta(u, r, dual)
+    cls = _classify(u, r, delta)
     if not cls.is_quasi_s:
         bad = next(rep for rep in cls.reports if not rep.passed)
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
     n = u.dim
-    dual = dual_product_from_r(u, r)
     ps = build_phase(u, dual)
     triangle = semidirect_bracket(u)
-    delta = delta_r(u, r)
     twisted = _semidirect(u, delta.product)
 
     bracket_r = ps.extended.commutator_algebra()
@@ -259,9 +270,10 @@ def twisted_structures(u: Algebra, r) -> TwistData:
                         "symmetric")
     k_r = Mat.block([[ident, r.r_sharp.scale(-2)], [zero, -ident]])
 
-    lts = LieTriple.from_function(
-        n, lambda a, b, c:
-        vec_neg(u.left_mult(delta.product(a, b)).transpose().apply(c)))
+    # L(e_i,e_j,e_k) = -L_x^t e_k with x = Delta(r)(e_i,e_j): row k of L_{-x}
+    neg_l = [[u.left_mult(vec_neg(x)) for x in cells] for cells in delta.table]
+    lts = LieTriple([[[m.row(k) for k in range(n)] for m in row]
+                     for row in neg_l])
 
     reports = []
     reports.append(_xi_report(twisted, bracket_r, xi))
@@ -341,13 +353,11 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
 
     # [X+a, Y+b] = [X,Y] + ad*_b^t X - ad*_a^t Y - ad_X^t b + ad_Y^t a
     #              + [a,b]*, with ad* the left multiplication of [,]*
-    ad_t, ad_star_t = _left_mult_t(lie), _left_mult_t(dual_bracket)
-
     def mixed_u(x, b):
-        return ad_star_t(b).apply(x)
+        return dual_bracket.left_mult(b).transpose().apply(x)
 
     def mixed_dual(x, b):
-        return vec_neg(ad_t(x).apply(b))
+        return vec_neg(lie.left_mult(x).transpose().apply(b))
 
     bracket_r = Algebra.from_blocks(
         [[(lie.product, None), (mixed_u, mixed_dual)],

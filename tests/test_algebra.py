@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_routes as oracle
 from lsaforge import (Algebra, Endo, Mat, check, invariance_check,
                       is_derivation, product_subspaces)
 from lsaforge.algebra import associator, algebra_tensor, curvature, endo_tensor
@@ -116,3 +117,34 @@ def test_bad_table_rejected():
 def test_endo_wraps(nab_lsa):
     e = Endo(nab_lsa, Mat.identity(2))
     assert e.matrix == Mat.identity(2)
+
+
+@pytest.mark.parametrize("name", ["aff", "heis", "nab_lsa", "sl2"])
+def test_memoized_values_match_fresh_ones(name, request):
+    alg = request.getfixturevalue(name)
+    n = alg.dim
+    es = [basis_vec(n, i) for i in range(n)]
+    general = tuple(Fraction(k + 1, 2 - k % 2) for k in range(n))
+    vectors = es + [general]
+    fresh_bracket = Algebra(
+        [[oracle.bracket(alg, ei, ej) for ej in es] for ei in es], alg.basis)
+    # the first pass fills the memo, the second reads it
+    for _ in range(2):
+        assert alg.bracket_algebra() == fresh_bracket
+        for u in vectors:
+            assert alg.left_mult(u).row_list() == oracle.left_mult(alg, u)
+            assert alg.ad(u).row_list() == oracle.ad(alg, u)
+            for v in vectors:
+                assert alg.bracket(u, v) == oracle.bracket(alg, u, v)
+    assert alg.left_mults() == tuple(alg.left_mult(e) for e in es)
+
+
+def test_memo_keeps_algebra_immutable_and_out_of_equality(nab_lsa):
+    fresh = Algebra(nab_lsa.table, nab_lsa.basis)
+    nab_lsa.left_mults()
+    nab_lsa.bracket_algebra()
+    for attr in ("dim", "table", "_lefts", "_bracket"):
+        with pytest.raises(AttributeError):
+            setattr(nab_lsa, attr, None)
+    assert nab_lsa == fresh and hash(nab_lsa) == hash(fresh)
+    assert nab_lsa.bracket_algebra() == fresh.bracket_algebra()

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Mat, Tensor2, check, classify_r, coadjoint_double,
-                      twisted_structures)
+from lsaforge import (InternalInconsistency, Mat, Tensor2, check, classify_r,
+                      coadjoint_double, twisted_structures)
 from lsaforge.catalog import catalog_algebras, rand_fraction
 from lsaforge.smatrix import rr_bracket, rr_delta_agree, delta_r, \
     semidirect_bracket
@@ -106,3 +106,15 @@ def test_tensor2_parts(nab_lsa):
     assert t.sym_matrix.is_symmetric()
     assert t.skew_matrix.is_antisymmetric()
     assert t.r_sharp == m.transpose()
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInconsistency,
+                   reason="fault F1: the bracket of an antisymmetric "
+                          "left-symmetric product is taken to be the product, "
+                          "not the commutator")
+def test_heisenberg_product_r0_twist_certifies(heis):
+    # the Heisenberg product is left symmetric and r = 0 is quasi-S
+    assert check(heis, "left_symmetric")
+    r = Tensor2(heis, Mat.zeros(3, 3))
+    assert classify_r(heis, r).is_quasi_s
+    assert twisted_structures(heis, r).cert.passed
