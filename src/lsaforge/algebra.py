@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exact import (Mat, Subspace, ZERO, basis_vec, is_zero_vec, vec,
-                    vec_add, vec_scale, vec_sub, zero_vec)
+from .exact import (Mat, Subspace, ZERO, basis_vec, common_denominator,
+                    is_zero_vec, vec, vec_add, vec_scale, vec_sub, zero_vec)
 from .report import InternalInconsistency, Report, failing, passing
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
@@ -36,12 +36,13 @@ _SELF = object()
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
-    The attached bracket algebra and the left multiplications L_{e_i} are
-    computed on first use and kept on the object; they are derived from
-    the table alone, so equality and hashing ignore them.
+    The attached bracket algebra, the left multiplications L_{e_i} and
+    the integer view of the table are computed on first use and kept on
+    the object; they are derived from the table alone, so equality and
+    hashing ignore them.
     """
 
-    __slots__ = ("dim", "basis", "table", "_bracket", "_lefts")
+    __slots__ = ("dim", "basis", "table", "_bracket", "_lefts", "_ints")
 
     def __init__(self, table: Sequence[Sequence[Sequence]], basis=None):
         n = len(table)
@@ -59,6 +60,7 @@ class Algebra:
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "_bracket", None)
         object.__setattr__(self, "_lefts", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -85,6 +87,8 @@ class Algebra:
         giving the V- and V'-components of the product; None is the zero
         map.  V' is labelled by appending `suffix` to each label of
         `basis`: "*" for the dual U*, "'" for the second factor of U x U.
+        Where that repeats a label of `basis` (V is itself a double, with
+        labels e1 and e1*), each label is parenthesized first: (e1*)*.
         """
         n = len(basis)
         es = [basis_vec(n, i) for i in range(n)]
@@ -96,7 +100,11 @@ class Algebra:
         table = [[part(f, x, y) + part(g, x, y)
                   for f, g in blocks for y in es]
                  for blocks in grid for x in es]
-        return Algebra(table, tuple(basis) + tuple(s + suffix for s in basis))
+        basis = tuple(basis)
+        second = tuple(s + suffix for s in basis)
+        if len(set(basis + second)) < len(basis) + len(second):
+            second = tuple("(%s)%s" % (s, suffix) for s in basis)
+        return Algebra(table, basis + second)
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
@@ -132,6 +140,20 @@ class Algebra:
                 for i in range(n)))
         return self._lefts
 
+    def _int_view(self) -> tuple:
+        """(D, cells): D the least common denominator of the structure
+        constants, cells[i][j] the nonzero entries (k, D c_ij^k) of
+        e_i . e_j as ints."""
+        if self._ints is None:
+            n = self.dim
+            den, flat = common_denominator(
+                [x for row in self.table for cell in row for x in cell])
+            cells = [tuple((k, x) for k, x in enumerate(flat[c * n:c * n + n])
+                           if x) for c in range(n * n)]
+            object.__setattr__(self, "_ints", (den, tuple(
+                tuple(cells[i * n:i * n + n]) for i in range(n))))
+        return self._ints
+
     def left_mult(self, u: Sequence) -> Mat:
         """L_u = sum_i u_i L_{e_i}; the memoized matrix itself for a
         basis vector."""
@@ -141,11 +163,6 @@ class Algebra:
                 term = li if a == 1 else li.scale(a)
                 out = term if out is None else out + term
         return Mat.zeros(self.dim, self.dim) if out is None else out
-
-    def right_mult(self, u: Sequence) -> Mat:
-        n = self.dim
-        cols = [self.product(basis_vec(n, j), u) for j in range(n)]
-        return Mat.from_cols(cols)
 
     def is_antisymmetric(self) -> bool:
         n = self.dim
@@ -194,14 +211,49 @@ class Algebra:
         return all(is_zero_vec(cell) for row in self.table for cell in row)
 
     def conjugate(self, p: Mat) -> "Algebra":
-        """Transport by the basis matrix p (columns = new basis vectors)."""
-        if p.rows != self.dim or not p.is_invertible():
-            raise ValueError("basis matrix must be invertible of matching size")
-        pinv = p.inverse()
+        """Transport by the basis matrix p (columns = new basis vectors).
+
+        The new constants are p^-1 ((p e_i) . (p e_j)): the integer view
+        of the table is contracted with p in the left slot, then in the
+        right slot, and p^-1 is applied last, each step over ints.
+        """
         n = self.dim
-        cols = [p.col(i) for i in range(n)]
-        return Algebra([[pinv.apply(self.product(cols[i], cols[j]))
-                         for j in range(n)] for i in range(n)], self.basis)
+        if p.rows != n or p.cols != n:
+            raise ValueError("basis matrix must be invertible of matching size")
+        try:
+            pinv = p.inverse()
+        except ValueError:
+            raise ValueError("basis matrix must be invertible of matching "
+                             "size") from None
+        den, cells = self._int_view()
+        dp, pi = common_denominator(p.data)
+        dq, qi = common_denominator(pinv.data)
+        scale = den * dp * dp * dq
+        cols = [[(a, pi[a * n + i]) for a in range(n) if pi[a * n + i]]
+                for i in range(n)]                      # p e_i, as ints
+        qrows = [qi[m * n:(m + 1) * n] for m in range(n)]
+
+        def combine(terms):
+            """sum of x * cell over the (x, cell) in terms, cells sparse"""
+            out = [0] * n
+            for x, cell in terms:
+                for k, y in cell:
+                    out[k] += x * y
+            return [(k, y) for k, y in enumerate(out) if y]
+
+        # (p e_i) . e_b, then (p e_i) . (p e_j), then p^-1 of it
+        left = [[combine((x, cells[a][b]) for a, x in cols[i])
+                 for b in range(n)] for i in range(n)]
+        table = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                both = combine((x, left[i][b]) for b, x in cols[j])
+                row.append(tuple(
+                    Fraction(s, scale) if (s := sum(q[k] * y for k, y in both))
+                    else ZERO for q in qrows))
+            table.append(row)
+        return Algebra(table, self.basis)
 
 
 @dataclass(frozen=True)
@@ -270,12 +322,23 @@ def is_derivation(d, alg: Algebra) -> Report:
 # -- predicate checks -------------------------------------------------------
 
 def _basis_associator(alg: Algebra):
-    """(i, j, k) -> ass(e_i,e_j,e_k) = (e_i.e_j).e_k - e_i.(e_j.e_k), read
-    off the table and the memoized L_{e_i}."""
-    n, tab, lefts = alg.dim, alg.table, alg.left_mults()
-    es = [basis_vec(n, k) for k in range(n)]
-    return lambda i, j, k: vec_sub(alg.product(tab[i][j], es[k]),
-                                   lefts[i].apply(tab[j][k]))
+    """(i, j, k) -> D^2 ass(e_i,e_j,e_k) = D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
+    as a list of ints, read off the integer view (D its denominator).
+    Both identities checked with it are homogeneous of degree 2 in the
+    structure constants, so the factor D^2 changes no verdict."""
+    n = alg.dim
+    cells = alg._int_view()[1]
+
+    def ass(i, j, k):
+        out = [0] * n
+        for a, x in cells[i][j]:
+            for b, y in cells[a][k]:
+                out[b] += x * y
+        for a, x in cells[j][k]:
+            for b, y in cells[i][a]:
+                out[b] -= x * y
+        return out
+    return ass
 
 
 def _check_left_symmetric(alg: Algebra):
@@ -293,7 +356,7 @@ def _check_associative(alg: Algebra):
     n = alg.dim
     ass = _basis_associator(alg)
     for i, j, k in itertools.product(range(n), repeat=3):
-        if not is_zero_vec(ass(i, j, k)):
+        if any(ass(i, j, k)):
             return (i, j, k)
     return None
 
@@ -389,8 +452,29 @@ def check(alg: Algebra, predicate: str) -> Report:
 # -- subspace products ------------------------------------------------------
 
 def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    vecs = [alg.product(a, b) for a in s.basis for b in t.basis]
-    return Subspace(alg.dim, vecs)
+    """The span of the products a.b of basis vectors.  Each product is
+    computed over ints from the integer view and the basis vectors scaled
+    to ints: a nonzero multiple of a.b, which spans the same line."""
+    n = alg.dim
+    cells = alg._int_view()[1]
+
+    def support(v):
+        return [(i, x) for i, x in enumerate(common_denominator(v)[1]) if x]
+
+    rights = [support(v) for v in t.basis]
+    vecs = []
+    for a in s.basis:
+        left = support(a)
+        for right in rights:
+            out = [0] * n
+            for i, x in left:
+                row = cells[i]
+                for j, y in right:
+                    c = x * y
+                    for k, z in row[j]:
+                        out[k] += c * z
+            vecs.append(out)
+    return Subspace(n, vecs)
 
 
 def product_subspaces(alg: Algebra) -> dict:

@@ -408,23 +408,48 @@ def canonical(family: str, params: dict) -> dict:
 
 # -- fingerprints -------------------------------------------------------------
 
-def _fingerprint(alg: Algebra) -> dict:
-    subs = product_subspaces(alg)
+def _trace_form(alg: Algebra, side: str) -> Mat:
+    """Gram matrix of tr(X_i X_j) for X_i = L_{e_i} (side "left") or
+    X_i = R_{e_i} ("right"), contracted on the integer view of the table:
+    tr(L_i L_j) = sum c_ib^a c_ja^b and tr(R_i R_j) = sum c_bi^a c_aj^b."""
     n = alg.dim
-    ls = alg.left_mults()
-    ltr = Mat(n, n, [(ls[i] * ls[j]).trace()
-                     for i in range(n) for j in range(n)])
-    rtr = Mat(n, n, [
-        (alg.right_mult(basis_vec(n, i)) * alg.right_mult(basis_vec(n, j))).trace()
-        for i in range(n) for j in range(n)])
+    den, cells = alg._int_view()
+    # mats[i][a * n + b] = D (X_i)_ab, where (L_i)_ab = c_ib^a, (R_i)_ab = c_bi^a
+    mats = [[0] * (n * n) for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, x in cells[i][j]:
+                if side == "left":
+                    mats[i][k * n + j] = x
+                else:
+                    mats[j][k * n + i] = x
+    # tr(X_i X_j) = sum over the nonzero (X_i)_ab of (X_i)_ab (X_j)_ba
+    support = [[(b * n + a, x) for a in range(n) for b in range(n)
+                if (x := mats[i][a * n + b])] for i in range(n)]
+    scale = den * den
+    gram = [ZERO] * (n * n)
+    for i in range(n):
+        for j in range(i, n):
+            mj = mats[j]
+            s = 0
+            for pos, x in support[i]:
+                s += x * mj[pos]
+            if s:
+                gram[i * n + j] = gram[j * n + i] = Fraction(s, scale)
+    return Mat(n, n, gram)
+
+
+def _fingerprint(alg: Algebra, subs: dict) -> dict:
+    """Invariants of alg; subs is product_subspaces(alg)."""
+    n = alg.dim
     return {
         "dim": n,
         "dim_UU": subs["UU"].dim,
         "dim_DUU": subs["DUU"].dim,
         "dim_SUU": subs["SUU"].dim,
         "dim_U3": subs["powers"][2].dim,
-        "left_trace_form_rank": ltr.rank(),
-        "right_trace_form_rank": rtr.rank(),
+        "left_trace_form_rank": _trace_form(alg, "left").rank(),
+        "right_trace_form_rank": _trace_form(alg, "right").rank(),
     }
 
 
@@ -457,10 +482,10 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
     if alg.dim != 2:
         raise ValueError("normalizer requires dimension 2")
     _require_symplectic_lsa(alg, omega)
-    fp = _fingerprint(alg)
+    subs = product_subspaces(alg)
+    fp = _fingerprint(alg, subs)
     if alg.is_zero():
         return CanonicalId("trivial", {}, Endo(alg, Mat.identity(2)), fp)
-    subs = product_subspaces(alg)
     gram = omega.matrix
     if check(alg, "commutative"):
         uu = subs["UU"]
@@ -720,7 +745,8 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
         raise ValueError("form is not invariant: %s" % inv.line())
     n = alg.dim
     gram = omega.matrix
-    powers = product_subspaces(alg)["powers"]
+    subs = product_subspaces(alg)
+    powers = subs["powers"]
     if not powers[3].is_zero():
         raise InternalInconsistency("fourth power fails to vanish")
     u2, u3 = powers[1], powers[2]
@@ -733,7 +759,7 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
                                             "fails to square to zero")
     if not jspace.contains_space(symp_orthogonal(gram, jspace)):
         raise InternalInconsistency("the ideal fails to be co-isotropic")
-    fp = _fingerprint(alg)
+    fp = _fingerprint(alg, subs)
 
     if u3.is_zero():
         v = u2
@@ -971,11 +997,7 @@ def killing_form(lie: Algebra) -> Bilinear:
     jac = check(lie, "jacobi_antisym")
     if not jac:
         raise ValueError("product is not a Lie bracket: %s" % jac.line())
-    n = lie.dim
-    ads = lie.bracket_algebra().left_mults()
-    return Bilinear(Mat(n, n, [(ads[i] * ads[j]).trace()
-                               for i in range(n) for j in range(n)]),
-                    "symmetric")
+    return Bilinear(_trace_form(lie.bracket_algebra(), "left"), "symmetric")
 
 
 @dataclass(frozen=True)

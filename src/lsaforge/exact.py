@@ -1,16 +1,18 @@
 """Exact rational linear algebra kernel.
 
-Everything operates over the rationals using ``fractions.Fraction``; no
-floating point arithmetic appears anywhere.  All operations are
-deterministic: echelon forms eliminate with the smallest pivot index
-first, so canonical bases and complements depend only on the input, not
-on dict ordering or hashing.
+Everything operates over the rationals: values are ``fractions.Fraction``,
+and the elimination computes over integer numerators with one common
+denominator per row; no floating point arithmetic appears anywhere.
+All operations are deterministic: echelon forms eliminate with the
+smallest pivot index first, so canonical bases and complements depend
+only on the input, not on dict ordering or hashing.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -37,6 +39,20 @@ def format_rational(x: Fraction) -> str:
 def _q(x) -> Fraction:
     """x as a Fraction; a Fraction is kept as is (they are immutable)."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def common_denominator(entries: Sequence) -> tuple:
+    """(D, [D x for x in entries]) with D the least common denominator of
+    the rational entries, so that the scaled entries are ints."""
+    den = lcm(*{x.denominator for x in entries})
+    return den, [x.numerator * (den // x.denominator) if x else 0
+                 for x in entries]
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def vec(entries: Iterable) -> tuple:
@@ -261,9 +277,21 @@ class Mat:
         indices in increasing order.  Elimination always selects the first
         nonzero entry in the leftmost unsettled column, so the result is a
         canonical function of the matrix.
+
+        The elimination is fraction-free: each row is scaled to integers
+        by the common denominator of its entries, another row is reduced
+        by the pivot row as (pv/g) row - (f/g) pivot row with g the gcd of
+        the two leading entries, and every reduced row is divided by the
+        gcd of its entries.  Each integer row stays a nonzero multiple of
+        the row the Fraction elimination would hold, so the pivots are the
+        same, and dividing each pivot row by its pivot at the end gives
+        the (unique) reduced form.
         """
-        m = self.row_list()
         rows, cols = self.rows, self.cols
+        if not rows:
+            return self, ()
+        m = [_primitive(common_denominator(self.row(i))[1])
+             for i in range(rows)]
         pivots = []
         r = 0
         for c in range(cols):
@@ -271,21 +299,31 @@ class Mat:
                 break
             pivot_row = None
             for i in range(r, rows):
-                if m[i][c] != 0:
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
+            prow = m[r]
+            pv = prow[c]
             for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f:
+                    g = gcd(pv, f)
+                    s, t = pv // g, f // g
+                    m[i] = _primitive([s * a - t * b
+                                       for a, b in zip(m[i], prow)])
             pivots.append(c)
             r += 1
-        return Mat.from_rows(m) if rows else self, tuple(pivots)
+        data = []
+        for i, row in enumerate(m):
+            if i < r:
+                pv = row[pivots[i]]
+                data.extend(Fraction(x, pv) if x else ZERO for x in row)
+            else:
+                data.extend((ZERO,) * cols)
+        return Mat._of(rows, cols, tuple(data)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

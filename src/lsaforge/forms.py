@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, check
-from .exact import Mat, basis_vec, dot, vec_sub
+from .exact import Mat, basis_vec, common_denominator, dot, vec_sub
 from .report import Report, failing, passing
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -80,14 +80,22 @@ def is_two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
 
 
 def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
-    """omega(u.v, w) + omega(v, u.w) == 0 for all basis triples."""
+    """omega(u.v, w) + omega(v, u.w) == 0 for all basis triples.
+
+    Evaluated over ints on the integer view of the table and the Gram
+    matrix scaled by its common denominator; the identity is linear in
+    each, so the scaling changes no verdict."""
     anchor = "omega(u.v,w) + omega(v,u.w) == 0"
     n = alg.dim
-    t, g = alg.table, omega.matrix
-    rows = [g.row(k) for k in range(n)]     # omega(e_k, x) = rows[k] . x
-    cols = [g.col(k) for k in range(n)]     # omega(x, e_k) = x . cols[k]
+    cells = alg._int_view()[1]
+    g = common_denominator(omega.matrix.data)[1]   # g[a * n + b] ~ omega(e_a, e_b)
     for i, j, k in itertools.product(range(n), repeat=3):
-        if dot(t[i][j], cols[k]) + dot(rows[j], t[i][k]) != 0:
+        s = 0
+        for a, x in cells[i][j]:
+            s += x * g[a * n + k]
+        for a, x in cells[i][k]:
+            s += g[j * n + a] * x
+        if s:
             return failing("is_invariant_form", anchor, witness=(i, j, k))
     return passing("is_invariant_form", anchor)
 

@@ -1,10 +1,12 @@
 """Reference routes for the contracted identity checks.
 
 The library evaluates its identity checks as contractions on structure
-constants and memoized left multiplications.  This module keeps the
-routes they replaced, written with dense loops over the tables and plain
-lists for matrices, so that the tests can compare verdicts and witnesses
-of two independent computations.  Nothing here is used by the library.
+constants and memoized left multiplications, and its elimination, trace
+forms and changes of basis over integer numerators.  This module keeps
+the routes they replaced, written over Fraction with dense loops over
+the tables and plain lists for matrices, so that the tests can compare
+verdicts, witnesses and values of two independent computations.
+Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -286,3 +288,66 @@ def nijenhuis_table(a, alg):
             row.append(_add(t, _matvec(a2, br(u, v))))
         table.append(row)
     return table
+
+
+# -- the exact kernel and constructions -----------------------------------------
+
+def rref(m):
+    """Mat.rref by Gauss-Jordan over Fraction, the first nonzero entry of
+    the leftmost unsettled column as pivot: (rows as lists, pivots)."""
+    rows = m.row_list()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def _right_mult(alg, u):
+    """R_u as rows, its column j computed as the product e_j . u."""
+    n = alg.dim
+    cols = [product(alg, _basis(n, j), u) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _trace(a):
+    return sum((a[i][i] for i in range(len(a))), ZERO)
+
+
+def trace_forms(alg):
+    """(tr(L_i L_j), tr(R_i R_j)) as rows, through matrix products."""
+    n = alg.dim
+    es = [_basis(n, i) for i in range(n)]
+    forms = []
+    for mult in (left_mult, _right_mult):
+        ms = [mult(alg, e) for e in es]
+        forms.append([[_trace(_matmul(ms[i], ms[j])) for j in range(n)]
+                      for i in range(n)])
+    return tuple(forms)
+
+
+def conjugate_table(alg, p):
+    """p^-1 ((p e_i) . (p e_j)) through product, p^-1 read off the
+    reduced form of [p | 1]."""
+    n = alg.dim
+    pr = p.row_list()
+    aug = type(p).from_rows([pr[i] + [Fraction(int(i == j)) for j in range(n)]
+                             for i in range(n)])
+    red, _ = rref(aug)
+    pinv = [row[n:] for row in red]
+    cols = [tuple(pr[i][j] for i in range(n)) for j in range(n)]
+    return [[_matvec(pinv, product(alg, cols[i], cols[j])) for j in range(n)]
+            for i in range(n)]

@@ -109,6 +109,20 @@ def test_from_blocks_layout():
     assert double.table[3][2] == (f(0), f(3), f(0), f(4))
 
 
+def test_from_blocks_labels_of_a_double_of_a_double():
+    zero = [[(None, None)] * 2] * 2
+    # plain suffixing where it repeats no label
+    assert Algebra.from_blocks(zero, ("e1", "e2"), "*").basis == \
+        ("e1", "e2", "e1*", "e2*")
+    # a double of a double: plain suffixing would repeat e1* and e2*
+    labels = ("e1", "e2", "e1*", "e2*")
+    again = Algebra.from_blocks(zero, labels, "*")
+    assert again.basis == labels + ("(e1)*", "(e2)*", "(e1*)*", "(e2*)*")
+    assert len(set(again.basis)) == 8
+    twice = Algebra.from_blocks(zero, ("x", "y", "x'", "y'"), "'")
+    assert twice.basis[4:] == ("(x)'", "(y)'", "(x')'", "(y')'")
+
+
 def test_bad_table_rejected():
     with pytest.raises(ValueError):
         Algebra([[(0, 0)]])

@@ -95,6 +95,23 @@ def test_build_phase_artifact(capsys, nab_file, tmp_path):
     assert code == 0
 
 
+def test_phase_of_a_phase_space_reads_back(capsys, nab_file, tmp_path):
+    # the double of a double has distinct labels, so the CLI reads it back
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    code, _, _ = go(capsys, ["build", "phase", nab_file, "--out", str(first)])
+    assert code == 0
+    code, _, _ = go(capsys, ["build", "phase", str(first),
+                             "--out", str(second)])
+    assert code == 0
+    data = json.loads(second.read_text())
+    assert data["basis"] == ["e1", "e2", "e1*", "e2*",
+                             "(e1)*", "(e2)*", "(e1*)*", "(e2*)*"]
+    code, out, err = go(capsys, ["check", str(second),
+                                 "--pred", "left_symmetric"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS check:left_symmetric"
+
+
 def test_build_quadratic_requires_n(capsys, tmp_path):
     # input must be a Lie bracket table
     path = tmp_path / "aff.json"

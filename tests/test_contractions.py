@@ -2,9 +2,13 @@
 
 Every check here compares verdict and witness of the library with the
 dense reference routes of `oracle_routes`, on seeded tables of dimension
-at most 5: sparse and dense random tables, antisymmetrized ones, and
-structured algebras (Lie algebras, left-symmetric algebras and their
-phase spaces, moved by random changes of basis) on which the checks pass.
+at most 5: sparse and dense random tables, antisymmetrized ones, tables
+whose entries have large, mixed denominators, and structured algebras
+(Lie algebras, left-symmetric algebras and their phase spaces, moved by
+random changes of basis) on which the checks pass.  The integer routes
+of the kernel and the constructions (rref, trace forms, subspace
+products, conjugation) are compared with their Fraction routes the same
+way.
 """
 
 import functools
@@ -19,12 +23,15 @@ import oracle_routes as oracle
 from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_phase, check,
                       delta_r, is_invariant_form, is_two_cocycle,
                       levi_civita, nijenhuis, twisted_structures)
-from lsaforge.algebra import PREDICATES, Algebra, curvature
-from lsaforge.catalog import catalog_algebras
+from lsaforge.algebra import PREDICATES, Algebra, curvature, subspace_product
+from lsaforge.catalog import _trace_form, catalog_algebras, killing_form
 from lsaforge.exact import dot, zero_vec
 from lsaforge.smatrix import Tensor2, classify_r
 
 VALUES = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+# large and mixed denominators, so that common denominators matter
+LARGE = [Fraction(p, q) for p in (-50, -7, -1, 1, 3, 40)
+         for q in (1, 2, 7, 48, 89, 97)]
 DENSITY = {"sparse": 0.15, "dense": 0.9}
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -93,17 +100,18 @@ def _structured():
                  + [e.alg for e in catalog_algebras() if e.alg.dim <= 5])
 
 
-def _invertible(rng, n):
+def _invertible(rng, n, values=VALUES):
     while True:
-        p = Mat(n, n, [rng.choice(VALUES) if rng.random() < 0.6 else 0
+        p = Mat(n, n, [rng.choice(values) if rng.random() < 0.6 else 0
                        for _ in range(n * n)])
         if p.is_invertible():
             return p
 
 
-def _moved(rng, alg):
+def _moved(rng, alg, values=VALUES):
     """alg in a random basis (conjugation keeps every predicate)."""
-    return alg.conjugate(_invertible(rng, alg.dim)) if alg.dim else alg
+    return alg.conjugate(_invertible(rng, alg.dim, values)) if alg.dim \
+        else alg
 
 
 def _algebra(kind, n, rng):
@@ -111,11 +119,19 @@ def _algebra(kind, n, rng):
         return Algebra(_random_table(rng, n, DENSITY[kind]))
     if kind == "antisymmetrized":
         return Algebra(_random_table(rng, n, 0.5)).commutator_algebra()
+    if kind == "large_denominators":
+        return Algebra([[tuple(rng.choice(LARGE + VALUES)
+                               if rng.random() < 0.6 else Fraction(0)
+                               for _ in range(n)) for _ in range(n)]
+                        for _ in range(n)])
     alg = rng.choice(_structured())
+    if kind == "moved_large_denominators":
+        return _moved(rng, alg, LARGE)
     return _moved(rng, alg) if kind == "moved" else alg
 
 
-ALGEBRA_KINDS = ("sparse", "dense", "antisymmetrized", "structured", "moved")
+ALGEBRA_KINDS = ("sparse", "dense", "antisymmetrized", "large_denominators",
+                 "structured", "moved", "moved_large_denominators")
 
 
 @settings(max_examples=80, deadline=None)
@@ -366,3 +382,72 @@ def test_rank_and_kernel_match_sympy(rows, cols, kind, seed):
     kernel = m.kernel_basis()
     assert len(kernel) == len(null) == cols - m.rank()
     assert Subspace(cols, kernel) == Subspace(cols, null)
+
+
+def _rational_mat(rng, rows, cols, density):
+    return Mat(rows, cols, [
+        Fraction(rng.randint(-99, 99), rng.randint(1, 97))
+        if rng.random() < density else 0 for _ in range(rows * cols)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7),
+       st.sampled_from(("sparse", "dense", "rank_deficient")), SEEDS)
+def test_rref_matches_fraction_route(rows, cols, kind, seed):
+    rng = random.Random(seed)
+    if kind == "rank_deficient" and rows and cols:
+        # rows that are combinations of two, so that rows cancel
+        base = _rational_mat(rng, 2, cols, 0.8)
+        m = Mat.from_rows([[rng.choice(LARGE) * a + rng.choice(VALUES) * b
+                            for a, b in zip(base.row(0), base.row(1))]
+                           for _ in range(rows)])
+    else:
+        m = _rational_mat(rng, rows, cols, 0.25 if kind == "sparse" else 0.9)
+    red, pivots = m.rref()
+    want_rows, want_pivots = oracle.rref(m)
+    assert pivots == want_pivots
+    assert (red.rows, red.cols) == (rows, cols)
+    assert red.row_list() == want_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5), SEEDS)
+def test_trace_forms_match_matrix_route(kind, n, seed):
+    alg = _algebra(kind, n, random.Random(seed))
+    left, right = oracle.trace_forms(alg)
+    assert _trace_form(alg, "left").row_list() == left
+    assert _trace_form(alg, "right").row_list() == right
+
+
+@pytest.mark.parametrize("make", [_aff, _heis, _sl2])
+def test_killing_form_matches_matrix_route(make):
+    lie = _moved(random.Random(5), make(), LARGE)
+    assert killing_form(lie).matrix.row_list() == \
+        oracle.trace_forms(lie)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5),
+       st.sampled_from(("small", "large")), SEEDS)
+def test_conjugate_matches_product_route(kind, n, values, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    if not alg.dim:
+        return
+    p = _invertible(rng, alg.dim, LARGE if values == "large" else VALUES)
+    assert alg.conjugate(p).table == \
+        tuple(tuple(cell) for cell in oracle.conjugate_table(alg, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 5), SEEDS)
+def test_subspace_product_matches_product_route(kind, n, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    n = alg.dim
+    s, t = (Subspace(n, [[rng.choice(LARGE) if rng.random() < 0.6 else 0
+                          for _ in range(n)]
+                         for _ in range(rng.randint(0, n))])
+            for _ in range(2))
+    assert subspace_product(alg, s, t) == Subspace(
+        n, [oracle.product(alg, a, b) for a in s.basis for b in t.basis])
