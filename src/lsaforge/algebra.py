@@ -33,6 +33,32 @@ def _default_basis(n: int) -> Tuple[str, ...]:
 _SELF = object()
 
 
+def _int_vec(v: Sequence) -> tuple:
+    """(D, [(i, D v_i) for the nonzero v_i]) for a rational vector v, D
+    the least common denominator of its entries."""
+    den, ints = common_denominator(v)
+    return den, [(i, x) for i, x in enumerate(ints) if x]
+
+
+def _int_product(cells, left, right) -> list:
+    """The product of two sparse integer vectors over an integer table.
+
+    cells[i][j] lists the nonzero (k, c_ij^k) of e_i . e_j, left and right
+    the nonzero (i, u_i) and (j, v_j); the result is the dense list of
+    the ints sum u_i v_j c_ij^k.  `Algebra.product`, `conjugate`,
+    `subspace_product` and the predicates of `check` that contract
+    structure constants all call this one loop.
+    """
+    out = [0] * len(cells)
+    for i, x in left:
+        row = cells[i]
+        for j, y in right:
+            c = x * y
+            for k, z in row[j]:
+                out[k] += c * z
+    return out
+
+
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
@@ -118,18 +144,12 @@ class Algebra:
 
     # -- products ---------------------------------------------------------
     def product(self, u: Sequence, v: Sequence) -> tuple:
-        out = [ZERO] * self.dim
-        support = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.table[i]
-            for j, b in support:
-                c = a * b
-                for k, x in enumerate(row[j]):
-                    if x:
-                        out[k] += c * x
-        return tuple(out)
+        den, cells = self._int_view()
+        du, left = _int_vec(u)
+        dv, right = _int_vec(v)
+        scale = den * du * dv
+        return tuple(Fraction(x, scale) if x else ZERO
+                     for x in _int_product(cells, left, right))
 
     def left_mults(self) -> Tuple[Mat, ...]:
         """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j."""
@@ -232,26 +252,19 @@ class Algebra:
         cols = [[(a, pi[a * n + i]) for a in range(n) if pi[a * n + i]]
                 for i in range(n)]                      # p e_i, as ints
         qrows = [qi[m * n:(m + 1) * n] for m in range(n)]
-
-        def combine(terms):
-            """sum of x * cell over the (x, cell) in terms, cells sparse"""
-            out = [0] * n
-            for x, cell in terms:
-                for k, y in cell:
-                    out[k] += x * y
-            return [(k, y) for k, y in enumerate(out) if y]
-
-        # (p e_i) . e_b, then (p e_i) . (p e_j), then p^-1 of it
-        left = [[combine((x, cells[a][b]) for a, x in cols[i])
+        # (p e_i) . e_b, a table in its own right, then (p e_i) . (p e_j)
+        # as the product of e_i and p e_j over it, then p^-1 of that
+        left = [[_int_vec(_int_product(cells, cols[i], ((b, 1),)))[1]
                  for b in range(n)] for i in range(n)]
         table = []
         for i in range(n):
             row = []
             for j in range(n):
-                both = combine((x, left[i][b]) for b, x in cols[j])
+                both = _int_product(left, ((i, 1),), cols[j])
                 row.append(tuple(
-                    Fraction(s, scale) if (s := sum(q[k] * y for k, y in both))
-                    else ZERO for q in qrows))
+                    Fraction(s, scale)
+                    if (s := sum(a * b for a, b in zip(q, both))) else ZERO
+                    for q in qrows))
             table.append(row)
         return Algebra(table, self.basis)
 
@@ -295,14 +308,14 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     when it is already antisymmetric, the commutator otherwise).
     """
     m = _mat(a)
-    br = alg.bracket_algebra()
-    n = alg.dim
-    table = []
-    for i, li in enumerate(br.left_mults()):
-        # N_A(e_i, .) = [L_{Ae_i}, A] - A [L_{e_i}, A], column j N_A(e_i,e_j)
-        ni = br.left_mult(m.col(i)).commutator(m) - m * li.commutator(m)
-        table.append([ni.col(j) for j in range(n)])
-    return Algebra(table, alg.basis)
+    m2 = m * m
+    br = alg.bracket_algebra().product
+
+    def torsion(u, v):
+        au, av = m.apply(u), m.apply(v)
+        return vec_add(vec_sub(vec_sub(br(au, av), m.apply(br(au, v))),
+                               m.apply(br(u, av))), m2.apply(br(u, v)))
+    return Algebra.from_function(alg.basis, torsion)
 
 
 def is_derivation(d, alg: Algebra) -> Report:
@@ -311,8 +324,8 @@ def is_derivation(d, alg: Algebra) -> Report:
     for i in range(n):
         for j in range(n):
             lhs = m.apply(alg.table[i][j])
-            rhs = vec_add(alg.product(m.apply(basis_vec(n, i)), basis_vec(n, j)),
-                          alg.product(basis_vec(n, i), m.apply(basis_vec(n, j))))
+            rhs = vec_add(alg.product(m.col(i), basis_vec(n, j)),
+                          alg.product(basis_vec(n, i), m.col(j)))
             if lhs != rhs:
                 return failing("is_derivation", "D(u.v) == D(u).v + u.D(v)",
                                witness=(i, j))
@@ -324,20 +337,14 @@ def is_derivation(d, alg: Algebra) -> Report:
 def _basis_associator(alg: Algebra):
     """(i, j, k) -> D^2 ass(e_i,e_j,e_k) = D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
     as a list of ints, read off the integer view (D its denominator).
-    Both identities checked with it are homogeneous of degree 2 in the
+    Every identity checked with it is homogeneous of degree 2 in the
     structure constants, so the factor D^2 changes no verdict."""
-    n = alg.dim
     cells = alg._int_view()[1]
 
     def ass(i, j, k):
-        out = [0] * n
-        for a, x in cells[i][j]:
-            for b, y in cells[a][k]:
-                out[b] += x * y
-        for a, x in cells[j][k]:
-            for b, y in cells[i][a]:
-                out[b] -= x * y
-        return out
+        return [a - b for a, b in
+                zip(_int_product(cells, cells[i][j], ((k, 1),)),
+                    _int_product(cells, ((i, 1),), cells[j][k]))]
     return ass
 
 
@@ -371,14 +378,17 @@ def _check_commutative(alg: Algebra):
 
 
 def _jacobi_witness(br: Algebra):
-    """First basis triple violating Jacobi for an antisymmetric table,
-    where [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]] = -L_{e_k} [e_i,e_j]."""
-    n, tab, lefts = br.dim, br.table, br.left_mults()
-    for i, j, k in itertools.combinations(range(n), 3):
-        s = vec_add(vec_add(lefts[k].apply(tab[i][j]),
-                            lefts[i].apply(tab[j][k])),
-                    lefts[j].apply(tab[k][i]))
-        if not is_zero_vec(s):
+    """First basis triple violating Jacobi for an antisymmetric table: the
+    cyclic sum of D^2 [[e_i,e_j],e_k] is read off the integer view of br
+    (D its denominator)."""
+    cells = br._int_view()[1]
+
+    def bb(i, j, k):
+        return _int_product(cells, cells[i][j], ((k, 1),))
+
+    for i, j, k in itertools.combinations(range(br.dim), 3):
+        if any(a + b + c for a, b, c in
+               zip(bb(i, j, k), bb(j, k, i), bb(k, i, j))):
             return (i, j, k)
     return None
 
@@ -394,25 +404,21 @@ def _check_jacobi_antisym(alg: Algebra):
 
 def _check_lie_admissible(alg: Algebra):
     """Commutator satisfies Jacobi; checked both through the cyclic
-    curvature sum and directly, which must agree."""
-    n = alg.dim
-    tab, lefts = alg.table, alg.left_mults()
-    comm = alg.commutator_algebra()
-    es = [basis_vec(n, i) for i in range(n)]
+    curvature sum and directly on the commutator, which must agree."""
+    ass = _basis_associator(alg)
 
     def curv(i, j, k):
-        # K(e_i,e_j)e_k = e_i.(e_j.e_k) - e_j.(e_i.e_k) - [e_i,e_j].e_k
-        return vec_sub(vec_sub(lefts[i].apply(tab[j][k]),
-                               lefts[j].apply(tab[i][k])),
-                       alg.product(comm.table[i][j], es[k]))
+        # D^2 K(e_i,e_j)e_k = D^2 (e_i.(e_j.e_k) - e_j.(e_i.e_k)
+        # - [e_i,e_j].e_k) = D^2 (ass(e_j,e_i,e_k) - ass(e_i,e_j,e_k))
+        return [a - b for a, b in zip(ass(j, i, k), ass(i, j, k))]
 
     via_curvature = None
-    for i, j, k in itertools.combinations(range(n), 3):
-        s = vec_add(vec_add(curv(i, j, k), curv(j, k, i)), curv(k, i, j))
-        if not is_zero_vec(s):
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        if any(a + b + c for a, b, c in
+               zip(curv(i, j, k), curv(j, k, i), curv(k, i, j))):
             via_curvature = (i, j, k)
             break
-    via_jacobi = _jacobi_witness(comm)
+    via_jacobi = _jacobi_witness(alg.commutator_algebra())
     if (via_curvature is None) != (via_jacobi is None):
         raise InternalInconsistency(
             "cyclic curvature sum and commutator Jacobi check disagree")
@@ -455,26 +461,11 @@ def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
     """The span of the products a.b of basis vectors.  Each product is
     computed over ints from the integer view and the basis vectors scaled
     to ints: a nonzero multiple of a.b, which spans the same line."""
-    n = alg.dim
     cells = alg._int_view()[1]
-
-    def support(v):
-        return [(i, x) for i, x in enumerate(common_denominator(v)[1]) if x]
-
-    rights = [support(v) for v in t.basis]
-    vecs = []
-    for a in s.basis:
-        left = support(a)
-        for right in rights:
-            out = [0] * n
-            for i, x in left:
-                row = cells[i]
-                for j, y in right:
-                    c = x * y
-                    for k, z in row[j]:
-                        out[k] += c * z
-            vecs.append(out)
-    return Subspace(n, vecs)
+    lefts = [_int_vec(a)[1] for a in s.basis]
+    rights = [_int_vec(b)[1] for b in t.basis]
+    return Subspace(alg.dim, [_int_product(cells, left, right)
+                              for left in lefts for right in rights])
 
 
 def product_subspaces(alg: Algebra) -> dict:

@@ -2,7 +2,8 @@
 builders, and normalizers, and emit deterministic reports.
 
 Exit codes: 0 when every check passes, 1 when a mathematical predicate
-fails (the report is still written), 2 on input or usage errors.
+fails (the report is still written), 2 on input or usage errors, 3 on
+an internal error (a defect of lsaforge, reported on one stderr line).
 Reports are byte-identical for identical inputs: run metadata lives in
 comment-style header lines, the body carries no timestamps.
 """
@@ -276,8 +277,11 @@ def _emit(args, body_lines, artifact: Optional[str] = None) -> int:
     sys.stdout.write(text)
     if artifact is not None:
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(artifact)
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(artifact)
+            except OSError as exc:
+                raise UsageError("%s: %s" % (args.out, exc.strerror)) from None
         else:
             sys.stdout.write(artifact)
     return 0 if all(not line.startswith("FAIL") for line in body_lines) else 1
@@ -434,24 +438,25 @@ def _cmd_build(args) -> int:
     raise UsageError("unknown build target %r" % what)
 
 
+def _fmt_param(val):
+    """val with every matrix and every rational in it (also inside nested
+    tuples) written in the text form of the structure files."""
+    if isinstance(val, Mat):
+        return _fmt_matrix(val)
+    if isinstance(val, tuple):
+        return tuple(_fmt_param(item) for item in val)
+    if isinstance(val, Fraction):
+        return format_rational(val)
+    return val
+
+
 def _params_lines(params: dict) -> list:
     lines = []
     for key in sorted(params):
-        val = params[key]
-        if isinstance(val, Mat):
-            lines.append("param %s=%s" % (key, _fmt_matrix(val)))
-        elif isinstance(val, tuple):
-            parts = []
-            for item in val:
-                if isinstance(item, Mat):
-                    parts.append(str(_fmt_matrix(item)))
-                else:
-                    parts.append(str(item))
-            lines.append("param %s=[%s]" % (key, ", ".join(parts)))
-        elif isinstance(val, Fraction):
-            lines.append("param %s=%s" % (key, format_rational(val)))
-        else:
-            lines.append("param %s=%s" % (key, val))
+        val = _fmt_param(params[key])
+        if isinstance(val, tuple):
+            val = "[%s]" % ", ".join(str(item) for item in val)
+        lines.append("param %s=%s" % (key, val))
     return lines
 
 
@@ -606,6 +611,10 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:        # a defect of lsaforge, not of the input
+        print("internal error: %s" % (str(exc) or type(exc).__name__),
+              file=sys.stderr)
+        return 3
 
 
 def main() -> None:

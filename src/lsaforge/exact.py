@@ -55,6 +55,50 @@ def _primitive(row: list) -> list:
     return row if g <= 1 else [x // g for x in row]
 
 
+def _echelon(rows: list, cols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows of length
+    cols: (the nonzero rows of the reduced row echelon form, as tuples of
+    Fractions, and the tuple of their pivot columns).
+
+    Elimination selects the first nonzero entry in the leftmost unsettled
+    column.  Another row is reduced by the pivot row as (pv/g) row -
+    (f/g) pivot row with g the gcd of the two leading entries, and every
+    row is divided by the gcd of its entries.  Each integer row stays a
+    nonzero multiple of the row the Fraction elimination would hold, so
+    the pivots are the same, and dividing each pivot row by its pivot at
+    the end gives the (unique) reduced form.
+    """
+    m = [_primitive(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                m[i] = _primitive([s * a - t * b for a, b in zip(m[i], prow)])
+        pivots.append(c)
+        r += 1
+    red = []
+    for row, c in zip(m, pivots):
+        pv = row[c]
+        red.append(tuple(Fraction(x, pv) if x else ZERO for x in row))
+    return tuple(red), tuple(pivots)
+
+
 def vec(entries: Iterable) -> tuple:
     return tuple(_q(e) for e in entries)
 
@@ -276,54 +320,15 @@ class Mat:
         Returns (R, pivots) where pivots is the tuple of pivot column
         indices in increasing order.  Elimination always selects the first
         nonzero entry in the leftmost unsettled column, so the result is a
-        canonical function of the matrix.
-
-        The elimination is fraction-free: each row is scaled to integers
-        by the common denominator of its entries, another row is reduced
-        by the pivot row as (pv/g) row - (f/g) pivot row with g the gcd of
-        the two leading entries, and every reduced row is divided by the
-        gcd of its entries.  Each integer row stays a nonzero multiple of
-        the row the Fraction elimination would hold, so the pivots are the
-        same, and dividing each pivot row by its pivot at the end gives
-        the (unique) reduced form.
+        canonical function of the matrix.  Each row is scaled to integers
+        by the common denominator of its entries and reduced by `_echelon`.
         """
         rows, cols = self.rows, self.cols
-        if not rows:
-            return self, ()
-        m = [_primitive(common_denominator(self.row(i))[1])
-             for i in range(rows)]
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            prow = m[r]
-            pv = prow[c]
-            for i in range(rows):
-                f = m[i][c]
-                if i != r and f:
-                    g = gcd(pv, f)
-                    s, t = pv // g, f // g
-                    m[i] = _primitive([s * a - t * b
-                                       for a, b in zip(m[i], prow)])
-            pivots.append(c)
-            r += 1
-        data = []
-        for i, row in enumerate(m):
-            if i < r:
-                pv = row[pivots[i]]
-                data.extend(Fraction(x, pv) if x else ZERO for x in row)
-            else:
-                data.extend((ZERO,) * cols)
-        return Mat._of(rows, cols, tuple(data)), tuple(pivots)
+        red, pivots = _echelon([common_denominator(self.row(i))[1]
+                                for i in range(rows)], cols)
+        data = [x for row in red for x in row]
+        data.extend((ZERO,) * ((rows - len(red)) * cols))
+        return Mat._of(rows, cols, tuple(data)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -387,17 +392,11 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence]):
-        rows = [vec(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
-                raise ValueError("vector length differs from ambient dimension")
-        if rows:
-            red, pivots = Mat.from_rows(rows).rref()
-            basis = tuple(red.row(i) for i in range(len(pivots)))
-        else:
-            basis = ()
+        rows = [common_denominator(v)[1] for v in vectors]
+        if any(len(v) != ambient for v in rows):
+            raise ValueError("vector length differs from ambient dimension")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _echelon(rows, ambient)[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")

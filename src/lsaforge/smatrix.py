@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .algebra import Algebra, algebra_tensor, check, invariance_check
-from .exact import Mat, ZERO, basis_vec, dot, vec_neg, vec_sub
+from .exact import Mat, ZERO, dot, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _relabel,
@@ -119,6 +119,7 @@ def rr_bracket(u: Algebra, r):
     rm = r.matrix
     out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     pairs = [(i, j, rm[i, j]) for i in range(n) for j in range(n) if rm[i, j]]
+    tab, br = u.table, u.bracket_algebra().table
 
     def acc(sign, vpos, v, p, q):
         # place vector v in slot vpos and basis indices p, q in the others
@@ -133,10 +134,8 @@ def rr_bracket(u: Algebra, r):
     for (i, j, wi) in pairs:
         for (k, l, wk) in pairs:
             w = wi * wk
-            ei, ej = basis_vec(n, i), basis_vec(n, j)
-            ek, el = basis_vec(n, k), basis_vec(n, l)
-            prod = u.product(ei, ek)
-            brak = u.bracket(ei, el)
+            prod = tab[i][k]                    # e_i . e_k
+            brak = br[i][l]                     # [e_i, e_l]
             # r13.r12 = sum a_i.a_k (x) b_k (x) b_i
             acc(w, 0, prod, l, j)
             # r23.r21 = sum b_l (x) a_i.a_k (x) b_j  (minus sign)
@@ -146,7 +145,7 @@ def rr_bracket(u: Algebra, r):
             # [r13, r21] = sum [a_i, b_l] (x) a_k (x) b_j  (minus sign)
             acc(-w, 0, brak, k, j)
             # [r13, r23] = sum a_i (x) a_k (x) [b_j, b_l]  (minus sign)
-            acc(-w, 2, u.bracket(ej, el), i, k)
+            acc(-w, 2, br[j][l], i, k)
     return out
 
 
@@ -296,8 +295,7 @@ def _xi_report(src: Algebra, dst: Algebra, xi: Mat,
     for i in range(n):
         for j in range(i + 1, n):
             lhs = xi.apply(src.table[i][j])
-            rhs = dst.product(xi.apply(basis_vec(n, i)),
-                              xi.apply(basis_vec(n, j)))
+            rhs = dst.product(xi.col(i), xi.col(j))
             if lhs != rhs:
                 return failing(name, anchor, witness=(i, j))
     return passing(name, anchor)

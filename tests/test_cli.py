@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from lsaforge import Algebra, Bilinear, Mat, canonical, graded_tensor_algebra
+from lsaforge import (Algebra, Bilinear, InternalInconsistency, Mat, canonical,
+                      graded_tensor_algebra)
+from lsaforge import cli
 from lsaforge.cli import dump_structure, run
 
 
@@ -319,3 +322,41 @@ def test_build_target_passes(capsys, tmp_path, what, flags, make, dim, line):
     assert body and all(rep.startswith("PASS ") for rep in body)
     assert line in body
     assert json.loads(out_file.read_text())["dim"] == dim
+
+
+@pytest.mark.parametrize("exc,message", [
+    (InternalInconsistency("cyclic curvature sum and commutator Jacobi "
+                           "check disagree"),
+     "cyclic curvature sum and commutator Jacobi check disagree"),
+    (KeyError("e3"), "'e3'"),
+    (ZeroDivisionError(), "ZeroDivisionError"),
+], ids=["internal_inconsistency", "key_error", "no_message"])
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch,
+                                                  nab_file, exc, message):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    capsys.readouterr()   # drop fixture output
+    code, out, err = go(capsys, ["check", nab_file, "--pred", "abelian"])
+    assert code == 3
+    assert err.splitlines() == ["internal error: %s" % message]
+    assert "Traceback" not in out + err
+
+
+def test_params_lines_format_nested_rationals():
+    lines = cli._params_lines({
+        "f": (((Fraction(1), Fraction(-1, 2)),), (Mat.identity(1),)),
+        "s": Fraction(3, 4), "n": 2})
+    assert lines == ["param f=[(('1', '-1/2'),), ([['1']],)]",
+                     "param n=2", "param s=3/4"]
+
+
+def test_unwritable_out_is_usage_error(capsys, nab_file, tmp_path):
+    out_file = tmp_path / "missing_dir" / "p.json"
+    capsys.readouterr()   # drop fixture output
+    code, _, err = go(capsys, ["build", "phase", nab_file,
+                               "--out", str(out_file)])
+    _no_traceback_usage_error(code, err)
+    assert err.splitlines() == ["error: %s: No such file or directory"
+                                % out_file]

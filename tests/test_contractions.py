@@ -144,6 +144,44 @@ def test_predicates_match_reference_routes(kind, n, seed):
         assert (rep.passed, rep.witness) == (want is None, want), name
 
 
+def _vectors(rng, n):
+    """A general vector with large denominators, a zero vector, a vector
+    of ints and a basis vector (with int entries)."""
+    i = rng.randrange(n)
+    return [tuple(rng.choice(LARGE) if rng.random() < 0.7 else Fraction(0)
+                  for _ in range(n)),
+            zero_vec(n), tuple(rng.randint(-9, 9) for _ in range(n)),
+            tuple(int(j == i) for j in range(n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5), SEEDS)
+def test_product_matches_reference_route(kind, n, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    vectors = _vectors(rng, alg.dim) if alg.dim else [()]
+    for u in vectors:
+        for v in vectors:
+            got = alg.product(u, v)
+            assert got == oracle.product(alg, u, v)
+            assert all(type(x) is Fraction for x in got)
+
+
+def test_basis_change_keeps_every_verdict():
+    # kinds on which lie_admissible both passes and fails, each moved by
+    # changes of basis with large denominators
+    seen = {name: set() for name in PREDICATES}
+    rng = random.Random(7)
+    for kind in ("sparse", "dense", "antisymmetrized", "structured") * 6:
+        alg = _algebra(kind, rng.randint(2, 5), rng)
+        moved = alg.conjugate(_invertible(rng, alg.dim, LARGE))
+        for name in PREDICATES:
+            verdict = check(alg, name).passed
+            assert check(moved, name).passed == verdict, (kind, name)
+            seen[name].add(verdict)
+    assert seen["lie_admissible"] == {True, False}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 5), SEEDS)
 def test_curvature_matches_left_mult_route(kind, n, seed):
@@ -451,3 +489,20 @@ def test_subspace_product_matches_product_route(kind, n, seed):
             for _ in range(2))
     assert subspace_product(alg, s, t) == Subspace(
         n, [oracle.product(alg, a, b) for a in s.basis for b in t.basis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), SEEDS)
+def test_subspace_of_ints_matches_fraction_route(n, count, seed):
+    rng = random.Random(seed)
+    ints = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+             for _ in range(n)] for _ in range(count)]
+    # rows that mix ints with large-denominator Fractions
+    mixed = [[rng.choice(LARGE) if rng.random() < 0.3 else x for x in v]
+             for v in ints]
+    for vectors in (ints, mixed):
+        fractions = [[Fraction(x) for x in v] for v in vectors]
+        space = Subspace(n, vectors)
+        assert space == Subspace(n, fractions)
+        want = oracle.rref(Mat.from_rows(fractions))[0] if vectors else []
+        assert [list(b) for b in space.basis] == [r for r in want if any(r)]
