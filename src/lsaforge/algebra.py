@@ -4,9 +4,10 @@ An Algebra stores the products of basis vectors: table[i][j] is the
 coordinate vector of e_i . e_j.  One type covers every species handled
 here (left-symmetric, Lie, associative, ...) and every other bilinear map
 Q^n x Q^n -> Q^n (defects, torsions); the species are predicates checked
-by `check`, not subclasses.  Lie algebras are stored with the
-bracket as the product, so consumers requiring a bracket first assert
-the `jacobi_antisym` predicate.
+by `check`, not subclasses.  A function decides the species of its
+parameter: where it takes a Lie algebra (and asserts `jacobi_antisym`
+on it) the product is the bracket and `left_mult` is ad; for any other
+product the bracket is its commutator, `commutator_algebra()`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence, Tuple
 
 from .exact import (Mat, Subspace, ZERO, basis_vec, common_denominator,
                     is_zero_vec, vec, vec_add, vec_scale, vec_sub, zero_vec)
-from .report import InternalInconsistency, Report, failing, passing
+from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
               "lie_admissible", "jacobi_antisym", "abelian")
@@ -26,11 +27,6 @@ PREDICATES = ("left_symmetric", "associative", "commutative",
 
 def _default_basis(n: int) -> Tuple[str, ...]:
     return tuple("e%d" % (i + 1) for i in range(n))
-
-
-# memo value of Algebra.bracket_algebra for an antisymmetric product: the
-# algebra itself, stored without a reference cycle
-_SELF = object()
 
 
 def _int_vec(v: Sequence) -> tuple:
@@ -62,7 +58,7 @@ def _int_product(cells, left, right) -> list:
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
-    The attached bracket algebra, the left multiplications L_{e_i} and
+    The commutator algebra, the left multiplications L_{e_i} and
     the integer view of the table are computed on first use and kept on
     the object; they are derived from the table alone, so equality and
     hashing ignore them.
@@ -184,34 +180,14 @@ class Algebra:
                 out = term if out is None else out + term
         return Mat.zeros(self.dim, self.dim) if out is None else out
 
-    def is_antisymmetric(self) -> bool:
-        n = self.dim
-        return all(self.table[i][j] == vec_sub(zero_vec(n), self.table[j][i])
-                   for i in range(n) for j in range(n))
-
     def commutator_algebra(self) -> "Algebra":
-        n = self.dim
-        return Algebra([[vec_sub(self.table[i][j], self.table[j][i])
-                         for j in range(n)] for i in range(n)], self.basis)
-
-    def bracket_algebra(self) -> "Algebra":
-        """The Lie bracket attached to this product.
-
-        For an antisymmetric product (a stored Lie algebra) the product
-        itself; otherwise the commutator.
-        """
-        br = self._bracket
-        if br is None:
-            br = (_SELF if self.is_antisymmetric()
-                  else self.commutator_algebra())
-            object.__setattr__(self, "_bracket", br)
-        return self if br is _SELF else br
-
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        return self.bracket_algebra().product(u, v)
-
-    def ad(self, u: Sequence) -> Mat:
-        return self.bracket_algebra().left_mult(u)
+        """The bracket [u,v] = u.v - v.u of this product."""
+        if self._bracket is None:
+            n, tab = self.dim, self.table
+            object.__setattr__(self, "_bracket", Algebra(
+                [[vec_sub(tab[i][j], tab[j][i]) for j in range(n)]
+                 for i in range(n)], self.basis))
+        return self._bracket
 
     # -- algebra arithmetic -------------------------------------------------
     def scale(self, c) -> "Algebra":
@@ -302,14 +278,13 @@ def curvature(alg: Algebra, u, v) -> Mat:
 
 
 def nijenhuis(a, alg: Algebra) -> Algebra:
-    """Torsion N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v].
-
-    The bracket is the Lie bracket attached to alg (the product itself
-    when it is already antisymmetric, the commutator otherwise).
+    """Torsion N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v] of the
+    Lie algebra alg, whose product is the bracket; pass
+    `commutator_algebra()` for the torsion of another product's bracket.
     """
     m = _mat(a)
     m2 = m * m
-    br = alg.bracket_algebra().product
+    br = alg.product
 
     def torsion(u, v):
         au, av = m.apply(u), m.apply(v)
@@ -420,8 +395,10 @@ def _check_lie_admissible(alg: Algebra):
             break
     via_jacobi = _jacobi_witness(alg.commutator_algebra())
     if (via_curvature is None) != (via_jacobi is None):
-        raise InternalInconsistency(
-            "cyclic curvature sum and commutator Jacobi check disagree")
+        raise routes_disagree(
+            "cyclic curvature sum and commutator Jacobi check disagree",
+            [("cyclic curvature sum", via_curvature),
+             ("commutator Jacobi", via_jacobi)])
     return via_curvature if via_curvature is not None else via_jacobi
 
 
@@ -542,7 +519,7 @@ def _rep_matrix(tag: str, alg: Algebra, m: int) -> Mat:
     if tag not in INVARIANCE_TAGS:
         raise ValueError("unknown representation tag %r (expected one of %s)"
                          % (tag, ", ".join(INVARIANCE_TAGS)))
-    src = alg.bracket_algebra() if tag.startswith("ad") else alg
+    src = alg.commutator_algebra() if tag.startswith("ad") else alg
     mat = src.left_mults()[m]
     return -mat.transpose() if tag.endswith("_dual") else mat
 
@@ -555,7 +532,11 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     algebra dimension; reps names one representation per slot.  For each
     basis element X the representing matrix of each slot's tag is applied
     directly to that index and the results summed; the tensor is
-    invariant when this vanishes for every X.  With this convention the
+    invariant when this vanishes for every X.  L and L_dual act through
+    the left multiplications of alg, ad and ad_dual through those of its
+    commutator.  On a Lie algebra stored as its bracket the commutator is
+    twice the bracket, which leaves the verdict and witness of a check
+    whose tags are all ad or ad_dual unchanged; with this convention the
     bracket tensor of a Lie algebra is annihilated exactly by
     (ad_dual, ad_dual, ad), which is the Jacobi identity.
     """

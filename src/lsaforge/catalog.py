@@ -30,7 +30,7 @@ from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
 from .phase import build_phase, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
-                     _relabel, certify)
+                     _relabel, certify, require)
 from .smatrix import (Tensor2, coadjoint_double, semidirect_bracket,
                       twisted_structures)
 
@@ -354,12 +354,8 @@ def _canonical_assoc_type_two(params):
 
 
 def _assert_model(alg: Algebra, omega: Bilinear, expect_u3_zero: bool):
-    assoc = check(alg, "associative")
-    if not assoc:
-        raise ValueError("model product is not associative: %s" % assoc.line())
-    inv = is_invariant_form(omega, alg)
-    if not inv:
-        raise ValueError("form is not invariant: %s" % inv.line())
+    require(check(alg, "associative"), "model product is not associative")
+    require(is_invariant_form(omega, alg), "form is not invariant")
     powers = product_subspaces(alg)["powers"]
     if not powers[3].is_zero():
         raise InternalInconsistency("fourth power fails to vanish")
@@ -460,12 +456,8 @@ def _require_symplectic_lsa(alg: Algebra, omega: Bilinear):
         raise ValueError("form must be skew and nondegenerate")
     if omega.dim != alg.dim:
         raise ValueError("form and algebra dimensions differ")
-    ls = check(alg, "left_symmetric")
-    if not ls:
-        raise ValueError("product is not left symmetric: %s" % ls.line())
-    inv = is_invariant_form(omega, alg)
-    if not inv:
-        raise ValueError("form is not invariant: %s" % inv.line())
+    require(check(alg, "left_symmetric"), "product is not left symmetric")
+    require(is_invariant_form(omega, alg), "form is not invariant")
 
 
 def _transport_form(omega: Bilinear, p: Mat) -> Mat:
@@ -735,14 +727,10 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     paired Lagrangian complement) and verifies the transported structure
     constants equal the rebuilt model exactly.
     """
-    assoc = check(alg, "associative")
-    if not assoc:
-        raise ValueError("product is not associative: %s" % assoc.line())
+    require(check(alg, "associative"), "product is not associative")
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("form must be skew and nondegenerate")
-    inv = is_invariant_form(omega, alg)
-    if not inv:
-        raise ValueError("form is not invariant: %s" % inv.line())
+    require(is_invariant_form(omega, alg), "form is not invariant")
     n = alg.dim
     gram = omega.matrix
     subs = product_subspaces(alg)
@@ -902,11 +890,9 @@ def build_quadratic_symplectic(lie: Algebra, n: int) -> QuadraticData:
     algebra, take the coadjoint semidirect double with its split
     invariant pairing, and contract with the invertible grading
     derivation."""
-    jac = check(lie, "jacobi_antisym")
-    if not jac:
-        raise ValueError("product is not a Lie bracket: %s" % jac.line())
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
     graded, delta = graded_tensor_algebra(lie, n)
-    big = semidirect_bracket(graded)
+    big = semidirect_bracket(graded, graded)
     m = graded.dim
     ident = Mat.identity(m)
     zero = Mat.zeros(m, m)
@@ -952,13 +938,11 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
     cross-checked against the twist induced by the inverse metric seen
     as an invariant symmetric tensor.
     """
-    flat = is_flat(lie, metric)
-    if not flat:
-        raise ValueError("metric is not flat: %s" % flat.line())
+    require(is_flat(lie, metric), "metric is not flat")
     dot = levi_civita(lie, metric)
     ps = build_phase(dot)
     triangle = ps.extended
-    bracket = semidirect_bracket(dot)
+    bracket = semidirect_bracket(dot.commutator_algebra(), dot)
     n = lie.dim
     g = metric.matrix
     ginv = g.inverse()
@@ -994,10 +978,8 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
 
 def killing_form(lie: Algebra) -> Bilinear:
     """Trace form of the adjoint representation (possibly degenerate)."""
-    jac = check(lie, "jacobi_antisym")
-    if not jac:
-        raise ValueError("product is not a Lie bracket: %s" % jac.line())
-    return Bilinear(_trace_form(lie.bracket_algebra(), "left"), "symmetric")
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
+    return Bilinear(_trace_form(lie, "left"), "symmetric")
 
 
 @dataclass(frozen=True)
@@ -1031,7 +1013,7 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                          "is nonzero" % wit)
     bsh = bmat.transpose()
     zvecs = [bsh.apply(basis_vec(n, a)) for a in range(n)]
-    dstar = Algebra([[tuple(lie.ad(zvecs[a]).transpose().scale(-1)
+    dstar = Algebra([[tuple(lie.left_mult(zvecs[a]).transpose().scale(-1)
                             .apply(basis_vec(n, c))) for c in range(n)]
                      for a in range(n)],
                     tuple(s + "*" for s in lie.basis))
@@ -1045,7 +1027,8 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     rmat = r_dual.matrix if isinstance(r_dual, (Bilinear, Tensor2)) else r_dual
     if rmat.rows != n or rmat.cols != n:
         raise ValueError("form shape mismatch")
-    coad = all((lie.ad(z).transpose() * rmat + rmat * lie.ad(z)).is_zero()
+    coad = all((lie.left_mult(z).transpose() * rmat
+                + rmat * lie.left_mult(z)).is_zero()
                for z in zvecs)
     linv = invariance_check([[rmat[i, j] for j in range(n)] for i in range(n)],
                             ("L", "L"), dstar, name="form_left_invariant")
@@ -1113,9 +1096,7 @@ def derivation_phase(u: Algebra, d) -> DerivationPhaseData:
     phase space: Delta = diag(D, -D^t) is an invertible derivation of
     the lifted product and skew for the canonical symplectic form."""
     dmat = d.matrix if isinstance(d, Endo) else d
-    der = is_derivation(dmat, u)
-    if not der:
-        raise ValueError("not a derivation: %s" % der.line())
+    require(is_derivation(dmat, u), "not a derivation")
     if not dmat.is_invertible():
         raise ValueError("derivation must be invertible")
     ps = build_phase(u)

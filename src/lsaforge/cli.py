@@ -3,7 +3,8 @@ builders, and normalizers, and emit deterministic reports.
 
 Exit codes: 0 when every check passes, 1 when a mathematical predicate
 fails (the report is still written), 2 on input or usage errors, 3 on
-an internal error (a defect of lsaforge, reported on one stderr line).
+an internal error (a defect of lsaforge, reported on one stderr line
+naming the exception class and the file and line that raised it).
 Reports are byte-identical for identical inputs: run metadata lives in
 comment-style header lines, the body carries no timestamps.
 """
@@ -612,8 +613,13 @@ def run(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:        # a defect of lsaforge, not of the input
-        print("internal error: %s" % (str(exc) or type(exc).__name__),
-              file=sys.stderr)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:        # the frame that raised exc
+            tb = tb.tb_next
+        where = os.path.basename(tb.tb_frame.f_code.co_filename)
+        print("internal error: %s at %s:%d%s" % (
+            type(exc).__name__, where, tb.tb_lineno,
+            ": %s" % exc if str(exc) else ""), file=sys.stderr)
         return 3
 
 

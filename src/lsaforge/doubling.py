@@ -20,7 +20,7 @@ from .exact import Mat, basis_vec, vec_add, vec_neg, vec_sub
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
-                     _relabel, certify, failing, passing)
+                     _relabel, certify, failing, passing, require)
 from .smatrix import Tensor2, classify_r, twisted_structures
 from .triple import LieTriple
 
@@ -137,9 +137,7 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
     """Complex product structure (K1, J1) on the double of a compatible
     pair: both torsions vanish, J1 K1 == -K1 J1, and abelianness of K1,
     J1 and commutativity of the pair coincide."""
-    comp = is_compatible(bullet, circ)
-    if not comp:
-        raise ValueError("products are not compatible: %s" % comp.line())
+    require(is_compatible(bullet, circ), "products are not compatible")
     prod = tu_product(bullet, circ)
     lie = prod.commutator_algebra()
     n = bullet.dim
@@ -189,10 +187,8 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
     """Hyper-para-Kahler double of a compatible pair of products both
     leaving omega invariant."""
     for alg, label in ((bullet, "first"), (circ, "second")):
-        inv = is_invariant_form(omega, alg)
-        if not inv:
-            raise ValueError("omega is not invariant under the %s product: %s"
-                             % (label, inv.line()))
+        require(is_invariant_form(omega, alg),
+                "omega is not invariant under the %s product" % label)
     if not omega.is_nondegenerate() or omega.kind != "skew":
         raise ValueError("omega must be skew and nondegenerate")
     cp = build_complex_product(bullet, circ)
@@ -206,9 +202,7 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
 
 def yb(a: Mat, lie: Algebra) -> Algebra:
     """YB(A)(X,Y) = A[AX,Y] + A[X,AY] - [AX,AY]."""
-    jac = check(lie, "jacobi_antisym")
-    if not jac:
-        raise ValueError("product is not a Lie bracket: %s" % jac.line())
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
 
     def defect(x, y):
         ax, ay = a.apply(x), a.apply(y)
@@ -322,8 +316,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
                              name="sym_part_intertwines")
     quasi = _symp_quasi_s_crosscheck(dot, omega, a, inv_yb, inv_s)
     for rep in (inv_yb, inv_s):
-        if not rep:
-            raise ValueError("precondition failed: %s" % rep.line())
+        require(rep, "precondition failed")
     n = lie.dim
     diff = a_s - a_a
 
@@ -361,18 +354,22 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
 
 def delta_op(a: Mat, alg: Algebra) -> Algebra:
     """delta(A)(X,Y) = X.A(Y) - Y.A(X) - A([X,Y])."""
+    br = alg.commutator_algebra().product
+
     def defect(x, y):
         t = vec_sub(alg.product(x, a.apply(y)), alg.product(y, a.apply(x)))
-        return vec_sub(t, a.apply(alg.bracket(x, y)))
+        return vec_sub(t, a.apply(br(x, y)))
 
     return Algebra.from_function(alg.basis, defect)
 
 
 def o_op(a: Mat, alg: Algebra) -> Algebra:
     """O(A)(X,Y) = [AX,AY] - (A(AX.Y) - A(AY.X))."""
+    br = alg.commutator_algebra().product
+
     def defect(x, y):
         ax, ay = a.apply(x), a.apply(y)
-        t = alg.bracket(ax, ay)
+        t = br(ax, ay)
         t = vec_sub(t, a.apply(alg.product(ax, y)))
         return vec_add(t, a.apply(alg.product(ay, x)))
 
@@ -382,7 +379,7 @@ def o_op(a: Mat, alg: Algebra) -> Algebra:
 def oeq_check(a: Mat, alg: Algebra) -> Report:
     """The exact identity O(A) == N_A + A o delta(A)."""
     o = o_op(a, alg)
-    nij = nijenhuis(a, alg)
+    nij = nijenhuis(a, alg.commutator_algebra())
     dl = delta_op(a, alg)
     n = alg.dim
     anchor = "O(A)(x,y) == N_A(x,y) + A(delta(A)(x,y))"
@@ -422,6 +419,7 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
     a_s, a_a = sym_skew_parts(a, theta)
     dl = delta_op(a_s - a_a, alg)
     theta_inv = theta.matrix.transpose().inverse()   # covector -> vector
+    br = alg.commutator_algebra().product
 
     def correction(x, y):
         comps = []
@@ -433,7 +431,7 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
 
     def circ_fn(x, y):
         if theta.kind == "skew":
-            base = vec_add(alg.bracket(a.apply(x), y),
+            base = vec_add(br(a.apply(x), y),
                            a.apply(alg.product(y, x)))
         else:
             base = vec_add(alg.product(y, a.apply(x)),
@@ -454,10 +452,8 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     multiplications.  For hyper certificates (skew theta) additionally
     delta(A^a) == 0 and N_A invariant.
     """
-    iso = is_invariant_iso(theta, alg)
-    if not iso:
-        raise ValueError("theta is not an invariant isomorphism: %s"
-                         % iso.line())
+    iso = require(is_invariant_iso(theta, alg),
+                  "theta is not an invariant isomorphism")
     n = alg.dim
     o_def = o_op(a, alg)
     inv_o = invariance_check(algebra_tensor(o_def),
@@ -474,18 +470,17 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
         da = delta_op(a_a, alg)
         pre_reports.append(_bool_report("delta_skew_part_zero", da.is_zero(),
                                         "delta(A^a) == 0"))
-        nij = nijenhuis(a, alg)
+        nij = nijenhuis(a, alg.commutator_algebra())
         pre_reports.append(invariance_check(algebra_tensor(nij),
                                             ("L_dual", "L_dual", "ad"), alg,
                                             name="torsion_invariant"))
     for rep in pre_reports:
-        if not rep:
-            raise ValueError("precondition failed: %s" % rep.line())
+        require(rep, "precondition failed")
 
     circ = theta_circ_product(alg, theta, a)
     # [(X,Y),(Z,T)] = ([X,Z] + O(A)(T,Y), X.T - Z.Y)
     bracket = Algebra.from_blocks(
-        [[(alg.bracket_algebra().product, None), (None, alg.product)],
+        [[(alg.commutator_algebra().product, None), (None, alg.product)],
          [(None, lambda y, z: vec_neg(alg.product(z, y))),
           (lambda y, t: o_def.product(t, y), None)]],
         alg.basis, "'")
@@ -522,11 +517,9 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
 def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = [YB(A)(X,Y), Z]; requires YB(A) ad-invariant."""
     defect = yb(a, lie)
-    inv = invariance_check(algebra_tensor(defect),
-                           ("ad_dual", "ad_dual", "ad"), lie,
-                           name="yb_ad_invariant")
-    if not inv:
-        raise ValueError("precondition failed: %s" % inv.line())
+    require(invariance_check(algebra_tensor(defect),
+                             ("ad_dual", "ad_dual", "ad"), lie,
+                             name="yb_ad_invariant"), "precondition failed")
     return LieTriple.from_function(
         lie.dim, lambda x, y, z: lie.product(defect.product(x, y), z))
 
@@ -534,9 +527,8 @@ def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
 def lts_from_o(alg: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = O(A)(X,Y).Z; requires O(A) (L_dual, L_dual, ad)-invariant."""
     o_def = o_op(a, alg)
-    inv = invariance_check(algebra_tensor(o_def), ("L_dual", "L_dual", "ad"),
-                           alg, name="o_defect_invariant")
-    if not inv:
-        raise ValueError("precondition failed: %s" % inv.line())
+    require(invariance_check(algebra_tensor(o_def), ("L_dual", "L_dual", "ad"),
+                             alg, name="o_defect_invariant"),
+            "precondition failed")
     return LieTriple.from_function(
         alg.dim, lambda x, y, z: alg.product(o_def.product(x, y), z))

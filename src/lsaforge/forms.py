@@ -15,7 +15,7 @@ from typing import Optional
 
 from .algebra import Algebra, check
 from .exact import Mat, basis_vec, common_denominator, dot, vec_sub
-from .report import Report, failing, passing
+from .report import Report, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
 
@@ -110,9 +110,7 @@ def a_product(lie: Algebra, omega: Bilinear) -> Algebra:
     """
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("form must be skew and nondegenerate")
-    coc = is_two_cocycle(omega, lie)
-    if not coc:
-        raise ValueError("form is not a two-cocycle: %s" % coc.line())
+    require(is_two_cocycle(omega, lie), "form is not a two-cocycle")
     n = lie.dim
     gt = omega.matrix.transpose()
     gt_inv = gt.inverse()
@@ -135,9 +133,7 @@ def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     """
     if metric.kind != "symmetric" or not metric.is_nondegenerate():
         raise ValueError("metric must be symmetric and nondegenerate")
-    jac = check(lie, "jacobi_antisym")
-    if not jac:
-        raise ValueError("product is not a Lie bracket: %s" % jac.line())
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
     n = lie.dim
     m = metric.matrix
     m_inv = m.inverse()

@@ -158,7 +158,7 @@ def _cocycle_witness(alg: Algebra, other: Algebra):
     n = alg.dim
     xi = _dualized(other)
     ls = alg.left_mults()
-    ads = alg.bracket_algebra().left_mults()
+    ads = alg.commutator_algebra().left_mults()
     for i in range(n):
         for j in range(i + 1, n):
             br = vec_sub(alg.table[i][j], alg.table[j][i])

@@ -21,6 +21,16 @@ class InternalInconsistency(RuntimeError):
     """
 
 
+def routes_disagree(what: str, routes) -> InternalInconsistency:
+    """The InternalInconsistency for routes that disagree, naming each
+    route with its verdict and witness: routes lists (name, witness),
+    the witness None where the route passes."""
+    return InternalInconsistency("%s: %s" % (what, "; ".join(
+        "%s: PASS" % name if witness is None
+        else "%s: FAIL witness=%s" % (name, witness)
+        for name, witness in routes)))
+
+
 @dataclass(frozen=True)
 class Report:
     name: str
@@ -85,6 +95,14 @@ class Certificate:
             if not r.passed:
                 return r
         return None
+
+
+def require(rep: Report, what: str) -> Report:
+    """A precondition on the input: rep if it passes, otherwise
+    ValueError naming what failed and the failing line."""
+    if not rep:
+        raise ValueError("%s: %s" % (what, rep.line()))
+    return rep
 
 
 def certify(name: str, reports) -> Certificate:

@@ -28,8 +28,8 @@ from .algebra import Algebra, algebra_tensor, check, invariance_check
 from .exact import Mat, ZERO, dot, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
-from .report import (Certificate, InternalInconsistency, Report, _relabel,
-                     certify, failing, passing)
+from .report import (Certificate, Report, _relabel, certify, failing,
+                     passing, require, routes_disagree)
 from .triple import LieTriple
 
 
@@ -82,7 +82,7 @@ def dual_product_from_r(u: Algebra, r) -> Algebra:
 def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
     n = u.dim
     rm = r.matrix
-    ads = u.bracket_algebra().left_mults()
+    ads = u.commutator_algebra().left_mults()
     comps = [lk * rm + rm * adk.transpose()
              for lk, adk in zip(u.left_mults(), ads)]
     table = [[tuple(comps[k][a, b] for k in range(n)) for b in range(n)]
@@ -99,11 +99,11 @@ def delta_r(u: Algebra, r) -> Algebra:
 def _delta(u: Algebra, r: Tensor2, dual: Algebra) -> Algebra:
     """Delta(r) from the r-induced product `dual` on U*."""
     rs = r.r_sharp
+    br = u.commutator_algebra().product
 
     def defect(alpha, beta):
         br_dual = vec_sub(dual.product(alpha, beta), dual.product(beta, alpha))
-        return vec_sub(rs.apply(br_dual),
-                       u.bracket(rs.apply(alpha), rs.apply(beta)))
+        return vec_sub(rs.apply(br_dual), br(rs.apply(alpha), rs.apply(beta)))
 
     return Algebra.from_function(u.basis, defect)
 
@@ -119,7 +119,7 @@ def rr_bracket(u: Algebra, r):
     rm = r.matrix
     out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     pairs = [(i, j, rm[i, j]) for i in range(n) for j in range(n) if rm[i, j]]
-    tab, br = u.table, u.bracket_algebra().table
+    tab, br = u.table, u.commutator_algebra().table
 
     def acc(sign, vpos, v, p, q):
         # place vector v in slot vpos and basis indices p, q in the others
@@ -166,6 +166,13 @@ def _rr_delta_report(u: Algebra, r: Tensor2, delta: Algebra) -> Report:
     return passing("rr_delta_agree", anchor)
 
 
+def _first_nonzero(tensor):
+    """The first (a, b, c) with tensor[a][b][c] != 0, or None."""
+    n = len(tensor)
+    return next((idx for idx in itertools.product(range(n), repeat=3)
+                 if tensor[idx[0]][idx[1]][idx[2]]), None)
+
+
 def _skew_tensor(r: Tensor2):
     sk = r.skew_matrix
     n = r.on.dim
@@ -199,7 +206,12 @@ def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
                              name="delta_invariant")
     agree = _rr_delta_report(u, r, delta)
     if not agree:
-        raise InternalInconsistency("Delta(r) and [[r,r]] pairing disagree")
+        raise routes_disagree(
+            "Delta(r) and [[r,r]] pairing disagree at %s" % (agree.witness,),
+            [("[[r,r]] == 0 by the five-term bracket",
+              _first_nonzero(rr_bracket(u, r))),
+             ("[[r,r]] == 0 by the pairing with Delta(r)",
+              _first_nonzero(delta.table))])
     sym = r.is_symmetric()
     rr_zero = delta.is_zero()
     reports = (skew_inv, q_inv, agree,
@@ -223,20 +235,24 @@ class TwistData:
     cert: Certificate
 
 
-def _semidirect(u: Algebra, corner) -> Algebra:
+def _semidirect(lie: Algebra, act: Algebra, corner) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
-    with the bilinear map corner: U* x U* -> U (None for zero)."""
+    with [X,Y] the product of the Lie algebra lie, L_X the left
+    multiplication of act (lie itself for the coadjoint action, or a
+    left-symmetric product whose commutator is lie) and the bilinear map
+    corner: U* x U* -> U (None for zero)."""
     return Algebra.from_blocks(
-        [[(u.bracket_algebra().product, None),
-          (None, lambda x, b: vec_neg(u.left_mult(x).transpose().apply(b)))],
-         [(None, lambda a, y: u.left_mult(y).transpose().apply(a)),
+        [[(lie.product, None),
+          (None, lambda x, b: vec_neg(act.left_mult(x).transpose().apply(b)))],
+         [(None, lambda a, y: act.left_mult(y).transpose().apply(a)),
           (corner, None)]],
-        u.basis, "*")
+        lie.basis, "*")
 
 
-def semidirect_bracket(u: Algebra) -> Algebra:
-    """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a on U + U*."""
-    return _semidirect(u, None)
+def semidirect_bracket(lie: Algebra, act: Algebra) -> Algebra:
+    """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a on U + U*, the bracket of
+    lie and the action of act as in _semidirect."""
+    return _semidirect(lie, act, None)
 
 
 def twisted_structures(u: Algebra, r) -> TwistData:
@@ -257,8 +273,9 @@ def twisted_structures(u: Algebra, r) -> TwistData:
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
     n = u.dim
     ps = build_phase(u, dual)
-    triangle = semidirect_bracket(u)
-    twisted = _semidirect(u, delta.product)
+    lie = u.commutator_algebra()
+    triangle = semidirect_bracket(lie, u)
+    twisted = _semidirect(lie, u, delta.product)
 
     bracket_r = ps.extended.commutator_algebra()
     ident = Mat.identity(n)
@@ -324,9 +341,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     the full bracket.  Requires [r,r] to be ad-invariant.
     """
     r = _as_tensor2(lie, r)
-    jac = check(lie, "jacobi_antisym")
-    if not jac:
-        raise ValueError("product is not a Lie bracket: %s" % jac.line())
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
     if not r.matrix.is_antisymmetric():
         raise ValueError("r must be skew-symmetric")
     n = lie.dim
@@ -363,7 +378,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
            lambda a, y: vec_neg(mixed_dual(y, a))),
           (None, dual_bracket.product)]],
         lie.basis, "*")
-    twisted = _semidirect(lie, rr.product)
+    twisted = _semidirect(lie, lie, rr.product)
     reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),

@@ -60,17 +60,8 @@ def product(alg, u, v) -> tuple:
                  for k in range(n))
 
 
-def is_antisymmetric(alg) -> bool:
-    n = alg.dim
-    return all(alg.table[i][j] == tuple(-x for x in alg.table[j][i])
-               for i in range(n) for j in range(n))
-
-
 def bracket(alg, u, v) -> tuple:
-    """The bracket attached to a product: the product itself when it is
-    antisymmetric, the commutator otherwise."""
-    if is_antisymmetric(alg):
-        return product(alg, u, v)
+    """The commutator u.v - v.u of the product."""
     return _sub(product(alg, u, v), product(alg, v, u))
 
 
@@ -269,13 +260,14 @@ def levi_civita_table(lie, metric):
 
 
 def nijenhuis_table(a, alg):
-    """N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v] on basis pairs."""
+    """N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v] on basis pairs,
+    the product of alg read as the bracket."""
     n = alg.dim
     rows = a.row_list()
     a2 = _matmul(rows, rows)
 
     def br(u, v):
-        return bracket(alg, u, v)
+        return product(alg, u, v)
 
     table = []
     for i in range(n):
@@ -288,6 +280,64 @@ def nijenhuis_table(a, alg):
             row.append(_add(t, _matvec(a2, br(u, v))))
         table.append(row)
     return table
+
+
+# -- r-matrices on a left-symmetric algebra ------------------------------------
+
+def dual_product_table(alg, rm):
+    """<a.b, e_k> = r(L_k^t a, b) + r(a, ad_k^t b) on the basis covectors,
+    L and ad the left multiplications of the product and of its
+    commutator, r(a, b) = a^t R b: table[a][b] is the vector a.b."""
+    n = alg.dim
+    rows = rm.row_list()
+    cols = [[rows[p][b] for p in range(n)] for b in range(n)]
+    cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        lk, adk = left_mult(alg, _basis(n, k)), ad(alg, _basis(n, k))
+        for a in range(n):
+            for b in range(n):
+                # L_k^t e_a is row a of L_k, ad_k^t e_b is row b of ad_k
+                cells[a][b][k] = (dense_dot(lk[a], cols[b])
+                                  + dense_dot(rows[a], adk[b]))
+    return tuple(tuple(tuple(cell) for cell in row) for row in cells)
+
+
+def delta_table(alg, rm):
+    """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] on the basis
+    covectors, r_# = R^t, [a,b] the commutator of the dual product and
+    [x,y] that of alg."""
+    n = alg.dim
+    rows = rm.row_list()
+    dual = dual_product_table(alg, rm)
+    sharp = [[rows[p][q] for p in range(n)] for q in range(n)]   # R^t
+
+    def cell(a, b):
+        br_dual = _sub(dual[a][b], dual[b][a])
+        return _sub(_matvec(sharp, br_dual),
+                    bracket(alg, rows[a], rows[b]))
+    return tuple(tuple(cell(a, b) for b in range(n)) for a in range(n))
+
+
+def is_quasi_s(alg, rm):
+    """L_X S + S L_X^t == 0 for the skew part S of R, and Delta(r)
+    invariant: for every basis X, L_X applied to each of the first two
+    slots of Delta(r) and ad_X to the third sum to zero."""
+    n = alg.dim
+    rows = rm.row_list()
+    skew = [[(rows[i][j] - rows[j][i]) / 2 for j in range(n)]
+            for i in range(n)]
+    d = delta_table(alg, rm)
+    for m in range(n):
+        lm, adm = left_mult(alg, _basis(n, m)), ad(alg, _basis(n, m))
+        ls = _matmul(lm, skew)            # S L_X^t is minus its transpose
+        if any(ls[i][j] - ls[j][i] for i in range(n) for j in range(n)):
+            return False
+        for a, b, c in itertools.product(range(n), repeat=3):
+            s = sum((lm[a][p] * d[p][b][c] + lm[b][p] * d[a][p][c]
+                     + adm[c][p] * d[a][b][p] for p in range(n)), ZERO)
+            if s:
+                return False
+    return True
 
 
 # -- the exact kernel and constructions -----------------------------------------

@@ -47,7 +47,9 @@ def _omega2():
 
 def _quasi_s_instances():
     """Deterministic seeded search for quasi-S tensors over the catalog
-    algebras plus the Heisenberg bracket viewed as a product."""
+    algebras plus the Heisenberg bracket viewed as a product.  Dense
+    draws are never quasi-S on the Heisenberg product, so it also gets
+    r = 0 and draws with zero entries."""
     rng = random.Random(7)
     algebras = [entry.alg for entry in catalog_algebras()] + [_heis()]
     found = []
@@ -58,6 +60,14 @@ def _quasi_s_instances():
                                         for _ in range(n * n)]))
             if classify_r(alg, r).is_quasi_s:
                 found.append((alg, r))
+    heis = _heis()
+    found.append((heis, Tensor2(heis, Mat.zeros(3, 3))))
+    for _ in range(10):
+        r = Tensor2(heis, Mat(3, 3, [rand_fraction(rng, 2)
+                                     if rng.random() < 0.5 else Fraction(0)
+                                     for _ in range(9)]))
+        if classify_r(heis, r).is_quasi_s:
+            found.append((heis, r))
     return found
 
 
@@ -70,7 +80,8 @@ def test_criterion_01_catalog_conformance():
                 assert check(alg, "left_symmetric")
                 assert is_invariant_form(omega, alg)
             nab = canonical("dim2_nonabelian", {"a": a})["alg"]
-            assert nab.bracket(basis_vec(2, 0), basis_vec(2, 1)) == \
+            assert nab.commutator_algebra().product(
+                basis_vec(2, 0), basis_vec(2, 1)) == \
                 (2 * a, Fraction(0))
     _run(1, "dim-2 catalog families: left symmetric, omega-invariant,"
             " [e1,e2] = 2a e1", body)
@@ -115,8 +126,8 @@ def test_criterion_03_xi_isomorphism():
                 for j in range(n):
                     ei = tuple(Fraction(k == i) for k in range(n))
                     ej = tuple(Fraction(k == j) for k in range(n))
-                    lhs = tuple(xi.apply(tw.twisted.bracket(ei, ej)))
-                    rhs = tuple(tw.bracket_r.bracket(tuple(xi.col(i)),
+                    lhs = tuple(xi.apply(tw.twisted.product(ei, ej)))
+                    rhs = tuple(tw.bracket_r.product(tuple(xi.col(i)),
                                                      tuple(xi.col(j))))
                     assert lhs == rhs
     _run(3, "xi intertwines the twisted bracket and the r-bracket on"
@@ -134,6 +145,8 @@ def test_criterion_04_para_kahler_certificates():
         # (ii) every quasi-S instance found in the seeded search
         instances = _quasi_s_instances()
         assert len(instances) >= 50
+        assert any(alg == _heis() and not r.matrix.is_zero()
+                   for alg, r in instances)
         for alg, r in instances:
             assert twisted_structures(alg, r).cert.passed
         # (iii) flat double of the quadratic builder: total dimension 16
@@ -202,7 +215,7 @@ def test_criterion_07_operator_identities():
             for i in range(n):
                 for j in range(n):
                     assert got.table[i][j] == tuple(
-                        lie.bracket(basis_vec(n, i), basis_vec(n, j)))
+                        lie.product(basis_vec(n, i), basis_vec(n, j)))
         nab = canonical("dim2_nonabelian", {"a": 1})["alg"]
         assert delta_op(Mat.identity(2), nab).is_zero()
         assert o_op(Mat.identity(2), nab).is_zero()

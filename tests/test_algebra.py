@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import oracle_routes as oracle
-from lsaforge import (Algebra, Endo, Mat, check, invariance_check,
-                      is_derivation, product_subspaces)
+from lsaforge import (Algebra, Endo, InternalInconsistency, Mat, check,
+                      invariance_check, is_derivation, product_subspaces)
+from lsaforge import algebra
 from lsaforge.algebra import associator, algebra_tensor, curvature, endo_tensor
 from lsaforge.exact import basis_vec
 
@@ -25,8 +26,28 @@ def test_predicates_on_fixtures(aff, heis, nab_lsa, ab_lsa):
 
 def test_bracket_and_ad(aff):
     x, y = basis_vec(2, 0), basis_vec(2, 1)
-    assert aff.bracket(x, y) == (Fraction(1), Fraction(0))
-    assert aff.ad(y).apply(x) == (Fraction(-1), Fraction(0))
+    assert aff.product(x, y) == (Fraction(1), Fraction(0))
+    assert aff.left_mult(y).apply(x) == (Fraction(-1), Fraction(0))
+
+
+@pytest.mark.parametrize("table,jacobi,message", [
+    # the Heisenberg product: Lie admissible, its Jacobi route made to fail
+    ([[(0, 0, 0), (0, 0, 1), (0, 0, 0)], [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+      [(0, 0, 0)] * 3], (0, 1, 2),
+     "cyclic curvature sum: PASS; commutator Jacobi: FAIL witness=(0, 1, 2)"),
+    # e1.e2 = e3, e2.e3 = e1, e3.e1 = e1: not Lie admissible, its Jacobi
+    # route made to pass
+    ([[(0, 0, 0), (0, 0, 1), (0, 0, 0)], [(0, 0, 0), (0, 0, 0), (1, 0, 0)],
+      [(1, 0, 0), (0, 0, 0), (0, 0, 0)]], None,
+     "cyclic curvature sum: FAIL witness=(0, 1, 2); commutator Jacobi: PASS"),
+], ids=["jacobi_fails", "jacobi_passes"])
+def test_lie_admissible_disagreement_names_both_routes(monkeypatch, table,
+                                                       jacobi, message):
+    monkeypatch.setattr(algebra, "_jacobi_witness", lambda br: jacobi)
+    with pytest.raises(InternalInconsistency) as err:
+        check(Algebra(table), "lie_admissible")
+    assert str(err.value) == ("cyclic curvature sum and commutator Jacobi "
+                              "check disagree: " + message)
 
 
 def test_conjugate_preserves_predicates(nab_lsa):
@@ -54,13 +75,13 @@ def test_product_subspaces(nab_lsa, ab_lsa):
 def test_bracket_tensor_invariance(aff, heis, sl2):
     for lie in (aff, heis, sl2):
         tensor = algebra_tensor(
-            Algebra.from_function(lie.basis, lie.bracket))
+            Algebra.from_function(lie.basis, lie.product))
         assert invariance_check(tensor, ("ad_dual", "ad_dual", "ad"), lie)
 
 
 def test_ad_is_derivation(sl2):
     for i in range(3):
-        assert is_derivation(sl2.ad(basis_vec(3, i)), sl2)
+        assert is_derivation(sl2.left_mult(basis_vec(3, i)), sl2)
 
 
 def test_associator_and_curvature(ab_lsa):
@@ -140,25 +161,27 @@ def test_memoized_values_match_fresh_ones(name, request):
     es = [basis_vec(n, i) for i in range(n)]
     general = tuple(Fraction(k + 1, 2 - k % 2) for k in range(n))
     vectors = es + [general]
-    fresh_bracket = Algebra(
+    fresh_commutator = Algebra(
         [[oracle.bracket(alg, ei, ej) for ej in es] for ei in es], alg.basis)
     # the first pass fills the memo, the second reads it
     for _ in range(2):
-        assert alg.bracket_algebra() == fresh_bracket
+        comm = alg.commutator_algebra()
+        assert comm == fresh_commutator
         for u in vectors:
             assert alg.left_mult(u).row_list() == oracle.left_mult(alg, u)
-            assert alg.ad(u).row_list() == oracle.ad(alg, u)
+            assert comm.left_mult(u).row_list() == oracle.ad(alg, u)
             for v in vectors:
-                assert alg.bracket(u, v) == oracle.bracket(alg, u, v)
+                assert comm.product(u, v) == oracle.bracket(alg, u, v)
     assert alg.left_mults() == tuple(alg.left_mult(e) for e in es)
 
 
 def test_memo_keeps_algebra_immutable_and_out_of_equality(nab_lsa):
     fresh = Algebra(nab_lsa.table, nab_lsa.basis)
     nab_lsa.left_mults()
-    nab_lsa.bracket_algebra()
+    nab_lsa.commutator_algebra()
     for attr in ("dim", "table", "_lefts", "_bracket"):
         with pytest.raises(AttributeError):
             setattr(nab_lsa, attr, None)
     assert nab_lsa == fresh and hash(nab_lsa) == hash(fresh)
-    assert nab_lsa.bracket_algebra() == fresh.bracket_algebra()
+    assert nab_lsa.commutator_algebra() is nab_lsa.commutator_algebra()
+    assert nab_lsa.commutator_algebra() == fresh.commutator_algebra()

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -329,7 +330,7 @@ def test_build_target_passes(capsys, tmp_path, what, flags, make, dim, line):
                            "check disagree"),
      "cyclic curvature sum and commutator Jacobi check disagree"),
     (KeyError("e3"), "'e3'"),
-    (ZeroDivisionError(), "ZeroDivisionError"),
+    (ZeroDivisionError(), ""),
 ], ids=["internal_inconsistency", "key_error", "no_message"])
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch,
                                                   nab_file, exc, message):
@@ -340,7 +341,10 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch,
     capsys.readouterr()   # drop fixture output
     code, out, err = go(capsys, ["check", nab_file, "--pred", "abelian"])
     assert code == 3
-    assert err.splitlines() == ["internal error: %s" % message]
+    where = "%s:%d" % (os.path.basename(__file__),
+                       broken.__code__.co_firstlineno + 1)
+    assert err.splitlines() == ["internal error: %s at %s%s" % (
+        type(exc).__name__, where, message and ": " + message)]
     assert "Traceback" not in out + err
 
 

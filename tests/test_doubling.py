@@ -71,7 +71,7 @@ def test_yb_identity_recovers_bracket(aff, sl2):
         for i in range(n):
             for j in range(n):
                 assert got.table[i][j] == \
-                    tuple(lie.bracket(basis_vec(n, i), basis_vec(n, j)))
+                    tuple(lie.product(basis_vec(n, i), basis_vec(n, j)))
 
 
 def test_delta_o_of_identity_vanish(nab_lsa):

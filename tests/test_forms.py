@@ -45,7 +45,7 @@ def test_levi_civita_properties(aff, sl2):
     g = Bilinear(Mat.identity(2), "symmetric")
     prod = levi_civita(aff, g)
     # commutator of the connection product recovers the bracket
-    assert prod.commutator_algebra() == aff.bracket_algebra()
+    assert prod.commutator_algebra() == aff
     # metric compatibility: left multiplications are g-skew
     for i in range(2):
         lm = prod.left_mult(basis_vec(2, i))

@@ -86,6 +86,8 @@ def _build_inputs():
             tensors={"b": Mat.from_rows([[0, 0, 1], [0, 0, 0],
                                          [-1, 0, 0]])}),
         "derphase_in.json": dump_structure(graded, endos={"d": deriv}),
+        "twist_heis_in.json": dump_structure(
+            heis, tensors={"r": Mat.zeros(3, 3)}),
     }
 
 
@@ -115,6 +117,7 @@ def _commands():
         ("flatdouble", "flatdouble_in.json", []),
         ("cybe", "cybe_in.json", []),
         ("derphase", "derphase_in.json", []),
+        ("twist-heis", "twist_heis_in.json", []),
     ]
     for name, source, flags in builds:
         cases.append(("build-" + name,

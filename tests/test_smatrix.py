@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_routes as oracle
 from lsaforge import (InternalInconsistency, Mat, Tensor2, check, classify_r,
-                      coadjoint_double, twisted_structures)
+                      coadjoint_double, dual_product_from_r,
+                      graded_tensor_algebra, twisted_structures)
+from lsaforge import smatrix
 from lsaforge.catalog import catalog_algebras, rand_fraction
 from lsaforge.smatrix import rr_bracket, rr_delta_agree, delta_r, \
     semidirect_bracket
@@ -61,8 +64,8 @@ def test_twisted_xi_conjugates_brackets():
                                for k in range(n))
                     ej = tuple(Fraction(1) if k == j else Fraction(0)
                                for k in range(n))
-                    lhs = xi.apply(tw.twisted.bracket(ei, ej))
-                    rhs = tw.bracket_r.bracket(tuple(xi.col(i)),
+                    lhs = xi.apply(tw.twisted.product(ei, ej))
+                    rhs = tw.bracket_r.product(tuple(xi.col(i)),
                                                tuple(xi.col(j)))
                     assert tuple(lhs) == tuple(rhs)
             found += 1
@@ -94,7 +97,7 @@ def test_coadjoint_double_modified_solution(heis):
 
 def test_semidirect_bracket_jacobi(nab_lsa, ab_lsa):
     for alg in (nab_lsa, ab_lsa):
-        big = semidirect_bracket(alg)
+        big = semidirect_bracket(alg.commutator_algebra(), alg)
         assert check(big, "jacobi_antisym")
         assert big.dim == 2 * alg.dim
 
@@ -108,13 +111,66 @@ def test_tensor2_parts(nab_lsa):
     assert t.r_sharp == m.transpose()
 
 
-@pytest.mark.xfail(strict=True, raises=InternalInconsistency,
-                   reason="fault F1: the bracket of an antisymmetric "
-                          "left-symmetric product is taken to be the product, "
-                          "not the commutator")
 def test_heisenberg_product_r0_twist_certifies(heis):
     # the Heisenberg product is left symmetric and r = 0 is quasi-S
     assert check(heis, "left_symmetric")
     r = Tensor2(heis, Mat.zeros(3, 3))
     assert classify_r(heis, r).is_quasi_s
     assert twisted_structures(heis, r).cert.passed
+
+
+def _antisymmetric_lsas(heis, aff):
+    """Nonzero left-symmetric products that are antisymmetric: their
+    bracket is the commutator, twice the product."""
+    return (heis, graded_tensor_algebra(aff, 2)[0])
+
+
+def _sparse_tensor(rng, alg):
+    n = alg.dim
+    return Tensor2(alg, Mat(n, n, [rng.choice((-1, 1, 2, Fraction(1, 2)))
+                                   if rng.random() < 0.3 else 0
+                                   for _ in range(n * n)]))
+
+
+def test_antisymmetric_lsa_matches_commutator_oracle(heis, aff):
+    rng = random.Random(31)
+    for alg in _antisymmetric_lsas(heis, aff):
+        assert check(alg, "left_symmetric") and not alg.is_zero()
+        n = alg.dim
+        draws = [Tensor2(alg, Mat.zeros(n, n))] + \
+            [_sparse_tensor(rng, alg) for _ in range(12)]
+        verdicts = []
+        for r in draws:
+            assert dual_product_from_r(alg, r).table == \
+                oracle.dual_product_table(alg, r.matrix)
+            assert delta_r(alg, r).table == oracle.delta_table(alg, r.matrix)
+            verdicts.append(classify_r(alg, r).is_quasi_s)
+            assert verdicts[-1] == oracle.is_quasi_s(alg, r.matrix)
+        assert verdicts[0] and any(verdicts[1:]) and not all(verdicts)
+
+
+def test_antisymmetric_lsa_twists_certify(heis, aff):
+    rng = random.Random(32)
+    for alg in _antisymmetric_lsas(heis, aff):
+        n = alg.dim
+        zero = twisted_structures(alg, Tensor2(alg, Mat.zeros(n, n)))
+        assert zero.cert.passed
+        assert zero.bracket_r == zero.triangle
+        r = next(r for r in (_sparse_tensor(rng, alg) for _ in range(50))
+                 if not r.matrix.is_zero() and classify_r(alg, r).is_quasi_s)
+        assert twisted_structures(alg, r).cert.passed
+
+
+def test_rr_delta_disagreement_names_both_routes(monkeypatch, nab_lsa):
+    def corrupted(u, r):
+        out = rr_bracket(u, r)
+        out[0][1][1] += 1
+        return out
+
+    monkeypatch.setattr(smatrix, "rr_bracket", corrupted)
+    with pytest.raises(InternalInconsistency) as err:
+        classify_r(nab_lsa, Tensor2(nab_lsa, Mat.zeros(2, 2)))
+    assert str(err.value) == (
+        "Delta(r) and [[r,r]] pairing disagree at (0, 1, 1): "
+        "[[r,r]] == 0 by the five-term bracket: FAIL witness=(0, 1, 1); "
+        "[[r,r]] == 0 by the pairing with Delta(r): PASS")

@@ -5,7 +5,7 @@ from lsaforge import LieTriple
 
 def test_double_bracket_is_lie_triple(sl2):
     lts = LieTriple.from_function(
-        3, lambda x, y, z: sl2.bracket(sl2.bracket(x, y), z))
+        3, lambda x, y, z: sl2.product(sl2.product(x, y), z))
     cert = lts.check()
     assert cert.passed
     assert {r.name for r in cert.reports} == \
