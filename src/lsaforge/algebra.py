@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exact import (Mat, Subspace, ZERO, basis_vec, common_denominator,
-                    is_zero_vec, vec, vec_add, vec_scale, vec_sub, zero_vec)
+from math import lcm
+
+from .exact import (Mat, Subspace, _as_fractions, _int_apply, basis_vec,
+                    common_denominator, is_zero_vec, vec, vec_add, vec_scale,
+                    vec_sub, zero_vec)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
@@ -29,11 +32,16 @@ def _default_basis(n: int) -> Tuple[str, ...]:
     return tuple("e%d" % (i + 1) for i in range(n))
 
 
+def _sparse(ints) -> list:
+    """The nonzero (i, x) of a dense vector."""
+    return [(i, x) for i, x in enumerate(ints) if x]
+
+
 def _int_vec(v: Sequence) -> tuple:
     """(D, [(i, D v_i) for the nonzero v_i]) for a rational vector v, D
     the least common denominator of its entries."""
     den, ints = common_denominator(v)
-    return den, [(i, x) for i, x in enumerate(ints) if x]
+    return den, _sparse(ints)
 
 
 def _int_product(cells, left, right) -> list:
@@ -53,6 +61,13 @@ def _int_product(cells, left, right) -> list:
             for k, z in row[j]:
                 out[k] += c * z
     return out
+
+
+def _left_slot(cells, vecs) -> list:
+    """The table of the products v . e_b, cells sparse, for the sparse
+    integer vectors v of vecs: the first slot step of a basis change."""
+    return [[_sparse(_int_product(cells, v, ((b, 1),)))
+             for b in range(len(cells))] for v in vecs]
 
 
 class Algebra:
@@ -143,9 +158,7 @@ class Algebra:
         den, cells = self._int_view()
         du, left = _int_vec(u)
         dv, right = _int_vec(v)
-        scale = den * du * dv
-        return tuple(Fraction(x, scale) if x else ZERO
-                     for x in _int_product(cells, left, right))
+        return _as_fractions(_int_product(cells, left, right), den * du * dv)
 
     def left_mults(self) -> Tuple[Mat, ...]:
         """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j."""
@@ -222,26 +235,14 @@ class Algebra:
             raise ValueError("basis matrix must be invertible of matching "
                              "size") from None
         den, cells = self._int_view()
-        dp, pi = common_denominator(p.data)
-        dq, qi = common_denominator(pinv.data)
-        scale = den * dp * dp * dq
-        cols = [[(a, pi[a * n + i]) for a in range(n) if pi[a * n + i]]
-                for i in range(n)]                      # p e_i, as ints
-        qrows = [qi[m * n:(m + 1) * n] for m in range(n)]
+        dp, cols = p.transpose()._int_view()            # p e_i, as ints
+        dq, qrows = pinv._int_view()
         # (p e_i) . e_b, a table in its own right, then (p e_i) . (p e_j)
         # as the product of e_i and p e_j over it, then p^-1 of that
-        left = [[_int_vec(_int_product(cells, cols[i], ((b, 1),)))[1]
-                 for b in range(n)] for i in range(n)]
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                both = _int_product(left, ((i, 1),), cols[j])
-                row.append(tuple(
-                    Fraction(s, scale)
-                    if (s := sum(a * b for a, b in zip(q, both))) else ZERO
-                    for q in qrows))
-            table.append(row)
+        left = _left_slot(cells, cols)
+        table = [[_as_fractions(_int_apply(qrows, _int_product(
+            left, ((i, 1),), cols[j])), den * dp * dp * dq)
+            for j in range(n)] for i in range(n)]
         return Algebra(table, self.basis)
 
 
@@ -281,16 +282,33 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     """Torsion N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v] of the
     Lie algebra alg, whose product is the bracket; pass
     `commutator_algebra()` for the torsion of another product's bracket.
+    On basis pairs it is [Ae_i,Ae_j] + A(A[e_i,e_j] - [Ae_i,e_j] -
+    [e_i,Ae_j]): slot contractions of the integer view with the integer
+    entries of A, over the one denominator D d_A^2.
     """
-    m = _mat(a)
-    m2 = m * m
-    br = alg.product
-
-    def torsion(u, v):
-        au, av = m.apply(u), m.apply(v)
-        return vec_add(vec_sub(vec_sub(br(au, av), m.apply(br(au, v))),
-                               m.apply(br(u, av))), m2.apply(br(u, v)))
-    return Algebra.from_function(alg.basis, torsion)
+    n = alg.dim
+    den, cells = alg._int_view()
+    da, rows = _mat(a)._int_view()
+    cols = _mat(a).transpose()._int_view()[1]          # A e_j, as ints
+    left = _left_slot(cells, cols)                      # [A e_i, e_b]
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            # A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j] over D d_A, then A of
+            # it plus [Ae_i,Ae_j] over D d_A^2
+            inner = _int_product(cells, ((i, -1),), cols[j])
+            for k, x in left[i][j]:
+                inner[k] -= x
+            for k, x in cells[i][j]:
+                for c, y in cols[k]:
+                    inner[c] += x * y
+            outer = _int_product(left, ((i, 1),), cols[j])
+            row.append(_as_fractions(
+                [p + q for p, q in zip(outer, _int_apply(rows, inner))],
+                den * da * da))
+        table.append(row)
+    return Algebra(table, alg.basis)
 
 
 def is_derivation(d, alg: Algebra) -> Report:
@@ -497,31 +515,15 @@ def _flatten_tensor(t, order):
     return out
 
 
-def _slot_apply(flat, shape, slot, m: Mat):
-    """Apply matrix m to one index of a flat tensor."""
-    n = shape[slot]
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    out = [ZERO] * len(flat)
-    stride = strides[slot]
-    block = stride * n
-    for base in range(0, len(flat), block):
-        for off in range(stride):
-            col = [flat[base + a * stride + off] for a in range(n)]
-            new = m.apply(col)
-            for a in range(n):
-                out[base + a * stride + off] = new[a]
-    return out
-
-
-def _rep_matrix(tag: str, alg: Algebra, m: int) -> Mat:
-    if tag not in INVARIANCE_TAGS:
-        raise ValueError("unknown representation tag %r (expected one of %s)"
-                         % (tag, ", ".join(INVARIANCE_TAGS)))
+def _rep_columns(tag: str, alg: Algebra, m: int) -> tuple:
+    """(sign, D, cols): the representing matrix of e_m for tag is sign/D
+    times the integer matrix whose column b has the sparse entries
+    cols[b]."""
     src = alg.commutator_algebra() if tag.startswith("ad") else alg
     mat = src.left_mults()[m]
-    return -mat.transpose() if tag.endswith("_dual") else mat
+    if tag.endswith("_dual"):              # -L^t: its columns are L's rows
+        return (-1,) + mat._int_view()
+    return (1,) + mat.transpose()._int_view()
 
 
 def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
@@ -538,7 +540,10 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     twice the bracket, which leaves the verdict and witness of a check
     whose tags are all ad or ad_dual unchanged; with this convention the
     bracket tensor of a Lie algebra is annihilated exactly by
-    (ad_dual, ad_dual, ad), which is the Jacobi identity.
+    (ad_dual, ad_dual, ad), which is the Jacobi identity.  The sum is
+    taken over ints: each nonzero entry of the tensor scaled to ints is
+    spread by the integer columns of each slot's matrix, all slots over
+    one denominator.
     """
     shape = _tensor_shape(tensor)
     if len(shape) != len(reps):
@@ -546,23 +551,33 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
                          % (len(reps), len(shape)))
     if any(s != alg.dim for s in shape):
         raise ValueError("tensor index ranges must equal the algebra dimension")
-    flat = _flatten_tensor(tensor, len(shape))
+    for tag in reps:
+        if tag not in INVARIANCE_TAGS:
+            raise ValueError("unknown representation tag %r (expected one "
+                             "of %s)" % (tag, ", ".join(INVARIANCE_TAGS)))
+    n = alg.dim
+    flat = common_denominator(_flatten_tensor(tensor, len(shape)))[1]
+    support = _sparse(flat)
+    strides = [n ** (len(shape) - 1 - s) for s in range(len(shape))]
     anchor = "sum over slots of %s action == 0" % (tuple(reps),)
-    for m in range(alg.dim):
-        mats = [_rep_matrix(tag, alg, m) for tag in reps]
-        total = [ZERO] * len(flat)
-        for slot, mat in enumerate(mats):
-            contrib = _slot_apply(flat, shape, slot, mat)
-            total = [a + b for a, b in zip(total, contrib)]
-        for pos, val in enumerate(total):
-            if val != 0:
-                idx = []
-                rem = pos
-                for s in reversed(shape):
-                    idx.append(rem % s)
-                    rem //= s
-                return failing(name, anchor,
-                               witness=(m,) + tuple(reversed(idx)))
+    for m in range(n):
+        slots = [_rep_columns(tag, alg, m) for tag in reps]
+        common = lcm(*(d for _, d, _ in slots))
+        total = [0] * len(flat)
+        for (sign, d, cols), stride in zip(slots, strides):
+            f = sign * (common // d)
+            for pos, x in support:
+                b = pos // stride % n
+                base = pos - b * stride
+                for a, y in cols[b]:
+                    total[base + a * stride] += f * x * y
+        pos = next((p for p, val in enumerate(total) if val), None)
+        if pos is not None:
+            idx = []
+            for s in reversed(shape):
+                idx.append(pos % s)
+                pos //= s
+            return failing(name, anchor, witness=(m,) + tuple(reversed(idx)))
     return passing(name, anchor)
 
 

@@ -20,7 +20,8 @@ from .exact import Mat, basis_vec, vec_add, vec_neg, vec_sub
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
-                     _relabel, certify, failing, passing, require)
+                     _relabel, certify, failing, passing, require,
+                     routes_disagree)
 from .smatrix import Tensor2, classify_r, twisted_structures
 from .triple import LieTriple
 
@@ -63,9 +64,11 @@ def is_compatible(bullet: Algebra, circ: Algebra) -> Report:
     witness = _compat_witness(bullet, circ)
     via_double = check(tu_product(bullet, circ), "lie_admissible")
     if (witness is None) != bool(via_double):
-        raise InternalInconsistency(
+        raise routes_disagree(
             "mixed-curvature symmetry and double-product Lie-admissibility"
-            " disagree")
+            " disagree", [("mixed-curvature symmetry", witness),
+                          ("double-product Lie-admissibility",
+                           via_double.witness)])
     anchor = "K(x,y)z == K(z,y)x and K(x,y)z == K(x,z)y"
     if witness is None:
         return passing("is_compatible", anchor)
@@ -114,14 +117,15 @@ def double_j(n: int) -> Mat:
     return Mat.block([[zero, -ident], [ident, zero]])
 
 
-def is_abelian_structure(lie: Algebra, s: Mat, para: bool = False) -> bool:
-    """Abelian complex structure: [Sx, Sy] == [x, y]; abelian
-    para-complex structure (para=True): [Sx, Sy] == -[x, y]."""
+def _abelian_witness(lie: Algebra, s: Mat, para: bool = False):
+    """The first basis pair breaking [Sx, Sy] == [x, y] (S an abelian
+    complex structure), or [Sx, Sy] == -[x, y] with para=True (an
+    abelian para-complex structure); None where S is abelian."""
     n = lie.dim
     sign = Fraction(-1 if para else 1)
-    return all(lie.product(s.apply(basis_vec(n, i)), s.apply(basis_vec(n, j)))
-               == tuple(sign * c for c in lie.table[i][j])
-               for i in range(n) for j in range(n))
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if lie.product(s.col(i), s.col(j))
+                 != tuple(sign * c for c in lie.table[i][j])), None)
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,17 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
                                 j1 * j1 == -Mat.identity(2 * n), "J1.J1 == -Id"))
     reports.append(_bool_report("anticommute", j1 * k1 == -(k1 * j1),
                                 "J1.K1 == -K1.J1"))
-    k_ab = is_abelian_structure(lie, k1, para=True)
-    j_ab = is_abelian_structure(lie, j1)
-    both_comm = bool(check(bullet, "commutative")) \
-        and bool(check(circ, "commutative"))
-    if not (k_ab == j_ab == both_comm):
-        raise InternalInconsistency(
-            "abelianness of K1, of J1 and commutativity of the pair differ")
+    first, second = check(bullet, "commutative"), check(circ, "commutative")
+    comm = (("first",) + first.witness if not first
+            else None if second else ("second",) + second.witness)
+    both_comm = comm is None
+    verdicts = [("K1 abelian", _abelian_witness(lie, k1, para=True)),
+                ("J1 abelian", _abelian_witness(lie, j1)),
+                ("both products commutative", comm)]
+    if any((w is None) != both_comm for _, w in verdicts):
+        raise routes_disagree(
+            "abelianness of K1, of J1 and commutativity of the pair differ",
+            verdicts)
     reports.append(passing("abelian_equivalence",
                            "K1 abelian iff J1 abelian iff both products"
                            " commutative",

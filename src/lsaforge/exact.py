@@ -45,8 +45,36 @@ def common_denominator(entries: Sequence) -> tuple:
     """(D, [D x for x in entries]) with D the least common denominator of
     the rational entries, so that the scaled entries are ints."""
     den = lcm(*{x.denominator for x in entries})
-    return den, [x.numerator * (den // x.denominator) if x else 0
-                 for x in entries]
+    if den == 1:
+        return den, [x.numerator for x in entries]
+    return den, [x.numerator * (den // x.denominator) for x in entries]
+
+
+def _as_fractions(ints, den: int) -> tuple:
+    """The ints divided by den, as Fractions."""
+    return tuple(Fraction(x, den) if x else ZERO for x in ints)
+
+
+def _int_apply(rows, ints) -> list:
+    """The integer matrix with sparse rows (j, a_ij) times the dense
+    integer vector ints."""
+    out = []
+    for row in rows:
+        s = 0
+        for j, a in row:
+            s += a * ints[j]
+        out.append(s)
+    return out
+
+
+def _int_combine(rows, coeffs, width: int) -> list:
+    """sum x rows[k] over the sparse coefficients (k, x), for sparse
+    integer rows of length width: the vector-matrix product."""
+    out = [0] * width
+    for k, x in coeffs:
+        for j, y in rows[k]:
+            out[j] += x * y
+    return out
 
 
 def _primitive(row: list) -> list:
@@ -143,9 +171,13 @@ def is_zero_vec(u: Sequence) -> bool:
 
 
 class Mat:
-    """An immutable matrix over the rationals (row-major)."""
+    """An immutable matrix over the rationals (row-major).
 
-    __slots__ = ("rows", "cols", "data")
+    The integer view of the entries and the transpose are computed on
+    first use and kept on the object; equality and hashing ignore them.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_ints", "_t")
 
     def __init__(self, rows: int, cols: int, data: Iterable):
         data = tuple(_q(x) for x in data)
@@ -154,6 +186,8 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_t", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -166,7 +200,20 @@ class Mat:
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "data", data)
+        object.__setattr__(m, "_ints", None)
+        object.__setattr__(m, "_t", None)
         return m
+
+    def _int_view(self) -> tuple:
+        """(D, rows): D the least common denominator of the entries,
+        rows[i] the nonzero (j, D a_ij) of row i as ints."""
+        if self._ints is None:
+            den, flat = common_denominator(self.data)
+            c = self.cols
+            object.__setattr__(self, "_ints", (den, tuple(
+                tuple((j, x) for j, x in enumerate(flat[i * c:i * c + c]) if x)
+                for i in range(self.rows))))
+        return self._ints
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -258,48 +305,30 @@ class Mat:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        da, arows = self._int_view()
+        db, brows = other._int_view()
         out = []
-        orows = [other.row(k) for k in range(other.rows)]
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [ZERO] * other.cols
-            for k, coeff in enumerate(srow):
-                if coeff:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += coeff * orow[j]
-            out.extend(acc)
+        for arow in arows:
+            out.extend(_as_fractions(_int_combine(brows, arow, other.cols),
+                                     da * db))
         return Mat._of(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product; zero entries of v and of the matrix are
-        skipped."""
-        cols = self.cols
-        if len(v) != cols:
+        """Matrix-vector product, over the integer view of the matrix and
+        v scaled to ints."""
+        if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        data = self.data
-        support = [(j, b) for j, b in enumerate(v) if b]
-        out = []
-        for i in range(self.rows):
-            base = i * cols
-            s = ZERO
-            for j, b in support:
-                a = data[base + j]
-                if a:
-                    s += a * b
-            out.append(s)
-        return tuple(out)
+        den, rows = self._int_view()
+        dv, ints = common_denominator(v)
+        return _as_fractions(_int_apply(rows, ints), den * dv)
 
     def transpose(self) -> "Mat":
-        return Mat._of(self.cols, self.rows,
-                       tuple(self.data[i * self.cols + j]
-                             for j in range(self.cols)
-                             for i in range(self.rows)))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), ZERO)
+        """The transpose, computed once and kept on the matrix."""
+        if self._t is None:
+            r, c = self.rows, self.cols
+            object.__setattr__(self, "_t", Mat._of(c, r, tuple(
+                self.data[i * c + j] for j in range(c) for i in range(r))))
+        return self._t
 
     def is_zero(self) -> bool:
         return not any(self.data)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, check
-from .exact import Mat, basis_vec, common_denominator, dot, vec_sub
+from .exact import (Mat, _as_fractions, _int_apply, _int_combine,
+                    common_denominator, dot)
 from .report import Report, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -49,14 +50,6 @@ class Bilinear:
 
     def is_nondegenerate(self) -> bool:
         return self.matrix.is_invertible()
-
-    def flat(self, v):
-        """The covector b(v, .) in coordinates."""
-        return self.matrix.transpose().apply(v)
-
-    def sharp(self, alpha):
-        """Inverse of flat; requires nondegeneracy."""
-        return self.matrix.transpose().inverse().apply(alpha)
 
 
 def is_two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
@@ -111,44 +104,34 @@ def a_product(lie: Algebra, omega: Bilinear) -> Algebra:
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("form must be skew and nondegenerate")
     require(is_two_cocycle(omega, lie), "form is not a two-cocycle")
-    n = lie.dim
     gt = omega.matrix.transpose()
     gt_inv = gt.inverse()
-    table = []
-    for i in range(n):
-        ad_t = lie.left_mult(basis_vec(n, i)).transpose()
-        row = []
-        for j in range(n):
-            rhs = ad_t.apply(gt.apply(basis_vec(n, j)))
-            row.append(tuple(-x for x in gt_inv.apply(rhs)))
-        table.append(row)
-    return Algebra(table, lie.basis)
+    # cell (i, j) is -gt^-1 ad_{e_i}^t gt e_j: column j of a product
+    ms = [-(gt_inv * li.transpose() * gt) for li in lie.left_mults()]
+    return Algebra([[m.col(j) for j in range(lie.dim)] for m in ms],
+                   lie.basis)
 
 
 def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     """The Levi-Civita product of a pseudo-metric on a Lie algebra.
 
     2<u.v,w> = <[u,v],w> + <[w,u],v> + <[w,v],u>.  Its commutator is the
-    bracket, and left multiplications are skew for the metric.
+    bracket, and left multiplications are skew for the metric.  The
+    integer view of the bracket is contracted with the integer Gram
+    matrix, and the integer inverse applied last.
     """
     if metric.kind != "symmetric" or not metric.is_nondegenerate():
         raise ValueError("metric must be symmetric and nondegenerate")
     require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
     n = lie.dim
-    m = metric.matrix
-    m_inv = m.inverse()
-    half = Fraction(1, 2)
-    # column j of ad_t[i] is ad_{e_i}^t M e_j, the covector <[e_i, .], e_j>
-    ad_t = [li.transpose() * m for li in lie.left_mults()]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cov = vec_sub(vec_sub(m.apply(lie.table[i][j]), ad_t[i].col(j)),
-                          ad_t[j].col(i))
-            row.append(tuple(half * x for x in m_inv.apply(cov)))
-        table.append(row)
-    return Algebra(table, lie.basis)
+    den, cells = lie._int_view()
+    dg, grows = metric.matrix._int_view()
+    di, irows = metric.matrix.inverse()._int_view()
+    # gc[i][j][w] = D d_G <[e_i,e_j], e_w>, the cell times G (symmetric)
+    gc = [[_int_combine(grows, cell, n) for cell in row] for row in cells]
+    return Algebra([[_as_fractions(_int_apply(irows, [
+        gc[i][j][w] + gc[w][i][j] + gc[w][j][i] for w in range(n)]),
+        2 * den * dg * di) for j in range(n)] for i in range(n)], lie.basis)
 
 
 def is_flat(lie: Algebra, metric: Bilinear) -> Report:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, check, nijenhuis
-from .exact import Mat, Subspace, ZERO, basis_vec, dot, vec_neg, vec_sub
+from .exact import Mat, Subspace, basis_vec, dot, vec_neg, vec_sub
 from .forms import Bilinear, is_two_cocycle, levi_civita
-from .report import (Certificate, InternalInconsistency, Report, _bool_report,
-                     _relabel, failing, passing)
+from .report import (Certificate, Report, _bool_report, _relabel, failing,
+                     passing, routes_disagree)
 
 
 @dataclass(frozen=True)
@@ -119,57 +119,38 @@ def is_lie_extendible(u: Algebra, dual: Algebra) -> Report:
     witness = _extendible_witness(ps)
     direct = check(ps.extended, "lie_admissible")
     if (witness is None) != bool(direct):
-        raise InternalInconsistency(
-            "rho-symmetry and extended-product Lie-admissibility disagree")
+        raise routes_disagree(
+            "rho-symmetry and extended-product Lie-admissibility disagree",
+            [("rho-symmetry", witness),
+             ("extended-product Lie-admissibility", direct.witness)])
     anchor = "rho(X,a)Y == rho(Y,a)X and rho*(a,X)b == rho*(b,X)a"
     if witness is None:
         return passing("is_lie_extendible", anchor)
     return failing("is_lie_extendible", anchor, witness=witness)
 
 
-def _dualized(alg: Algebra):
-    """xi(e_k) in U x U coordinates: xi_k[a][b] = <e_a* . e_b*, e_k>."""
-    n = alg.dim
-    return [[[alg.table[a][b][k] for b in range(n)] for a in range(n)]
-            for k in range(n)]
-
-
-def _psi_apply(t, l_mat: Mat, ad_mat: Mat):
-    """(L (x) ad) action: apply l to the first index, ad to the second."""
-    n = l_mat.rows
-    out = [[ZERO] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            s = ZERO
-            for r in range(n):
-                if l_mat[p, r]:
-                    s += l_mat[p, r] * t[r][q]
-                if ad_mat[q, r]:
-                    s += ad_mat[q, r] * t[p][r]
-            out[p][q] = s
-    return out
-
-
 def _cocycle_witness(alg: Algebra, other: Algebra):
     """1-cocycle law for the dualization of `other` against `alg`:
 
-    xi([X,Y]) == Psi(X) xi(Y) - Psi(Y) xi(X),  Psi = L (x) ad of alg.
+    xi([X,Y]) == Psi(X) xi(Y) - Psi(Y) xi(X),  Psi = L (x) ad of alg,
+
+    with xi(e_k) the matrix xi_k and Psi(X) t = L_X t + t ad_X^t.
     """
     n = alg.dim
-    xi = _dualized(other)
+    xi = [Mat(n, n, [cell[k] for row in other.table for cell in row])
+          for k in range(n)]
     ls = alg.left_mults()
     ads = alg.commutator_algebra().left_mults()
     for i in range(n):
         for j in range(i + 1, n):
             br = vec_sub(alg.table[i][j], alg.table[j][i])
-            lhs = [[sum((br[k] * xi[k][p][q] for k in range(n)), ZERO)
-                    for q in range(n)] for p in range(n)]
-            rhs_a = _psi_apply(xi[j], ls[i], ads[i])
-            rhs_b = _psi_apply(xi[i], ls[j], ads[j])
-            for p in range(n):
-                for q in range(n):
-                    if lhs[p][q] != rhs_a[p][q] - rhs_b[p][q]:
-                        return (i, j, p, q)
+            lhs = Mat(n, n, [dot(br, cell) for row in other.table
+                             for cell in row])
+            diff = (lhs - ls[i] * xi[j] - xi[j] * ads[i].transpose()
+                    + ls[j] * xi[i] + xi[i] * ads[j].transpose())
+            bad = next((c for c, x in enumerate(diff.data) if x), None)
+            if bad is not None:
+                return (i, j) + divmod(bad, n)
     return None
 
 
@@ -186,8 +167,10 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
     witness = w1 if w1 is not None else (None if w2 is None else ("dual",) + w2)
     direct = is_lie_extendible(u, dual)
     if (witness is None) != bool(direct):
-        raise InternalInconsistency(
-            "1-cocycle characterization and rho-symmetry disagree")
+        raise routes_disagree(
+            "1-cocycle characterization and rho-symmetry disagree",
+            [("1-cocycle characterization", witness),
+             ("rho-symmetry", direct.witness)])
     anchor = "xi([X,Y]) == Psi(X)xi(Y) - Psi(Y)xi(X) (both sides of the duality)"
     if witness is None:
         return passing("cocycle_check", anchor)
@@ -200,6 +183,16 @@ def _eigenspace(k: Mat, val) -> Subspace:
     n = k.rows
     shifted = k - Mat.identity(n).scale(val)
     return Subspace(n, shifted.kernel_basis())
+
+
+def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
+    """m commutes with every left multiplication of the Levi-Civita
+    product lc; the witness is the first basis index where it does not."""
+    bad = next(((i,) for i, li in enumerate(lc.left_mults())
+                if li * m != m * li), None)
+    return Report("parallel_" + label.lower(), bad is None,
+                  "L_u %s == %s L_u for the Levi-Civita product"
+                  % (label, label), witness=bad)
 
 
 def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
@@ -236,14 +229,7 @@ def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
                                 (kmat.transpose() * m + m * kmat).is_zero(),
                                 "<Ku,v> + <u,Kv> == 0"))
     lc = levi_civita(lie, metric)
-    parallel = None
-    for i, li in enumerate(lc.left_mults()):
-        if li * kmat != kmat * li:
-            parallel = (i,)
-            break
-    reports.append(Report("parallel_k", parallel is None,
-                          "L_u K == K L_u for the Levi-Civita product",
-                          witness=parallel))
+    reports.append(_parallel_report(lc, kmat, "K"))
 
     torsion = nijenhuis(kmat, lie)
     reports.append(_bool_report("torsion_k", torsion.is_zero(),
@@ -296,13 +282,5 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
     torsion = nijenhuis(jmat, lie)
     reports.append(_bool_report("torsion_j", torsion.is_zero(),
                                 "N_J(u,v) == 0"))
-    lc = levi_civita(lie, metric)
-    parallel = None
-    for i, li in enumerate(lc.left_mults()):
-        if li * jmat != jmat * li:
-            parallel = (i,)
-            break
-    reports.append(Report("parallel_j", parallel is None,
-                          "L_u J == J L_u for the Levi-Civita product",
-                          witness=parallel))
+    reports.append(_parallel_report(levi_civita(lie, metric), jmat, "J"))
     return Certificate("hyper_para_kahler", tuple(reports))

@@ -2,7 +2,8 @@
 
 The library evaluates its identity checks as contractions on structure
 constants and memoized left multiplications, and its elimination, trace
-forms and changes of basis over integer numerators.  This module keeps
+forms, changes of basis, matrix products, torsions, Levi-Civita products
+and tensor invariance over integer numerators.  This module keeps
 the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.
@@ -280,6 +281,71 @@ def nijenhuis_table(a, alg):
             row.append(_add(t, _matvec(a2, br(u, v))))
         table.append(row)
     return table
+
+
+# -- representations on tensors -----------------------------------------------
+
+def _tensor_entry(tensor, index) -> Fraction:
+    for i in index:
+        tensor = tensor[i]
+    return Fraction(tensor)
+
+
+def invariance_check(tensor, reps, alg):
+    """(passed, witness) of invariance_check: for each basis X the matrix
+    of each slot's tag (L_X or ad_X, built through product, and minus
+    its transpose for a _dual tag) is applied to that index of the
+    tensor, the slots are summed, and the first nonzero entry in
+    row-major order is the witness (X, index)."""
+    n = alg.dim
+    for m in range(n):
+        mats = []
+        for tag in reps:
+            mat = (ad if tag.startswith("ad") else left_mult)(alg, _basis(n, m))
+            if tag.endswith("_dual"):
+                mat = [[-mat[b][a] for b in range(n)] for a in range(n)]
+            mats.append(mat)
+        for index in itertools.product(range(n), repeat=len(reps)):
+            s = ZERO
+            for slot, mat in enumerate(mats):
+                for b in range(n):
+                    moved = index[:slot] + (b,) + index[slot + 1:]
+                    s += mat[index[slot]][b] * _tensor_entry(tensor, moved)
+            if s:
+                return False, (m,) + index
+    return True, None
+
+
+def _psi_apply(t, l_mat, ad_mat):
+    """(L (x) ad) action on a matrix t: l on the first index, ad on the
+    second."""
+    n = len(t)
+    return [[sum((l_mat[p][r] * t[r][q] + ad_mat[q][r] * t[p][r]
+                  for r in range(n)), ZERO) for q in range(n)]
+            for p in range(n)]
+
+
+def cocycle_witness(alg, other):
+    """The 1-cocycle law xi([X,Y]) == Psi(X) xi(Y) - Psi(Y) xi(X) of
+    phase._cocycle_witness, entry by entry, xi_k[a][b] = <e_a* . e_b*,
+    e_k> read off other's table and Psi = L (x) ad of alg."""
+    n = alg.dim
+    xi = [[[other.table[a][b][k] for b in range(n)] for a in range(n)]
+          for k in range(n)]
+    es = [_basis(n, i) for i in range(n)]
+    ls = [left_mult(alg, e) for e in es]
+    ads = [ad(alg, e) for e in es]
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = bracket(alg, es[i], es[j])
+            rhs_a = _psi_apply(xi[j], ls[i], ads[i])
+            rhs_b = _psi_apply(xi[i], ls[j], ads[j])
+            for p in range(n):
+                for q in range(n):
+                    lhs = sum((br[k] * xi[k][p][q] for k in range(n)), ZERO)
+                    if lhs != rhs_a[p][q] - rhs_b[p][q]:
+                        return (i, j, p, q)
+    return None
 
 
 # -- r-matrices on a left-symmetric algebra ------------------------------------

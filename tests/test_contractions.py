@@ -23,7 +23,10 @@ import oracle_routes as oracle
 from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_phase, check,
                       delta_r, is_invariant_form, is_two_cocycle,
                       levi_civita, nijenhuis, twisted_structures)
-from lsaforge.algebra import PREDICATES, Algebra, curvature, subspace_product
+from lsaforge import phase
+from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
+                              algebra_tensor, curvature, invariance_check,
+                              subspace_product)
 from lsaforge.catalog import _trace_form, catalog_algebras, killing_form
 from lsaforge.exact import dot, zero_vec
 from lsaforge.smatrix import Tensor2, classify_r
@@ -36,8 +39,8 @@ DENSITY = {"sparse": 0.15, "dense": 0.9}
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
-def _entry(rng, density):
-    return rng.choice(VALUES) if rng.random() < density else Fraction(0)
+def _entry(rng, density, values=VALUES):
+    return rng.choice(values) if rng.random() < density else Fraction(0)
 
 
 def _random_table(rng, n, density):
@@ -132,6 +135,8 @@ def _algebra(kind, n, rng):
 
 ALGEBRA_KINDS = ("sparse", "dense", "antisymmetrized", "large_denominators",
                  "structured", "moved", "moved_large_denominators")
+# the entries of a drawn matrix, metric or tensor
+ENTRIES = {"small": VALUES, "large": LARGE}
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,14 +313,15 @@ def test_invariant_form_passes_on_catalog_planes():
         assert oracle.is_invariant_form(omega, alg) == (True, None)
 
 
-@settings(max_examples=20, deadline=None)
-@given(SEEDS)
-def test_levi_civita_matches_metric_route(seed):
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), SEEDS)
+def test_levi_civita_matches_metric_route(values, seed):
     rng = random.Random(seed)
-    lie = _moved(rng, rng.choice(_lie_algebras()))
+    lie = _moved(rng, rng.choice(_lie_algebras()), ENTRIES[values])
     n = lie.dim
     while True:
-        half = [[_entry(rng, 0.6) for _ in range(n)] for _ in range(n)]
+        half = [[_entry(rng, 0.6, ENTRIES[values]) for _ in range(n)]
+                for _ in range(n)]
         g = Mat(n, n, [half[i][j] + half[j][i] for i in range(n)
                        for j in range(n)])
         if g.is_invertible():
@@ -325,12 +331,13 @@ def test_levi_civita_matches_metric_route(seed):
         tuple(tuple(cell) for cell in oracle.levi_civita_table(lie, metric))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5), SEEDS)
-def test_nijenhuis_matches_bracket_route(kind, n, seed):
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5),
+       st.sampled_from(sorted(ENTRIES)), SEEDS)
+def test_nijenhuis_matches_bracket_route(kind, n, values, seed):
     rng = random.Random(seed)
     alg = _algebra(kind, n, rng)
-    a = Mat(alg.dim, alg.dim, [_entry(rng, 0.5)
+    a = Mat(alg.dim, alg.dim, [_entry(rng, 0.5, ENTRIES[values])
                                for _ in range(alg.dim ** 2)])
     assert nijenhuis(a, alg).table == \
         tuple(tuple(cell) for cell in oracle.nijenhuis_table(a, alg))
@@ -362,25 +369,49 @@ def test_twist_triple_matches_left_mult_route():
 
 # -- the exact kernel ---------------------------------------------------------
 
-def _random_mat(rng, rows, cols, kind):
+def _random_mat(rng, rows, cols, kind, values=VALUES):
     if kind == "zero":
         return Mat.zeros(rows, cols)
-    return Mat(rows, cols, [_entry(rng, DENSITY[kind])
+    return Mat(rows, cols, [_entry(rng, DENSITY[kind], values)
                             for _ in range(rows * cols)])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5),
        st.sampled_from(("sparse", "dense", "zero")),
-       st.sampled_from(("sparse", "dense", "zero")), SEEDS)
-def test_apply_matches_dense_dot(rows, cols, mat_kind, vec_kind, seed):
+       st.sampled_from(("sparse", "dense", "zero")),
+       st.sampled_from(sorted(ENTRIES)), SEEDS)
+def test_apply_matches_dense_dot(rows, cols, mat_kind, vec_kind, values,
+                                 seed):
     rng = random.Random(seed)
-    m = _random_mat(rng, rows, cols, mat_kind)
+    m = _random_mat(rng, rows, cols, mat_kind, ENTRIES[values])
     v = zero_vec(cols) if vec_kind == "zero" else \
-        tuple(_entry(rng, DENSITY[vec_kind]) for _ in range(cols))
-    assert m.apply(v) == oracle.dense_apply(m, v)
+        tuple(_entry(rng, DENSITY[vec_kind], ENTRIES[values])
+              for _ in range(cols))
+    got = m.apply(v)
+    assert got == oracle.dense_apply(m, v)
+    assert all(type(x) is Fraction for x in got)
     w = tuple(_entry(rng, 0.5) for _ in range(cols))
     assert dot(v, w) == oracle.dense_dot(v, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from(("sparse", "dense", "zero")),
+       st.sampled_from(("sparse", "dense", "zero")), SEEDS)
+def test_matmul_matches_fraction_route(rows, inner, cols, left_kind,
+                                       right_kind, seed):
+    rng = random.Random(seed)
+    a = _random_mat(rng, rows, inner, left_kind, LARGE)
+    b = _random_mat(rng, inner, cols, right_kind, LARGE)
+    got = a * b
+    assert (got.rows, got.cols) == (rows, cols)
+    want = oracle._matmul(a.row_list(), b.row_list()) if inner \
+        else [[0] * cols for _ in range(rows)]
+    assert got.row_list() == want
+    assert all(type(x) is Fraction for x in got.data)
+    with pytest.raises(ValueError):
+        a * Mat.zeros(inner + 1, cols)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (2, 2)])
@@ -506,3 +537,111 @@ def test_subspace_of_ints_matches_fraction_route(n, count, seed):
         assert space == Subspace(n, fractions)
         want = oracle.rref(Mat.from_rows(fractions))[0] if vectors else []
         assert [list(b) for b in space.basis] == [r for r in want if any(r)]
+
+
+# -- tensor invariance and the 1-cocycle law ----------------------------------
+
+def _random_tensor(rng, n, order, density):
+    if order == 0:
+        return _entry(rng, density, LARGE)
+    return [_random_tensor(rng, n, order - 1, density) for _ in range(n)]
+
+
+def _invariance_case(kind, n, reps, rng):
+    """(tensor, reps, algebra): a random tensor with large-denominator
+    entries, or one that is invariant, in a basis with large
+    denominators: the identity under a tag and its dual, the bracket
+    tensor of a Lie algebra under (ad_dual, ad_dual, ad) (the Jacobi
+    identity), or the table of a left-symmetric algebra under (ad_dual,
+    L_dual, L) (L_[x,y] = [L_x, L_y]), whose L and ad matrices have
+    different denominators."""
+    if kind == "identity":
+        alg = _algebra("moved_large_denominators", n, rng)
+        tag = reps[0].replace("_dual", "")
+        pair = [tag, tag + "_dual"]
+        rng.shuffle(pair)
+        return ([[Fraction(int(i == j)) for j in range(alg.dim)]
+                 for i in range(alg.dim)], tuple(pair), alg)
+    if kind == "bracket":
+        lie = _moved(rng, rng.choice(_lie_algebras()), LARGE)
+        return algebra_tensor(lie), ("ad_dual", "ad_dual", "ad"), lie
+    if kind == "left_symmetric":
+        lsa = _moved(rng, rng.choice([a for a in _structured()
+                                      if check(a, "left_symmetric")]), LARGE)
+        return algebra_tensor(lsa), ("ad_dual", "L_dual", "L"), lsa
+    alg = _algebra(rng.choice(ALGEBRA_KINDS), n, rng)
+    density = {"zero": 0.0, "sparse": 0.2, "dense": 0.9}[kind]
+    return _random_tensor(rng, alg.dim, len(reps), density), reps, alg
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("zero", "sparse", "dense", "identity", "bracket",
+                        "left_symmetric")),
+       st.integers(1, 4),
+       st.lists(st.sampled_from(INVARIANCE_TAGS), min_size=1, max_size=3),
+       SEEDS)
+def test_invariance_check_matches_fraction_route(kind, n, reps, seed):
+    tensor, reps, alg = _invariance_case(kind, n, tuple(reps),
+                                         random.Random(seed))
+    rep = invariance_check(tensor, reps, alg)
+    assert (rep.passed, rep.witness) == \
+        oracle.invariance_check(tensor, reps, alg)
+
+
+def test_invariance_cases_reach_both_verdicts_for_every_tag():
+    rng = random.Random(3)
+    seen = {tag: set() for tag in INVARIANCE_TAGS}
+    for kind in ("sparse", "dense", "identity", "bracket",
+                 "left_symmetric") * 8:
+        reps = tuple(rng.choice(INVARIANCE_TAGS)
+                     for _ in range(rng.randint(1, 3)))
+        tensor, reps, alg = _invariance_case(kind, rng.randint(2, 4), reps,
+                                             rng)
+        want = oracle.invariance_check(tensor, reps, alg)
+        rep = invariance_check(tensor, reps, alg)
+        assert (rep.passed, rep.witness) == want
+        for tag in reps:
+            seen[tag].add(rep.passed)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.sampled_from(ALGEBRA_KINDS),
+       st.integers(0, 4), SEEDS)
+def test_cocycle_witness_matches_fraction_route(kind, other_kind, n, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    other = _algebra(other_kind, alg.dim, rng)
+    if other.dim != alg.dim:            # structured kinds pick their own
+        other = Algebra.zero(alg.dim)
+    assert phase._cocycle_witness(alg, other) == \
+        oracle.cocycle_witness(alg, other)
+    assert phase._cocycle_witness(alg, Algebra.zero(alg.dim)) == \
+        oracle.cocycle_witness(alg, Algebra.zero(alg.dim))
+
+
+def test_cocycle_witness_matches_fraction_route_on_left_symmetric_pairs():
+    # pairs of left-symmetric algebras, on some of which the law holds
+    # with a nonzero dual product
+    lsas = [a for a in _structured() if check(a, "left_symmetric")]
+    holds = 0
+    for alg in lsas:
+        for other in lsas:
+            if other.dim == alg.dim:
+                want = oracle.cocycle_witness(alg, other)
+                assert phase._cocycle_witness(alg, other) == want
+                holds += want is None and not other.is_zero()
+    assert holds
+
+
+def test_left_symmetric_tables_are_invariant_in_large_denominator_bases():
+    # L_[x,y] = [L_x, L_y] read as invariance; the L and ad matrices of a
+    # moved algebra often have denominators neither of which divides the
+    # other, so the slots must be put over their least common multiple
+    rng = random.Random(0)
+    for alg in [a for a in _structured() if check(a, "left_symmetric")] * 5:
+        lsa = _moved(rng, alg, LARGE)
+        reps = ("ad_dual", "L_dual", "L")
+        rep = invariance_check(algebra_tensor(lsa), reps, lsa)
+        assert rep.passed and oracle.invariance_check(
+            algebra_tensor(lsa), reps, lsa) == (True, None)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Mat, build_hyper, build_symp_double,
-                      build_theta_double, check, compat_curvature, delta_op,
+from lsaforge import (InternalInconsistency, Mat, build_complex_product,
+                      build_hyper, build_symp_double, build_theta_double,
+                      check, compat_curvature, delta_op, doubling,
                       is_compatible, lts_from_o, lts_from_yb, myb_residual,
                       o_op, oeq_check, pencil, pencil_identity, tu_product,
                       yb)
@@ -117,3 +118,27 @@ def test_lie_triples_from_operators(aff, ab_lsa):
     assert lts.check().passed
     lts2 = lts_from_o(ab_lsa, Mat.identity(2))
     assert lts2.check().passed
+
+
+def test_compatible_disagreement_names_both_routes(monkeypatch, nab_lsa,
+                                                   ab_lsa):
+    monkeypatch.setattr(doubling, "_compat_witness",
+                        lambda bullet, circ: ("first", 0, 0, 1))
+    with pytest.raises(InternalInconsistency) as err:
+        is_compatible(nab_lsa, ab_lsa)
+    assert str(err.value) == (
+        "mixed-curvature symmetry and double-product Lie-admissibility "
+        "disagree: mixed-curvature symmetry: FAIL witness=('first', 0, 0, 1); "
+        "double-product Lie-admissibility: PASS")
+
+
+def test_abelian_equivalence_disagreement_names_every_verdict(monkeypatch,
+                                                              ab_lsa):
+    monkeypatch.setattr(doubling, "_abelian_witness",
+                        lambda lie, s, para=False: (0, 1))
+    with pytest.raises(InternalInconsistency) as err:
+        build_complex_product(ab_lsa, ab_lsa)
+    assert str(err.value) == (
+        "abelianness of K1, of J1 and commutativity of the pair differ: "
+        "K1 abelian: FAIL witness=(0, 1); J1 abelian: FAIL witness=(0, 1); "
+        "both products commutative: PASS")

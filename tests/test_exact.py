@@ -123,3 +123,22 @@ def test_block_and_basis():
     assert big.rows == 4 and big[0, 0] == 1 and big[3, 3] == -1
     assert basis_vec(3, 1) == (0, 1, 0)
     assert zero_vec(2) == (Fraction(0), Fraction(0))
+
+
+def test_mat_memo_keeps_equality_hash_and_immutability():
+    m = Mat.from_rows([[1, Fraction(1, 2), 0], [0, 0, Fraction(-3, 4)]])
+    fresh = Mat(m.rows, m.cols, m.data)
+    assert m._int_view() == (4, (((0, 4), (1, 2)), ((2, -3),)))
+    t = m.transpose()
+    assert m.transpose() is t and fresh.transpose() == t
+    assert t.transpose() == m and t._int_view()[0] == 4
+    assert m == fresh and hash(m) == hash(fresh)
+    assert {m: 1}[fresh] == 1
+    for attr in ("rows", "cols", "data", "_ints", "_t"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, None)
+    product = m * t                      # built by Mat arithmetic
+    assert product == Mat.from_rows([[Fraction(5, 4), 0],
+                                     [0, Fraction(9, 16)]])
+    assert product._int_view() == (16, (((0, 20),), ((1, 9),)))
+    assert product.transpose() == product

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Bilinear, Mat, build_phase, check, cocycle_check,
-                      is_lie_extendible, verify_para_kahler)
+from lsaforge import (Bilinear, InternalInconsistency, Mat, build_phase, check,
+                      cocycle_check, is_lie_extendible, phase,
+                      verify_para_kahler)
 from lsaforge.algebra import Algebra
 from lsaforge.exact import basis_vec, zero_vec
 
@@ -88,3 +89,25 @@ def test_para_kahler_tampered_metric(nab_lsa):
     assert not cert.passed
     first = cert.first_failure()
     assert first is not None and not first.passed
+
+
+def test_extendible_disagreement_names_both_routes(monkeypatch, nab_lsa):
+    monkeypatch.setattr(phase, "_extendible_witness",
+                        lambda ps: ("rho", 0, 0, 1))
+    with pytest.raises(InternalInconsistency) as err:
+        is_lie_extendible(nab_lsa, _zero_alg(2))
+    assert str(err.value) == (
+        "rho-symmetry and extended-product Lie-admissibility disagree: "
+        "rho-symmetry: FAIL witness=('rho', 0, 0, 1); "
+        "extended-product Lie-admissibility: PASS")
+
+
+def test_cocycle_disagreement_names_both_routes(monkeypatch, nab_lsa):
+    monkeypatch.setattr(phase, "_cocycle_witness",
+                        lambda alg, other: (0, 1, 0, 0))
+    with pytest.raises(InternalInconsistency) as err:
+        cocycle_check(nab_lsa, _zero_alg(2))
+    assert str(err.value) == (
+        "1-cocycle characterization and rho-symmetry disagree: "
+        "1-cocycle characterization: FAIL witness=(0, 1, 0, 0); "
+        "rho-symmetry: PASS")
