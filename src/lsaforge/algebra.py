@@ -70,6 +70,20 @@ def _left_slot(cells, vecs) -> list:
              for b in range(len(cells))] for v in vecs]
 
 
+def _coaction(alg: "Algebra", sign: int = 1) -> list:
+    """The table of (x, a) -> sign L_x^t a, the action of alg on the dual
+    through transposed left multiplications: entry k of cell (i, j) is
+    sign (e_i . e_k)_j."""
+    n, t = alg.dim, alg.table
+    return [[tuple(t[i][k][j] if sign > 0 else -t[i][k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _swapped(table) -> list:
+    """The table of (x, y) -> f(y, x) from the table of f."""
+    return [list(col) for col in zip(*table)]
+
+
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
@@ -116,27 +130,27 @@ class Algebra:
 
     @staticmethod
     def from_blocks(grid, basis, suffix: str) -> "Algebra":
-        """A product on V + V' assembled from four bilinear blocks.
+        """A product on V + V' assembled from four blocks of tables.
 
         Shaped like Mat.block: grid[p][q] is the block for a left argument
         in part p and a right argument in part q (0 for V, 1 for V', both
-        Q^n).  A block is a pair (f, g) of bilinear maps Q^n x Q^n -> Q^n
-        giving the V- and V'-components of the product; None is the zero
-        map.  V' is labelled by appending `suffix` to each label of
-        `basis`: "*" for the dual U*, "'" for the second factor of U x U.
-        Where that repeats a label of `basis` (V is itself a double, with
-        labels e1 and e1*), each label is parenthesized first: (e1*)*.
+        Q^n).  A block is a pair (f, g) of tables, f[i][j] and g[i][j] the
+        V- and V'-components of the product of e_i in part p and e_j in
+        part q; None is the zero table.  V' is labelled by appending
+        `suffix` to each label of `basis`: "*" for the dual U*, "'" for the
+        second factor of U x U.  Where that repeats a label of `basis` (V
+        is itself a double, with labels e1 and e1*), each label is
+        parenthesized first: (e1*)*.
         """
         n = len(basis)
-        es = [basis_vec(n, i) for i in range(n)]
         z = zero_vec(n)
 
-        def part(f, x, y):
-            return z if f is None else tuple(f(x, y))
+        def part(t, i, j):
+            return z if t is None else tuple(t[i][j])
 
-        table = [[part(f, x, y) + part(g, x, y)
-                  for f, g in blocks for y in es]
-                 for blocks in grid for x in es]
+        table = [[part(f, i, j) + part(g, i, j)
+                  for f, g in blocks for j in range(n)]
+                 for blocks in grid for i in range(n)]
         basis = tuple(basis)
         second = tuple(s + suffix for s in basis)
         if len(set(basis + second)) < len(basis) + len(second):
@@ -444,10 +458,8 @@ def check(alg: Algebra, predicate: str) -> Report:
         raise ValueError("unknown predicate %r (expected one of %s)"
                          % (predicate, ", ".join(PREDICATES)))
     witness = _CHECKS[predicate](alg)
-    name = "check:%s" % predicate
-    if witness is None:
-        return passing(name, _ANCHORS[predicate])
-    return failing(name, _ANCHORS[predicate], witness=witness)
+    return Report("check:%s" % predicate, witness is None,
+                  _ANCHORS[predicate], witness=witness)
 
 
 # -- subspace products ------------------------------------------------------

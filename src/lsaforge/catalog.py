@@ -19,8 +19,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
-from .algebra import (Algebra, Endo, check, invariance_check, is_derivation,
-                      product_subspaces)
+from .algebra import (Algebra, Endo, _swapped, check, invariance_check,
+                      is_derivation, product_subspaces)
 from .doubling import is_compatible
 from .exact import (Mat, Subspace, ZERO, ONE, basis_vec, form_value,
                     is_zero_vec, lagrangian_complement, parse_rational, solve,
@@ -1040,18 +1040,18 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                          "of the image of b")
     tw = twisted_structures(dstar, Tensor2(dstar, rmat))
 
-    def r_act(a, y):     # [r_#(a), Y]
-        return lie.product(bsh.apply(a), y)
-
+    # [r_#(e_a), e_c] in cell (a, c)
+    r_act = [[lie.left_mult(z).col(c) for c in range(n)] for z in zvecs]
     # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
     bracket = Algebra.from_blocks(
-        [[(None, None), (lambda x, b: vec_neg(r_act(b, x)), None)],
-         [(r_act, None), (None, dd.dual_bracket.product)]],
+        [[(None, None),
+          (_swapped([[vec_neg(x) for x in row] for row in r_act]), None)],
+         [(r_act, None), (None, dd.dual_bracket.table)]],
         lie.basis, "*")
     # (X+a).(Y+b) = [r_#(a), Y] + a.b with the dual product
     triangle = Algebra.from_blocks(
         [[(None, None), (None, None)],
-         [(r_act, None), (None, dstar.product)]],
+         [(r_act, None), (None, dstar.table)]],
         lie.basis, "*")
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)

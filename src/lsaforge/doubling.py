@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, algebra_tensor, check, curvature, endo_tensor,
-                      invariance_check, nijenhuis)
-from .exact import Mat, basis_vec, vec_add, vec_neg, vec_sub
+from .algebra import (Algebra, _swapped, algebra_tensor, check, curvature,
+                      endo_tensor, invariance_check, nijenhuis)
+from .exact import Mat, basis_vec, vec_add, vec_sub
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
-from .report import (Certificate, InternalInconsistency, Report, _bool_report,
-                     _relabel, certify, failing, passing, require,
-                     routes_disagree)
+from .report import (Certificate, Report, _bool_report, _relabel, certify,
+                     failing, passing, require, routes_disagree)
 from .smatrix import Tensor2, classify_r, twisted_structures
 from .triple import LieTriple
 
@@ -70,9 +69,7 @@ def is_compatible(bullet: Algebra, circ: Algebra) -> Report:
                           ("double-product Lie-admissibility",
                            via_double.witness)])
     anchor = "K(x,y)z == K(z,y)x and K(x,y)z == K(x,z)y"
-    if witness is None:
-        return passing("is_compatible", anchor)
-    return failing("is_compatible", anchor, witness=witness)
+    return Report("is_compatible", witness is None, anchor, witness=witness)
 
 
 def pencil_identity(bullet: Algebra, circ: Algebra) -> Report:
@@ -102,8 +99,8 @@ def pencil(bullet: Algebra, circ: Algebra, a, b) -> Algebra:
 def tu_product(bullet: Algebra, circ: Algebra) -> Algebra:
     """(X,Y).(Z,T) = (X•Z, X•T) + (Y°Z, Y°T) on U x U."""
     return Algebra.from_blocks(
-        [[(bullet.product, None), (None, bullet.product)],
-         [(circ.product, None), (None, circ.product)]],
+        [[(bullet.table, None), (None, bullet.table)],
+         [(circ.table, None), (None, circ.table)]],
         bullet.basis, "'")
 
 
@@ -257,37 +254,44 @@ def _symp_quasi_s_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
     cls = classify_r(dot, Tensor2(dot, _symp_r_matrix(omega, a)))
     expected = bool(inv_yb) and bool(inv_s)
     if cls.is_quasi_s != expected:
-        raise InternalInconsistency(
-            "endomorphism preconditions and quasi-S classification disagree")
+        raise routes_disagree(
+            "endomorphism preconditions and quasi-S classification disagree",
+            [(route, next(((rep.name, rep.witness) for rep in reps if not rep),
+                          None)) for route, reps in
+             (("endomorphism preconditions", (inv_yb, inv_s)),
+              ("quasi-S classification", cls.reports[:2]))])
     return cls.is_quasi_s
+
+
+def _first_difference(ours, theirs):
+    """(i, j) of the first entry where two arrays of rows differ, or None."""
+    return next(((i, j) for i, (p, q) in enumerate(zip(ours, theirs))
+                 for j, (x, y) in enumerate(zip(p, q)) if x != y), None)
 
 
 def _symp_transport_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
                                bracket: Algebra, metric: Bilinear,
                                k: Mat) -> None:
     """The direct formulas must agree with the transport of the twist
-    construction along (X, Y) -> (X, flat(Y))."""
+    construction along mu: (X, Y) -> (X, flat(Y)); each structure is
+    compared, and a disagreement names the first differing basis pair or
+    entry of each."""
     tw = twisted_structures(dot, Tensor2(dot, _symp_r_matrix(omega, a)))
     n = dot.dim
     gt = omega.matrix.transpose()
     mu = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
                     [Mat.zeros(n, n), gt]])
-    mu_inv = mu.inverse()
-    nn = 2 * n
-    for i in range(nn):
-        for j in range(nn):
-            pulled = mu_inv.apply(tw.twisted.product(
-                mu.apply(basis_vec(nn, i)), mu.apply(basis_vec(nn, j))))
-            if pulled != bracket.table[i][j]:
-                raise InternalInconsistency(
-                    "direct bracket disagrees with twist transport at %s"
-                    % ((i, j),))
-    if mu.transpose() * tw.metric_r.matrix * mu != metric.matrix:
-        raise InternalInconsistency(
-            "direct metric disagrees with twist transport")
-    if mu_inv * tw.k_r * mu != k:
-        raise InternalInconsistency(
-            "direct involution disagrees with twist transport")
+    verdicts = [
+        ("bracket", _first_difference(bracket.table,
+                                      tw.twisted.conjugate(mu).table)),
+        ("metric", _first_difference(metric.matrix.row_list(), (
+            mu.transpose() * tw.metric_r.matrix * mu).row_list())),
+        ("involution", _first_difference(
+            k.row_list(), (mu.inverse() * tw.k_r * mu).row_list()))]
+    if any(w is not None for _, w in verdicts):
+        raise routes_disagree(
+            "direct formulas and the transported twist construction disagree",
+            verdicts)
 
 
 @dataclass(frozen=True)
@@ -335,8 +339,8 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     circ = Algebra.from_function(lie.basis, circ_fn)
     # [(X,Y),(Z,T)] = ([X,Z] + YB(A)(Y,T), [X,T] + [Y,Z])
     bracket = Algebra.from_blocks(
-        [[(lie.product, None), (None, lie.product)],
-         [(None, lie.product), (defect.product, None)]],
+        [[(lie.table, None), (None, lie.table)],
+         [(None, lie.table), (defect.table, None)]],
         lie.basis, "'")
 
     g = omega.matrix
@@ -488,9 +492,9 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     circ = theta_circ_product(alg, theta, a)
     # [(X,Y),(Z,T)] = ([X,Z] + O(A)(T,Y), X.T - Z.Y)
     bracket = Algebra.from_blocks(
-        [[(alg.commutator_algebra().product, None), (None, alg.product)],
-         [(None, lambda y, z: vec_neg(alg.product(z, y))),
-          (lambda y, t: o_def.product(t, y), None)]],
+        [[(alg.commutator_algebra().table, None), (None, alg.table)],
+         [(None, _swapped(alg.scale(-1).table)),
+          (_swapped(o_def.table), None)]],
         alg.basis, "'")
 
     g = theta.matrix

@@ -16,7 +16,7 @@ from typing import Optional
 from .algebra import Algebra, check
 from .exact import (Mat, _as_fractions, _int_apply, _int_combine,
                     common_denominator, dot)
-from .report import Report, failing, passing, require
+from .report import Report, _relabel, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
 
@@ -54,20 +54,27 @@ class Bilinear:
 
 def is_two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     """omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0."""
-    anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
     jac = check(lie, "jacobi_antisym")
     if not jac:
         return failing("is_two_cocycle", jac.anchor, witness=jac.witness,
                        details="underlying product is not a Lie bracket")
     if omega.kind != "skew":
         return failing("is_two_cocycle", "omega(u,v) == -omega(v,u)")
+    return _two_cocycle(omega, lie)
+
+
+def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
+    """is_two_cocycle after its preconditions, over the integer views of
+    the bracket and of the Gram matrix (the sum is linear in each)."""
+    anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
     n = lie.dim
-    t = lie.table
-    cols = [omega.matrix.col(k) for k in range(n)]  # omega(x,e_k) = x.cols[k]
+    cells = lie._int_view()[1]
+    g = common_denominator(omega.matrix.data)[1]   # g[a * n + b] ~ omega(e_a, e_b)
+
+    def pair(cell, k):                              # ~ omega(cell, e_k)
+        return sum(x * g[a * n + k] for a, x in cell)
     for i, j, k in itertools.combinations(range(n), 3):
-        s = (dot(t[i][j], cols[k]) + dot(t[j][k], cols[i])
-             + dot(t[k][i], cols[j]))
-        if s != 0:
+        if pair(cells[i][j], k) + pair(cells[j][k], i) + pair(cells[k][i], j):
             return failing("is_two_cocycle", anchor, witness=(i, j, k))
     return passing("is_two_cocycle", anchor)
 
@@ -116,13 +123,17 @@ def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     """The Levi-Civita product of a pseudo-metric on a Lie algebra.
 
     2<u.v,w> = <[u,v],w> + <[w,u],v> + <[w,v],u>.  Its commutator is the
-    bracket, and left multiplications are skew for the metric.  The
-    integer view of the bracket is contracted with the integer Gram
-    matrix, and the integer inverse applied last.
+    bracket, and left multiplications are skew for the metric.
     """
     if metric.kind != "symmetric" or not metric.is_nondegenerate():
         raise ValueError("metric must be symmetric and nondegenerate")
     require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
+    return _levi_civita(lie, metric)
+
+
+def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
+    """levi_civita after its preconditions: the integer view of the bracket
+    contracted with the integer Gram matrix, the integer inverse last."""
     n = lie.dim
     den, cells = lie._int_view()
     dg, grows = metric.matrix._int_view()
@@ -137,13 +148,9 @@ def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
 def is_flat(lie: Algebra, metric: Bilinear) -> Report:
     """A pseudo-metric is flat exactly when its Levi-Civita product is
     left symmetric."""
-    lc = levi_civita(lie, metric)
-    rep = check(lc, "left_symmetric")
-    name = "is_flat"
-    if rep:
-        return passing(name, rep.anchor, details="Levi-Civita product")
-    return failing(name, rep.anchor, witness=rep.witness,
-                   details="Levi-Civita product")
+    rep = check(levi_civita(lie, metric), "left_symmetric")
+    return Report("is_flat", rep.passed, rep.anchor, witness=rep.witness,
+                  details="Levi-Civita product")
 
 
 def is_invariant_iso(theta: Bilinear, alg: Algebra) -> Report:
@@ -152,8 +159,4 @@ def is_invariant_iso(theta: Bilinear, alg: Algebra) -> Report:
     nondegenerate."""
     if not theta.is_nondegenerate():
         return failing("is_invariant_iso", "theta nondegenerate")
-    inner = is_invariant_form(theta, alg)
-    name = "is_invariant_iso"
-    if inner:
-        return passing(name, inner.anchor)
-    return failing(name, inner.anchor, witness=inner.witness)
+    return _relabel(is_invariant_form(theta, alg), "is_invariant_iso")

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, check, nijenhuis
-from .exact import Mat, Subspace, basis_vec, dot, vec_neg, vec_sub
-from .forms import Bilinear, is_two_cocycle, levi_civita
-from .report import (Certificate, Report, _bool_report, _relabel, failing,
-                     passing, routes_disagree)
+from .algebra import (Algebra, _coaction, _int_product, _sparse, check,
+                      nijenhuis)
+from .exact import (Mat, _int_apply, basis_vec, common_denominator, dot,
+                    vec_sub)
+from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
+from .report import (Certificate, Report, _bool_report, _relabel,
+                     routes_disagree)
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,8 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
             raise ValueError("%s is not left symmetric (witness %s)"
                              % (label, rep.witness))
     extended = Algebra.from_blocks(
-        [[(u.product, None),
-          (None, lambda x, b: vec_neg(u.left_mult(x).transpose().apply(b)))],
-         [(lambda a, y: vec_neg(dual.left_mult(a).transpose().apply(y)),
-           None),
-          (None, dual.product)]],
+        [[(u.table, None), (None, _coaction(u, -1))],
+         [(_coaction(dual, -1), None), (None, dual.table)]],
         u.basis, "*")
     n = u.dim
     ident = Mat.identity(n)
@@ -124,9 +123,7 @@ def is_lie_extendible(u: Algebra, dual: Algebra) -> Report:
             [("rho-symmetry", witness),
              ("extended-product Lie-admissibility", direct.witness)])
     anchor = "rho(X,a)Y == rho(Y,a)X and rho*(a,X)b == rho*(b,X)a"
-    if witness is None:
-        return passing("is_lie_extendible", anchor)
-    return failing("is_lie_extendible", anchor, witness=witness)
+    return Report("is_lie_extendible", witness is None, anchor, witness=witness)
 
 
 def _cocycle_witness(alg: Algebra, other: Algebra):
@@ -172,17 +169,14 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
             [("1-cocycle characterization", witness),
              ("rho-symmetry", direct.witness)])
     anchor = "xi([X,Y]) == Psi(X)xi(Y) - Psi(Y)xi(X) (both sides of the duality)"
-    if witness is None:
-        return passing("cocycle_check", anchor)
-    return failing("cocycle_check", anchor, witness=witness)
+    return Report("cocycle_check", witness is None, anchor, witness=witness)
 
 
 # -- para-Kahler certificates -------------------------------------------------
 
-def _eigenspace(k: Mat, val) -> Subspace:
-    n = k.rows
-    shifted = k - Mat.identity(n).scale(val)
-    return Subspace(n, shifted.kernel_basis())
+def _kills(rows, vecs) -> bool:
+    """Whether the integer rows (sparse) map each integer vector to 0."""
+    return not any(any(_int_apply(rows, v)) for v in vecs)
 
 
 def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
@@ -193,6 +187,67 @@ def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
     return Report("parallel_" + label.lower(), bad is None,
                   "L_u %s == %s L_u for the Levi-Civita product"
                   % (label, label), witness=bad)
+
+
+def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat) -> tuple:
+    """(the reports of verify_para_kahler, the Levi-Civita product or None
+    where the bracket or metric line fails).  Jacobi runs once, on the
+    bracket line, before the Levi-Civita product and the cocycle check."""
+    n = lie.dim
+    reports = [_relabel(check(lie, "jacobi_antisym"), "bracket"),
+               _bool_report("metric", metric.kind == "symmetric"
+                            and metric.is_nondegenerate(),
+                            "<,> symmetric and nondegenerate")]
+    if not reports[-1].passed or not reports[0].passed:
+        return reports, None
+
+    ident = Mat.identity(n)
+    reports.append(_bool_report("involution", kmat * kmat == ident,
+                                "K.K == Id"))
+    shifts = (kmat - ident, kmat + ident)           # S for e = 1 and e = -1
+    plus, minus = (s.kernel_basis() for s in shifts)
+    reports.append(_bool_report(
+        "eigenspace_split", len(plus) == len(minus) and len(plus) * 2 == n,
+        "dim ker(K-Id) == dim ker(K+Id) == dim/2"))
+    m = metric.matrix
+    reports.append(_bool_report("metric_skew_k",
+                                (kmat.transpose() * m + m * kmat).is_zero(),
+                                "<Ku,v> + <u,Kv> == 0"))
+    lc = _levi_civita(lie, metric)
+    reports.append(_parallel_report(lc, kmat, "K"))
+
+    reports.append(_bool_report("torsion_k", nijenhuis(kmat, lie).is_zero(),
+                                "N_K(u,v) == 0"))
+    omega = Bilinear((kmat.transpose() * m), "none")
+    reports.append(_bool_report("omega_skew",
+                                omega.matrix.is_antisymmetric()
+                                and omega.is_nondegenerate(),
+                                "<K.,.> skew and nondegenerate"))
+    if omega.matrix.is_antisymmetric():
+        reports.append(_relabel(_two_cocycle(omega, lie), "omega_cocycle"))
+    # v lies in ker S iff S v == 0, so each eigenspace line asks a product
+    # to vanish, over ints: S (a.b) for a, b in a basis B of ker S,
+    # B^t G B, B^t Omega B and S L_u B
+    cells, lc_cells = lie._int_view()[1], lc._int_view()[1]
+    grows, orows = m._int_view()[1], omega.matrix._int_view()[1]
+    for sign, shifted, basis in zip(("plus", "minus"), shifts, (plus, minus)):
+        srows = shifted._int_view()[1]
+        dense = [common_denominator(b)[1] for b in basis]
+        sparse = [_sparse(b) for b in dense]
+        reports.append(_bool_report("subalgebra_" + sign, _kills(
+            srows, (_int_product(cells, a, b) for a in sparse for b in sparse)),
+            "[g^e, g^e] <= g^e"))
+        reports.append(_bool_report("isotropic_" + sign, _kills(
+            sparse, (_int_apply(grows, b) for b in dense)), "<g^e, g^e> == 0"))
+        reports.append(_bool_report(
+            "lagrangian_" + sign, len(basis) * 2 == n and _kills(
+                sparse, (_int_apply(orows, b) for b in dense)),
+            "omega(g^e, g^e) == 0 at half dimension"))
+        reports.append(_bool_report("lc_stable_" + sign, _kills(
+            srows, (_int_product(lc_cells, ((i, 1),), b)
+                    for i in range(n) for b in sparse)),
+            "u . g^e <= g^e for the Levi-Civita product"))
+    return reports, lc
 
 
 def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
@@ -206,69 +261,16 @@ def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
     Lagrangian subalgebras preserved by the Levi-Civita product.
     """
     kmat = k.matrix if hasattr(k, "matrix") else k
-    n = lie.dim
-    reports = []
-    reports.append(_relabel(check(lie, "jacobi_antisym"), "bracket"))
-    if metric.kind == "symmetric" and metric.is_nondegenerate():
-        reports.append(passing("metric", "<,> symmetric and nondegenerate"))
-    else:
-        reports.append(failing("metric", "<,> symmetric and nondegenerate"))
-    if not reports[-1].passed or not reports[0].passed:
-        return Certificate("para_kahler", tuple(reports))
-
-    ident = Mat.identity(n)
-    reports.append(_bool_report("involution", kmat * kmat == ident,
-                                "K.K == Id"))
-    plus = _eigenspace(kmat, 1)
-    minus = _eigenspace(kmat, -1)
-    reports.append(_bool_report(
-        "eigenspace_split", plus.dim == minus.dim and plus.dim * 2 == n,
-        "dim ker(K-Id) == dim ker(K+Id) == dim/2"))
-    m = metric.matrix
-    reports.append(_bool_report("metric_skew_k",
-                                (kmat.transpose() * m + m * kmat).is_zero(),
-                                "<Ku,v> + <u,Kv> == 0"))
-    lc = levi_civita(lie, metric)
-    reports.append(_parallel_report(lc, kmat, "K"))
-
-    torsion = nijenhuis(kmat, lie)
-    reports.append(_bool_report("torsion_k", torsion.is_zero(),
-                                "N_K(u,v) == 0"))
-    omega = Bilinear((kmat.transpose() * m), "none")
-    reports.append(_bool_report("omega_skew",
-                                omega.matrix.is_antisymmetric()
-                                and omega.is_nondegenerate(),
-                                "<K.,.> skew and nondegenerate"))
-    if omega.matrix.is_antisymmetric():
-        coc = is_two_cocycle(Bilinear(omega.matrix, "skew"), lie)
-        reports.append(_relabel(coc, "omega_cocycle"))
-    for sign, space in (("plus", plus), ("minus", minus)):
-        closed = all(space.contains(lie.product(a, b))
-                     for a in space.basis for b in space.basis)
-        reports.append(_bool_report("subalgebra_" + sign, closed,
-                                    "[g^e, g^e] <= g^e"))
-        isotropic = all(metric.value(a, b) == 0
-                        for a in space.basis for b in space.basis)
-        reports.append(_bool_report("isotropic_" + sign, isotropic,
-                                    "<g^e, g^e> == 0"))
-        lagr = all(dot(a, omega.matrix.apply(b)) == 0
-                   for a in space.basis for b in space.basis)
-        reports.append(_bool_report("lagrangian_" + sign,
-                                    lagr and space.dim * 2 == n,
-                                    "omega(g^e, g^e) == 0 at half dimension"))
-        stable = all(space.contains(lc.product(basis_vec(n, i), b))
-                     for i in range(n) for b in space.basis)
-        reports.append(_bool_report("lc_stable_" + sign, stable,
-                                    "u . g^e <= g^e for the Levi-Civita product"))
-    return Certificate("para_kahler", tuple(reports))
+    return Certificate("para_kahler", tuple(_para_kahler(lie, metric,
+                                                         kmat)[0]))
 
 
 def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificate:
-    """Para-Kahler certificate extended by a compatible complex structure."""
+    """Para-Kahler certificate extended by a compatible complex structure;
+    J is parallel for the Levi-Civita product of the para-Kahler part."""
     kmat = k.matrix if hasattr(k, "matrix") else k
     jmat = j.matrix if hasattr(j, "matrix") else j
-    base = verify_para_kahler(lie, metric, kmat)
-    reports = list(base.reports)
+    reports, lc = _para_kahler(lie, metric, kmat)
     n = lie.dim
     ident = Mat.identity(n)
     reports.append(_bool_report("complex_j", (jmat * jmat) == -ident,
@@ -279,8 +281,9 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
     reports.append(_bool_report("metric_skew_j",
                                 (jmat.transpose() * m + m * jmat).is_zero(),
                                 "<Ju,v> + <u,Jv> == 0"))
-    torsion = nijenhuis(jmat, lie)
-    reports.append(_bool_report("torsion_j", torsion.is_zero(),
+    reports.append(_bool_report("torsion_j", nijenhuis(jmat, lie).is_zero(),
                                 "N_J(u,v) == 0"))
-    reports.append(_parallel_report(levi_civita(lie, metric), jmat, "J"))
+    if lc is None:      # bracket or metric failed: levi_civita raises
+        lc = levi_civita(lie, metric)
+    reports.append(_parallel_report(lc, jmat, "J"))
     return Certificate("hyper_para_kahler", tuple(reports))

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import Algebra, algebra_tensor, check, invariance_check
+from .algebra import (Algebra, _coaction, _swapped, algebra_tensor, check,
+                      invariance_check)
 from .exact import Mat, ZERO, dot, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
@@ -98,14 +99,17 @@ def delta_r(u: Algebra, r) -> Algebra:
 
 def _delta(u: Algebra, r: Tensor2, dual: Algebra) -> Algebra:
     """Delta(r) from the r-induced product `dual` on U*."""
-    rs = r.r_sharp
-    br = u.commutator_algebra().product
+    return _sharp_defect(u.commutator_algebra(), r.r_sharp,
+                         dual.commutator_algebra())
 
-    def defect(alpha, beta):
-        br_dual = vec_sub(dual.product(alpha, beta), dual.product(beta, alpha))
-        return vec_sub(rs.apply(br_dual), br(rs.apply(alpha), rs.apply(beta)))
 
-    return Algebra.from_function(u.basis, defect)
+def _sharp_defect(lie: Algebra, rs: Mat, dual_lie: Algebra) -> Algebra:
+    """r_#([a,b]) - [r_#(a), r_#(b)] on basis covectors a, b, with the
+    bracket of dual_lie on U* and of lie on U."""
+    n = lie.dim
+    return Algebra([[vec_sub(rs.apply(dual_lie.table[a][b]),
+                             lie.product(rs.col(a), rs.col(b)))
+                     for b in range(n)] for a in range(n)], lie.basis)
 
 
 def rr_bracket(u: Algebra, r):
@@ -239,13 +243,11 @@ def _semidirect(lie: Algebra, act: Algebra, corner) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
     with [X,Y] the product of the Lie algebra lie, L_X the left
     multiplication of act (lie itself for the coadjoint action, or a
-    left-symmetric product whose commutator is lie) and the bilinear map
-    corner: U* x U* -> U (None for zero)."""
+    left-symmetric product whose commutator is lie) and the table of the
+    bilinear map corner: U* x U* -> U (None for zero)."""
     return Algebra.from_blocks(
-        [[(lie.product, None),
-          (None, lambda x, b: vec_neg(act.left_mult(x).transpose().apply(b)))],
-         [(None, lambda a, y: act.left_mult(y).transpose().apply(a)),
-          (corner, None)]],
+        [[(lie.table, None), (None, _coaction(act, -1))],
+         [(None, _swapped(_coaction(act))), (corner, None)]],
         lie.basis, "*")
 
 
@@ -275,7 +277,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     ps = build_phase(u, dual)
     lie = u.commutator_algebra()
     triangle = semidirect_bracket(lie, u)
-    twisted = _semidirect(lie, u, delta.product)
+    twisted = _semidirect(lie, u, delta.table)
 
     bracket_r = ps.extended.commutator_algebra()
     ident = Mat.identity(n)
@@ -291,31 +293,25 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     lts = LieTriple([[[m.row(k) for k in range(n)] for m in row]
                      for row in neg_l])
 
-    reports = []
-    reports.append(_xi_report(twisted, bracket_r, xi))
-    cert_pk = verify_para_kahler(twisted, metric_r, k_r)
-    reports.extend(cert_pk.reports)
-    lts_cert = lts.check()
-    reports.extend(lts_cert.reports)
-    cert = certify("twist", reports)
+    cert = certify("twist", (_xi_report(twisted, bracket_r, xi),)
+                   + verify_para_kahler(twisted, metric_r, k_r).reports
+                   + lts.check().reports)
     return TwistData(phase=ps, triangle=triangle, twisted=twisted,
                      bracket_r=bracket_r, xi=xi, metric_r=metric_r, k_r=k_r,
                      lts=lts, cert=cert)
 
 
-def _xi_report(src: Algebra, dst: Algebra, xi: Mat,
-               name: str = "xi_isomorphism") -> Report:
+def _xi_report(src: Algebra, dst: Algebra, xi: Mat) -> Report:
+    """xi [x,y]_src == [xi x, xi y]_dst exactly where [x,y]_src is the
+    bracket of dst moved by xi; the witness is the first basis pair i < j
+    where they differ."""
     anchor = "xi([x,y]_src) == [xi(x), xi(y)]_dst and xi invertible"
     if not xi.is_invertible():
-        return failing(name, anchor)
-    n = src.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = xi.apply(src.table[i][j])
-            rhs = dst.product(xi.col(i), xi.col(j))
-            if lhs != rhs:
-                return failing(name, anchor, witness=(i, j))
-    return passing(name, anchor)
+        return failing("xi_isomorphism", anchor)
+    moved, n = dst.conjugate(xi).table, src.dim
+    bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                if moved[i][j] != src.table[i][j]), None)
+    return Report("xi_isomorphism", bad is None, anchor, witness=bad)
 
 
 @dataclass(frozen=True)
@@ -347,17 +343,12 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     n = lie.dim
     rs = r.r_sharp
 
-    def star(alpha, beta):
-        t = vec_neg(lie.left_mult(rs.apply(alpha)).transpose().apply(beta))
-        s = vec_neg(lie.left_mult(rs.apply(beta)).transpose().apply(alpha))
-        return vec_sub(t, s)
-
-    dual_bracket = Algebra.from_function(tuple(s + "*" for s in lie.basis),
-                                         star)
-
-    rr = Algebra.from_function(
-        lie.basis, lambda a, b: vec_sub(rs.apply(dual_bracket.product(a, b)),
-                                        lie.product(rs.apply(a), rs.apply(b))))
+    # -ad_{r#a}^t b + ad_{r#b}^t a on basis covectors: rows of ad_{r#e_i}
+    ads = [lie.left_mult(rs.col(i)) for i in range(n)]
+    dual_bracket = Algebra([[vec_sub(ads[b].row(a), ads[a].row(b))
+                             for b in range(n)] for a in range(n)],
+                           tuple(s + "*" for s in lie.basis))
+    rr = _sharp_defect(lie, rs, dual_bracket)
 
     reports = [invariance_check(algebra_tensor(rr), ("ad", "ad", "ad"), lie,
                                 name="rr_ad_invariant")]
@@ -366,19 +357,13 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
 
     # [X+a, Y+b] = [X,Y] + ad*_b^t X - ad*_a^t Y - ad_X^t b + ad_Y^t a
     #              + [a,b]*, with ad* the left multiplication of [,]*
-    def mixed_u(x, b):
-        return dual_bracket.left_mult(b).transpose().apply(x)
-
-    def mixed_dual(x, b):
-        return vec_neg(lie.left_mult(x).transpose().apply(b))
-
     bracket_r = Algebra.from_blocks(
-        [[(lie.product, None), (mixed_u, mixed_dual)],
-         [(lambda a, y: vec_neg(mixed_u(y, a)),
-           lambda a, y: vec_neg(mixed_dual(y, a))),
-          (None, dual_bracket.product)]],
+        [[(lie.table, None),
+          (_swapped(_coaction(dual_bracket)), _coaction(lie, -1))],
+         [(_coaction(dual_bracket, -1), _swapped(_coaction(lie))),
+          (None, dual_bracket.table)]],
         lie.basis, "*")
-    twisted = _semidirect(lie, lie, rr.product)
+    twisted = _semidirect(lie, lie, rr.table)
     reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),

@@ -7,13 +7,17 @@ and tensor invariance over integer numerators.  This module keeps
 the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.
-Nothing here is used by the library.
+The certificate routes keep the eigenspaces as `Subspace`s tested with
+`contains`.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
+
+from lsaforge.exact import Subspace
 
 ZERO = Fraction(0)
 
@@ -467,3 +471,111 @@ def conjugate_table(alg, p):
     cols = [tuple(pr[i][j] for i in range(n)) for j in range(n)]
     return [[_matvec(pinv, product(alg, cols[i], cols[j])) for j in range(n)]
             for i in range(n)]
+
+
+# -- certificates --------------------------------------------------------------
+
+def _kernel(m):
+    """Mat.kernel_basis read off the Fraction rref: one vector per free
+    column."""
+    red, pivots = rref(m)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def xi_isomorphism(src, dst, xi):
+    """(passed, witness) of the xi_isomorphism line: xi invertible, then
+    xi applied to each cell i < j of src against the product in dst of
+    columns i and j of xi."""
+    n = src.dim
+    if xi.rows != xi.cols or len(rref(xi)[1]) != xi.rows:
+        return False, None
+    cols = [tuple(xi.row(r)[c] for r in range(xi.rows)) for c in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dense_apply(xi, src.table[i][j]) != \
+                    product(dst, cols[i], cols[j]):
+                return False, (i, j)
+    return True, None
+
+
+def para_kahler_reports(lie, metric, k):
+    """(name, passed, witness) of each line of verify_para_kahler: Jacobi
+    through dense products, matrices as lists, the Levi-Civita product
+    and the torsion cell by cell, and each eigenspace a Subspace tested
+    with contains on products of its basis vectors."""
+    n = lie.dim
+    jac = jacobi_antisym(lie)
+    out = [("bracket", jac is None, jac),
+           ("metric", metric.kind == "symmetric"
+            and len(rref(metric.matrix)[1]) == n, None)]
+    if not (out[0][1] and out[1][1]):
+        return out
+    kr, g = k.row_list(), metric.matrix.row_list()
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out.append(("involution", _matmul(kr, kr) == ident, None))
+    spaces = []
+    for val in (1, -1):
+        shifted = type(k).from_rows([[kr[i][j] - val * ident[i][j]
+                                      for j in range(n)] for i in range(n)])
+        spaces.append(Subspace(n, _kernel(shifted)))
+    plus, minus = spaces
+    out.append(("eigenspace_split",
+                plus.dim == minus.dim and plus.dim * 2 == n, None))
+    kt = _transpose(kr)
+    skew = [[a + b for a, b in zip(r1, r2)]
+            for r1, r2 in zip(_matmul(kt, g), _matmul(g, kr))]
+    out.append(("metric_skew_k", not any(map(any, skew)), None))
+    lc = SimpleNamespace(dim=n, table=levi_civita_table(lie, metric))
+    lefts = [left_mult(lc, _basis(n, i)) for i in range(n)]
+    bad = next(((i,) for i, li in enumerate(lefts)
+                if _matmul(li, kr) != _matmul(kr, li)), None)
+    out.append(("parallel_k", bad is None, bad))
+    out.append(("torsion_k", not any(any(cell) for row in nijenhuis_table(k, lie)
+                                     for cell in row), None))
+    omega = _matmul(kt, g)
+    antisym = omega == [[-x for x in col] for col in _transpose(omega)]
+    omat = type(k).from_rows(omega)
+    out.append(("omega_skew", antisym and len(rref(omat)[1]) == n, None))
+    if antisym:
+        passed, witness = is_two_cocycle(
+            SimpleNamespace(kind="skew", matrix=omat), lie)
+        out.append(("omega_cocycle", passed, witness))
+    for sign, space in (("plus", plus), ("minus", minus)):
+        pairs = [(a, b) for a in space.basis for b in space.basis]
+        out.append(("subalgebra_" + sign,
+                    all(space.contains(product(lie, a, b)) for a, b in pairs),
+                    None))
+        out.append(("isotropic_" + sign,
+                    all(form_value(metric, a, b) == 0 for a, b in pairs),
+                    None))
+        out.append(("lagrangian_" + sign,
+                    all(dense_dot(a, _matvec(omega, b)) == 0 for a, b in pairs)
+                    and space.dim * 2 == n, None))
+        out.append(("lc_stable_" + sign,
+                    all(space.contains(product(lc, _basis(n, i), b))
+                        for i in range(n) for b in space.basis), None))
+    return out
+
+
+def twist_reports(tw):
+    """(name, passed, witness) of each line of a twist's certificate:
+    xi_isomorphism, the para-Kahler lines of the twisted data and the
+    Lie-triple-system axioms."""
+    out = [("xi_isomorphism",) + xi_isomorphism(tw.twisted, tw.bracket_r,
+                                                 tw.xi)]
+    out += para_kahler_reports(tw.twisted, tw.metric_r, tw.k_r)
+    witnesses = lie_triple_witnesses(tw.lts)
+    out += [(name, witnesses[name] is None, witnesses[name])
+            for name in ("alternating", "cyclic", "derivation")]
+    return out

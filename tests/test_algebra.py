@@ -113,7 +113,8 @@ def test_scale_add_conjugate_roundtrip(nab_lsa):
 
 def test_from_blocks_layout():
     def pick(k):
-        return lambda x, y: (x[0] * y[1] * k, x[1] * y[0] * k)
+        # the table of (x, y) -> (x[0] y[1] k, x[1] y[0] k)
+        return [[(0, 0), (k, 0)], [(0, k), (0, 0)]]
 
     double = Algebra.from_blocks([[(pick(1), None), (None, pick(2))],
                                   [(None, None), (pick(3), pick(4))]],

@@ -8,7 +8,10 @@ whose entries have large, mixed denominators, and structured algebras
 random changes of basis) on which the checks pass.  The integer routes
 of the kernel and the constructions (rref, trace forms, subspace
 products, conjugation) are compared with their Fraction routes the same
-way.
+way.  The para-Kahler and twist certificates are compared line by line
+with routes that test each eigenspace as a `Subspace` and the twist
+isomorphism product by product, on 4-dimensional doubles in random bases
+with non-parallel involutions and tampered metrics.
 """
 
 import functools
@@ -22,8 +25,9 @@ from hypothesis import strategies as st
 import oracle_routes as oracle
 from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_phase, check,
                       delta_r, is_invariant_form, is_two_cocycle,
-                      levi_civita, nijenhuis, twisted_structures)
-from lsaforge import phase
+                      levi_civita, nijenhuis, twisted_structures,
+                      verify_para_kahler)
+from lsaforge import phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               algebra_tensor, curvature, invariance_check,
                               subspace_product)
@@ -645,3 +649,140 @@ def test_left_symmetric_tables_are_invariant_in_large_denominator_bases():
         rep = invariance_check(algebra_tensor(lsa), reps, lsa)
         assert rep.passed and oracle.invariance_check(
             algebra_tensor(lsa), reps, lsa) == (True, None)
+
+
+# -- certificates ---------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _planes():
+    return tuple(e.alg for e in catalog_algebras() if e.alg.dim == 2)
+
+
+def _quasi_s(rng, u):
+    """A nonzero quasi-S r on u from a few random draws, else zero."""
+    n = u.dim
+    for _ in range(20):
+        r = Mat(n, n, [_entry(rng, rng.choice((0.2, 0.5)))
+                       for _ in range(n * n)])
+        if not r.is_zero() and classify_r(u, r).is_quasi_s:
+            return r
+    return Mat.zeros(n, n)
+
+
+def _para_kahler_triple(source, rng):
+    """A para-Kahler (bracket, metric, K) on the 4-dimensional double of a
+    catalog plane in a random basis: its phase space, or its twist by a
+    quasi-S r."""
+    u = _moved(rng, rng.choice(_planes()))
+    if source == "phase":
+        ps = build_phase(u)
+        return ps.extended.commutator_algebra(), ps.pairing0, ps.k0
+    tw = twisted_structures(u, _quasi_s(rng, u))
+    return tw.twisted, tw.metric_r, tw.k_r
+
+
+def _commuting(rng, k):
+    """An invertible matrix commuting with the involution k: random
+    blocks on its two eigenspaces."""
+    n = k.rows
+    plus = (k - Mat.identity(n)).kernel_basis()
+    minus = (k + Mat.identity(n)).kernel_basis()
+    p = Mat.from_cols(plus + minus)
+    blocks = Mat.block([
+        [_invertible(rng, len(plus)), Mat.zeros(len(plus), len(minus))],
+        [Mat.zeros(len(minus), len(plus)), _invertible(rng, len(minus))]])
+    return p * blocks * p.inverse()
+
+
+def _tampered(kind, triple, rng):
+    lie, metric, k = triple
+    n = lie.dim
+    if kind == "moved":
+        p = _invertible(rng, n)
+        return (lie.conjugate(p),
+                Bilinear(p.transpose() * metric.matrix * p, "symmetric"),
+                p.inverse() * k * p)
+    if kind == "non_parallel_k":          # an involution, moved
+        p = _invertible(rng, n)
+        return lie, metric, p * k * p.inverse()
+    if kind == "skew_metric":             # K stays skew for the new metric
+        a = _commuting(rng, k)
+        return lie, Bilinear(a.transpose() * metric.matrix * a,
+                             "symmetric"), k
+    if kind == "random_metric":
+        half = Mat(n, n, [_entry(rng, 0.5) for _ in range(n * n)])
+        return lie, Bilinear(half + half.transpose(), "symmetric"), k
+    if kind == "not_lie":
+        return Algebra(_random_table(rng, n, 0.3)).commutator_algebra(), \
+            metric, k
+    return triple
+
+
+CERT_SOURCES = ("phase", "twist")
+CERT_KINDS = ("as_built", "moved", "non_parallel_k", "skew_metric",
+              "random_metric", "not_lie")
+
+
+def _lines(cert):
+    return [(r.name, r.passed, r.witness) for r in cert.reports]
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(CERT_SOURCES), st.sampled_from(CERT_KINDS), SEEDS)
+def test_para_kahler_certificate_matches_subspace_route(source, kind, seed):
+    rng = random.Random(seed)
+    lie, metric, k = _tampered(kind, _para_kahler_triple(source, rng), rng)
+    assert _lines(verify_para_kahler(lie, metric, k)) == \
+        oracle.para_kahler_reports(lie, metric, k)
+
+
+def _xi_candidate(kind, tw, rng):
+    n = tw.xi.rows
+    if kind == "identity":
+        return Mat.identity(n)
+    if kind == "scaled":
+        return tw.xi.scale(2)
+    if kind == "random":                  # sometimes singular
+        return Mat(n, n, [_entry(rng, 0.4) for _ in range(n * n)])
+    return tw.xi
+
+
+XI_KINDS = ("as_built", "identity", "scaled", "random")
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(XI_KINDS), SEEDS)
+def test_twist_certificate_matches_product_route(xi_kind, seed):
+    rng = random.Random(seed)
+    u = _moved(rng, rng.choice(_planes()))
+    tw = twisted_structures(u, _quasi_s(rng, u))
+    assert _lines(tw.cert) == oracle.twist_reports(tw)
+    xi = _xi_candidate(xi_kind, tw, rng)
+    rep = smatrix._xi_report(tw.twisted, tw.bracket_r, xi)
+    assert (rep.passed, rep.witness) == \
+        oracle.xi_isomorphism(tw.twisted, tw.bracket_r, xi)
+
+
+def test_certificate_cases_reach_both_verdicts():
+    lines = ["omega_cocycle"] + [
+        law + "_" + sign for sign in ("plus", "minus")
+        for law in ("subalgebra", "isotropic", "lagrangian", "lc_stable")]
+    seen = {name: set() for name in lines + ["xi_isomorphism"]}
+    rng = random.Random(5)
+    for source in CERT_SOURCES:
+        for kind in CERT_KINDS * 2:
+            lie, metric, k = _tampered(kind, _para_kahler_triple(source, rng),
+                                       rng)
+            got = _lines(verify_para_kahler(lie, metric, k))
+            assert got == oracle.para_kahler_reports(lie, metric, k)
+            for name, passed, _ in got:
+                seen.get(name, set()).add(passed)
+    for kind in XI_KINDS * 2:
+        u = _moved(rng, rng.choice(_planes()))
+        tw = twisted_structures(u, _quasi_s(rng, u))
+        xi = _xi_candidate(kind, tw, rng)
+        rep = smatrix._xi_report(tw.twisted, tw.bracket_r, xi)
+        assert (rep.passed, rep.witness) == \
+            oracle.xi_isomorphism(tw.twisted, tw.bracket_r, xi)
+        seen["xi_isomorphism"].add(rep.passed)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen

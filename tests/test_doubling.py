@@ -1,14 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from lsaforge import (InternalInconsistency, Mat, build_complex_product,
-                      build_hyper, build_symp_double, build_theta_double,
-                      check, compat_curvature, delta_op, doubling,
-                      is_compatible, lts_from_o, lts_from_yb, myb_residual,
-                      o_op, oeq_check, pencil, pencil_identity, tu_product,
-                      yb)
+from lsaforge import (Algebra, InternalInconsistency, Mat,
+                      build_complex_product, build_hyper, build_symp_double,
+                      build_theta_double, check, compat_curvature, delta_op,
+                      doubling, forms, is_compatible, lts_from_o, lts_from_yb,
+                      myb_residual, o_op, oeq_check, pencil, pencil_identity,
+                      phase, tu_product, yb)
+from lsaforge.report import failing
+from lsaforge.smatrix import RClass
 from lsaforge.catalog import (canonical, catalog_algebras, rand_fraction,
                               rand_symplectic)
 from lsaforge.exact import basis_vec
@@ -142,3 +145,65 @@ def test_abelian_equivalence_disagreement_names_every_verdict(monkeypatch,
         "abelianness of K1, of J1 and commutativity of the pair differ: "
         "K1 abelian: FAIL witness=(0, 1); J1 abelian: FAIL witness=(0, 1); "
         "both products commutative: PASS")
+
+
+def test_build_hyper_computes_one_levi_civita_product(monkeypatch, nab_lsa,
+                                                      omega2):
+    # the parallel_j line reuses the product of the para-Kahler part
+    dims = []
+    compute = forms._levi_civita
+
+    def counted(lie, metric):
+        dims.append(lie.dim)
+        return compute(lie, metric)
+
+    monkeypatch.setattr(forms, "_levi_civita", counted)
+    monkeypatch.setattr(phase, "_levi_civita", counted)
+    assert build_hyper(nab_lsa, nab_lsa, omega2).cert.passed
+    assert dims == [4]
+
+
+def _symp_zero_double(omega2):
+    zero = Algebra.zero(2)
+    return build_symp_double(zero, omega2, Mat.identity(2))
+
+
+def test_symp_quasi_s_disagreement_names_both_routes(monkeypatch, omega2):
+    classify = doubling.classify_r
+
+    def flipped(u, r):
+        cls = classify(u, r)
+        skew = failing("skew_part_invariant", cls.reports[0].anchor,
+                       witness=(0, 1, 0))
+        return RClass(is_quasi_s=False, is_s=cls.is_s,
+                      reports=(skew,) + cls.reports[1:])
+
+    assert _symp_zero_double(omega2).cert.passed
+    monkeypatch.setattr(doubling, "classify_r", flipped)
+    with pytest.raises(InternalInconsistency) as err:
+        _symp_zero_double(omega2)
+    assert str(err.value) == (
+        "endomorphism preconditions and quasi-S classification disagree: "
+        "endomorphism preconditions: PASS; quasi-S classification: FAIL "
+        "witness=('skew_part_invariant', (0, 1, 0))")
+
+
+def test_symp_transport_disagreement_names_every_structure(monkeypatch,
+                                                           omega2):
+    twist = doubling.twisted_structures
+
+    def tampered(u, r):
+        tw = twist(u, r)
+        table = [list(row) for row in tw.twisted.table]
+        table[0][1] = basis_vec(4, 0)     # [e1, e2] = e1 inside U
+        return dataclasses.replace(
+            tw, twisted=Algebra(table, tw.twisted.basis),
+            k_r=Mat.identity(4))
+
+    monkeypatch.setattr(doubling, "twisted_structures", tampered)
+    with pytest.raises(InternalInconsistency) as err:
+        _symp_zero_double(omega2)
+    assert str(err.value) == (
+        "direct formulas and the transported twist construction disagree: "
+        "bracket: FAIL witness=(0, 1); metric: PASS; "
+        "involution: FAIL witness=(0, 2)")

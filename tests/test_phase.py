@@ -4,7 +4,7 @@ import pytest
 
 from lsaforge import (Bilinear, InternalInconsistency, Mat, build_phase, check,
                       cocycle_check, is_lie_extendible, phase,
-                      verify_para_kahler)
+                      verify_hyper_para_kahler, verify_para_kahler)
 from lsaforge.algebra import Algebra
 from lsaforge.exact import basis_vec, zero_vec
 
@@ -89,6 +89,19 @@ def test_para_kahler_tampered_metric(nab_lsa):
     assert not cert.passed
     first = cert.first_failure()
     assert first is not None and not first.passed
+
+
+def test_hyper_certificate_raises_where_the_bracket_fails(nab_lsa):
+    # the para-Kahler part stops at its bracket line, so J has no
+    # Levi-Civita product to be parallel for: levi_civita raises
+    ps = build_phase(nab_lsa)
+    n = nab_lsa.dim
+    k = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
+                   [Mat.zeros(n, n), Mat.identity(n).scale(-1)]])
+    j = Mat.block([[Mat.zeros(n, n), Mat.identity(n).scale(-1)],
+                   [Mat.identity(n), Mat.zeros(n, n)]])
+    with pytest.raises(ValueError, match="product is not a Lie bracket"):
+        verify_hyper_para_kahler(ps.extended, ps.pairing0, k, j)
 
 
 def test_extendible_disagreement_names_both_routes(monkeypatch, nab_lsa):
