@@ -84,6 +84,13 @@ def _swapped(table) -> list:
     return [list(col) for col in zip(*table)]
 
 
+def _int_algebra(cells, den: int, basis) -> "Algebra":
+    """The algebra whose structure constants are the dense integer cells
+    over den."""
+    return Algebra._of(tuple(tuple(_as_fractions(cell, den) for cell in row)
+                             for row in cells), tuple(basis))
+
+
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
@@ -106,12 +113,20 @@ class Algebra:
         basis = tuple(basis)
         if len(basis) != n:
             raise ValueError("basis label count mismatch")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "_bracket", None)
-        object.__setattr__(self, "_lefts", None)
-        object.__setattr__(self, "_ints", None)
+        self._fill(tab, basis)
+
+    def _fill(self, table, basis) -> None:
+        for name, value in zip(self.__slots__, (len(table), basis, table,
+                                                None, None, None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of(table, basis) -> "Algebra":
+        """An algebra from an n x n x n tuple table of Fractions and a
+        tuple of n labels; for results of algebra arithmetic only."""
+        alg = object.__new__(Algebra)
+        alg._fill(table, basis)
+        return alg
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -134,13 +149,13 @@ class Algebra:
 
         Shaped like Mat.block: grid[p][q] is the block for a left argument
         in part p and a right argument in part q (0 for V, 1 for V', both
-        Q^n).  A block is a pair (f, g) of tables, f[i][j] and g[i][j] the
-        V- and V'-components of the product of e_i in part p and e_j in
-        part q; None is the zero table.  V' is labelled by appending
-        `suffix` to each label of `basis`: "*" for the dual U*, "'" for the
-        second factor of U x U.  Where that repeats a label of `basis` (V
-        is itself a double, with labels e1 and e1*), each label is
-        parenthesized first: (e1*)*.
+        Q^n).  A block is a pair (f, g) of tables of Fractions, f[i][j]
+        and g[i][j] the V- and V'-components of the product of e_i in part
+        p and e_j in part q; None is the zero table.  V' is labelled by
+        appending `suffix` to each label of `basis`: "*" for the dual U*,
+        "'" for the second factor of U x U.  Where that repeats a label of
+        `basis` (V is itself a double, with labels e1 and e1*), each label
+        is parenthesized first: (e1*)*.
         """
         n = len(basis)
         z = zero_vec(n)
@@ -148,14 +163,14 @@ class Algebra:
         def part(t, i, j):
             return z if t is None else tuple(t[i][j])
 
-        table = [[part(f, i, j) + part(g, i, j)
-                  for f, g in blocks for j in range(n)]
-                 for blocks in grid for i in range(n)]
+        table = tuple(tuple(part(f, i, j) + part(g, i, j)
+                            for f, g in blocks for j in range(n))
+                      for blocks in grid for i in range(n))
         basis = tuple(basis)
         second = tuple(s + suffix for s in basis)
         if len(set(basis + second)) < len(basis) + len(second):
             second = tuple("(%s)%s" % (s, suffix) for s in basis)
-        return Algebra(table, basis + second)
+        return Algebra._of(table, basis + second)
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
@@ -211,9 +226,9 @@ class Algebra:
         """The bracket [u,v] = u.v - v.u of this product."""
         if self._bracket is None:
             n, tab = self.dim, self.table
-            object.__setattr__(self, "_bracket", Algebra(
-                [[vec_sub(tab[i][j], tab[j][i]) for j in range(n)]
-                 for i in range(n)], self.basis))
+            object.__setattr__(self, "_bracket", Algebra._of(tuple(
+                tuple(vec_sub(tab[i][j], tab[j][i]) for j in range(n))
+                for i in range(n)), self.basis))
         return self._bracket
 
     # -- algebra arithmetic -------------------------------------------------
@@ -254,10 +269,9 @@ class Algebra:
         # (p e_i) . e_b, a table in its own right, then (p e_i) . (p e_j)
         # as the product of e_i and p e_j over it, then p^-1 of that
         left = _left_slot(cells, cols)
-        table = [[_as_fractions(_int_apply(qrows, _int_product(
-            left, ((i, 1),), cols[j])), den * dp * dp * dq)
-            for j in range(n)] for i in range(n)]
-        return Algebra(table, self.basis)
+        return _int_algebra([[_int_apply(qrows, _int_product(
+            left, ((i, 1),), cols[j])) for j in range(n)] for i in range(n)],
+            den * dp * dp * dq, self.basis)
 
 
 @dataclass(frozen=True)
@@ -318,11 +332,9 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
                 for c, y in cols[k]:
                     inner[c] += x * y
             outer = _int_product(left, ((i, 1),), cols[j])
-            row.append(_as_fractions(
-                [p + q for p, q in zip(outer, _int_apply(rows, inner))],
-                den * da * da))
+            row.append([p + q for p, q in zip(outer, _int_apply(rows, inner))])
         table.append(row)
-    return Algebra(table, alg.basis)
+    return _int_algebra(table, den * da * da, alg.basis)
 
 
 def is_derivation(d, alg: Algebra) -> Report:

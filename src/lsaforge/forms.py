@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra, check
-from .exact import (Mat, _as_fractions, _int_apply, _int_combine,
-                    common_denominator, dot)
+from .algebra import Algebra, _int_algebra, check
+from .exact import Mat, _int_apply, _int_combine, common_denominator, dot
 from .report import Report, _relabel, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -140,9 +139,9 @@ def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     di, irows = metric.matrix.inverse()._int_view()
     # gc[i][j][w] = D d_G <[e_i,e_j], e_w>, the cell times G (symmetric)
     gc = [[_int_combine(grows, cell, n) for cell in row] for row in cells]
-    return Algebra([[_as_fractions(_int_apply(irows, [
-        gc[i][j][w] + gc[w][i][j] + gc[w][j][i] for w in range(n)]),
-        2 * den * dg * di) for j in range(n)] for i in range(n)], lie.basis)
+    return _int_algebra([[_int_apply(irows, [
+        gc[i][j][w] + gc[w][i][j] + gc[w][j][i] for w in range(n)])
+        for j in range(n)] for i in range(n)], 2 * den * dg * di, lie.basis)
 
 
 def is_flat(lie: Algebra, metric: Bilinear) -> Report:

@@ -14,8 +14,8 @@ from typing import Optional
 
 from .algebra import (Algebra, _coaction, _int_product, _sparse, check,
                       nijenhuis)
-from .exact import (Mat, _int_apply, basis_vec, common_denominator, dot,
-                    vec_sub)
+from .exact import (Mat, _int_apply, _int_combine, basis_vec,
+                    common_denominator, dot, vec_sub)
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
                      routes_disagree)
@@ -180,10 +180,13 @@ def _kills(rows, vecs) -> bool:
 
 
 def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
-    """m commutes with every left multiplication of the Levi-Civita
-    product lc; the witness is the first basis index where it does not."""
-    bad = next(((i,) for i, li in enumerate(lc.left_mults())
-                if li * m != m * li), None)
+    """m commutes with every left multiplication L_i of the Levi-Civita
+    product lc (witness: the first i where not).  Column j of L_i m is
+    e_i.(m e_j), of m L_i it is m(e_i.e_j): over ints, D_lc d_m."""
+    n, cells, cols = lc.dim, lc._int_view()[1], m.transpose()._int_view()[1]
+    bad = next(((i,) for i in range(n) if any(
+        _int_product(cells, ((i, 1),), cols[j])
+        != _int_combine(cols, cells[i][j], n) for j in range(n))), None)
     return Report("parallel_" + label.lower(), bad is None,
                   "L_u %s == %s L_u for the Levi-Civita product"
                   % (label, label), witness=bad)

@@ -3,7 +3,10 @@
 A tensor r in U (x) U induces a product on U*, a defect map Delta(r)
 measuring how far r_# is from a morphism, and a five-term bracket
 [[r,r]]; the two agree through the duality pairing and both are
-computed and compared.  Quasi-S-matrices (skew part invariant under
+computed and compared, each as a contraction of integer views (R, the
+tables of U and its bracket over their denominators) with Fractions
+built once per result: [[r,r]] from R and the tables, Delta(r) from r_#
+and the r-induced product.  Quasi-S-matrices (skew part invariant under
 left multiplications, Delta(r) invariant under the mixed action) twist
 the semidirect phase-space bracket into new para-Kahler Lie algebras.
 
@@ -24,13 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _coaction, _swapped, algebra_tensor, check,
-                      invariance_check)
-from .exact import Mat, ZERO, dot, vec_neg, vec_sub
+from .algebra import (Algebra, _coaction, _int_algebra, _int_product,
+                      _swapped, algebra_tensor, check, invariance_check)
+from .exact import Mat, _as_fractions, _int_combine, dot, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
-                     passing, require, routes_disagree)
+                     require, routes_disagree)
 from .triple import LieTriple
 
 
@@ -50,13 +53,11 @@ class Tensor2:
 
     @property
     def sym_matrix(self) -> Mat:
-        half = Fraction(1, 2)
-        return (self.matrix + self.matrix.transpose()).scale(half)
+        return (self.matrix + self.matrix.transpose()).scale(Fraction(1, 2))
 
     @property
     def skew_matrix(self) -> Mat:
-        half = Fraction(1, 2)
-        return (self.matrix - self.matrix.transpose()).scale(half)
+        return (self.matrix - self.matrix.transpose()).scale(Fraction(1, 2))
 
     @property
     def r_sharp(self) -> Mat:
@@ -81,76 +82,78 @@ def dual_product_from_r(u: Algebra, r) -> Algebra:
 
 
 def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
+    """<a.b, e_k> = (L_k R + R ad_k^t)[a][b]: the cells of e_k.e_p (over
+    D) against row p of R, those of [e_k,e_p] (over D_br) against column
+    p of R (over D_r), all over D_r D D_br."""
     n = u.dim
-    rm = r.matrix
-    ads = u.commutator_algebra().left_mults()
-    comps = [lk * rm + rm * adk.transpose()
-             for lk, adk in zip(u.left_mults(), ads)]
-    table = [[tuple(comps[k][a, b] for k in range(n)) for b in range(n)]
-             for a in range(n)]
-    return Algebra(table, tuple(b + "*" for b in u.basis))
+    dr, rows = r.matrix._int_view()
+    cols = r.matrix.transpose()._int_view()[1]
+    den, tab = u._int_view()
+    dbr, br = u.commutator_algebra()._int_view()
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for k, p in itertools.product(range(n), repeat=2):
+        for a, c in tab[k][p]:              # L_k[a][p] = c
+            for b, x in rows[p]:
+                out[a][b][k] += c * x * dbr
+        for b, c in br[k][p]:               # ad_k[b][p] = c
+            for a, x in cols[p]:
+                out[a][b][k] += x * c * den
+    return _int_algebra(out, dr * den * dbr, tuple(b + "*" for b in u.basis))
 
 
 def delta_r(u: Algebra, r) -> Algebra:
     """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] : U* x U* -> U."""
     r = _as_tensor2(u, r)
-    return _delta(u, r, dual_product_from_r(u, r))
+    return _sharp_defect(u.commutator_algebra(), r.matrix,
+                         dual_product_from_r(u, r).commutator_algebra())
 
 
-def _delta(u: Algebra, r: Tensor2, dual: Algebra) -> Algebra:
-    """Delta(r) from the r-induced product `dual` on U*."""
-    return _sharp_defect(u.commutator_algebra(), r.r_sharp,
-                         dual.commutator_algebra())
-
-
-def _sharp_defect(lie: Algebra, rs: Mat, dual_lie: Algebra) -> Algebra:
-    """r_#([a,b]) - [r_#(a), r_#(b)] on basis covectors a, b, with the
-    bracket of dual_lie on U* and of lie on U."""
+def _sharp_defect(lie: Algebra, rm: Mat, dual_lie: Algebra) -> Algebra:
+    """r_#([a,b]) - [r_#(a), r_#(b)] on basis covectors, r_# = R^t, [,] of
+    dual_lie on U* and of lie on U: rows of R (D_r) combined by the cells
+    of [a,b] (D_d), less rows a and b of R over lie (D), over D_r^2 D D_d."""
     n = lie.dim
-    return Algebra([[vec_sub(rs.apply(dual_lie.table[a][b]),
-                             lie.product(rs.col(a), rs.col(b)))
-                     for b in range(n)] for a in range(n)], lie.basis)
+    dr, rows = rm._int_view()
+    den, cells = lie._int_view()
+    dd, dual = dual_lie._int_view()
+    f = dr * den
+    return _int_algebra([[[f * x - dd * y for x, y in zip(
+        _int_combine(rows, dual[a][b], n),
+        _int_product(cells, rows[a], rows[b]))] for b in range(n)]
+        for a in range(n)], dr * f * dd, lie.basis)
 
 
 def rr_bracket(u: Algebra, r):
     """The five-term bracket [[r,r]] as an order-3 array in U (x) U (x) U.
 
     [[r,r]] = r13.r12 - r23.r21 + [r23,r12] - [r13,r21] - [r13,r23],
-    computed from the basis decomposition r = sum R[i][j] e_i (x) e_j.
+    r = sum R[i][j] e_i (x) e_j: each product R[i][j] R[k][l] of nonzero
+    entries (over D_r^2) spreads the cells of e_i.e_k (over D), [e_i,e_l]
+    and [e_j,e_l] (over D_br) into the array, over D_r^2 D D_br.
     """
     r = _as_tensor2(u, r)
     n = u.dim
-    rm = r.matrix
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    pairs = [(i, j, rm[i, j]) for i in range(n) for j in range(n) if rm[i, j]]
-    tab, br = u.table, u.commutator_algebra().table
-
-    def acc(sign, vpos, v, p, q):
-        # place vector v in slot vpos and basis indices p, q in the others
-        for s, comp in enumerate(v):
-            if comp:
-                idx = [None, None, None]
-                idx[vpos] = s
-                rest = [t for t in range(3) if t != vpos]
-                idx[rest[0]], idx[rest[1]] = p, q
-                out[idx[0]][idx[1]][idx[2]] += sign * comp
-
-    for (i, j, wi) in pairs:
-        for (k, l, wk) in pairs:
+    dr, rows = r.matrix._int_view()
+    den, tab = u._int_view()
+    dbr, br = u.commutator_algebra()._int_view()
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    pairs = [(i, j, x) for i, row in enumerate(rows) for j, x in row]
+    for i, j, wi in pairs:
+        for k, l, wk in pairs:
             w = wi * wk
-            prod = tab[i][k]                    # e_i . e_k
-            brak = br[i][l]                     # [e_i, e_l]
-            # r13.r12 = sum a_i.a_k (x) b_k (x) b_i
-            acc(w, 0, prod, l, j)
-            # r23.r21 = sum b_l (x) a_i.a_k (x) b_j  (minus sign)
-            acc(-w, 1, prod, l, j)
-            # [r23, r12] = sum a_k (x) [a_i, b_l] (x) b_j
-            acc(w, 1, brak, k, j)
-            # [r13, r21] = sum [a_i, b_l] (x) a_k (x) b_j  (minus sign)
-            acc(-w, 0, brak, k, j)
-            # [r13, r23] = sum a_i (x) a_k (x) [b_j, b_l]  (minus sign)
-            acc(-w, 2, br[j][l], i, k)
-    return out
+            for s, c in tab[i][k]:          # r13.r12 - r23.r21
+                v = w * c * dbr
+                out[s][l][j] += v
+                out[l][s][j] -= v
+            for s, c in br[i][l]:           # [r23,r12] - [r13,r21]
+                v = w * c * den
+                out[k][s][j] += v
+                out[s][k][j] -= v
+            for s, c in br[j][l]:           # -[r13,r23]
+                out[i][k][s] -= w * c * den
+    scale = dr * dr * den * dbr
+    return [[list(_as_fractions(row, scale)) for row in plane]
+            for plane in out]
 
 
 def rr_delta_agree(u: Algebra, r) -> Report:
@@ -161,13 +164,11 @@ def rr_delta_agree(u: Algebra, r) -> Report:
 
 
 def _rr_delta_report(u: Algebra, r: Tensor2, delta: Algebra) -> Report:
-    rr = rr_bracket(u, r)
-    n = u.dim
-    anchor = "[[r,r]](a,b,c) == <c, Delta(r)(a,b)>"
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if rr[a][b][c] != delta.table[a][b][c]:
-            return failing("rr_delta_agree", anchor, witness=(a, b, c))
-    return passing("rr_delta_agree", anchor)
+    rr, tab, n = rr_bracket(u, r), delta.table, u.dim
+    bad = next(((a, b, c) for a in range(n) for b in range(n)
+                for c in range(n) if rr[a][b][c] != tab[a][b][c]), None)
+    return Report("rr_delta_agree", bad is None,
+                  "[[r,r]](a,b,c) == <c, Delta(r)(a,b)>", witness=bad)
 
 
 def _first_nonzero(tensor):
@@ -175,12 +176,6 @@ def _first_nonzero(tensor):
     n = len(tensor)
     return next((idx for idx in itertools.product(range(n), repeat=3)
                  if tensor[idx[0]][idx[1]][idx[2]]), None)
-
-
-def _skew_tensor(r: Tensor2):
-    sk = r.skew_matrix
-    n = r.on.dim
-    return [[sk[i, j] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def classify_r(u: Algebra, r) -> RClass:
 
 def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
     """classify_r with Delta(r) already computed."""
-    skew_inv = invariance_check(_skew_tensor(r), ("L", "L"), u,
+    skew_inv = invariance_check(r.skew_matrix.row_list(), ("L", "L"), u,
                                 name="skew_part_invariant")
     q_inv = invariance_check(algebra_tensor(delta), ("L", "L", "ad"), u,
                              name="delta_invariant")
@@ -267,15 +262,14 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     by the dual.  Raises if r is not quasi-S.
     """
     r = _as_tensor2(u, r)
-    dual = _dual_product(u, r)
-    delta = _delta(u, r, dual)
+    dual, lie = _dual_product(u, r), u.commutator_algebra()
+    delta = _sharp_defect(lie, r.matrix, dual.commutator_algebra())
     cls = _classify(u, r, delta)
     if not cls.is_quasi_s:
         bad = next(rep for rep in cls.reports if not rep.passed)
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
     n = u.dim
     ps = build_phase(u, dual)
-    lie = u.commutator_algebra()
     triangle = semidirect_bracket(lie, u)
     twisted = _semidirect(lie, u, delta.table)
 
@@ -348,7 +342,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     dual_bracket = Algebra([[vec_sub(ads[b].row(a), ads[a].row(b))
                              for b in range(n)] for a in range(n)],
                            tuple(s + "*" for s in lie.basis))
-    rr = _sharp_defect(lie, rs, dual_bracket)
+    rr = _sharp_defect(lie, r.matrix, dual_bracket)
 
     reports = [invariance_check(algebra_tensor(rr), ("ad", "ad", "ad"), lie,
                                 name="rr_ad_invariant")]

@@ -8,7 +8,8 @@ the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.
 The certificate routes keep the eigenspaces as `Subspace`s tested with
-`contains`.  Nothing here is used by the library.
+`contains`, and the r-matrix routes the five-term bracket placed slot by
+slot.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -388,6 +389,61 @@ def delta_table(alg, rm):
     return tuple(tuple(cell(a, b) for b in range(n)) for a in range(n))
 
 
+def rr_bracket(alg, rm):
+    """The five-term bracket [[r,r]] = r13.r12 - r23.r21 + [r23,r12]
+    - [r13,r21] - [r13,r23] over Fraction, R = rm: for every two nonzero
+    entries of R, each component of a product or bracket of basis vectors
+    is placed through an index list of its three slots."""
+    n = alg.dim
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    pairs = [(i, j, rm[i, j]) for i in range(n) for j in range(n) if rm[i, j]]
+    tab = alg.table
+    br = [[_sub(tab[i][j], tab[j][i]) for j in range(n)] for i in range(n)]
+
+    def acc(sign, vpos, v, p, q):
+        # place vector v in slot vpos and basis indices p, q in the others
+        for s, comp in enumerate(v):
+            if comp:
+                idx = [None, None, None]
+                idx[vpos] = s
+                rest = [t for t in range(3) if t != vpos]
+                idx[rest[0]], idx[rest[1]] = p, q
+                out[idx[0]][idx[1]][idx[2]] += sign * comp
+
+    for (i, j, wi) in pairs:
+        for (k, l, wk) in pairs:
+            w = wi * wk
+            prod = tab[i][k]                    # e_i . e_k
+            brak = br[i][l]                     # [e_i, e_l]
+            # r13.r12 = sum a_i.a_k (x) b_k (x) b_i
+            acc(w, 0, prod, l, j)
+            # r23.r21 = sum b_l (x) a_i.a_k (x) b_j  (minus sign)
+            acc(-w, 1, prod, l, j)
+            # [r23, r12] = sum a_k (x) [a_i, b_l] (x) b_j
+            acc(w, 1, brak, k, j)
+            # [r13, r21] = sum [a_i, b_l] (x) a_k (x) b_j  (minus sign)
+            acc(-w, 0, brak, k, j)
+            # [r13, r23] = sum a_i (x) a_k (x) [b_j, b_l]  (minus sign)
+            acc(-w, 2, br[j][l], i, k)
+    return out
+
+
+def coadjoint_rr_table(lie, rm):
+    """[r,r](a,b) = r_#([a,b]*) - [r_#(a), r_#(b)] on the basis covectors
+    of a Lie algebra stored as its bracket, r_#(e_a) row a of R and
+    [a,b]* = row a of ad_{r_#(e_b)} - row b of ad_{r_#(e_a)}, each ad
+    built through product."""
+    n = lie.dim
+    rows = [tuple(row) for row in rm.row_list()]
+    sharp = [[rows[p][q] for p in range(n)] for q in range(n)]   # R^t
+    ads = [left_mult(lie, rows[i]) for i in range(n)]
+
+    def cell(a, b):
+        dual = _sub(ads[b][a], ads[a][b])
+        return _sub(_matvec(sharp, dual), product(lie, rows[a], rows[b]))
+    return tuple(tuple(cell(a, b) for b in range(n)) for a in range(n))
+
+
 def is_quasi_s(alg, rm):
     """L_X S + S L_X^t == 0 for the skew part S of R, and Delta(r)
     invariant: for every basis X, L_X applied to each of the first two
@@ -509,6 +565,18 @@ def xi_isomorphism(src, dst, xi):
     return True, None
 
 
+def parallel_witness(lie, metric, m):
+    """The first (i,) with L_i m != m L_i, L_i the left multiplications
+    of the Levi-Civita product built through product, as list matrices;
+    None where m is parallel."""
+    n = lie.dim
+    lc = SimpleNamespace(dim=n, table=levi_civita_table(lie, metric))
+    mr = m.row_list()
+    return next(((i,) for i in range(n)
+                 if _matmul(left_mult(lc, _basis(n, i)), mr)
+                 != _matmul(mr, left_mult(lc, _basis(n, i)))), None)
+
+
 def para_kahler_reports(lie, metric, k):
     """(name, passed, witness) of each line of verify_para_kahler: Jacobi
     through dense products, matrices as lists, the Levi-Civita product
@@ -537,9 +605,7 @@ def para_kahler_reports(lie, metric, k):
             for r1, r2 in zip(_matmul(kt, g), _matmul(g, kr))]
     out.append(("metric_skew_k", not any(map(any, skew)), None))
     lc = SimpleNamespace(dim=n, table=levi_civita_table(lie, metric))
-    lefts = [left_mult(lc, _basis(n, i)) for i in range(n)]
-    bad = next(((i,) for i, li in enumerate(lefts)
-                if _matmul(li, kr) != _matmul(kr, li)), None)
+    bad = parallel_witness(lie, metric, k)
     out.append(("parallel_k", bad is None, bad))
     out.append(("torsion_k", not any(any(cell) for row in nijenhuis_table(k, lie)
                                      for cell in row), None))

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 import oracle_routes as oracle
-from lsaforge import (Algebra, Endo, InternalInconsistency, Mat, check,
-                      invariance_check, is_derivation, product_subspaces)
+from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency, Mat,
+                      Tensor2, check, coadjoint_double, delta_r,
+                      dual_product_from_r, invariance_check, is_derivation,
+                      levi_civita, nijenhuis, product_subspaces)
 from lsaforge import algebra
 from lsaforge.algebra import associator, algebra_tensor, curvature, endo_tensor
 from lsaforge.exact import basis_vec
@@ -186,3 +188,46 @@ def test_memo_keeps_algebra_immutable_and_out_of_equality(nab_lsa):
     assert nab_lsa == fresh and hash(nab_lsa) == hash(fresh)
     assert nab_lsa.commutator_algebra() is nab_lsa.commutator_algebra()
     assert nab_lsa.commutator_algebra() == fresh.commutator_algebra()
+
+
+def _assert_like_public(alg):
+    """alg equals, hashes like and is as immutable as the algebra the
+    public constructor builds from its table, a table of tuples of
+    Fractions."""
+    public = Algebra(alg.table, alg.basis)
+    assert alg == public and hash(alg) == hash(public)
+    assert (alg.dim, alg.basis, alg.table) == \
+        (public.dim, public.basis, public.table)
+    assert type(alg.table) is tuple and all(
+        type(row) is tuple and all(type(cell) is tuple
+                                   and all(type(x) is Fraction for x in cell)
+                                   for cell in row) for row in alg.table)
+    for attr in ("dim", "basis", "table", "_ints"):
+        with pytest.raises(AttributeError):
+            setattr(alg, attr, None)
+
+
+def test_private_constructor_paths_build_public_algebras(aff, heis, sl2,
+                                                         nab_lsa):
+    p = Mat.from_rows([[Fraction(1, 7), 2, 0], [0, Fraction(3, 89), 1],
+                       [1, 0, Fraction(-50, 97)]])
+    a = Mat.from_rows([[Fraction(1, 48), 1], [0, Fraction(-7, 2)]])
+    r = Tensor2(nab_lsa, Mat.from_rows([[Fraction(3, 7), 1],
+                                        [Fraction(-1, 89), 0]]))
+    metric = Bilinear(Mat.from_rows([[Fraction(2, 3), 1], [1, 0]]),
+                      "symmetric")
+    skew = Mat.from_rows([[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0],
+                          [0, 0, 0]])
+    built = [
+        Algebra.from_blocks([[(aff.table, None), (None, aff.table)],
+                             [(None, None), (nab_lsa.table, None)]],
+                            aff.basis, "*"),
+        sl2.conjugate(p), heis.conjugate(p), nijenhuis(a, aff),
+        nijenhuis(a, nab_lsa), levi_civita(aff, metric),
+        nab_lsa.commutator_algebra(), sl2.conjugate(p).commutator_algebra(),
+        dual_product_from_r(nab_lsa, r), delta_r(nab_lsa, r),
+        dual_product_from_r(nab_lsa, Mat.zeros(2, 2)),
+        coadjoint_double(heis, skew).rr, Algebra.zero(0).conjugate(
+            Mat.identity(0))]
+    for alg in built:
+        _assert_like_public(alg)

@@ -11,7 +11,10 @@ products, conjugation) are compared with their Fraction routes the same
 way.  The para-Kahler and twist certificates are compared line by line
 with routes that test each eigenspace as a `Subspace` and the twist
 isomorphism product by product, on 4-dimensional doubles in random bases
-with non-parallel involutions and tampered metrics.
+with non-parallel involutions and tampered metrics, and the J line of
+the hyper-para-Kahler certificate with a matrix route.  The r-matrix
+layer ([[r,r]], the r-induced dual product and Delta(r)) is compared with
+its Fraction routes on general tables.
 """
 
 import functools
@@ -23,15 +26,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_routes as oracle
-from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_phase, check,
-                      delta_r, is_invariant_form, is_two_cocycle,
+from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_hyper,
+                      build_phase, check, coadjoint_double, delta_r,
+                      dual_product_from_r, is_invariant_form, is_two_cocycle,
                       levi_civita, nijenhuis, twisted_structures,
-                      verify_para_kahler)
+                      verify_hyper_para_kahler, verify_para_kahler)
 from lsaforge import phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               algebra_tensor, curvature, invariance_check,
                               subspace_product)
-from lsaforge.catalog import _trace_form, catalog_algebras, killing_form
+from lsaforge.catalog import (_trace_form, canonical, catalog_algebras,
+                              killing_form)
 from lsaforge.exact import dot, zero_vec
 from lsaforge.smatrix import Tensor2, classify_r
 
@@ -786,3 +791,96 @@ def test_certificate_cases_reach_both_verdicts():
             oracle.xi_isomorphism(tw.twisted, tw.bracket_r, xi)
         seen["xi_isomorphism"].add(rep.passed)
     assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+
+@functools.lru_cache(maxsize=None)
+def _hyper_triples():
+    """(bracket, metric, K, J) of the hyper-para-Kahler doubles of the
+    self-double of the nonabelian plane and of both compatible families."""
+    omega = Bilinear(Mat.from_rows([[0, 1], [-1, 0]]), "skew")
+    nab = canonical("dim2_nonabelian", {"a": 1})["alg"]
+    pairs = [(nab, nab, omega)] + [
+        (p["bullet"], p["circ"], p["omega"]) for p in (
+            canonical("compat_family1", {"a": 1, "b": 1}),
+            canonical("compat_family2", {"a": 1, "b": 1, "c": 2}))]
+    out = []
+    for bullet, circ, form in pairs:
+        data = build_hyper(bullet, circ, form)
+        cp = data.complex_product
+        out.append((cp.lie, data.metric, cp.k1, cp.j1))
+    return tuple(out)
+
+
+J_KINDS = ("as_built", "moved", "negated", "non_parallel_j")
+
+
+def _hyper_case(kind, triple, rng):
+    lie, metric, k, j = triple
+    n = lie.dim
+    if kind == "moved":                   # the whole structure, still PASS
+        p = _invertible(rng, n, LARGE)
+        q = p.inverse()
+        return (lie.conjugate(p),
+                Bilinear(p.transpose() * metric.matrix * p, "symmetric"),
+                q * k * p, q * j * p)
+    if kind == "negated":
+        return lie, metric, k, -j
+    if kind == "non_parallel_j":          # a complex structure, moved
+        p = _invertible(rng, n)
+        return lie, metric, k, p * j * p.inverse()
+    return triple
+
+
+def test_parallel_j_matches_matrix_route_and_reaches_both_verdicts():
+    rng = random.Random(3)
+    seen = set()
+    for kind in J_KINDS:
+        for triple in _hyper_triples():
+            lie, metric, k, j = _hyper_case(kind, triple, rng)
+            rep = verify_hyper_para_kahler(lie, metric, k, j).reports[-1]
+            assert rep.name == "parallel_j"
+            want = oracle.parallel_witness(lie, metric, j)
+            assert (rep.passed, rep.witness) == (want is None, want)
+            seen.add(rep.passed)
+    assert seen == {True, False}
+
+
+# -- the r-matrix layer ------------------------------------------------------
+
+R_KINDS = ("zero", "sparse", "dense", "symmetric", "skew")
+
+
+def _r_matrix(kind, n, rng):
+    """R with entries from LARGE: zero, sparse or dense (not symmetric in
+    general), or the symmetric or skew part of a dense draw."""
+    if kind == "zero":
+        return Mat.zeros(n, n)
+    m = Mat(n, n, [_entry(rng, 0.2 if kind == "sparse" else 0.9, LARGE)
+                   for _ in range(n * n)])
+    if kind == "symmetric":
+        return m + m.transpose()
+    return m - m.transpose() if kind == "skew" else m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5),
+       st.sampled_from(R_KINDS), SEEDS)
+def test_r_matrix_layer_matches_fraction_routes(kind, n, r_kind, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    rm = _r_matrix(r_kind, alg.dim, rng)
+    assert smatrix.rr_bracket(alg, rm) == oracle.rr_bracket(alg, rm)
+    assert dual_product_from_r(alg, rm).table == \
+        oracle.dual_product_table(alg, rm)
+    assert delta_r(alg, rm).table == oracle.delta_table(alg, rm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("zero", "sparse", "dense", "skew")), SEEDS)
+def test_coadjoint_rr_matches_fraction_route(r_kind, seed):
+    rng = random.Random(seed)
+    lie = _moved(rng, rng.choice(_lie_algebras()), LARGE)
+    rm = _r_matrix(r_kind, lie.dim, rng)
+    rm = rm - rm.transpose()              # coadjoint_double takes a skew r
+    assert coadjoint_double(lie, rm).rr.table == \
+        oracle.coadjoint_rr_table(lie, rm)

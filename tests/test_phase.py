@@ -124,3 +124,16 @@ def test_cocycle_disagreement_names_both_routes(monkeypatch, nab_lsa):
         "1-cocycle characterization and rho-symmetry disagree: "
         "1-cocycle characterization: FAIL witness=(0, 1, 0, 0); "
         "rho-symmetry: PASS")
+
+
+def test_parallel_report_names_the_first_index_that_fails():
+    # only L_{e3} is nonzero (e3.e1 = e2), so the witness is the last index
+    z = zero_vec(3)
+    lc = Algebra([[z, z, z], [z, z, z], [(0, 1, 0), z, z]])
+    diag = Mat.from_rows([[Fraction(1, 3), 0, 0], [0, Fraction(2, 7), 0],
+                          [0, 0, 1]])
+    rep = phase._parallel_report(lc, diag, "J")
+    assert (rep.name, rep.passed, rep.witness) == ("parallel_j", False, (2,))
+    rep = phase._parallel_report(lc, Mat.identity(3).scale(Fraction(5, 3)),
+                                 "K")
+    assert (rep.name, rep.passed, rep.witness) == ("parallel_k", True, None)
