@@ -19,9 +19,9 @@ from typing import Sequence, Tuple
 
 from math import lcm
 
-from .exact import (Mat, Subspace, _as_fractions, _int_apply, basis_vec,
-                    common_denominator, is_zero_vec, vec, vec_add, vec_scale,
-                    vec_sub, zero_vec)
+from .exact import (Mat, Subspace, _as_fractions, _int_apply, _int_rows,
+                    basis_vec, common_denominator, is_zero_vec, vec, vec_add,
+                    vec_scale, vec_sub, zero_vec)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
@@ -204,12 +204,11 @@ class Algebra:
         e_i . e_j as ints."""
         if self._ints is None:
             n = self.dim
-            den, flat = common_denominator(
-                [x for row in self.table for cell in row for x in cell])
-            cells = [tuple((k, x) for k, x in enumerate(flat[c * n:c * n + n])
-                           if x) for c in range(n * n)]
+            den, cells = _int_rows(
+                [x for row in self.table for cell in row for x in cell],
+                n * n, n)
             object.__setattr__(self, "_ints", (den, tuple(
-                tuple(cells[i * n:i * n + n]) for i in range(n))))
+                cells[i * n:i * n + n] for i in range(n))))
         return self._ints
 
     def left_mult(self, u: Sequence) -> Mat:
@@ -315,9 +314,10 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     entries of A, over the one denominator D d_A^2.
     """
     n = alg.dim
+    m = Endo(alg, _mat(a)).matrix                      # checks the shape
     den, cells = alg._int_view()
-    da, rows = _mat(a)._int_view()
-    cols = _mat(a).transpose()._int_view()[1]          # A e_j, as ints
+    da, rows = m._int_view()
+    cols = m.transpose()._int_view()[1]                # A e_j, as ints
     left = _left_slot(cells, cols)                      # [A e_i, e_b]
     table = []
     for i in range(n):
@@ -413,10 +413,10 @@ def _jacobi_witness(br: Algebra):
 
 
 def _check_jacobi_antisym(alg: Algebra):
-    n = alg.dim
-    for i in range(n):
-        for j in range(i, n):
-            if alg.table[i][j] != vec_sub(zero_vec(n), alg.table[j][i]):
+    cells = alg._int_view()[1]
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            if cells[i][j] != tuple((k, -x) for k, x in cells[j][i]):
                 return (i, j)
     return _jacobi_witness(alg)
 
@@ -521,24 +521,6 @@ def product_subspaces(alg: Algebra) -> dict:
 INVARIANCE_TAGS = ("ad", "L", "ad_dual", "L_dual")
 
 
-def _tensor_shape(t):
-    shape = []
-    node = t
-    while isinstance(node, (list, tuple)) and not isinstance(node, str):
-        shape.append(len(node))
-        node = node[0]
-    return tuple(shape)
-
-
-def _flatten_tensor(t, order):
-    if order == 0:
-        return [Fraction(t)]
-    out = []
-    for sub in t:
-        out.extend(_flatten_tensor(sub, order - 1))
-    return out
-
-
 def _rep_columns(tag: str, alg: Algebra, m: int) -> tuple:
     """(sign, D, cols): the representing matrix of e_m for tag is sign/D
     times the integer matrix whose column b has the sparse entries
@@ -554,8 +536,10 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
                      name: str = "invariance") -> Report:
     """Diagonal-action invariance of a tensor under per-slot representations.
 
-    The tensor is a nested array all of whose index ranges equal the
-    algebra dimension; reps names one representation per slot.  For each
+    The tensor is an Algebra, read as the order-3 tensor T[i][j][k] = the
+    e_k coordinate of e_i . e_j, or a Mat m, read as the order-2 tensor
+    T[i][j] = m[i, j]; every index range must equal the algebra
+    dimension, and reps names one representation per slot.  For each
     basis element X the representing matrix of each slot's tag is applied
     directly to that index and the results summed; the tensor is
     invariant when this vanishes for every X.  L and L_dual act through
@@ -565,29 +549,37 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     whose tags are all ad or ad_dual unchanged; with this convention the
     bracket tensor of a Lie algebra is annihilated exactly by
     (ad_dual, ad_dual, ad), which is the Jacobi identity.  The sum is
-    taken over ints: each nonzero entry of the tensor scaled to ints is
+    taken over ints: each nonzero entry of the tensor's integer view is
     spread by the integer columns of each slot's matrix, all slots over
     one denominator.
     """
-    shape = _tensor_shape(tensor)
-    if len(shape) != len(reps):
+    if isinstance(tensor, Algebra):
+        sizes = (tensor.dim,) * 3
+        rows = [cell for row in tensor._int_view()[1] for cell in row]
+    elif isinstance(tensor, Mat):
+        sizes = (tensor.rows, tensor.cols)
+        rows = tensor._int_view()[1]
+    else:
+        raise ValueError("tensor must be an Algebra or a Mat")
+    order = len(sizes)
+    if len(reps) != order:
         raise ValueError("slot count %d does not match tensor order %d"
-                         % (len(reps), len(shape)))
-    if any(s != alg.dim for s in shape):
+                         % (len(reps), order))
+    if any(s != alg.dim for s in sizes):
         raise ValueError("tensor index ranges must equal the algebra dimension")
     for tag in reps:
         if tag not in INVARIANCE_TAGS:
             raise ValueError("unknown representation tag %r (expected one "
                              "of %s)" % (tag, ", ".join(INVARIANCE_TAGS)))
     n = alg.dim
-    flat = common_denominator(_flatten_tensor(tensor, len(shape)))[1]
-    support = _sparse(flat)
-    strides = [n ** (len(shape) - 1 - s) for s in range(len(shape))]
+    # the last index of an entry is its position in a row of the view
+    support = [(p * n + k, x) for p, row in enumerate(rows) for k, x in row]
+    strides = [n ** (order - 1 - s) for s in range(order)]
     anchor = "sum over slots of %s action == 0" % (tuple(reps),)
     for m in range(n):
         slots = [_rep_columns(tag, alg, m) for tag in reps]
         common = lcm(*(d for _, d, _ in slots))
-        total = [0] * len(flat)
+        total = [0] * n ** order
         for (sign, d, cols), stride in zip(slots, strides):
             f = sign * (common // d)
             for pos, x in support:
@@ -597,19 +589,6 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
                     total[base + a * stride] += f * x * y
         pos = next((p for p, val in enumerate(total) if val), None)
         if pos is not None:
-            idx = []
-            for s in reversed(shape):
-                idx.append(pos % s)
-                pos //= s
-            return failing(name, anchor, witness=(m,) + tuple(reversed(idx)))
+            return failing(name, anchor, witness=(m,) + tuple(
+                pos // stride % n for stride in strides))
     return passing(name, anchor)
-
-
-def algebra_tensor(alg: Algebra):
-    """Order-3 array T[i][j][k]: the e_k coordinate of e_i . e_j."""
-    return [[list(cell) for cell in row] for row in alg.table]
-
-
-def endo_tensor(m: Mat):
-    """Order-2 array for an endomorphism: T[j][k] = e_k coordinate of M e_j."""
-    return [[m[k, j] for k in range(m.rows)] for j in range(m.cols)]

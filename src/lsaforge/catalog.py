@@ -960,8 +960,7 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
         "Levi-Civita product of the double == lifted product"))
     rt = Tensor2(dot, ginv)
     reports.append(_relabel(
-        invariance_check([[ginv[i, j] for j in range(n)] for i in range(n)],
-                         ("L", "L"), dot), "inverse_metric_invariant"))
+        invariance_check(ginv, ("L", "L"), dot), "inverse_metric_invariant"))
     tw = twisted_structures(dot, rt)
     agree = (tw.triangle == bracket and tw.twisted == bracket
              and tw.metric_r.matrix == metric_d.matrix and tw.k_r == k)
@@ -1030,8 +1029,8 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     coad = all((lie.left_mult(z).transpose() * rmat
                 + rmat * lie.left_mult(z)).is_zero()
                for z in zvecs)
-    linv = invariance_check([[rmat[i, j] for j in range(n)] for i in range(n)],
-                            ("L", "L"), dstar, name="form_left_invariant")
+    linv = invariance_check(rmat, ("L", "L"), dstar,
+                            name="form_left_invariant")
     if coad != bool(linv):
         raise InternalInconsistency("coadjoint invariance and dual left "
                                     "invariance must agree")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _swapped, algebra_tensor, check, curvature,
-                      endo_tensor, invariance_check, nijenhuis)
-from .exact import Mat, basis_vec, vec_add, vec_sub
+from .algebra import (Algebra, _swapped, check, curvature, invariance_check,
+                      nijenhuis)
+from .exact import Mat, basis_vec, form_value, vec_add, vec_sub
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
 from .report import (Certificate, Report, _bool_report, _relabel, certify,
@@ -318,13 +318,12 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
         raise ValueError("omega must be skew and nondegenerate")
     dot = a_product(lie, omega)          # checks bracket + cocycle
     defect = yb(a, lie)
-    inv_yb = invariance_check(algebra_tensor(defect),
-                              ("ad_dual", "ad_dual", "ad"), lie,
+    inv_yb = invariance_check(defect, ("ad_dual", "ad_dual", "ad"), lie,
                               name="yb_ad_invariant")
     a_s, a_a = sym_skew_parts(a, omega)
     # L_X(A^s u) == A^s [X, u]: the symmetric part intertwines ad with
     # the left multiplication of the induced left-symmetric product.
-    inv_s = invariance_check(endo_tensor(a_s), ("ad_dual", "L"), dot,
+    inv_s = invariance_check(a_s.transpose(), ("ad_dual", "L"), dot,
                              name="sym_part_intertwines")
     quasi = _symp_quasi_s_crosscheck(dot, omega, a, inv_yb, inv_s)
     for rep in (inv_yb, inv_s):
@@ -437,7 +436,7 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
         comps = []
         for t in range(n):
             pre = theta_inv.apply(basis_vec(n, t))
-            val = theta.value(dl.product(pre, y), x)
+            val = form_value(theta.matrix, dl.product(pre, y), x)
             comps.append(-val if theta.kind == "skew" else val)
         return tuple(comps)
 
@@ -468,12 +467,11 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
                   "theta is not an invariant isomorphism")
     n = alg.dim
     o_def = o_op(a, alg)
-    inv_o = invariance_check(algebra_tensor(o_def),
-                             ("L_dual", "L_dual", "ad"), alg,
+    inv_o = invariance_check(o_def, ("L_dual", "L_dual", "ad"), alg,
                              name="o_defect_invariant")
     a_s, a_a = sym_skew_parts(a, theta)
     part = a_s if theta.kind == "skew" else a_a
-    inv_part = invariance_check(endo_tensor(part), ("L_dual", "L"), alg,
+    inv_part = invariance_check(part.transpose(), ("L_dual", "L"), alg,
                                 name="part_L_invariant")
     pre_reports = [iso, inv_o, inv_part]
     if hyper:
@@ -483,9 +481,8 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
         pre_reports.append(_bool_report("delta_skew_part_zero", da.is_zero(),
                                         "delta(A^a) == 0"))
         nij = nijenhuis(a, alg.commutator_algebra())
-        pre_reports.append(invariance_check(algebra_tensor(nij),
-                                            ("L_dual", "L_dual", "ad"), alg,
-                                            name="torsion_invariant"))
+        pre_reports.append(invariance_check(nij, ("L_dual", "L_dual", "ad"),
+                                            alg, name="torsion_invariant"))
     for rep in pre_reports:
         require(rep, "precondition failed")
 
@@ -529,8 +526,7 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
 def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = [YB(A)(X,Y), Z]; requires YB(A) ad-invariant."""
     defect = yb(a, lie)
-    require(invariance_check(algebra_tensor(defect),
-                             ("ad_dual", "ad_dual", "ad"), lie,
+    require(invariance_check(defect, ("ad_dual", "ad_dual", "ad"), lie,
                              name="yb_ad_invariant"), "precondition failed")
     return LieTriple.from_function(
         lie.dim, lambda x, y, z: lie.product(defect.product(x, y), z))
@@ -539,7 +535,7 @@ def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
 def lts_from_o(alg: Algebra, a: Mat) -> LieTriple:
     """L(X,Y,Z) = O(A)(X,Y).Z; requires O(A) (L_dual, L_dual, ad)-invariant."""
     o_def = o_op(a, alg)
-    require(invariance_check(algebra_tensor(o_def), ("L_dual", "L_dual", "ad"),
+    require(invariance_check(o_def, ("L_dual", "L_dual", "ad"),
                              alg, name="o_defect_invariant"),
             "precondition failed")
     return LieTriple.from_function(

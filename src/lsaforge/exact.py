@@ -55,6 +55,17 @@ def _as_fractions(ints, den: int) -> tuple:
     return tuple(Fraction(x, den) if x else ZERO for x in ints)
 
 
+def _int_rows(entries: Sequence, count: int, width: int) -> tuple:
+    """(D, rows): D the least common denominator of the flat rational
+    entries, rows[r] the nonzero (j, D x) of the r-th run of width
+    entries, as ints.  The integer view of a matrix, a product table and
+    a triple table."""
+    den, flat = common_denominator(entries)
+    return den, tuple(
+        tuple((j, x) for j, x in enumerate(flat[r * width:r * width + width])
+              if x) for r in range(count))
+
+
 def _int_apply(rows, ints) -> list:
     """The integer matrix with sparse rows (j, a_ij) times the dense
     integer vector ints."""
@@ -208,11 +219,8 @@ class Mat:
         """(D, rows): D the least common denominator of the entries,
         rows[i] the nonzero (j, D a_ij) of row i as ints."""
         if self._ints is None:
-            den, flat = common_denominator(self.data)
-            c = self.cols
-            object.__setattr__(self, "_ints", (den, tuple(
-                tuple((j, x) for j, x in enumerate(flat[i * c:i * c + c]) if x)
-                for i in range(self.rows))))
+            object.__setattr__(self, "_ints",
+                               _int_rows(self.data, self.rows, self.cols))
         return self._ints
 
     # -- construction ---------------------------------------------------
@@ -462,16 +470,7 @@ class Subspace:
         return Mat.from_rows([list(b) for b in self.basis])
 
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
-        if len(v) != self.ambient:
-            raise ValueError("ambient mismatch")
-        residual = list(v)
-        for b in self.basis:
-            pivot = next(j for j, x in enumerate(b) if x != 0)
-            if residual[pivot] != 0:
-                f = residual[pivot]
-                residual = [a - f * c for a, c in zip(residual, b)]
-        return all(x == 0 for x in residual)
+        return self.add(Subspace(self.ambient, [v])).dim == self.dim
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)

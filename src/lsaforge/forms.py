@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, _int_algebra, check
-from .exact import Mat, _int_apply, _int_combine, common_denominator, dot
+from .exact import Mat, _int_apply, _int_combine, common_denominator
 from .report import Report, _relabel, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -44,9 +43,6 @@ class Bilinear:
     def dim(self) -> int:
         return self.matrix.rows
 
-    def value(self, u, v) -> Fraction:
-        return dot(u, self.matrix.apply(v))
-
     def is_nondegenerate(self) -> bool:
         return self.matrix.is_invertible()
 
@@ -62,13 +58,21 @@ def is_two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     return _two_cocycle(omega, lie)
 
 
+def _gram(omega: Bilinear, alg: Algebra) -> Mat:
+    """The Gram matrix of omega, which must act on alg's space."""
+    if omega.dim != alg.dim:
+        raise ValueError("form dimension differs from algebra dimension")
+    return omega.matrix
+
+
 def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     """is_two_cocycle after its preconditions, over the integer views of
     the bracket and of the Gram matrix (the sum is linear in each)."""
     anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
     n = lie.dim
     cells = lie._int_view()[1]
-    g = common_denominator(omega.matrix.data)[1]   # g[a * n + b] ~ omega(e_a, e_b)
+    # g[a * n + b] ~ omega(e_a, e_b)
+    g = common_denominator(_gram(omega, lie).data)[1]
 
     def pair(cell, k):                              # ~ omega(cell, e_k)
         return sum(x * g[a * n + k] for a, x in cell)
@@ -87,7 +91,8 @@ def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
     anchor = "omega(u.v,w) + omega(v,u.w) == 0"
     n = alg.dim
     cells = alg._int_view()[1]
-    g = common_denominator(omega.matrix.data)[1]   # g[a * n + b] ~ omega(e_a, e_b)
+    # g[a * n + b] ~ omega(e_a, e_b)
+    g = common_denominator(_gram(omega, alg).data)[1]
     for i, j, k in itertools.product(range(n), repeat=3):
         s = 0
         for a, x in cells[i][j]:
@@ -135,7 +140,7 @@ def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     contracted with the integer Gram matrix, the integer inverse last."""
     n = lie.dim
     den, cells = lie._int_view()
-    dg, grows = metric.matrix._int_view()
+    dg, grows = _gram(metric, lie)._int_view()
     di, irows = metric.matrix.inverse()._int_view()
     # gc[i][j][w] = D d_G <[e_i,e_j], e_w>, the cell times G (symmetric)
     gc = [[_int_combine(grows, cell, n) for cell in row] for row in cells]

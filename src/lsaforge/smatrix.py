@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .algebra import (Algebra, _coaction, _int_algebra, _int_product,
-                      _swapped, algebra_tensor, check, invariance_check)
-from .exact import Mat, _as_fractions, _int_combine, dot, vec_neg, vec_sub
+                      _swapped, check, invariance_check)
+from .exact import Mat, _as_fractions, _int_combine, vec_neg, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
@@ -47,9 +47,6 @@ class Tensor2:
     def __post_init__(self):
         if self.matrix.rows != self.on.dim or self.matrix.cols != self.on.dim:
             raise ValueError("tensor shape mismatch")
-
-    def value(self, alpha, beta) -> Fraction:
-        return dot(alpha, self.matrix.apply(beta))
 
     @property
     def sym_matrix(self) -> Mat:
@@ -199,9 +196,9 @@ def classify_r(u: Algebra, r) -> RClass:
 
 def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
     """classify_r with Delta(r) already computed."""
-    skew_inv = invariance_check(r.skew_matrix.row_list(), ("L", "L"), u,
+    skew_inv = invariance_check(r.skew_matrix, ("L", "L"), u,
                                 name="skew_part_invariant")
-    q_inv = invariance_check(algebra_tensor(delta), ("L", "L", "ad"), u,
+    q_inv = invariance_check(delta, ("L", "L", "ad"), u,
                              name="delta_invariant")
     agree = _rr_delta_report(u, r, delta)
     if not agree:
@@ -344,7 +341,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
                            tuple(s + "*" for s in lie.basis))
     rr = _sharp_defect(lie, r.matrix, dual_bracket)
 
-    reports = [invariance_check(algebra_tensor(rr), ("ad", "ad", "ad"), lie,
+    reports = [invariance_check(rr, ("ad", "ad", "ad"), lie,
                                 name="rr_ad_invariant")]
     reports.append(_relabel(check(dual_bracket, "jacobi_antisym"),
                             "dual_bracket_jacobi"))

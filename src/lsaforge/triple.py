@@ -5,19 +5,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .exact import basis_vec, is_zero_vec, vec, vec_add, ZERO
+from .exact import ZERO, _int_combine, _int_rows, basis_vec, is_zero_vec, vec
 from .report import Certificate, Report
-
-
-def _combine(coeffs, vectors, n: int) -> tuple:
-    """sum_m coeffs[m] vectors[m], skipping zero coefficients and entries."""
-    out = [ZERO] * n
-    for c, w in zip(coeffs, vectors):
-        if c:
-            for s, x in enumerate(w):
-                if x:
-                    out[s] += c * x
-    return tuple(out)
 
 
 class LieTriple:
@@ -74,50 +63,49 @@ class LieTriple:
     def check(self) -> Certificate:
         """The three Lie-triple-system axioms, each with a witness.
 
-        The derivation axiom is contracted on the structure constants:
+        Each axiom is read off the integer view of the table: cells[c]
+        lists the nonzero (s, D L_s) of cell c = (i n + j) n + k, D the
+        common denominator.  The derivation axiom is contracted on it:
         with d = L(e_u, e_v, .), both sides on (e_i, e_j, e_k) are sums of
-        table cells weighted by entries of d and of the table.
+        cells weighted by entries of cells, all over D^2.
         """
         n = self.dim
-        reports = []
+        cells = _int_rows([x for plane in self.table for row in plane
+                           for cell in row for x in cell], n ** 3, n)[1]
 
-        alt = None
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if not is_zero_vec(vec_add(self.table[i][j][k],
-                                       self.table[j][i][k])):
-                alt = (i, j, k)
-                break
+        def at(i, j, k):
+            return (i * n + j) * n + k
+
+        def nonzero(terms):            # the sum of y cells[c] over (c, y)
+            return any(_int_combine(cells, terms, n))
+
+        reports = []
+        alt = next((t for t in itertools.product(range(n), repeat=3)
+                    if nonzero(((at(*t), 1), (at(t[1], t[0], t[2]), 1)))),
+                   None)
         reports.append(Report("alternating", alt is None,
                               "L(x,y,z) == -L(y,x,z)", witness=alt))
 
-        cyc = None
-        for i, j, k in itertools.combinations(range(n), 3):
-            s = vec_add(vec_add(self.table[i][j][k], self.table[j][k][i]),
-                        self.table[k][i][j])
-            if not is_zero_vec(s):
-                cyc = (i, j, k)
-                break
+        cyc = next((t for t in itertools.combinations(range(n), 3)
+                    if nonzero([(at(*t[c:], *t[:c]), 1) for c in range(3)])),
+                   None)
         reports.append(Report("cyclic", cyc is None,
                               "L(x,y,z) + L(y,z,x) + L(z,x,y) == 0",
                               witness=cyc))
 
         der = None
-        t = self.table
-        # the images of e_m under x -> L(x,e_j,e_k) and x -> L(e_i,x,e_k)
-        first = [[[t[m][j][k] for m in range(n)] for k in range(n)]
-                 for j in range(n)]
-        second = [[[t[i][m][k] for m in range(n)] for k in range(n)]
-                  for i in range(n)]
         for u, v in itertools.product(range(n), repeat=2):
-            d = t[u][v]                # d[x] = L(e_u, e_v, e_x)
-            if all(is_zero_vec(cell) for cell in d):
+            d = cells[at(u, v, 0):at(u, v, 0) + n]   # d[x] = L(e_u, e_v, e_x)
+            if not any(d):
                 continue               # every term of the axiom vanishes
             for i, j, k in itertools.product(range(n), repeat=3):
-                lhs = _combine(t[i][j][k], d, n)
-                rhs = vec_add(vec_add(_combine(d[i], first[j][k], n),
-                                      _combine(d[j], second[i][k], n)),
-                              _combine(d[k], t[i][j], n))
-                if lhs != rhs:
+                # L(L(u,v,x),y,z) + L(x,L(u,v,y),z) + L(x,y,L(u,v,z))
+                # - L(u,v,L(x,y,z)), as one combination of cells
+                terms = [(at(u, v, x), -y) for x, y in cells[at(i, j, k)]]
+                terms += [(at(m, j, k), y) for m, y in d[i]]
+                terms += [(at(i, m, k), y) for m, y in d[j]]
+                terms += [(at(i, j, m), y) for m, y in d[k]]
+                if nonzero(terms):
                     der = (u, v, i, j, k)
                     break
             if der:

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
-from lsaforge.exact import Subspace
+from lsaforge.exact import Mat, Subspace
 
 ZERO = Fraction(0)
 
@@ -211,7 +211,7 @@ def lie_triple_witnesses(lts):
 # -- forms --------------------------------------------------------------------
 
 def form_value(omega, u, v) -> Fraction:
-    """Bilinear.value: u^T G v."""
+    """u^T G v, the value of exact.form_value."""
     return dense_dot(u, dense_apply(omega.matrix, v))
 
 
@@ -291,9 +291,12 @@ def nijenhuis_table(a, alg):
 # -- representations on tensors -----------------------------------------------
 
 def _tensor_entry(tensor, index) -> Fraction:
-    for i in index:
-        tensor = tensor[i]
-    return Fraction(tensor)
+    """T[index] of a Mat (T[i][j] = m[i, j]) or of an Algebra (T[i][j][k]
+    = the e_k coordinate of e_i . e_j)."""
+    if isinstance(tensor, Mat):
+        return tensor[index]
+    i, j, k = index
+    return tensor.table[i][j][k]
 
 
 def invariance_check(tensor, reps, alg):

@@ -9,7 +9,7 @@ from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency, Mat,
                       dual_product_from_r, invariance_check, is_derivation,
                       levi_civita, nijenhuis, product_subspaces)
 from lsaforge import algebra
-from lsaforge.algebra import associator, algebra_tensor, curvature, endo_tensor
+from lsaforge.algebra import associator, curvature
 from lsaforge.exact import basis_vec
 
 
@@ -76,9 +76,23 @@ def test_product_subspaces(nab_lsa, ab_lsa):
 
 def test_bracket_tensor_invariance(aff, heis, sl2):
     for lie in (aff, heis, sl2):
-        tensor = algebra_tensor(
-            Algebra.from_function(lie.basis, lie.product))
-        assert invariance_check(tensor, ("ad_dual", "ad_dual", "ad"), lie)
+        assert invariance_check(lie, ("ad_dual", "ad_dual", "ad"), lie)
+
+
+@pytest.mark.parametrize("tensor, reps, message", [
+    ([[0, 0], [0, 0]], ("L", "L"), "tensor must be an Algebra or a Mat"),
+    (Mat.identity(2), ("L",), "slot count 1 does not match tensor order 2"),
+    (Algebra.zero(2), ("L", "L"), "slot count 2 does not match tensor "
+                                  "order 3"),
+    (Mat.identity(3), ("L", "L"), "tensor index ranges must equal"),
+    (Mat.zeros(2, 3), ("L", "L"), "tensor index ranges must equal"),
+    (Algebra.zero(3), ("ad", "ad", "ad"), "tensor index ranges must equal"),
+    (Mat.identity(2), ("L", "R"), "unknown representation tag 'R'"),
+], ids=["not_a_tensor", "mat_one_slot", "algebra_two_slots", "mat_too_large",
+        "mat_not_square", "algebra_too_large", "unknown_tag"])
+def test_invariance_check_rejects_bad_input(aff, tensor, reps, message):
+    with pytest.raises(ValueError, match=message):
+        invariance_check(tensor, reps, aff)
 
 
 def test_ad_is_derivation(sl2):
@@ -96,14 +110,6 @@ def test_associator_and_curvature(ab_lsa):
     x = basis_vec(2, 1)
     assert associator(ab_lsa, x, x, x) == ab_lsa.product(
         ab_lsa.product(x, x), x)
-
-
-def test_endo_tensor_convention():
-    m = Mat.from_rows([[1, 2], [3, 4]])
-    t = endo_tensor(m)
-    # T[j][k] = e_k coordinate of M e_j (column j)
-    assert t[0] == [Fraction(1), Fraction(3)]
-    assert t[1] == [Fraction(2), Fraction(4)]
 
 
 def test_scale_add_conjugate_roundtrip(nab_lsa):

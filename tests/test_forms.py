@@ -4,7 +4,7 @@ import pytest
 
 from lsaforge import (Bilinear, Mat, a_product, check, is_flat,
                       is_invariant_form, is_two_cocycle, killing_form,
-                      levi_civita)
+                      levi_civita, nijenhuis)
 from lsaforge.algebra import Algebra
 from lsaforge.exact import basis_vec, dot
 
@@ -85,3 +85,26 @@ def test_killing_form_values(sl2):
     assert k.matrix[2, 1] == 4
     assert k.matrix[0, 1] == 0
     assert k.matrix.is_invertible()
+
+
+
+FORM_SIZE = "form dimension differs from algebra dimension"
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("call, message", [
+    (lambda u, alg: is_invariant_form(Bilinear(u), alg), FORM_SIZE),
+    (lambda u, alg: is_two_cocycle(Bilinear(u - u.transpose(), "skew"), alg),
+     FORM_SIZE),
+    (lambda u, alg: levi_civita(alg, Bilinear(u + u.transpose(),
+                                              "symmetric")), FORM_SIZE),
+    (lambda u, alg: nijenhuis(u, alg), "endomorphism shape mismatch"),
+], ids=["is_invariant_form", "is_two_cocycle", "levi_civita", "nijenhuis"])
+def test_size_mismatch_with_the_algebra_is_rejected(aff, size, call, message):
+    # u is unitriangular of another size than the 2-dimensional aff: a
+    # nondegenerate form, a nonzero skew form (size 3) and a nondegenerate
+    # symmetric u + u^T
+    u = Mat(size, size, [int(i <= j) for i in range(size)
+                         for j in range(size)])
+    with pytest.raises(ValueError, match=message):
+        call(u, aff)
