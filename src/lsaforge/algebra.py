@@ -20,8 +20,8 @@ from typing import Sequence, Tuple
 from math import lcm
 
 from .exact import (Mat, Subspace, _as_fractions, _int_apply, _int_rows,
-                    basis_vec, common_denominator, is_zero_vec, vec, vec_add,
-                    vec_scale, vec_sub, zero_vec)
+                    common_denominator, is_zero_vec, vec, vec_add, vec_scale,
+                    vec_sub, zero_vec)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
@@ -79,9 +79,14 @@ def _coaction(alg: "Algebra", sign: int = 1) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def _swapped(table) -> list:
+def _swapped(table) -> tuple:
     """The table of (x, y) -> f(y, x) from the table of f."""
-    return [list(col) for col in zip(*table)]
+    return tuple(zip(*table))
+
+
+def _opposite(alg: "Algebra") -> "Algebra":
+    """The opposite product (x, y) -> y . x."""
+    return Algebra._of(_swapped(alg.table), alg.basis)
 
 
 def _int_algebra(cells, den: int, basis) -> "Algebra":
@@ -89,6 +94,45 @@ def _int_algebra(cells, den: int, basis) -> "Algebra":
     over den."""
     return Algebra._of(tuple(tuple(_as_fractions(cell, den) for cell in row)
                              for row in cells), tuple(basis))
+
+
+def _slot_sum(terms, basis) -> "Algebra":
+    """The table of (x, y) -> sum c out(left x * right y) over the terms
+    (c, alg, left, right, out): c an int, * the product of alg, and left,
+    right, out n x n matrices or None for the identity.  Each term
+    contracts integer views (the left slot by `_left_slot`, the right by
+    `_int_product`, out by `_int_apply`); the terms are added over the
+    least common multiple of their denominators."""
+    n = len(basis)
+    ident = (1, tuple(((j, 1),) for j in range(n)))
+    dens, tables = [], []
+    for c, alg, left, right, out in terms:
+        if alg.dim != n or any(m is not None and (m.rows, m.cols) != (n, n)
+                               for m in (left, right, out)):
+            raise ValueError("endomorphism shape mismatch")
+        den, cells = alg._int_view()
+        dl, lcols = ident if left is None else left.transpose()._int_view()
+        dr, rcols = ident if right is None else right.transpose()._int_view()
+        do, rows = ident if out is None else out._int_view()
+        if left is not None:
+            cells = _left_slot(cells, lcols)
+        tables.append([[_int_apply(rows, _int_product(cells, ((i, 1),), col))
+                        for col in rcols] for i in range(n)])
+        dens.append(den * dl * dr * do)
+    common = lcm(*dens)
+    fs = [c * (common // den) for (c, *_), den in zip(terms, dens)]
+    if fs == [1]:
+        return _int_algebra(tables[0], common, basis)
+    # entry k of cell (i, j): the sum over the terms of f times theirs
+    return _int_algebra([[[sum(f * x for f, x in zip(fs, xs) if x)
+                           for xs in zip(*cells)] for cells in zip(*row)]
+                         for row in zip(*tables)], common, basis)
+
+
+def _nonzero_cell(alg: "Algebra"):
+    """The first basis pair (i, j) with e_i . e_j != 0, or None."""
+    return next(((i, j) for i, row in enumerate(alg.table)
+                 for j, cell in enumerate(row) if any(cell)), None)
 
 
 class Algebra:
@@ -135,13 +179,6 @@ class Algebra:
     def zero(n: int, basis=None) -> "Algebra":
         z = zero_vec(n)
         return Algebra([[z for _ in range(n)] for _ in range(n)], basis)
-
-    @staticmethod
-    def from_function(basis, fn) -> "Algebra":
-        """The table of a bilinear map fn on the span of `basis`."""
-        n = len(basis)
-        es = [basis_vec(n, i) for i in range(n)]
-        return Algebra([[fn(x, y) for y in es] for x in es], basis)
 
     @staticmethod
     def from_blocks(grid, basis, suffix: str) -> "Algebra":
@@ -248,12 +285,9 @@ class Algebra:
         return all(is_zero_vec(cell) for row in self.table for cell in row)
 
     def conjugate(self, p: Mat) -> "Algebra":
-        """Transport by the basis matrix p (columns = new basis vectors).
-
-        The new constants are p^-1 ((p e_i) . (p e_j)): the integer view
-        of the table is contracted with p in the left slot, then in the
-        right slot, and p^-1 is applied last, each step over ints.
-        """
+        """Transport by the basis matrix p (columns = new basis vectors):
+        the new constants are p^-1 ((p e_i) . (p e_j)), one term of
+        `_slot_sum`."""
         n = self.dim
         if p.rows != n or p.cols != n:
             raise ValueError("basis matrix must be invertible of matching size")
@@ -262,15 +296,7 @@ class Algebra:
         except ValueError:
             raise ValueError("basis matrix must be invertible of matching "
                              "size") from None
-        den, cells = self._int_view()
-        dp, cols = p.transpose()._int_view()            # p e_i, as ints
-        dq, qrows = pinv._int_view()
-        # (p e_i) . e_b, a table in its own right, then (p e_i) . (p e_j)
-        # as the product of e_i and p e_j over it, then p^-1 of that
-        left = _left_slot(cells, cols)
-        return _int_algebra([[_int_apply(qrows, _int_product(
-            left, ((i, 1),), cols[j])) for j in range(n)] for i in range(n)],
-            den * dp * dp * dq, self.basis)
+        return _slot_sum([(1, self, p, p, pinv)], self.basis)
 
 
 @dataclass(frozen=True)
@@ -338,17 +364,14 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
 
 
 def is_derivation(d, alg: Algebra) -> Report:
+    """D(u.v) - D(u).v - u.D(v) on basis pairs, one `_slot_sum`; the
+    witness is the first pair where it is nonzero."""
     m = _mat(d)
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = m.apply(alg.table[i][j])
-            rhs = vec_add(alg.product(m.col(i), basis_vec(n, j)),
-                          alg.product(basis_vec(n, i), m.col(j)))
-            if lhs != rhs:
-                return failing("is_derivation", "D(u.v) == D(u).v + u.D(v)",
-                               witness=(i, j))
-    return passing("is_derivation", "D(u.v) == D(u).v + u.D(v)")
+    bad = _nonzero_cell(_slot_sum([(1, alg, None, None, m),
+                                   (-1, alg, m, None, None),
+                                   (-1, alg, None, m, None)], alg.basis))
+    return Report("is_derivation", bad is None, "D(u.v) == D(u).v + u.D(v)",
+                  witness=bad)
 
 
 # -- predicate checks -------------------------------------------------------

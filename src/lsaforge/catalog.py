@@ -19,13 +19,14 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
-from .algebra import (Algebra, Endo, _swapped, check, invariance_check,
-                      is_derivation, product_subspaces)
+from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _slot_sum,
+                      _swapped, check, invariance_check, is_derivation,
+                      product_subspaces)
 from .doubling import is_compatible
 from .exact import (Mat, Subspace, ZERO, ONE, basis_vec, form_value,
                     is_zero_vec, lagrangian_complement, parse_rational, solve,
-                    symp_orthogonal, vec, vec_add, vec_neg, vec_scale,
-                    vec_sub, zero_vec)
+                    symp_orthogonal, vec, vec_add, vec_scale, vec_sub,
+                    zero_vec)
 from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
 from .phase import build_phase, verify_para_kahler
@@ -224,7 +225,6 @@ def check_type_two_constraints(params) -> Certificate:
     p0, p1, q0, _q1 = dims
     p = p0 + p1
     s0 = _sym_block(q0)
-    reports = []
 
     def a_of_e1(alpha, beta, g, m):
         # a(E_1(alpha, beta))(g, m): E has V1 coordinates d(alpha)[beta, p0+t]
@@ -246,47 +246,23 @@ def check_type_two_constraints(params) -> Certificate:
     def s0_val(u, v):
         return form_value(s0, u, v) if q0 else ZERO
 
-    w1 = None
-    for alpha in range(p):
-        for beta in range(p0):
-            for g in range(p0):
-                for m in range(p0):
-                    lhs = a_of_e1(alpha, beta, g, m) + b_of_f(alpha, beta, g, m)
-                    rhs = s0_val(f_map[beta][g], f_map[alpha][m])
-                    if lhs != rhs:
-                        w1 = (alpha, beta, g, m)
-                        break
-                if w1:
-                    break
-            if w1:
-                break
-        if w1:
-            break
-    reports.append(Report(
-        "constraint_mixed", w1 is None,
-        "a(E1(alpha,beta1))(g,m) + b(F(alpha,beta1))(g,m)"
-        " == s0(F(beta1,g), F(alpha,m))", witness=w1))
+    def holds(alpha, beta, g, m):   # mixed law for beta < p0, else pure
+        lhs = a_of_e1(alpha, beta, g, m)
+        if beta < p0:
+            lhs += b_of_f(alpha, beta, g, m)
+        return lhs == s0_val(f_map[beta][g], f_map[alpha][m])
 
-    w2 = None
-    for alpha in range(p):
-        for beta in range(p0, p):
-            for g in range(p0):
-                for m in range(p0):
-                    lhs = a_of_e1(alpha, beta, g, m)
-                    rhs = s0_val(f_map[beta][g], f_map[alpha][m])
-                    if lhs != rhs:
-                        w2 = (alpha, beta, g, m)
-                        break
-                if w2:
-                    break
-            if w2:
-                break
-        if w2:
-            break
-    reports.append(Report(
-        "constraint_pure", w2 is None,
-        "a(E1(alpha,beta0))(g,m) == s0(F(beta0,g), F(alpha,m))", witness=w2))
-    return Certificate("type_two_constraints", tuple(reports))
+    quads = [(alpha, beta, g, m) for alpha in range(p) for beta in range(p)
+             for g in range(p0) for m in range(p0)]
+    w1 = next((q for q in quads if q[1] < p0 and not holds(*q)), None)
+    w2 = next((q for q in quads if q[1] >= p0 and not holds(*q)), None)
+    return Certificate("type_two_constraints", (
+        Report("constraint_mixed", w1 is None,
+               "a(E1(alpha,beta1))(g,m) + b(F(alpha,beta1))(g,m)"
+               " == s0(F(beta1,g), F(alpha,m))", witness=w1),
+        Report("constraint_pure", w2 is None,
+               "a(E1(alpha,beta0))(g,m) == s0(F(beta0,g), F(alpha,m))",
+               witness=w2)))
 
 
 def _type_two_omega(p0, p1, q0, q1) -> Bilinear:
@@ -1005,17 +981,15 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     bmat = b.matrix if isinstance(b, Tensor2) else b
     n = lie.dim
     dd = coadjoint_double(lie, bmat)
-    if not dd.rr.is_zero():
-        wit = next((i, j) for i in range(n) for j in range(n)
-                   if not is_zero_vec(dd.rr.table[i][j]))
+    wit = _nonzero_cell(dd.rr)
+    if wit is not None:
         raise ValueError("Yang-Baxter equation fails: [b,b](e_%d*, e_%d*) "
                          "is nonzero" % wit)
     bsh = bmat.transpose()
-    zvecs = [bsh.apply(basis_vec(n, a)) for a in range(n)]
-    dstar = Algebra([[tuple(lie.left_mult(zvecs[a]).transpose().scale(-1)
-                            .apply(basis_vec(n, c))) for c in range(n)]
-                     for a in range(n)],
-                    tuple(s + "*" for s in lie.basis))
+    zvecs = [bsh.col(a) for a in range(n)]
+    # [r_#(e_a), e_c] in cell (a, c); the dual product a.c = -ad_{r_#(a)}^t c
+    r_act = _slot_sum([(1, lie, bsh, None, None)], lie.basis)
+    dstar = Algebra(_coaction(r_act, -1), tuple(s + "*" for s in lie.basis))
     ls = check(dstar, "left_symmetric")
     if not ls:
         raise InternalInconsistency("dual product of a Yang-Baxter solution "
@@ -1039,18 +1013,15 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                          "of the image of b")
     tw = twisted_structures(dstar, Tensor2(dstar, rmat))
 
-    # [r_#(e_a), e_c] in cell (a, c)
-    r_act = [[lie.left_mult(z).col(c) for c in range(n)] for z in zvecs]
     # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
     bracket = Algebra.from_blocks(
-        [[(None, None),
-          (_swapped([[vec_neg(x) for x in row] for row in r_act]), None)],
-         [(r_act, None), (None, dd.dual_bracket.table)]],
+        [[(None, None), (_swapped(r_act.scale(-1).table), None)],
+         [(r_act.table, None), (None, dd.dual_bracket.table)]],
         lie.basis, "*")
     # (X+a).(Y+b) = [r_#(a), Y] + a.b with the dual product
     triangle = Algebra.from_blocks(
         [[(None, None), (None, None)],
-         [(r_act, None), (None, dstar.table)]],
+         [(r_act.table, None), (None, dstar.table)]],
         lie.basis, "*")
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)

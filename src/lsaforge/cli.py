@@ -103,12 +103,39 @@ def _matrix(raw, dim: int, where: str) -> Mat:
          for j in range(dim)] for i in range(dim)])
 
 
+def _label(index, label, where: str) -> int:
+    """The position of a basis label; anything else is a usage error."""
+    if not isinstance(label, str) or label not in index:
+        raise UsageError("%s: unknown basis label %r" % (where, label))
+    return index[label]
+
+
+def _cell(entry, index, here: str) -> tuple:
+    """The result vector of a product or triple entry."""
+    if not isinstance(entry["result"], dict):
+        raise UsageError("%s.result: expected an object" % here)
+    cell = list(zero_vec(len(index)))
+    for lab, val in entry["result"].items():
+        cell[_label(index, lab, here + ".result")] = _rational(
+            val, "%s.result.%s" % (here, lab))
+    return tuple(cell)
+
+
+def _once(seen: set, key, labels, here: str) -> None:
+    """Reject a second entry for the same basis tuple."""
+    if key in seen:
+        raise UsageError("%s: duplicate entry for (%s)"
+                         % (here, ", ".join(labels)))
+    seen.add(key)
+
+
 def _table(raw, labels, where: str):
     if not isinstance(raw, list):
         raise UsageError("%s: expected an array of product entries" % where)
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
     table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for pos, entry in enumerate(raw):
         here = "%s[%d]" % (where, pos)
         if not isinstance(entry, dict):
@@ -120,19 +147,10 @@ def _table(raw, labels, where: str):
         for key in ("left", "right", "result"):
             if key not in entry:
                 raise UsageError("%s: missing %r" % (here, key))
-        for key in ("left", "right"):
-            if entry[key] not in index:
-                raise UsageError("%s.%s: unknown basis label %r"
-                                 % (here, key, entry[key]))
-        cell = list(zero_vec(dim))
-        if not isinstance(entry["result"], dict):
-            raise UsageError("%s.result: expected an object" % here)
-        for lab, val in entry["result"].items():
-            if lab not in index:
-                raise UsageError("%s.result: unknown basis label %r"
-                                 % (here, lab))
-            cell[index[lab]] = _rational(val, "%s.result.%s" % (here, lab))
-        table[index[entry["left"]]][index[entry["right"]]] = tuple(cell)
+        i, j = (_label(index, entry[key], "%s.%s" % (here, key))
+                for key in ("left", "right"))
+        _once(seen, (i, j), (entry["left"], entry["right"]), here)
+        table[i][j] = _cell(entry, index, here)
     return table
 
 
@@ -203,26 +221,17 @@ def _load_triple(raw, labels, where: str) -> LieTriple:
     dim = len(labels)
     table = [[[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
              for _ in range(dim)]
+    seen = set()
     for pos, entry in enumerate(raw):
         here = "%s[%d]" % (where, pos)
         keys = {"first", "second", "third", "result"}
         if not isinstance(entry, dict) or set(entry) != keys:
             raise UsageError("%s: expected {first, second, third, result}"
                              % here)
-        try:
-            i, j, k = (index[entry[slot]]
-                       for slot in ("first", "second", "third"))
-        except KeyError as exc:
-            raise UsageError("%s: unknown basis label %s" % (here, exc))
-        if not isinstance(entry["result"], dict):
-            raise UsageError("%s.result: expected an object" % here)
-        cell = list(zero_vec(dim))
-        for lab, val in entry["result"].items():
-            if lab not in index:
-                raise UsageError("%s.result: unknown basis label %r"
-                                 % (here, lab))
-            cell[index[lab]] = _rational(val, "%s.result.%s" % (here, lab))
-        table[i][j][k] = tuple(cell)
+        slots = [entry[slot] for slot in ("first", "second", "third")]
+        i, j, k = (_label(index, lab, here) for lab in slots)
+        _once(seen, (i, j, k), slots, here)
+        table[i][j][k] = _cell(entry, index, here)
     return LieTriple(table)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _swapped, check, curvature, invariance_check,
-                      nijenhuis)
-from .exact import Mat, basis_vec, form_value, vec_add, vec_sub
+from .algebra import (Algebra, _nonzero_cell, _opposite, _slot_sum, _swapped,
+                      check, curvature, invariance_check, nijenhuis)
+from .exact import Mat, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
 from .report import (Certificate, Report, _bool_report, _relabel, certify,
@@ -118,11 +118,9 @@ def _abelian_witness(lie: Algebra, s: Mat, para: bool = False):
     """The first basis pair breaking [Sx, Sy] == [x, y] (S an abelian
     complex structure), or [Sx, Sy] == -[x, y] with para=True (an
     abelian para-complex structure); None where S is abelian."""
-    n = lie.dim
-    sign = Fraction(-1 if para else 1)
-    return next(((i, j) for i in range(n) for j in range(n)
-                 if lie.product(s.col(i), s.col(j))
-                 != tuple(sign * c for c in lie.table[i][j])), None)
+    sign = 1 if para else -1
+    return _nonzero_cell(_slot_sum(
+        [(1, lie, s, s, None), (sign, lie, None, None, None)], lie.basis))
 
 
 @dataclass(frozen=True)
@@ -208,27 +206,16 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
 def yb(a: Mat, lie: Algebra) -> Algebra:
     """YB(A)(X,Y) = A[AX,Y] + A[X,AY] - [AX,AY]."""
     require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
-
-    def defect(x, y):
-        ax, ay = a.apply(x), a.apply(y)
-        t = vec_add(a.apply(lie.product(ax, y)), a.apply(lie.product(x, ay)))
-        return vec_sub(t, lie.product(ax, ay))
-
-    return Algebra.from_function(lie.basis, defect)
+    return _slot_sum([(1, lie, a, None, a), (1, lie, None, a, a),
+                      (-1, lie, a, a, None)], lie.basis)
 
 
 def myb_residual(a: Mat, lie: Algebra, t) -> Report:
     """Residual YB(A)(X,Y) - t[X,Y] on basis pairs (modified Yang-Baxter)."""
     t = Fraction(t)
-    defect = yb(a, lie)
-    n = lie.dim
-    anchor = "YB(A)(x,y) == t[x,y]"
-    for i in range(n):
-        for j in range(n):
-            if defect.table[i][j] != tuple(t * c for c in lie.table[i][j]):
-                return failing("myb_residual", anchor, witness=(i, j),
-                               details="t=%s" % t)
-    return passing("myb_residual", anchor, details="t=%s" % t)
+    bad = _nonzero_cell(yb(a, lie).add(lie.scale(-t)))
+    return Report("myb_residual", bad is None, "YB(A)(x,y) == t[x,y]",
+                  witness=bad, details="t=%s" % t)
 
 
 def omega_adjoint(a: Mat, gram: Mat) -> Mat:
@@ -294,6 +281,12 @@ def _symp_transport_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
             verdicts)
 
 
+def _symp_circ(dot: Algebra, a: Mat, diff: Mat) -> Algebra:
+    """X°Y = X.(diff Y) - (AX).Y, diff = A^s - A^a."""
+    return _slot_sum([(1, dot, None, diff, None), (-1, dot, a, None, None)],
+                     dot.basis)
+
+
 @dataclass(frozen=True)
 class SympDoubleData:
     circ: Algebra              # X°Y = X.[(A^s - A^a)Y] - (AX).Y
@@ -329,13 +322,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     for rep in (inv_yb, inv_s):
         require(rep, "precondition failed")
     n = lie.dim
-    diff = a_s - a_a
-
-    def circ_fn(x, y):
-        return vec_sub(dot.product(x, diff.apply(y)),
-                       dot.product(a.apply(x), y))
-
-    circ = Algebra.from_function(lie.basis, circ_fn)
+    circ = _symp_circ(dot, a, a_s - a_a)
     # [(X,Y),(Z,T)] = ([X,Z] + YB(A)(Y,T), [X,T] + [Y,Z])
     bracket = Algebra.from_blocks(
         [[(lie.table, None), (None, lie.table)],
@@ -365,41 +352,28 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
 
 def delta_op(a: Mat, alg: Algebra) -> Algebra:
     """delta(A)(X,Y) = X.A(Y) - Y.A(X) - A([X,Y])."""
-    br = alg.commutator_algebra().product
-
-    def defect(x, y):
-        t = vec_sub(alg.product(x, a.apply(y)), alg.product(y, a.apply(x)))
-        return vec_sub(t, a.apply(br(x, y)))
-
-    return Algebra.from_function(alg.basis, defect)
+    return _slot_sum([(1, alg, None, a, None),
+                      (-1, _opposite(alg), a, None, None),
+                      (-1, alg.commutator_algebra(), None, None, a)],
+                     alg.basis)
 
 
 def o_op(a: Mat, alg: Algebra) -> Algebra:
     """O(A)(X,Y) = [AX,AY] - (A(AX.Y) - A(AY.X))."""
-    br = alg.commutator_algebra().product
-
-    def defect(x, y):
-        ax, ay = a.apply(x), a.apply(y)
-        t = br(ax, ay)
-        t = vec_sub(t, a.apply(alg.product(ax, y)))
-        return vec_add(t, a.apply(alg.product(ay, x)))
-
-    return Algebra.from_function(alg.basis, defect)
+    return _slot_sum([(1, alg.commutator_algebra(), a, a, None),
+                      (-1, alg, a, None, a), (1, _opposite(alg), None, a, a)],
+                     alg.basis)
 
 
 def oeq_check(a: Mat, alg: Algebra) -> Report:
-    """The exact identity O(A) == N_A + A o delta(A)."""
-    o = o_op(a, alg)
-    nij = nijenhuis(a, alg.commutator_algebra())
-    dl = delta_op(a, alg)
-    n = alg.dim
-    anchor = "O(A)(x,y) == N_A(x,y) + A(delta(A)(x,y))"
-    for i in range(n):
-        for j in range(n):
-            rhs = vec_add(nij.table[i][j], a.apply(dl.table[i][j]))
-            if o.table[i][j] != rhs:
-                return failing("oeq_check", anchor, witness=(i, j))
-    return passing("oeq_check", anchor)
+    """The exact identity O(A) == N_A + A o delta(A), the three maps
+    computed by their own routes and compared in one `_slot_sum`."""
+    bad = _nonzero_cell(_slot_sum(
+        [(1, o_op(a, alg), None, None, None),
+         (-1, nijenhuis(a, alg.commutator_algebra()), None, None, None),
+         (-1, delta_op(a, alg), None, None, a)], alg.basis))
+    return Report("oeq_check", bad is None,
+                  "O(A)(x,y) == N_A(x,y) + A(delta(A)(x,y))", witness=bad)
 
 
 @dataclass(frozen=True)
@@ -420,7 +394,10 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
     symmetric Theta:  X°Y = Y.AX + AX.Y - A(Y.X) + P(X,Y)
 
     where <a, Q(X,Y)> = -omega(delta(A^s - A^a)(Theta^{-1} a, Y), X) and
-    <a, P(X,Y)> = <delta(A^s - A^a)(Theta^{-1} a, Y), X>.
+    <a, P(X,Y)> = <delta(A^s - A^a)(Theta^{-1} a, Y), X>.  With G the
+    matrix of theta, Theta^{-1} a = G^-t a, so P is the table of delta
+    with its first and output index swapped, moved by G in the left slot
+    and by G^-1 on the output, and Q = -P: all terms are one `_slot_sum`.
     """
     if theta.kind not in ("skew", "symmetric"):
         raise ValueError("theta must be skew or symmetric")
@@ -428,29 +405,17 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
         raise ValueError("theta must be nondegenerate")
     n = alg.dim
     a_s, a_a = sym_skew_parts(a, theta)
-    dl = delta_op(a_s - a_a, alg)
-    theta_inv = theta.matrix.transpose().inverse()   # covector -> vector
-    br = alg.commutator_algebra().product
-
-    def correction(x, y):
-        comps = []
-        for t in range(n):
-            pre = theta_inv.apply(basis_vec(n, t))
-            val = form_value(theta.matrix, dl.product(pre, y), x)
-            comps.append(-val if theta.kind == "skew" else val)
-        return tuple(comps)
-
-    def circ_fn(x, y):
-        if theta.kind == "skew":
-            base = vec_add(br(a.apply(x), y),
-                           a.apply(alg.product(y, x)))
-        else:
-            base = vec_add(alg.product(y, a.apply(x)),
-                           alg.product(a.apply(x), y))
-            base = vec_sub(base, a.apply(alg.product(y, x)))
-        return vec_add(base, correction(x, y))
-
-    return Algebra.from_function(alg.basis, circ_fn)
+    dl = delta_op(a_s - a_a, alg).table
+    flipped = Algebra([[[dl[i][j][k] for i in range(n)] for j in range(n)]
+                       for k in range(n)])
+    g, opp = theta.matrix, _opposite(alg)
+    if theta.kind == "skew":
+        terms = [(1, alg.commutator_algebra(), a, None, None),
+                 (1, opp, None, None, a), (-1, flipped, g, None, g.inverse())]
+    else:
+        terms = [(1, opp, a, None, None), (1, alg, a, None, None),
+                 (-1, opp, None, None, a), (1, flipped, g, None, g.inverse())]
+    return _slot_sum(terms, alg.basis)
 
 
 def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
@@ -528,8 +493,7 @@ def lts_from_yb(lie: Algebra, a: Mat) -> LieTriple:
     defect = yb(a, lie)
     require(invariance_check(defect, ("ad_dual", "ad_dual", "ad"), lie,
                              name="yb_ad_invariant"), "precondition failed")
-    return LieTriple.from_function(
-        lie.dim, lambda x, y, z: lie.product(defect.product(x, y), z))
+    return LieTriple.compose(defect, lie)
 
 
 def lts_from_o(alg: Algebra, a: Mat) -> LieTriple:
@@ -538,5 +502,4 @@ def lts_from_o(alg: Algebra, a: Mat) -> LieTriple:
     require(invariance_check(o_def, ("L_dual", "L_dual", "ad"),
                              alg, name="o_defect_invariant"),
             "precondition failed")
-    return LieTriple.from_function(
-        alg.dim, lambda x, y, z: alg.product(o_def.product(x, y), z))
+    return LieTriple.compose(o_def, alg)

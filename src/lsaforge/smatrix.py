@@ -29,7 +29,7 @@ from typing import Tuple
 
 from .algebra import (Algebra, _coaction, _int_algebra, _int_product,
                       _swapped, check, invariance_check)
-from .exact import Mat, _as_fractions, _int_combine, vec_neg, vec_sub
+from .exact import Mat, _as_fractions, _int_combine, vec_sub
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
@@ -279,10 +279,8 @@ def twisted_structures(u: Algebra, r) -> TwistData:
                         "symmetric")
     k_r = Mat.block([[ident, r.r_sharp.scale(-2)], [zero, -ident]])
 
-    # L(e_i,e_j,e_k) = -L_x^t e_k with x = Delta(r)(e_i,e_j): row k of L_{-x}
-    neg_l = [[u.left_mult(vec_neg(x)) for x in cells] for cells in delta.table]
-    lts = LieTriple([[[m.row(k) for k in range(n)] for m in row]
-                     for row in neg_l])
+    # L(a,b,c) = -L_x^t c with x = Delta(r)(a,b)
+    lts = LieTriple.compose(delta, Algebra(_coaction(u, -1)))
 
     cert = certify("twist", (_xi_report(twisted, bracket_r, xi),)
                    + verify_para_kahler(twisted, metric_r, k_r).reports

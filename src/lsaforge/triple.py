@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .exact import ZERO, _int_combine, _int_rows, basis_vec, is_zero_vec, vec
+from .algebra import Algebra, _int_product
+from .exact import (ZERO, _as_fractions, _int_combine, _int_rows, is_zero_vec,
+                    vec)
 from .report import Certificate, Report
 
 
@@ -31,10 +33,18 @@ class LieTriple:
         raise AttributeError("LieTriple is immutable")
 
     @staticmethod
-    def from_function(n: int, fn) -> "LieTriple":
-        es = [basis_vec(n, i) for i in range(n)]
-        return LieTriple([[[fn(es[i], es[j], es[k]) for k in range(n)]
-                           for j in range(n)] for i in range(n)])
+    def compose(bilinear: Algebra, action: Algebra) -> "LieTriple":
+        """L(x,y,z) = action(bilinear(x,y), z): each cell of the integer
+        view of bilinear in the left slot of that of action, over the
+        product of the two denominators."""
+        n = bilinear.dim
+        if action.dim != n:
+            raise ValueError("dimension mismatch")
+        d1, cells = bilinear._int_view()
+        d2, act = action._int_view()
+        return LieTriple([[[_as_fractions(_int_product(act, cell, ((k, 1),)),
+                                          d1 * d2) for k in range(n)]
+                           for cell in row] for row in cells])
 
     def __call__(self, x, y, z):
         n = self.dim

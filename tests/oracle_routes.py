@@ -9,7 +9,11 @@ the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.
 The certificate routes keep the eigenspaces as `Subspace`s tested with
 `contains`, and the r-matrix routes the five-term bracket placed slot by
-slot.  Nothing here is used by the library.
+slot.  The derived products (the Yang-Baxter, delta and O defects, the
+symplectic and Theta "circ" products, the derivation law, the Lie triple
+systems and the dual product of a Yang-Baxter solution) are evaluated
+here as the bilinear maps of their formulas on basis vectors.  Nothing
+here is used by the library.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from lsaforge.exact import Mat, Subspace
+from lsaforge.triple import LieTriple
 
 ZERO = Fraction(0)
 
@@ -648,3 +653,172 @@ def twist_reports(tw):
     out += [(name, witnesses[name] is None, witnesses[name])
             for name in ("alternating", "cyclic", "derivation")]
     return out
+
+
+# -- derived products: the formulas on basis vectors -------------------------
+
+def table_from_function(n, fn):
+    """The table of the bilinear map fn on basis pairs, cells as tuples."""
+    es = [_basis(n, i) for i in range(n)]
+    return tuple(tuple(tuple(fn(x, y)) for y in es) for x in es)
+
+
+def triple_from_function(n, fn):
+    """The Lie triple system of the trilinear map fn on basis triples."""
+    es = [_basis(n, i) for i in range(n)]
+    return LieTriple([[[fn(es[i], es[j], es[k]) for k in range(n)]
+                       for j in range(n)] for i in range(n)])
+
+
+def _rows_apply(m):
+    return lambda v: dense_apply(m, v)
+
+
+def _on(table):
+    """A table of cells read as an algebra, for product."""
+    return SimpleNamespace(dim=len(table), table=table)
+
+
+def yb_table(a, lie):
+    """YB(A)(X,Y) = A[AX,Y] + A[X,AY] - [AX,AY], the bracket the product
+    of lie."""
+    ap = _rows_apply(a)
+
+    def defect(x, y):
+        ax, ay = ap(x), ap(y)
+        t = _add(ap(product(lie, ax, y)), ap(product(lie, x, ay)))
+        return _sub(t, product(lie, ax, ay))
+    return table_from_function(lie.dim, defect)
+
+
+def delta_op_table(a, alg):
+    """delta(A)(X,Y) = X.A(Y) - Y.A(X) - A([X,Y])."""
+    ap = _rows_apply(a)
+
+    def defect(x, y):
+        t = _sub(product(alg, x, ap(y)), product(alg, y, ap(x)))
+        return _sub(t, ap(bracket(alg, x, y)))
+    return table_from_function(alg.dim, defect)
+
+
+def o_op_table(a, alg):
+    """O(A)(X,Y) = [AX,AY] - (A(AX.Y) - A(AY.X))."""
+    ap = _rows_apply(a)
+
+    def defect(x, y):
+        ax, ay = ap(x), ap(y)
+        t = _sub(bracket(alg, ax, ay), ap(product(alg, ax, y)))
+        return _add(t, ap(product(alg, ay, x)))
+    return table_from_function(alg.dim, defect)
+
+
+def oeq_witness(a, alg, tamper=None):
+    """The first basis pair where O(A) != N_A + A delta(A), each map by
+    its formula; tamper, a table, is added to N_A."""
+    n = alg.dim
+    o, dl = o_op_table(a, alg), delta_op_table(a, alg)
+    nij = nijenhuis_table(a, _on(table_from_function(
+        n, lambda x, y: bracket(alg, x, y))))
+    for i in range(n):
+        for j in range(n):
+            rhs = _add(nij[i][j], dense_apply(a, dl[i][j]))
+            if tamper is not None:
+                rhs = _add(rhs, tamper[i][j])
+            if o[i][j] != rhs:
+                return (i, j)
+    return None
+
+
+def myb_witness(a, lie, t):
+    """The first basis pair where YB(A) != t [,]."""
+    n = lie.dim
+    got = yb_table(a, lie)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if got[i][j] != tuple(t * c for c in lie.table[i][j])), None)
+
+
+def abelian_witness(lie, s, para=False):
+    """The first basis pair where [Sx, Sy] != [x, y] (!= -[x, y] with
+    para=True)."""
+    n = lie.dim
+    sign = -1 if para else 1
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if product(lie, dense_apply(s, _basis(n, i)),
+                            dense_apply(s, _basis(n, j)))
+                 != tuple(sign * c for c in lie.table[i][j])), None)
+
+
+def derivation_witness(d, alg):
+    """The first basis pair where D(u.v) != D(u).v + u.D(v)."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            u, v = _basis(n, i), _basis(n, j)
+            rhs = _add(product(alg, dense_apply(d, u), v),
+                       product(alg, u, dense_apply(d, v)))
+            if dense_apply(d, product(alg, u, v)) != rhs:
+                return (i, j)
+    return None
+
+
+def symp_circ_table(dot, a, diff):
+    """X°Y = X.(diff Y) - (AX).Y."""
+    return table_from_function(dot.dim, lambda x, y: _sub(
+        product(dot, x, dense_apply(diff, y)),
+        product(dot, dense_apply(a, x), y)))
+
+
+def theta_circ_table(alg, theta, a):
+    """The Theta "circ" product from its formula: [AX,Y] + A(Y.X) + Q(X,Y)
+    for skew theta, Y.AX + AX.Y - A(Y.X) + P(X,Y) for symmetric, with
+    Q_t(X,Y) = -P_t(X,Y) = -omega(delta(A^s - A^a)(Theta^-t e_t, Y), X);
+    A^s - A^a is the adjoint G^-1 A^t G, G the matrix of theta."""
+    n = alg.dim
+    g = theta.matrix
+    adj = _matmul(_matmul(g.inverse().row_list(), _transpose(a.row_list())),
+                  g.row_list())
+    dl = delta_op_table(Mat.from_rows(adj), alg)
+    theta_inv = g.transpose().inverse()
+    ap = _rows_apply(a)
+    sign = -1 if theta.kind == "skew" else 1
+
+    def circ(x, y):
+        corr = []
+        for t in range(n):
+            pre = dense_apply(theta_inv, _basis(n, t))
+            corr.append(sign * form_value(theta, product(_on(dl), pre, y), x))
+        if theta.kind == "skew":
+            base = _add(bracket(alg, ap(x), y), ap(product(alg, y, x)))
+        else:
+            base = _sub(_add(product(alg, y, ap(x)), product(alg, ap(x), y)),
+                        ap(product(alg, y, x)))
+        return _add(base, tuple(corr))
+    return table_from_function(n, circ)
+
+
+def composed_triple(bilinear_table, alg):
+    """L(x,y,z) = alg(B(x,y), z) for the table of a bilinear map B."""
+    return triple_from_function(alg.dim, lambda x, y, z: product(
+        alg, product(_on(bilinear_table), x, y), z))
+
+
+def twist_triple(u, delta_table_):
+    """L(a,b,c) = -L_x^t c with x = Delta(r)(a,b), L_x built through
+    product."""
+    n = u.dim
+
+    def minus_lt(a, b, c):
+        lx = left_mult(u, product(_on(delta_table_), a, b))
+        return tuple(-dense_dot([row[k] for row in lx], c) for k in range(n))
+    return triple_from_function(n, minus_lt)
+
+
+def cybe_dual_product_table(lie, b):
+    """a.c = -ad_{r_#(a)}^t c on the basis covectors, r_# = b^t and ad
+    the left multiplication of lie (stored as its bracket) built through
+    product."""
+    n = lie.dim
+    zs = [dense_apply(b.transpose(), _basis(n, a)) for a in range(n)]
+    return tuple(tuple(tuple(-x for x in _matvec(_transpose(left_mult(lie, z)),
+                                                  _basis(n, c)))
+                       for c in range(n)) for z in zs)

@@ -41,10 +41,19 @@ def test_type_two_constraint_gate():
     bad = dict(good)
     bad["d"] = (Mat.from_rows([[1, 0], [0, 0]]), Mat.zeros(2, 2))
     cert = check_type_two_constraints(bad)
-    assert not cert.passed
-    assert cert.first_failure().name == "constraint_mixed"
+    assert [(r.name, r.witness) for r in cert.reports] == [
+        ("constraint_mixed", (0, 0, 0, 0)), ("constraint_pure", (0, 1, 0, 0))]
     with pytest.raises(ValueError, match="constraint"):
         canonical("assoc_type_two", bad)
+    # one entry of the second d map breaks one law at alpha = 1
+    for (i, j), want in (((0, 1), ("constraint_mixed", (1, 0, 0, 0))),
+                         ((1, 1), ("constraint_pure", (1, 1, 0, 0)))):
+        rows = good["d"][1].row_list()
+        rows[i][j] += 1
+        rows[j][i] += i != j
+        cert = check_type_two_constraints(
+            dict(good, d=(good["d"][0], Mat.from_rows(rows))))
+        assert [(r.name, r.witness) for r in cert.reports if not r] == [want]
 
 
 def test_catalog_entries_self_consistent():

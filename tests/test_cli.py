@@ -364,3 +364,51 @@ def test_unwritable_out_is_usage_error(capsys, nab_file, tmp_path):
     _no_traceback_usage_error(code, err)
     assert err.splitlines() == ["error: %s: No such file or directory"
                                 % out_file]
+
+
+def _entry(section, labels, result=None):
+    keys = ("left", "right") if section == "product" \
+        else ("first", "second", "third")
+    entry = dict(zip(keys, labels))
+    entry["result"] = {"x": "1"} if result is None else result
+    return entry
+
+
+_COMMANDS = {"product": ["check", "{}", "--pred", "abelian"],
+             "triple": ["lts", "verify", "{}"]}
+
+
+def _run_section(capsys, tmp_path, section, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "basis": ["x", "y"],
+                                section: entries}))
+    return go(capsys, [arg.format(path) for arg in _COMMANDS[section]])
+
+
+@pytest.mark.parametrize("section,labels,where", [
+    ("product", (["x"], "y"), "product[0].left"),
+    ("product", ("x", {"y": 1}), "product[0].right"),
+    ("product", ("x", 2), "product[0].right"),
+    ("triple", (["x"], "y", "x"), "triple[0]"),
+    ("triple", ("x", "y", {"x": 1}), "triple[0]"),
+    ("triple", ("x", "z", "x"), "triple[0]")])
+def test_non_string_label_is_usage_error(capsys, tmp_path, section, labels,
+                                         where):
+    bad = next(lab for lab in labels if lab not in ("x", "y"))
+    code, out, err = _run_section(capsys, tmp_path, section,
+                                  [_entry(section, labels)])
+    _no_traceback_usage_error(code, err)
+    assert "%s: unknown basis label %r" % (where, bad) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("section,labels", [
+    ("product", ("x", "y")), ("triple", ("x", "y", "y"))])
+def test_duplicate_entry_is_usage_error(capsys, tmp_path, section, labels):
+    entries = [_entry(section, labels), _entry(section, ("y", "x", "x")),
+               _entry(section, labels, {"y": "2"})]
+    code, out, err = _run_section(capsys, tmp_path, section, entries)
+    _no_traceback_usage_error(code, err)
+    assert "%s[2]: duplicate entry for (%s)" % (section, ", ".join(labels)) \
+        in err
+    assert out == ""

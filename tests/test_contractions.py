@@ -14,7 +14,12 @@ isomorphism product by product, on 4-dimensional doubles in random bases
 with non-parallel involutions and tampered metrics, and the J line of
 the hyper-para-Kahler certificate with a matrix route.  The r-matrix
 layer ([[r,r]], the r-induced dual product and Delta(r)) is compared with
-its Fraction routes on general tables.
+its Fraction routes on general tables.  The products built by the one
+slot contraction of `algebra._slot_sum` (the Yang-Baxter, delta and O
+defects, the symplectic and Theta "circ" products, the derivation law,
+the abelian test of a complex structure, the Lie triple systems and the
+dual product of a Yang-Baxter solution) are compared with their
+formulas evaluated on basis vectors.
 """
 
 import functools
@@ -27,11 +32,14 @@ from hypothesis import strategies as st
 
 import oracle_routes as oracle
 from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_hyper,
-                      build_phase, check, coadjoint_double, delta_r,
-                      dual_product_from_r, is_invariant_form, is_two_cocycle,
-                      levi_civita, nijenhuis, twisted_structures,
-                      verify_hyper_para_kahler, verify_para_kahler)
-from lsaforge import phase, smatrix
+                      build_phase, build_symp_double, build_theta_double,
+                      check, coadjoint_double, cybe_double, delta_op, delta_r,
+                      dual_product_from_r, is_derivation, is_invariant_form,
+                      is_two_cocycle, levi_civita, lts_from_o, lts_from_yb,
+                      myb_residual, nijenhuis, o_op, oeq_check,
+                      twisted_structures, verify_hyper_para_kahler,
+                      verify_para_kahler, yb)
+from lsaforge import doubling, phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               curvature, invariance_check, subspace_product)
 from lsaforge.catalog import (_trace_form, canonical, catalog_algebras,
@@ -230,10 +238,10 @@ def _lie_triple(kind, n, rng):
     if kind in DENSITY:
         return _random_triple(rng, n, DENSITY[kind])
     if kind == "zero":
-        return LieTriple.from_function(n, lambda x, y, z: zero_vec(n))
+        return oracle.triple_from_function(n, lambda x, y, z: zero_vec(n))
     # [[x,y],z] on a Lie algebra is a Lie triple system
     lie = _moved(rng, rng.choice(_lie_algebras()))
-    return LieTriple.from_function(
+    return oracle.triple_from_function(
         lie.dim, lambda x, y, z: lie.product(lie.product(x, y), z))
 
 
@@ -251,7 +259,7 @@ def test_lie_triple_derivation_failure_matches_call_route():
     # alternating and cyclic hold, derivation fails: L(x,y,z) = [[x,y],z]
     # for the bracket of aff plus a multiple of e_1 on (e_1, e_2, e_2)
     lie = _aff()
-    base = LieTriple.from_function(
+    base = oracle.triple_from_function(
         2, lambda x, y, z: lie.product(lie.product(x, y), z))
     table = [[[list(cell) for cell in row] for row in plane]
              for plane in base.table]
@@ -363,14 +371,8 @@ def test_twist_triple_matches_left_mult_route():
             if not classify_r(u, r).is_quasi_s:
                 continue
             tw = twisted_structures(u, r)
-            delta = delta_r(u, r)
-
-            def minus_lt(a, b, c):
-                lx = oracle.left_mult(u, delta.product(a, b))
-                return tuple(-oracle.dense_dot([row[k] for row in lx], c)
-                             for k in range(n))
-
-            assert tw.lts.table == LieTriple.from_function(n, minus_lt).table
+            want = oracle.twist_triple(u, delta_r(u, r).table)
+            assert tw.lts.table == want.table
             seen += 1
     assert seen
 
@@ -884,3 +886,212 @@ def test_coadjoint_rr_matches_fraction_route(r_kind, seed):
     rm = rm - rm.transpose()              # coadjoint_double takes a skew r
     assert coadjoint_double(lie, rm).rr.table == \
         oracle.coadjoint_rr_table(lie, rm)
+
+
+# -- derived products: the slot contraction against the formulas -------------
+
+ENDO_KINDS = ("zero", "sparse", "dense", "scalar", "inner")
+
+
+def _endo(rng, alg, kind):
+    """An endomorphism of alg with large-denominator entries: zero,
+    random, a multiple of the identity or a left multiplication (ad for a
+    Lie algebra, so a derivation)."""
+    n = alg.dim
+    if kind == "scalar":
+        return Mat.identity(n).scale(rng.choice(LARGE))
+    if kind == "inner":
+        return alg.left_mult([rng.choice(LARGE) for _ in range(n)])
+    return _random_mat(rng, n, n, kind, LARGE)
+
+
+def _nondegenerate(rng, n, kind):
+    for _ in range(100):
+        if kind == "skew":
+            form = _skew_form(rng, n)
+        else:
+            half = Mat(n, n, [_entry(rng, 0.6, LARGE) for _ in range(n * n)])
+            form = Bilinear(half + half.transpose(), "symmetric")
+        if form.is_nondegenerate():
+            return form
+    return Bilinear(Mat.identity(n), "symmetric")
+
+
+def _holds(bilinear_table, reps, alg):
+    return oracle.invariance_check(oracle._on(bilinear_table), reps, alg)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 4),
+       st.sampled_from(ENDO_KINDS), SEEDS)
+def test_derived_products_match_formula_routes(kind, n, a_kind, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    a = _endo(rng, alg, a_kind)
+    assert delta_op(a, alg).table == oracle.delta_op_table(a, alg)
+    o_tab = oracle.o_op_table(a, alg)
+    assert o_op(a, alg).table == o_tab
+    diff = _random_mat(rng, alg.dim, alg.dim, "dense", LARGE)
+    assert doubling._symp_circ(alg, a, diff).table == \
+        oracle.symp_circ_table(alg, a, diff)
+    want = oracle.derivation_witness(a, alg)
+    rep = is_derivation(a, alg)
+    assert (rep.passed, rep.witness) == (want is None, want)
+    assert oeq_check(a, alg).passed and oracle.oeq_witness(a, alg) is None
+    other = _algebra(rng.choice(ALGEBRA_KINDS), alg.dim, rng)
+    if other.dim == alg.dim:
+        assert LieTriple.compose(other, alg).table == \
+            oracle.composed_triple(other.table, alg).table
+    if _holds(o_tab, ("L_dual", "L_dual", "ad"), alg):
+        assert lts_from_o(alg, a).table == \
+            oracle.composed_triple(o_tab, alg).table
+    else:
+        with pytest.raises(ValueError, match="precondition"):
+            lts_from_o(alg, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ENDO_KINDS), st.booleans(), SEEDS)
+def test_lie_defects_match_formula_routes(a_kind, para, seed):
+    rng = random.Random(seed)
+    lie = _moved(rng, rng.choice(_lie_algebras()), LARGE)
+    a = _endo(rng, lie, a_kind)
+    yb_tab = oracle.yb_table(a, lie)
+    assert yb(a, lie).table == yb_tab
+    t = a[0, 0] ** 2 if rng.random() < 0.5 else rng.choice(VALUES)
+    want = oracle.myb_witness(a, lie, t)
+    rep = myb_residual(a, lie, t)
+    assert (rep.passed, rep.witness) == (want is None, want)
+    for s in (a, Mat.identity(lie.dim), -Mat.identity(lie.dim)):
+        assert doubling._abelian_witness(lie, s, para) == \
+            oracle.abelian_witness(lie, s, para)
+    if _holds(yb_tab, ("ad_dual", "ad_dual", "ad"), lie):
+        assert lts_from_yb(lie, a).table == \
+            oracle.composed_triple(yb_tab, lie).table
+    else:
+        with pytest.raises(ValueError, match="precondition"):
+            lts_from_yb(lie, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 4),
+       st.sampled_from(("skew", "symmetric")),
+       st.sampled_from(ENDO_KINDS), SEEDS)
+def test_theta_circ_matches_formula_route(kind, n, theta_kind, a_kind, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    if theta_kind == "skew" and alg.dim % 2:   # no nondegenerate skew form
+        alg = _algebra(kind, 2 * rng.randint(1, 2), rng)
+        if alg.dim % 2:
+            alg = _algebra("dense", 2, rng)
+    theta = _nondegenerate(rng, alg.dim, theta_kind)
+    a = _endo(rng, alg, a_kind)
+    assert doubling.theta_circ_product(alg, theta, a).table == \
+        oracle.theta_circ_table(alg, theta, a)
+
+
+def _yang_baxter_case(rng, kind):
+    """(lie, b): a skew solution of the classical Yang-Baxter equation in
+    a basis with large denominators: any skew b on a Lie algebra of
+    dimension 2, or x ^ y for commuting x, y of aff + aff."""
+    if rng.random() < 0.5:
+        lie = rng.choice([_aff(), Algebra.zero(2)])
+        b = _random_mat(rng, 2, 2, kind, LARGE)
+    else:
+        lie = _direct_sum(_aff(), _aff())
+        c = rng.choice(LARGE) if kind != "zero" else Fraction(0)
+        b = Mat.from_rows([[c if (i, j) == (0, 2) else -c if (i, j) == (2, 0)
+                            else 0 for j in range(4)] for i in range(4)])
+    b = b - b.transpose()
+    p = _invertible(rng, lie.dim, LARGE)
+    q = p.inverse()
+    return lie.conjugate(p), q * b * q.transpose()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("zero", "sparse", "dense")), SEEDS)
+def test_cybe_dual_product_matches_formula_route(kind, seed):
+    lie, b = _yang_baxter_case(random.Random(seed), kind)
+    data = cybe_double(lie, b, Mat.zeros(lie.dim, lie.dim))
+    assert data.cert.passed
+    assert data.dual_product.table == oracle.cybe_dual_product_table(lie, b)
+
+
+def test_derived_checks_reach_both_verdicts(monkeypatch):
+    rng = random.Random(4)
+    seen = {name: set() for name in ("is_derivation", "myb_residual",
+                                     "oeq_check", "abelian_witness")}
+    for lie in _lie_algebras()[:6]:
+        lie = _moved(rng, lie, LARGE)
+        for para in (False, True):
+            want = oracle.abelian_witness(lie, Mat.identity(lie.dim), para)
+            assert doubling._abelian_witness(lie, Mat.identity(lie.dim),
+                                             para) == want
+            seen["abelian_witness"].add(want is None)
+        for a_kind in ("inner", "dense"):
+            a = _endo(rng, lie, a_kind)
+            want = oracle.derivation_witness(a, lie)
+            rep = is_derivation(a, lie)
+            assert (rep.passed, rep.witness) == (want is None, want)
+            seen["is_derivation"].add(rep.passed)
+        a = _endo(rng, lie, "scalar")
+        for t in (a[0, 0] ** 2, a[0, 0]):
+            want = oracle.myb_witness(a, lie, t)
+            rep = myb_residual(a, lie, t)
+            assert (rep.passed, rep.witness) == (want is None, want)
+            seen["myb_residual"].add(rep.passed)
+    # a torsion off by one entry of one basis pair breaks the identity
+    torsion = doubling.nijenhuis
+    for alg in _structured()[:8]:
+        n = alg.dim
+        a = _endo(rng, alg, "dense")
+        i, j = rng.randrange(n), rng.randrange(n)
+        tamper = [[[Fraction(int((p, q, k) == (i, j, 0))) for k in range(n)]
+                   for q in range(n)] for p in range(n)]
+        for bad in (None, tamper):
+            monkeypatch.setattr(doubling, "nijenhuis", torsion if bad is None
+                                else lambda a, br: torsion(a, br).add(
+                                    Algebra(bad)))
+            want = oracle.oeq_witness(a, alg, bad)
+            rep = oeq_check(a, alg)
+            assert (rep.passed, rep.witness) == (want is None, want)
+            seen["oeq_check"].add(rep.passed)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def _omega2():
+    return Bilinear(Mat.from_rows([[0, 1], [-1, 0]]), "skew")
+
+
+SHAPE_CALLERS = {
+    "conjugate": lambda m: _aff().conjugate(m),
+    "is_derivation": lambda m: is_derivation(m, _aff()),
+    "yb": lambda m: yb(m, _aff()),
+    "delta_op": lambda m: delta_op(m, _nab_lsa()),
+    "o_op": lambda m: o_op(m, _nab_lsa()),
+    "symp_circ": lambda m: doubling._symp_circ(_nab_lsa(), m, m),
+    "build_symp_double": lambda m: build_symp_double(Algebra.zero(2),
+                                                     _omega2(), m),
+    "theta_circ_skew": lambda m: doubling.theta_circ_product(
+        _ab_lsa(), _omega2(), m),
+    "theta_circ_symmetric": lambda m: doubling.theta_circ_product(
+        _ab_lsa(), Bilinear(Mat.identity(2), "symmetric"), m),
+    "build_theta_double": lambda m: build_theta_double(_ab_lsa(), _omega2(),
+                                                       m),
+    "abelian_witness": lambda m: doubling._abelian_witness(_aff(), m),
+    "oeq_check": lambda m: oeq_check(m, _nab_lsa()),
+    "myb_residual": lambda m: myb_residual(m, _aff(), 1),
+    "cybe_double": lambda m: cybe_double(_aff(), m, Mat.zeros(2, 2)),
+    "lts_from_yb": lambda m: lts_from_yb(_aff(), m),
+    "lts_from_o": lambda m: lts_from_o(_nab_lsa(), m),
+    "twisted_structures": lambda m: twisted_structures(_nab_lsa(), m),
+}
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("caller", sorted(SHAPE_CALLERS))
+def test_wrong_size_matrix_is_rejected(caller, size):
+    m = Mat.identity(size)
+    with pytest.raises(ValueError,
+                       match="shape mismatch|invertible of matching size"):
+        SHAPE_CALLERS[caller](m)

@@ -68,6 +68,13 @@ def test_build_hyper_self_double(nab_lsa, omega2):
                        pair["omega"]).cert.passed
 
 
+def test_complex_product_of_a_commutative_pair(ab_lsa):
+    # K1 and J1 are abelian exactly when both products are commutative
+    data = build_complex_product(ab_lsa, ab_lsa)
+    assert data.cert.passed
+    assert data.cert.reports[-1].details == "all three = True"
+
+
 def test_yb_identity_recovers_bracket(aff, sl2):
     for lie in (aff, sl2):
         n = lie.dim
