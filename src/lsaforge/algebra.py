@@ -1,7 +1,9 @@
 """Finite-dimensional algebras over Q given by structure constants.
 
-An Algebra stores the products of basis vectors: table[i][j] is the
-coordinate vector of e_i . e_j.  One type covers every species handled
+An Algebra stores the products of basis vectors as integers: one
+denominator D and, for each basis pair (i, j), the nonzero (k, D c_ij^k)
+of e_i . e_j; `table` is the derived view table[i][j] = the coordinate
+vector of e_i . e_j as Fractions.  One type covers every species handled
 here (left-symmetric, Lie, associative, ...) and every other bilinear map
 Q^n x Q^n -> Q^n (defects, torsions); the species are predicates checked
 by `check`, not subclasses.  A function decides the species of its
@@ -15,21 +17,49 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from math import lcm
+from math import gcd, lcm
 
-from .exact import (Mat, Subspace, _as_fractions, _int_apply, _int_rows,
-                    common_denominator, is_zero_vec, vec, vec_add, vec_scale,
-                    vec_sub, zero_vec)
+from .exact import (ZERO, Mat, Subspace, _as_fractions, _int_combine,
+                    _int_rows, common_denominator, vec, vec_add, vec_sub)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative",
               "lie_admissible", "jacobi_antisym", "abelian")
 
 
-def _default_basis(n: int) -> Tuple[str, ...]:
-    return tuple("e%d" % (i + 1) for i in range(n))
+def _labels(basis, n: int) -> tuple:
+    """The n basis labels: e1, ..., en unless given."""
+    basis = tuple("e%d" % (i + 1) for i in range(n)) if basis is None \
+        else tuple(basis)
+    if len(basis) != n:
+        raise ValueError("basis label count mismatch")
+    return basis
+
+
+def _set_slots(obj, values):
+    """obj, an immutable object, with its slots set to the values."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _reduced(den: int, cells) -> tuple:
+    """(D, cells): den and the sparse integer cells divided by the gcd of
+    den and every entry, the one integer form (D the least common
+    denominator of the entries)."""
+    g = gcd(den, *(x for cell in cells for _, x in cell))
+    return den // g, tuple(tuple((k, x // g) for k, x in cell) if g > 1
+                           else tuple(cell) for cell in cells)
+
+
+def _dense(den: int, cell, n: int) -> tuple:
+    """The sparse integer cell over den as a tuple of n Fractions."""
+    out = [ZERO] * n
+    for k, x in cell:
+        out[k] = Fraction(x, den)
+    return tuple(out)
 
 
 def _sparse(ints) -> list:
@@ -70,183 +100,186 @@ def _left_slot(cells, vecs) -> list:
              for b in range(len(cells))] for v in vecs]
 
 
-def _coaction(alg: "Algebra", sign: int = 1) -> list:
-    """The table of (x, a) -> sign L_x^t a, the action of alg on the dual
+def _permuted(alg: "Algebra", order, sign: int = 1,
+              basis=None) -> "Algebra":
+    """The product with the constant sign c_ij^k at index t[order[0]],
+    t[order[1]], t[order[2]] for each t = (i, j, k), the cells of alg
+    moved over ints; labelled by basis, else by alg's labels."""
+    n, (den, cells) = alg.dim, alg._int_view()
+    out = [[[] for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k, x in cell:
+                t = (i, j, k)
+                out[t[order[0]]][t[order[1]]].append((t[order[2]], sign * x))
+    return Algebra._of(den, out, alg.basis if basis is None else basis)
+
+
+def _coaction(alg: "Algebra", sign: int = 1, basis=None) -> "Algebra":
+    """The product (x, a) -> sign L_x^t a, the action of alg on the dual
     through transposed left multiplications: entry k of cell (i, j) is
     sign (e_i . e_k)_j."""
-    n, t = alg.dim, alg.table
-    return [[tuple(t[i][k][j] if sign > 0 else -t[i][k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
+    return _permuted(alg, (0, 2, 1), sign, basis)
 
 
-def _swapped(table) -> tuple:
-    """The table of (x, y) -> f(y, x) from the table of f."""
-    return tuple(zip(*table))
-
-
-def _opposite(alg: "Algebra") -> "Algebra":
+def _swapped(alg: "Algebra") -> "Algebra":
     """The opposite product (x, y) -> y . x."""
-    return Algebra._of(_swapped(alg.table), alg.basis)
-
-
-def _int_algebra(cells, den: int, basis) -> "Algebra":
-    """The algebra whose structure constants are the dense integer cells
-    over den."""
-    return Algebra._of(tuple(tuple(_as_fractions(cell, den) for cell in row)
-                             for row in cells), tuple(basis))
+    return _permuted(alg, (1, 0, 2))
 
 
 def _slot_sum(terms, basis) -> "Algebra":
     """The table of (x, y) -> sum c out(left x * right y) over the terms
     (c, alg, left, right, out): c an int, * the product of alg, and left,
     right, out n x n matrices or None for the identity.  Each term
-    contracts integer views (the left slot by `_left_slot`, the right by
-    `_int_product`, out by `_int_apply`); the terms are added over the
-    least common multiple of their denominators."""
+    contracts integer forms (the left slot by `_left_slot`, the right by
+    `_int_product`, out by its sparse columns); the terms are added over
+    the least common multiple of their denominators."""
     n = len(basis)
-    ident = (1, tuple(((j, 1),) for j in range(n)))
-    dens, tables = [], []
+    unit = [((j, 1),) for j in range(n)]
+
+    def columns(m):             # (d, the columns of d m), unit for None
+        return (1, unit) if m is None else m.transpose()._int_view()
+    views = []
     for c, alg, left, right, out in terms:
         if alg.dim != n or any(m is not None and (m.rows, m.cols) != (n, n)
                                for m in (left, right, out)):
             raise ValueError("endomorphism shape mismatch")
         den, cells = alg._int_view()
-        dl, lcols = ident if left is None else left.transpose()._int_view()
-        dr, rcols = ident if right is None else right.transpose()._int_view()
-        do, rows = ident if out is None else out._int_view()
-        if left is not None:
-            cells = _left_slot(cells, lcols)
-        tables.append([[_int_apply(rows, _int_product(cells, ((i, 1),), col))
-                        for col in rcols] for i in range(n)])
-        dens.append(den * dl * dr * do)
-    common = lcm(*dens)
-    fs = [c * (common // den) for (c, *_), den in zip(terms, dens)]
-    if fs == [1]:
-        return _int_algebra(tables[0], common, basis)
-    # entry k of cell (i, j): the sum over the terms of f times theirs
-    return _int_algebra([[[sum(f * x for f, x in zip(fs, xs) if x)
-                           for xs in zip(*cells)] for cells in zip(*row)]
-                         for row in zip(*tables)], common, basis)
+        (dl, lcols), (dr, rcols), (do, ocols) = map(columns,
+                                                    (left, right, out))
+        views.append((c, cells if left is None else _left_slot(cells, lcols),
+                      rcols, ocols, den * dl * dr * do))
+    common = lcm(*(view[-1] for view in views))
+    total = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for c, cells, rcols, ocols, den in views:
+        f = c * (common // den)
+        for i, row in enumerate(total):
+            for acc, col in zip(row, rcols):
+                for k, z in enumerate(_int_product(cells, ((i, f),), col)):
+                    if z:
+                        for s, w in ocols[k]:
+                            acc[s] += z * w
+    return Algebra._of(common, [[_sparse(cell) for cell in row]
+                                for row in total], basis)
 
 
 def _nonzero_cell(alg: "Algebra"):
     """The first basis pair (i, j) with e_i . e_j != 0, or None."""
-    return next(((i, j) for i, row in enumerate(alg.table)
-                 for j, cell in enumerate(row) if any(cell)), None)
+    return next(((i, j) for i, row in enumerate(alg._cells)
+                 for j, cell in enumerate(row) if cell), None)
 
 
 class Algebra:
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
-    The commutator algebra, the left multiplications L_{e_i} and
-    the integer view of the table are computed on first use and kept on
-    the object; they are derived from the table alone, so equality and
-    hashing ignore them.
+    What is stored is the integer form: the least common denominator D
+    of the structure constants and, per basis pair, the nonzero
+    (k, D c_ij^k) by increasing k; equality and hashing compare it.  The
+    Fraction table, the commutator algebra and the left multiplications
+    L_{e_i} are computed on first use and kept on the object.
     """
 
-    __slots__ = ("dim", "basis", "table", "_bracket", "_lefts", "_ints")
+    __slots__ = ("dim", "basis", "_den", "_cells", "_table", "_bracket",
+                 "_lefts")
 
     def __init__(self, table: Sequence[Sequence[Sequence]], basis=None):
         n = len(table)
         tab = tuple(tuple(vec(cell) for cell in row) for row in table)
-        for row in tab:
-            if len(row) != n or any(len(cell) != n for cell in row):
-                raise ValueError("structure constant table must be n x n x n")
-        if basis is None:
-            basis = _default_basis(n)
-        basis = tuple(basis)
-        if len(basis) != n:
-            raise ValueError("basis label count mismatch")
-        self._fill(tab, basis)
-
-    def _fill(self, table, basis) -> None:
-        for name, value in zip(self.__slots__, (len(table), basis, table,
-                                                None, None, None)):
-            object.__setattr__(self, name, value)
+        if any(len(row) != n or any(len(c) != n for c in row) for row in tab):
+            raise ValueError("structure constant table must be n x n x n")
+        den, cells = _int_rows([x for row in tab for cell in row
+                                for x in cell], n * n, n)
+        _set_slots(self, (n, _labels(basis, n), den, tuple(
+            cells[i * n:i * n + n] for i in range(n)), tab, None, None))
 
     @staticmethod
-    def _of(table, basis) -> "Algebra":
-        """An algebra from an n x n x n tuple table of Fractions and a
-        tuple of n labels; for results of algebra arithmetic only."""
-        alg = object.__new__(Algebra)
-        alg._fill(table, basis)
-        return alg
+    def _of(den: int, cells, basis) -> "Algebra":
+        """The algebra with c_ij^k = x / den over the (k, x) of cells[i][j],
+        by increasing k, and n labels; for results of arithmetic only."""
+        n = len(cells)
+        den, flat = _reduced(den, [cell for row in cells for cell in row])
+        return _set_slots(object.__new__(Algebra), (n, basis, den, tuple(
+            flat[i * n:i * n + n] for i in range(n)), None, None, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
 
+    @property
+    def table(self) -> tuple:
+        """table[i][j][k] = c_ij^k as Fractions, built on first read."""
+        if self._table is None:
+            n, den = self.dim, self._den
+            object.__setattr__(self, "_table", tuple(
+                tuple(_dense(den, cell, n) for cell in row)
+                for row in self._cells))
+        return self._table
+
     @staticmethod
     def zero(n: int, basis=None) -> "Algebra":
-        z = zero_vec(n)
-        return Algebra([[z for _ in range(n)] for _ in range(n)], basis)
+        return Algebra._of(1, [[()] * n for _ in range(n)], _labels(basis, n))
 
     @staticmethod
     def from_blocks(grid, basis, suffix: str) -> "Algebra":
-        """A product on V + V' assembled from four blocks of tables.
+        """A product on V + V' assembled from four blocks of products.
 
         Shaped like Mat.block: grid[p][q] is the block for a left argument
         in part p and a right argument in part q (0 for V, 1 for V', both
-        Q^n).  A block is a pair (f, g) of tables of Fractions, f[i][j]
-        and g[i][j] the V- and V'-components of the product of e_i in part
-        p and e_j in part q; None is the zero table.  V' is labelled by
-        appending `suffix` to each label of `basis`: "*" for the dual U*,
-        "'" for the second factor of U x U.  Where that repeats a label of
-        `basis` (V is itself a double, with labels e1 and e1*), each label
-        is parenthesized first: (e1*)*.
+        Q^n).  A block is a pair (f, g) of algebras on Q^n (or their
+        tables), f(e_i, e_j) and g(e_i, e_j) the V- and V'-components of
+        the product of e_i in part p and e_j in part q; None is the zero
+        product.  V' is labelled by appending `suffix` to each label of
+        `basis`: "*" for the dual U*, "'" for the second factor of U x U.
+        Where that repeats a label of `basis` (V is itself a double, with
+        labels e1 and e1*), each label is parenthesized first: (e1*)*.
         """
         n = len(basis)
-        z = zero_vec(n)
-
-        def part(t, i, j):
-            return z if t is None else tuple(t[i][j])
-
-        table = tuple(tuple(part(f, i, j) + part(g, i, j)
-                            for f, g in blocks for j in range(n))
-                      for blocks in grid for i in range(n))
+        grid = [[tuple(t if t is None or isinstance(t, Algebra) else Algebra(t)
+                       for t in pair) for pair in band] for band in grid]
+        common = lcm(*(t._den for band in grid for pair in band
+                       for t in pair if t is not None))
+        cells = []
+        for band in grid:
+            for i in range(n):
+                cells.append([[(k + shift, common // t._den * x)
+                               for shift, t in zip((0, n), pair)
+                               if t is not None for k, x in t._cells[i][j]]
+                              for pair in band for j in range(n)])
         basis = tuple(basis)
         second = tuple(s + suffix for s in basis)
         if len(set(basis + second)) < len(basis) + len(second):
             second = tuple("(%s)%s" % (s, suffix) for s in basis)
-        return Algebra._of(table, basis + second)
+        return Algebra._of(common, cells, basis + second)
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.dim == other.dim
-                and self.table == other.table)
+                and self._den == other._den and self._cells == other._cells)
 
     def __hash__(self):
-        return hash(self.table)
+        return hash((self._den, self._cells))
 
     def __repr__(self):
         return "Algebra(dim=%d)" % self.dim
 
     # -- products ---------------------------------------------------------
     def product(self, u: Sequence, v: Sequence) -> tuple:
-        den, cells = self._int_view()
         du, left = _int_vec(u)
         dv, right = _int_vec(v)
-        return _as_fractions(_int_product(cells, left, right), den * du * dv)
+        return _as_fractions(_int_product(self._cells, left, right),
+                             self._den * du * dv)
 
-    def left_mults(self) -> Tuple[Mat, ...]:
+    def left_mults(self) -> tuple:
         """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j."""
         if self._lefts is None:
-            n, tab = self.dim, self.table
-            object.__setattr__(self, "_lefts", tuple(
-                Mat(n, n, [tab[i][j][k] for k in range(n) for j in range(n)])
-                for i in range(n)))
+            n, den = self.dim, self._den
+            object.__setattr__(self, "_lefts", tuple(Mat._of(n, n, tuple(
+                x for line in zip(*(_dense(den, cell, n) for cell in row))
+                for x in line)) for row in self._cells))
         return self._lefts
 
     def _int_view(self) -> tuple:
-        """(D, cells): D the least common denominator of the structure
-        constants, cells[i][j] the nonzero entries (k, D c_ij^k) of
-        e_i . e_j as ints."""
-        if self._ints is None:
-            n = self.dim
-            den, cells = _int_rows(
-                [x for row in self.table for cell in row for x in cell],
-                n * n, n)
-            object.__setattr__(self, "_ints", (den, tuple(
-                cells[i * n:i * n + n] for i in range(n))))
-        return self._ints
+        """(D, cells), the stored integer form: cells[i][j] lists the
+        nonzero (k, D c_ij^k) of e_i . e_j."""
+        return self._den, self._cells
 
     def left_mult(self, u: Sequence) -> Mat:
         """L_u = sum_i u_i L_{e_i}; the memoized matrix itself for a
@@ -261,28 +294,31 @@ class Algebra:
     def commutator_algebra(self) -> "Algebra":
         """The bracket [u,v] = u.v - v.u of this product."""
         if self._bracket is None:
-            n, tab = self.dim, self.table
-            object.__setattr__(self, "_bracket", Algebra._of(tuple(
-                tuple(vec_sub(tab[i][j], tab[j][i]) for j in range(n))
-                for i in range(n)), self.basis))
+            c, n = self._cells, self.dim
+            object.__setattr__(self, "_bracket", Algebra._of(self._den, [
+                [_sparse(_int_combine(pair, ((0, 1), (1, -1)), n))
+                 for pair in zip(row, col)]
+                for row, col in zip(c, zip(*c))], self.basis))
         return self._bracket
 
     # -- algebra arithmetic -------------------------------------------------
     def scale(self, c) -> "Algebra":
         c = Fraction(c)
-        n = self.dim
-        return Algebra([[vec_scale(c, self.table[i][j]) for j in range(n)]
-                        for i in range(n)], self.basis)
+        return Algebra._of(self._den * c.denominator, [
+            [tuple((k, c.numerator * x) for k, x in cell) if c else ()
+             for cell in row] for row in self._cells], self.basis)
 
     def add(self, other: "Algebra") -> "Algebra":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        return Algebra([[vec_add(self.table[i][j], other.table[i][j])
-                         for j in range(n)] for i in range(n)], self.basis)
+        den = lcm(self._den, other._den)
+        fg = ((0, den // self._den), (1, den // other._den))
+        return Algebra._of(den, [
+            [_sparse(_int_combine(pair, fg, self.dim)) for pair in zip(p, q)]
+            for p, q in zip(self._cells, other._cells)], self.basis)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(cell) for row in self.table for cell in row)
+        return not any(any(row) for row in self._cells)
 
     def conjugate(self, p: Mat) -> "Algebra":
         """Transport by the basis matrix p (columns = new basis vectors):
@@ -342,8 +378,7 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     n = alg.dim
     m = Endo(alg, _mat(a)).matrix                      # checks the shape
     den, cells = alg._int_view()
-    da, rows = m._int_view()
-    cols = m.transpose()._int_view()[1]                # A e_j, as ints
+    da, cols = m.transpose()._int_view()               # A e_j, as ints
     left = _left_slot(cells, cols)                      # [A e_i, e_b]
     table = []
     for i in range(n):
@@ -358,9 +393,10 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
                 for c, y in cols[k]:
                     inner[c] += x * y
             outer = _int_product(left, ((i, 1),), cols[j])
-            row.append([p + q for p, q in zip(outer, _int_apply(rows, inner))])
+            row.append(_sparse([p + q for p, q in zip(
+                outer, _int_combine(cols, _sparse(inner), n))]))
         table.append(row)
-    return _int_algebra(table, den * da * da, alg.basis)
+    return Algebra._of(den * da * da, table, alg.basis)
 
 
 def is_derivation(d, alg: Algebra) -> Report:
@@ -391,57 +427,43 @@ def _basis_associator(alg: Algebra):
 
 
 def _check_left_symmetric(alg: Algebra):
-    n = alg.dim
     ass = _basis_associator(alg)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if j <= i:
-            continue
-        if ass(i, j, k) != ass(j, i, k):
-            return (i, j, k)
-    return None
+    return next(((i, j, k) for i, j, k in itertools.product(
+        range(alg.dim), repeat=3) if j > i and ass(i, j, k) != ass(j, i, k)),
+        None)
 
 
 def _check_associative(alg: Algebra):
-    n = alg.dim
     ass = _basis_associator(alg)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if any(ass(i, j, k)):
-            return (i, j, k)
-    return None
+    return next((t for t in itertools.product(range(alg.dim), repeat=3)
+                 if any(ass(*t))), None)
 
 
 def _check_commutative(alg: Algebra):
-    n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alg.table[i][j] != alg.table[j][i]:
-                return (i, j)
-    return None
+    cells = alg._cells
+    return next(((i, j) for i, j in itertools.combinations(range(alg.dim), 2)
+                 if cells[i][j] != cells[j][i]), None)
 
 
 def _jacobi_witness(br: Algebra):
     """First basis triple violating Jacobi for an antisymmetric table: the
     cyclic sum of D^2 [[e_i,e_j],e_k] is read off the integer view of br
     (D its denominator)."""
-    cells = br._int_view()[1]
+    cells = br._cells
 
     def bb(i, j, k):
         return _int_product(cells, cells[i][j], ((k, 1),))
-
-    for i, j, k in itertools.combinations(range(br.dim), 3):
-        if any(a + b + c for a, b, c in
-               zip(bb(i, j, k), bb(j, k, i), bb(k, i, j))):
-            return (i, j, k)
-    return None
+    return next(((i, j, k) for i, j, k in itertools.combinations(
+        range(br.dim), 3) if any(a + b + c for a, b, c in zip(
+            bb(i, j, k), bb(j, k, i), bb(k, i, j)))), None)
 
 
 def _check_jacobi_antisym(alg: Algebra):
-    cells = alg._int_view()[1]
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            if cells[i][j] != tuple((k, -x) for k, x in cells[j][i]):
-                return (i, j)
-    return _jacobi_witness(alg)
+    cells = alg._cells
+    bad = next(((i, j) for i, j in itertools.combinations_with_replacement(
+        range(alg.dim), 2)
+        if cells[i][j] != tuple((k, -x) for k, x in cells[j][i])), None)
+    return _jacobi_witness(alg) if bad is None else bad
 
 
 def _check_lie_admissible(alg: Algebra):
@@ -454,12 +476,9 @@ def _check_lie_admissible(alg: Algebra):
         # - [e_i,e_j].e_k) = D^2 (ass(e_j,e_i,e_k) - ass(e_i,e_j,e_k))
         return [a - b for a, b in zip(ass(j, i, k), ass(i, j, k))]
 
-    via_curvature = None
-    for i, j, k in itertools.combinations(range(alg.dim), 3):
-        if any(a + b + c for a, b, c in
-               zip(curv(i, j, k), curv(j, k, i), curv(k, i, j))):
-            via_curvature = (i, j, k)
-            break
+    via_curvature = next(((i, j, k) for i, j, k in itertools.combinations(
+        range(alg.dim), 3) if any(a + b + c for a, b, c in zip(
+            curv(i, j, k), curv(j, k, i), curv(k, i, j)))), None)
     via_jacobi = _jacobi_witness(alg.commutator_algebra())
     if (via_curvature is None) != (via_jacobi is None):
         raise routes_disagree(
@@ -516,14 +535,9 @@ def product_subspaces(alg: Algebra) -> dict:
     U^k is the span of all products of k elements, computed as the sum of
     U^i . U^j over i + j = k.
     """
-    n = alg.dim
-    uu_vecs, d_vecs, s_vecs = [], [], []
-    for i in range(n):
-        for j in range(n):
-            uu_vecs.append(alg.table[i][j])
-            d_vecs.append(vec_sub(alg.table[i][j], alg.table[j][i]))
-            s_vecs.append(vec_add(alg.table[i][j], alg.table[j][i]))
-    uu = Subspace(n, uu_vecs)
+    n, t = alg.dim, alg.table
+    pairs = list(itertools.product(range(n), repeat=2))
+    uu = Subspace(n, [t[i][j] for i, j in pairs])
     powers = [Subspace.full(n), uu]
     for k in (3, 4):
         acc = Subspace.zero(n)
@@ -533,8 +547,8 @@ def product_subspaces(alg: Algebra) -> dict:
         powers.append(acc)
     return {
         "UU": uu,
-        "DUU": Subspace(n, d_vecs),
-        "SUU": Subspace(n, s_vecs),
+        "DUU": Subspace(n, [vec_sub(t[i][j], t[j][i]) for i, j in pairs]),
+        "SUU": Subspace(n, [vec_add(t[i][j], t[j][i]) for i, j in pairs]),
         "powers": tuple(powers),
     }
 
@@ -544,15 +558,14 @@ def product_subspaces(alg: Algebra) -> dict:
 INVARIANCE_TAGS = ("ad", "L", "ad_dual", "L_dual")
 
 
-def _rep_columns(tag: str, alg: Algebra, m: int) -> tuple:
-    """(sign, D, cols): the representing matrix of e_m for tag is sign/D
-    times the integer matrix whose column b has the sparse entries
-    cols[b]."""
+def _rep_columns(tag: str, alg: Algebra) -> tuple:
+    """(sign, D, cols): the matrix of e_m for tag is sign/D times the one
+    with columns cols[m], the cells e_m . e_b for L_{e_m}, and for -L^t
+    the rows of L, the cells of the coaction."""
     src = alg.commutator_algebra() if tag.startswith("ad") else alg
-    mat = src.left_mults()[m]
-    if tag.endswith("_dual"):              # -L^t: its columns are L's rows
-        return (-1,) + mat._int_view()
-    return (1,) + mat.transpose()._int_view()
+    if tag.endswith("_dual"):
+        return (-1,) + _coaction(src)._int_view()
+    return (1,) + src._int_view()
 
 
 def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
@@ -599,16 +612,17 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     support = [(p * n + k, x) for p, row in enumerate(rows) for k, x in row]
     strides = [n ** (order - 1 - s) for s in range(order)]
     anchor = "sum over slots of %s action == 0" % (tuple(reps),)
+    slots = {tag: _rep_columns(tag, alg) for tag in set(reps)}
+    slots = [slots[tag] for tag in reps]
+    common = lcm(*(d for _, d, _ in slots))
     for m in range(n):
-        slots = [_rep_columns(tag, alg, m) for tag in reps]
-        common = lcm(*(d for _, d, _ in slots))
         total = [0] * n ** order
         for (sign, d, cols), stride in zip(slots, strides):
             f = sign * (common // d)
             for pos, x in support:
                 b = pos // stride % n
                 base = pos - b * stride
-                for a, y in cols[b]:
+                for a, y in cols[m][b]:
                     total[base + a * stride] += f * x * y
         pos = next((p for p, val in enumerate(total) if val), None)
         if pos is not None:

@@ -12,6 +12,7 @@ re-applies its basis change and compares structure constants exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -143,16 +144,21 @@ def _sym_mats(raw, count, size, label):
     return tuple(mats)
 
 
-def _type_one_omega(p: int, q: int) -> Bilinear:
-    n = 2 * p + q
+def _model_omega(p0, p1, q0, q1) -> Bilinear:
+    """The skew form of the second model; the first model's is the one
+    with p1 = q1 = 0."""
+    p = p0 + p1
+    n = 2 * p + q0 + q1
     rows = [[ZERO] * n for _ in range(n)]
+    dual = p + q0 + q1
     for k in range(p):
-        rows[k][p + q + k] = -ONE
-        rows[p + q + k][k] = ONE
-    sb = _sym_block(q)
-    for i in range(q):
-        for j in range(q):
-            rows[p + i][p + j] = sb[i, j]
+        rows[k][dual + k] = -ONE
+        rows[dual + k][k] = ONE
+    for off, q in ((p, q0), (p + q0, q1)):
+        sb = _sym_block(q)
+        for i in range(q):
+            for j in range(q):
+                rows[off + i][off + j] = sb[i, j]
     return Bilinear(Mat.from_rows(rows), "skew")
 
 
@@ -180,16 +186,14 @@ def _canonical_assoc_type_one(params):
         for b in range(p):
             table[p + i][dual + b] = vcoords(n_maps[i].row(b))
     alg = Algebra(table)
-    omega = _type_one_omega(p, q)
+    omega = _model_omega(p, 0, q, 0)
     _assert_model(alg, omega, expect_u3_zero=True)
     return {"alg": alg, "omega": omega}
 
 
 def _type_two_dims(params):
-    p0 = int(params.get("dim_v0", 0))
-    p1 = int(params.get("dim_v1", 0))
-    q0 = int(params.get("dim_i0", 0))
-    q1 = int(params.get("dim_i1", 0))
+    p0, p1, q0, q1 = (int(params.get(key, 0)) for key in
+                      ("dim_v0", "dim_v1", "dim_i0", "dim_i1"))
     if p0 < 1 or p1 < 0:
         raise ValueError("dim_v0 must be at least 1 and dim_v1 nonnegative")
     if q0 < 0 or q0 % 2 or q1 < 0 or q1 % 2:
@@ -265,22 +269,6 @@ def check_type_two_constraints(params) -> Certificate:
                witness=w2)))
 
 
-def _type_two_omega(p0, p1, q0, q1) -> Bilinear:
-    p = p0 + p1
-    n = 2 * p + q0 + q1
-    rows = [[ZERO] * n for _ in range(n)]
-    dual = p + q0 + q1
-    for k in range(p):
-        rows[k][dual + k] = -ONE
-        rows[dual + k][k] = ONE
-    for off, q in ((p, q0), (p + q0, q1)):
-        sb = _sym_block(q)
-        for i in range(q):
-            for j in range(q):
-                rows[off + i][off + j] = sb[i, j]
-    return Bilinear(Mat.from_rows(rows), "skew")
-
-
 def _canonical_assoc_type_two(params):
     dims, a_maps, b_maps, c_maps, d_maps, f_map = _type_two_maps(params)
     p0, p1, q0, q1 = dims
@@ -324,7 +312,7 @@ def _canonical_assoc_type_two(params):
                     cell[p + k] = f_map[a][b][k]
             table[dual + a][dual + b] = tuple(cell)
     alg = Algebra(table)
-    omega = _type_two_omega(p0, p1, q0, q1)
+    omega = _model_omega(p0, p1, q0, q1)
     _assert_model(alg, omega, expect_u3_zero=False)
     return {"alg": alg, "omega": omega}
 
@@ -382,32 +370,26 @@ def canonical(family: str, params: dict) -> dict:
 
 def _trace_form(alg: Algebra, side: str) -> Mat:
     """Gram matrix of tr(X_i X_j) for X_i = L_{e_i} (side "left") or
-    X_i = R_{e_i} ("right"), contracted on the integer view of the table:
-    tr(L_i L_j) = sum c_ib^a c_ja^b and tr(R_i R_j) = sum c_bi^a c_aj^b."""
+    X_i = R_{e_i} ("right"), the left multiplication of the opposite
+    product, contracted on the integer form: (X_i)_ab = c_ib^a over D and
+    tr(X_i X_j) = sum c_ib^a c_ja^b."""
     n = alg.dim
-    den, cells = alg._int_view()
-    # mats[i][a * n + b] = D (X_i)_ab, where (L_i)_ab = c_ib^a, (R_i)_ab = c_bi^a
+    den, cells = (alg if side == "left" else _swapped(alg))._int_view()
+    # mats[i][a * n + b] = D (X_i)_ab, support[i] its nonzero (b n + a, .)
     mats = [[0] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, x in cells[i][j]:
-                if side == "left":
-                    mats[i][k * n + j] = x
-                else:
-                    mats[j][k * n + i] = x
-    # tr(X_i X_j) = sum over the nonzero (X_i)_ab of (X_i)_ab (X_j)_ba
+    for mat, row in zip(mats, cells):
+        for b, cell in enumerate(row):
+            for a, x in cell:
+                mat[a * n + b] = x
     support = [[(b * n + a, x) for a in range(n) for b in range(n)
-                if (x := mats[i][a * n + b])] for i in range(n)]
-    scale = den * den
+                if (x := mat[a * n + b])] for mat in mats]
     gram = [ZERO] * (n * n)
-    for i in range(n):
-        for j in range(i, n):
-            mj = mats[j]
-            s = 0
-            for pos, x in support[i]:
-                s += x * mj[pos]
-            if s:
-                gram[i * n + j] = gram[j * n + i] = Fraction(s, scale)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        mj, s = mats[j], 0
+        for pos, x in support[i]:
+            s += x * mj[pos]
+        if s:
+            gram[i * n + j] = gram[j * n + i] = Fraction(s, den * den)
     return Mat(n, n, gram)
 
 
@@ -502,22 +484,11 @@ class CompatVerdict:
 
 
 def _proportional(first: Algebra, second: Algebra) -> bool:
-    """second == lam * first for some rational lam (first nonzero)."""
-    lam = None
-    n = first.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x = first.table[i][j][k]
-                y = second.table[i][j][k]
-                if x == 0:
-                    if y != 0:
-                        return False
-                elif lam is None:
-                    lam = y / x
-                elif y != lam * x:
-                    return False
-    return True
+    """second == lam * first for some rational lam (first nonzero), lam
+    read at the first nonzero structure constant of first."""
+    i, j = _nonzero_cell(first)
+    k = first._int_view()[1][i][j][0][0]
+    return second == first.scale(second.table[i][j][k] / first.table[i][j][k])
 
 
 def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
@@ -655,29 +626,21 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
 
 
 def _extract_type_one(moved: Algebra, p_dim: int, q_dim: int):
-    n = moved.dim
-    dual = p_dim + q_dim
-    m_maps, n_maps = [], []
-    for a in range(p_dim):
-        rows = [[moved.table[dual + a][dual + b][k] for k in range(p_dim)]
-                for b in range(p_dim)]
-        m_maps.append(Mat.from_rows(rows))
-    for i in range(q_dim):
-        rows = [[moved.table[p_dim + i][dual + b][k] for k in range(p_dim)]
-                for b in range(p_dim)]
-        n_maps.append(Mat.from_rows(rows))
-    return tuple(m_maps), tuple(n_maps)
+    dual, t = p_dim + q_dim, moved.table
+
+    def maps(first, count):     # V-parts of the products with V* basis
+        return tuple(Mat.from_rows([[t[first + a][dual + b][k]
+                                     for k in range(p_dim)]
+                                    for b in range(p_dim)])
+                     for a in range(count))
+    return maps(dual, p_dim), maps(p_dim, q_dim)
 
 
 def _extract_type_two(moved: Algebra, dims):
     p0, p1, q0, q1 = dims
     p = p0 + p1
-    n = moved.dim
     dual = p + q0 + q1
-
-    def mat(rows):
-        return Mat.from_rows(rows)
-
+    mat = Mat.from_rows
     a_maps = tuple(mat([[moved.table[p0 + k][dual + b][m] for m in range(p0)]
                         for b in range(p0)]) for k in range(p1))
     b_maps = tuple(mat([[moved.table[p + k][dual + b][m] for m in range(p0)]
@@ -760,7 +723,8 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
         cols = list(v.basis) + ipairs + w
         p = Mat.from_cols(cols)
         moved = alg.conjugate(p)
-        if _transport_form(omega, p) != _type_one_omega(p_dim, q_dim).matrix:
+        if _transport_form(omega, p) != \
+                _model_omega(p_dim, 0, q_dim, 0).matrix:
             raise InternalInconsistency("transported form is not the model "
                                         "form")
         m_maps, n_maps = _extract_type_one(moved, p_dim, q_dim)
@@ -795,7 +759,7 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
     p = Mat.from_cols(vbasis + ivecs + w)
     moved = alg.conjugate(p)
-    if _transport_form(omega, p) != _type_two_omega(p0, p1, q0, q1).matrix:
+    if _transport_form(omega, p) != _model_omega(p0, p1, q0, q1).matrix:
         raise InternalInconsistency("transported form is not the model form")
     a_maps, b_maps, c_maps, d_maps, f_map = \
         _extract_type_two(moved, (p0, p1, q0, q1))
@@ -989,7 +953,7 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     zvecs = [bsh.col(a) for a in range(n)]
     # [r_#(e_a), e_c] in cell (a, c); the dual product a.c = -ad_{r_#(a)}^t c
     r_act = _slot_sum([(1, lie, bsh, None, None)], lie.basis)
-    dstar = Algebra(_coaction(r_act, -1), tuple(s + "*" for s in lie.basis))
+    dstar = _coaction(r_act, -1, tuple(s + "*" for s in lie.basis))
     ls = check(dstar, "left_symmetric")
     if not ls:
         raise InternalInconsistency("dual product of a Yang-Baxter solution "
@@ -1015,13 +979,13 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
 
     # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
     bracket = Algebra.from_blocks(
-        [[(None, None), (_swapped(r_act.scale(-1).table), None)],
-         [(r_act.table, None), (None, dd.dual_bracket.table)]],
+        [[(None, None), (_swapped(r_act.scale(-1)), None)],
+         [(r_act, None), (None, dd.dual_bracket)]],
         lie.basis, "*")
     # (X+a).(Y+b) = [r_#(a), Y] + a.b with the dual product
     triangle = Algebra.from_blocks(
         [[(None, None), (None, None)],
-         [(r_act.table, None), (None, dstar.table)]],
+         [(r_act, None), (None, dstar)]],
         lie.basis, "*")
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)

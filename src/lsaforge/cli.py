@@ -154,15 +154,44 @@ def _table(raw, labels, where: str):
     return table
 
 
+class _Repeated(str):
+    """What a JSON object that repeats the key it holds loads as."""
+
+
+def _repeat_at(node, where: str, sep: str = ":"):
+    """(path, key) of the first object in node that repeats a key, or
+    None: sep joins where and a key of node, [i] an item of a list."""
+    if isinstance(node, _Repeated):
+        return where, str(node)
+    steps = ((sep + key, item) for key, item in node.items()) \
+        if isinstance(node, dict) else \
+        (("[%d]" % i, item) for i, item in enumerate(node)) \
+        if isinstance(node, list) else ()
+    return next((hit for step, item in steps
+                 if (hit := _repeat_at(item, where + step, "."))), None)
+
+
 def load_structure(path: str) -> StructFile:
+    repeats = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) == len(pairs):
+            return obj
+        keys = [key for key, _ in pairs]
+        repeats.append(_Repeated(next(k for i, k in enumerate(keys)
+                                      if k in keys[:i])))
+        return repeats[-1]
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=pairs_hook)
     except OSError as exc:
         raise UsageError("%s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise UsageError("%s: invalid JSON at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    if repeats:
+        raise UsageError("%s: duplicate key %r" % _repeat_at(raw, path))
     if not isinstance(raw, dict):
         raise UsageError("%s: top level must be an object" % path)
     extra = set(raw) - set(_TOP_KEYS)
@@ -361,91 +390,68 @@ def _math_fail(args, name: str, exc: ValueError) -> int:
 def _cmd_build(args) -> int:
     struct = load_structure(args.file)
     alg = struct.need("products", "product")
-    what = args.what
+    what, need = args.what, struct.need
+    doubles = {
+        "tsymp": lambda: build_symp_double(alg, need("forms", "omega"),
+                                           need("endos", "a")),
+        "ttheta": lambda: build_theta_double(alg, need("forms", "theta"),
+                                             need("endos", "a"),
+                                             hyper=args.hyper),
+        "flatdouble": lambda: flat_double(alg, need("forms", "metric")),
+        "cybe": lambda: cybe_double(alg, need("tensors", "b"),
+                                    need("forms", "r"))}
     try:
+        # reports, and the artifact: product, forms, endos, second product
         if what == "phase":
-            dual = None
-            if args.dual != "zero":
-                dual = load_structure(args.dual).need("products", "product")
+            dual = None if args.dual == "zero" else \
+                load_structure(args.dual).need("products", "product")
             ps = build_phase(alg, dual)
             reports = [check(ps.extended, "left_symmetric"),
                        is_invariant_form(ps.omega0, ps.extended)]
-            artifact = dump_structure(
-                ps.extended,
-                forms={"omega0": ps.omega0, "pairing0": ps.pairing0},
-                endos={"k0": ps.k0})
-            return _emit(args, _report_lines(reports), artifact)
-        if what == "twist":
-            tensor = struct.need("tensors", args.tensor)
-            tw = twisted_structures(alg, tensor)
-            artifact = dump_structure(tw.twisted,
-                                      forms={"metric_r": tw.metric_r},
-                                      endos={"k_r": tw.k_r, "xi": tw.xi})
-            return _emit(args, _report_lines(tw.cert.reports), artifact)
-        if what == "hyper":
-            hy = build_hyper(alg, struct.need("products", "product2"),
-                             struct.need("forms", "omega"))
+            built = (ps.extended, {"omega0": ps.omega0,
+                                   "pairing0": ps.pairing0}, {"k0": ps.k0},
+                     None)
+        elif what == "twist":
+            tw = twisted_structures(alg, need("tensors", args.tensor))
+            reports, built = tw.cert.reports, (
+                tw.twisted, {"metric_r": tw.metric_r},
+                {"k_r": tw.k_r, "xi": tw.xi}, None)
+        elif what == "hyper":
+            hy = build_hyper(alg, need("products", "product2"),
+                             need("forms", "omega"))
             cp = hy.complex_product
-            artifact = dump_structure(cp.lie, forms={"metric": hy.metric},
-                                      endos={"k1": cp.k1, "j1": cp.j1})
             reports = tuple(cp.cert.reports) + tuple(hy.cert.reports)
-            return _emit(args, _report_lines(reports), artifact)
-        if what == "tsymp":
-            data = build_symp_double(alg,
-                                     struct.need("forms", "omega"),
-                                     struct.need("endos", "a"))
-            artifact = dump_structure(data.bracket,
-                                      forms={"metric": data.metric},
-                                      endos={"k": data.k})
-            return _emit(args, _report_lines(data.cert.reports), artifact)
-        if what == "ttheta":
-            data = build_theta_double(alg,
-                                      struct.need("forms", "theta"),
-                                      struct.need("endos", "a"),
-                                      hyper=args.hyper)
-            endos = {"k": data.k}
-            if data.j is not None:
-                endos["j"] = data.j
-            artifact = dump_structure(data.bracket,
-                                      forms={"metric": data.metric},
-                                      endos=endos)
-            return _emit(args, _report_lines(data.cert.reports), artifact)
-        if what == "quadratic":
-            params = _param_map(args.param)
-            grades = _int_param(params, "n")
+            built = (cp.lie, {"metric": hy.metric},
+                     {"k1": cp.k1, "j1": cp.j1}, None)
+        elif what == "quadratic":
+            grades = _int_param(_param_map(args.param), "n")
             if grades < 1:
                 raise UsageError("--param n must be at least 1")
             data = build_quadratic_symplectic(alg, grades)
-            artifact = dump_structure(
-                data.lie,
-                forms={"metric": data.metric, "omega": data.omega,
-                       "pairing": data.pairing},
-                endos={"derivation": data.derivation.matrix})
-            return _emit(args, _report_lines(data.cert.reports), artifact)
-        if what == "flatdouble":
-            data = flat_double(alg, struct.need("forms", "metric"))
-            artifact = dump_structure(data.bracket,
-                                      forms={"metric": data.metric},
-                                      endos={"k": data.k},
-                                      alg2=data.triangle)
-            return _emit(args, _report_lines(data.cert.reports), artifact)
-        if what == "cybe":
-            data = cybe_double(alg, struct.need("tensors", "b"),
-                               struct.need("forms", "r"))
-            artifact = dump_structure(data.bracket,
-                                      forms={"metric": data.metric},
-                                      endos={"k": data.k},
-                                      alg2=data.triangle)
-            return _emit(args, _report_lines(data.cert.reports), artifact)
-        if what == "derphase":
-            data = derivation_phase(alg, struct.need("endos", "d"))
-            artifact = dump_structure(
-                data.phase.extended, forms={"omega0": data.phase.omega0},
-                endos={"delta": data.delta.matrix})
-            return _emit(args, _report_lines(data.cert.reports), artifact)
+            reports, built = data.cert.reports, (
+                data.lie, {"metric": data.metric, "omega": data.omega,
+                           "pairing": data.pairing},
+                {"derivation": data.derivation.matrix}, None)
+        elif what == "derphase":
+            data = derivation_phase(alg, need("endos", "d"))
+            reports, built = data.cert.reports, (
+                data.phase.extended, {"omega0": data.phase.omega0},
+                {"delta": data.delta.matrix}, None)
+        elif what in doubles:
+            data = doubles[what]()
+            endos = {"k": data.k}
+            if getattr(data, "j", None) is not None:
+                endos["j"] = data.j
+            reports, built = data.cert.reports, (
+                data.bracket, {"metric": data.metric}, endos,
+                getattr(data, "triangle", None))
+        else:
+            raise UsageError("unknown build target %r" % what)
     except ValueError as exc:
         return _math_fail(args, "build_" + what, exc)
-    raise UsageError("unknown build target %r" % what)
+    product, forms, endos, alg2 = built
+    return _emit(args, _report_lines(reports), dump_structure(
+        product, forms=forms, endos=endos, alg2=alg2))
 
 
 def _fmt_param(val):
@@ -634,3 +640,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _nonzero_cell, _opposite, _slot_sum, _swapped,
+from .algebra import (Algebra, _nonzero_cell, _permuted, _slot_sum, _swapped,
                       check, curvature, invariance_check, nijenhuis)
 from .exact import Mat, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
@@ -99,8 +99,7 @@ def pencil(bullet: Algebra, circ: Algebra, a, b) -> Algebra:
 def tu_product(bullet: Algebra, circ: Algebra) -> Algebra:
     """(X,Y).(Z,T) = (X•Z, X•T) + (Y°Z, Y°T) on U x U."""
     return Algebra.from_blocks(
-        [[(bullet.table, None), (None, bullet.table)],
-         [(circ.table, None), (None, circ.table)]],
+        [[(bullet, None), (None, bullet)], [(circ, None), (None, circ)]],
         bullet.basis, "'")
 
 
@@ -325,8 +324,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     circ = _symp_circ(dot, a, a_s - a_a)
     # [(X,Y),(Z,T)] = ([X,Z] + YB(A)(Y,T), [X,T] + [Y,Z])
     bracket = Algebra.from_blocks(
-        [[(lie.table, None), (None, lie.table)],
-         [(None, lie.table), (defect.table, None)]],
+        [[(lie, None), (None, lie)], [(None, lie), (defect, None)]],
         lie.basis, "'")
 
     g = omega.matrix
@@ -353,7 +351,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
 def delta_op(a: Mat, alg: Algebra) -> Algebra:
     """delta(A)(X,Y) = X.A(Y) - Y.A(X) - A([X,Y])."""
     return _slot_sum([(1, alg, None, a, None),
-                      (-1, _opposite(alg), a, None, None),
+                      (-1, _swapped(alg), a, None, None),
                       (-1, alg.commutator_algebra(), None, None, a)],
                      alg.basis)
 
@@ -361,7 +359,7 @@ def delta_op(a: Mat, alg: Algebra) -> Algebra:
 def o_op(a: Mat, alg: Algebra) -> Algebra:
     """O(A)(X,Y) = [AX,AY] - (A(AX.Y) - A(AY.X))."""
     return _slot_sum([(1, alg.commutator_algebra(), a, a, None),
-                      (-1, alg, a, None, a), (1, _opposite(alg), None, a, a)],
+                      (-1, alg, a, None, a), (1, _swapped(alg), None, a, a)],
                      alg.basis)
 
 
@@ -403,12 +401,9 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
         raise ValueError("theta must be skew or symmetric")
     if not theta.is_nondegenerate():
         raise ValueError("theta must be nondegenerate")
-    n = alg.dim
     a_s, a_a = sym_skew_parts(a, theta)
-    dl = delta_op(a_s - a_a, alg).table
-    flipped = Algebra([[[dl[i][j][k] for i in range(n)] for j in range(n)]
-                       for k in range(n)])
-    g, opp = theta.matrix, _opposite(alg)
+    flipped = _permuted(delta_op(a_s - a_a, alg), (2, 1, 0))
+    g, opp = theta.matrix, _swapped(alg)
     if theta.kind == "skew":
         terms = [(1, alg.commutator_algebra(), a, None, None),
                  (1, opp, None, None, a), (-1, flipped, g, None, g.inverse())]
@@ -454,9 +449,8 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     circ = theta_circ_product(alg, theta, a)
     # [(X,Y),(Z,T)] = ([X,Z] + O(A)(T,Y), X.T - Z.Y)
     bracket = Algebra.from_blocks(
-        [[(alg.commutator_algebra().table, None), (None, alg.table)],
-         [(None, _swapped(alg.scale(-1).table)),
-          (_swapped(o_def.table), None)]],
+        [[(alg.commutator_algebra(), None), (None, alg)],
+         [(None, _swapped(alg.scale(-1))), (_swapped(o_def), None)]],
         alg.basis, "'")
 
     g = theta.matrix

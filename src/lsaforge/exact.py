@@ -165,10 +165,6 @@ def vec_scale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
-def vec_neg(u: Sequence) -> tuple:
-    return tuple(-a if a else a for a in u)
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     s = ZERO
     for a, b in zip(u, v):

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, _int_algebra, check
-from .exact import Mat, _int_apply, _int_combine, common_denominator
+from .algebra import Algebra, _sparse, check
+from .exact import Mat, _int_combine, common_denominator
 from .report import Report, _relabel, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -69,8 +69,7 @@ def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     """is_two_cocycle after its preconditions, over the integer views of
     the bracket and of the Gram matrix (the sum is linear in each)."""
     anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
-    n = lie.dim
-    cells = lie._int_view()[1]
+    n, cells = lie.dim, lie._int_view()[1]
     # g[a * n + b] ~ omega(e_a, e_b)
     g = common_denominator(_gram(omega, lie).data)[1]
 
@@ -89,8 +88,7 @@ def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
     matrix scaled by its common denominator; the identity is linear in
     each, so the scaling changes no verdict."""
     anchor = "omega(u.v,w) + omega(v,u.w) == 0"
-    n = alg.dim
-    cells = alg._int_view()[1]
+    n, cells = alg.dim, alg._int_view()[1]
     # g[a * n + b] ~ omega(e_a, e_b)
     g = common_denominator(_gram(omega, alg).data)[1]
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -136,17 +134,19 @@ def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
 
 
 def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
-    """levi_civita after its preconditions: the integer view of the bracket
-    contracted with the integer Gram matrix, the integer inverse last."""
+    """levi_civita after its preconditions: the integer form of the bracket
+    contracted with the integer Gram matrix, the integer inverse last
+    (symmetric, so its rows are its columns)."""
     n = lie.dim
     den, cells = lie._int_view()
     dg, grows = _gram(metric, lie)._int_view()
     di, irows = metric.matrix.inverse()._int_view()
     # gc[i][j][w] = D d_G <[e_i,e_j], e_w>, the cell times G (symmetric)
     gc = [[_int_combine(grows, cell, n) for cell in row] for row in cells]
-    return _int_algebra([[_int_apply(irows, [
-        gc[i][j][w] + gc[w][i][j] + gc[w][j][i] for w in range(n)])
-        for j in range(n)] for i in range(n)], 2 * den * dg * di, lie.basis)
+    return Algebra._of(2 * den * dg * di, [[_sparse(_int_combine(
+        irows, _sparse([gc[i][j][w] + gc[w][i][j] + gc[w][j][i]
+                        for w in range(n)]), n))
+        for j in range(n)] for i in range(n)], lie.basis)
 
 
 def is_flat(lie: Algebra, metric: Bilinear) -> Report:

@@ -53,8 +53,8 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
             raise ValueError("%s is not left symmetric (witness %s)"
                              % (label, rep.witness))
     extended = Algebra.from_blocks(
-        [[(u.table, None), (None, _coaction(u, -1))],
-         [(_coaction(dual, -1), None), (None, dual.table)]],
+        [[(u, None), (None, _coaction(u, -1))],
+         [(_coaction(dual, -1), None), (None, dual)]],
         u.basis, "*")
     n = u.dim
     ident = Mat.identity(n)
@@ -66,44 +66,37 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
                       omega0=omega0, k0=k0)
 
 
-def rho(ps: PhaseSpace, x, alpha) -> Mat:
-    """rho(X,a) = [LX, La^t] + L_{La^t X} + L^t_{LX^t a} on U."""
-    u, dual = ps.u, ps.dual
+def _rho(u: Algebra, dual: Algebra, x, alpha) -> Mat:
+    """[LX, La^t] + L_{La^t X} + L^t_{LX^t a}, LX the left multiplication
+    of u and La that of dual."""
     lx = u.left_mult(x)
     la_t = dual.left_mult(alpha).transpose()
-    term1 = lx.commutator(la_t)
-    term2 = u.left_mult(la_t.apply(x))
-    term3 = dual.left_mult(lx.transpose().apply(alpha)).transpose()
-    return term1 + term2 + term3
+    return (lx.commutator(la_t) + u.left_mult(la_t.apply(x))
+            + dual.left_mult(lx.transpose().apply(alpha)).transpose())
+
+
+def rho(ps: PhaseSpace, x, alpha) -> Mat:
+    """rho(X,a) = [LX, La^t] + L_{La^t X} + L^t_{LX^t a} on U."""
+    return _rho(ps.u, ps.dual, x, alpha)
 
 
 def rho_star(ps: PhaseSpace, alpha, x) -> Mat:
     """Mirror of rho on U*: rho*(a,X) = [La, LX^t] + L_{LX^t a} + L^t_{La^t X}."""
-    u, dual = ps.u, ps.dual
-    la = dual.left_mult(alpha)
-    lx_t = u.left_mult(x).transpose()
-    term1 = la.commutator(lx_t)
-    term2 = dual.left_mult(lx_t.apply(alpha))
-    term3 = u.left_mult(la.transpose().apply(x)).transpose()
-    return term1 + term2 + term3
+    return _rho(ps.dual, ps.u, alpha, x)
 
 
 def _extendible_witness(ps: PhaseSpace):
+    """The first (name, i, a, j) with rho(e_i, e^a) e_j != rho(e_j, e^a) e_i,
+    then the same for rho* with the roles of U and U* swapped."""
     n = ps.dim
-    rhos = [[rho(ps, basis_vec(n, i), basis_vec(n, a)) for a in range(n)]
-            for i in range(n)]
-    for a in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rhos[i][a].col(j) != rhos[j][a].col(i):
-                    return ("rho", i, a, j)
-    rho_stars = [[rho_star(ps, basis_vec(n, a), basis_vec(n, i))
-                  for i in range(n)] for a in range(n)]
-    for i in range(n):
+    for name, u, dual in (("rho", ps.u, ps.dual), ("rho_star", ps.dual, ps.u)):
+        rhos = [[_rho(u, dual, basis_vec(n, i), basis_vec(n, a))
+                 for a in range(n)] for i in range(n)]
         for a in range(n):
-            for b in range(a + 1, n):
-                if rho_stars[a][i].col(b) != rho_stars[b][i].col(a):
-                    return ("rho_star", a, i, b)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rhos[i][a].col(j) != rhos[j][a].col(i):
+                        return (name, i, a, j)
     return None
 
 

@@ -3,10 +3,10 @@
 A tensor r in U (x) U induces a product on U*, a defect map Delta(r)
 measuring how far r_# is from a morphism, and a five-term bracket
 [[r,r]]; the two agree through the duality pairing and both are
-computed and compared, each as a contraction of integer views (R, the
-tables of U and its bracket over their denominators) with Fractions
-built once per result: [[r,r]] from R and the tables, Delta(r) from r_#
-and the r-induced product.  Quasi-S-matrices (skew part invariant under
+computed and compared over ints, each as a contraction of integer forms
+(R, the cells of U and of its bracket over their denominators): [[r,r]]
+from R and the cells, Delta(r) from r_# and the r-induced product, both
+compared at one scale.  Quasi-S-matrices (skew part invariant under
 left multiplications, Delta(r) invariant under the mixed action) twist
 the semidirect phase-space bracket into new para-Kahler Lie algebras.
 
@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .algebra import (Algebra, _coaction, _int_algebra, _int_product,
+from math import lcm
+
+from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _sparse,
                       _swapped, check, invariance_check)
-from .exact import Mat, _as_fractions, _int_combine, vec_sub
+from .exact import Mat, _as_fractions, _int_combine
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
@@ -95,7 +97,9 @@ def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
         for b, c in br[k][p]:               # ad_k[b][p] = c
             for a, x in cols[p]:
                 out[a][b][k] += x * c * den
-    return _int_algebra(out, dr * den * dbr, tuple(b + "*" for b in u.basis))
+    return Algebra._of(dr * den * dbr, [[_sparse(c) for c in row]
+                                        for row in out],
+                       tuple(b + "*" for b in u.basis))
 
 
 def delta_r(u: Algebra, r) -> Algebra:
@@ -114,21 +118,27 @@ def _sharp_defect(lie: Algebra, rm: Mat, dual_lie: Algebra) -> Algebra:
     den, cells = lie._int_view()
     dd, dual = dual_lie._int_view()
     f = dr * den
-    return _int_algebra([[[f * x - dd * y for x, y in zip(
+    return Algebra._of(dr * f * dd, [[_sparse([f * x - dd * y for x, y in zip(
         _int_combine(rows, dual[a][b], n),
-        _int_product(cells, rows[a], rows[b]))] for b in range(n)]
-        for a in range(n)], dr * f * dd, lie.basis)
+        _int_product(cells, rows[a], rows[b]))]) for b in range(n)]
+        for a in range(n)], lie.basis)
 
 
 def rr_bracket(u: Algebra, r):
-    """The five-term bracket [[r,r]] as an order-3 array in U (x) U (x) U.
+    """The five-term bracket [[r,r]] in U (x) U (x) U, as Fractions."""
+    scale, out = _rr_ints(u, _as_tensor2(u, r))
+    return [[list(_as_fractions(row, scale)) for row in plane]
+            for plane in out]
+
+
+def _rr_ints(u: Algebra, r: Tensor2) -> tuple:
+    """(S, the int array S [[r,r]]) for the five-term bracket
 
     [[r,r]] = r13.r12 - r23.r21 + [r23,r12] - [r13,r21] - [r13,r23],
     r = sum R[i][j] e_i (x) e_j: each product R[i][j] R[k][l] of nonzero
     entries (over D_r^2) spreads the cells of e_i.e_k (over D), [e_i,e_l]
-    and [e_j,e_l] (over D_br) into the array, over D_r^2 D D_br.
+    and [e_j,e_l] (over D_br) into the array, over S = D_r^2 D D_br.
     """
-    r = _as_tensor2(u, r)
     n = u.dim
     dr, rows = r.matrix._int_view()
     den, tab = u._int_view()
@@ -148,9 +158,7 @@ def rr_bracket(u: Algebra, r):
                 out[s][k][j] -= v
             for s, c in br[j][l]:           # -[r13,r23]
                 out[i][k][s] -= w * c * den
-    scale = dr * dr * den * dbr
-    return [[list(_as_fractions(row, scale)) for row in plane]
-            for plane in out]
+    return dr * dr * den * dbr, out
 
 
 def rr_delta_agree(u: Algebra, r) -> Report:
@@ -161,9 +169,18 @@ def rr_delta_agree(u: Algebra, r) -> Report:
 
 
 def _rr_delta_report(u: Algebra, r: Tensor2, delta: Algebra) -> Report:
-    rr, tab, n = rr_bracket(u, r), delta.table, u.dim
-    bad = next(((a, b, c) for a in range(n) for b in range(n)
-                for c in range(n) if rr[a][b][c] != tab[a][b][c]), None)
+    """[[r,r]] less Delta(r), over ints at the least common multiple of
+    their denominators; the witness is its first nonzero (a, b, c)."""
+    scale, diff = _rr_ints(u, r)
+    den, cells = delta._int_view()
+    common = lcm(scale, den)
+    diff = [[[common // scale * x for x in row] for row in plane]
+            for plane in diff]
+    for a, row in enumerate(cells):
+        for b, cell in enumerate(row):
+            for c, x in cell:
+                diff[a][b][c] -= common // den * x
+    bad = _first_nonzero(diff)
     return Report("rr_delta_agree", bad is None,
                   "[[r,r]](a,b,c) == <c, Delta(r)(a,b)>", witness=bad)
 
@@ -205,9 +222,10 @@ def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
         raise routes_disagree(
             "Delta(r) and [[r,r]] pairing disagree at %s" % (agree.witness,),
             [("[[r,r]] == 0 by the five-term bracket",
-              _first_nonzero(rr_bracket(u, r))),
+              _first_nonzero(_rr_ints(u, r)[1])),
              ("[[r,r]] == 0 by the pairing with Delta(r)",
-              _first_nonzero(delta.table))])
+              next(((a, b, cell[0][0]) for a, row in enumerate(delta._cells)
+                    for b, cell in enumerate(row) if cell), None))])
     sym = r.is_symmetric()
     rr_zero = delta.is_zero()
     reports = (skew_inv, q_inv, agree,
@@ -235,10 +253,10 @@ def _semidirect(lie: Algebra, act: Algebra, corner) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
     with [X,Y] the product of the Lie algebra lie, L_X the left
     multiplication of act (lie itself for the coadjoint action, or a
-    left-symmetric product whose commutator is lie) and the table of the
-    bilinear map corner: U* x U* -> U (None for zero)."""
+    left-symmetric product whose commutator is lie) and the bilinear map
+    corner: U* x U* -> U (None for zero)."""
     return Algebra.from_blocks(
-        [[(lie.table, None), (None, _coaction(act, -1))],
+        [[(lie, None), (None, _coaction(act, -1))],
          [(None, _swapped(_coaction(act))), (corner, None)]],
         lie.basis, "*")
 
@@ -268,7 +286,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     n = u.dim
     ps = build_phase(u, dual)
     triangle = semidirect_bracket(lie, u)
-    twisted = _semidirect(lie, u, delta.table)
+    twisted = _semidirect(lie, u, delta)
 
     bracket_r = ps.extended.commutator_algebra()
     ident = Mat.identity(n)
@@ -280,7 +298,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     k_r = Mat.block([[ident, r.r_sharp.scale(-2)], [zero, -ident]])
 
     # L(a,b,c) = -L_x^t c with x = Delta(r)(a,b)
-    lts = LieTriple.compose(delta, Algebra(_coaction(u, -1)))
+    lts = LieTriple.compose(delta, _coaction(u, -1))
 
     cert = certify("twist", (_xi_report(twisted, bracket_r, xi),)
                    + verify_para_kahler(twisted, metric_r, k_r).reports
@@ -297,9 +315,12 @@ def _xi_report(src: Algebra, dst: Algebra, xi: Mat) -> Report:
     anchor = "xi([x,y]_src) == [xi(x), xi(y)]_dst and xi invertible"
     if not xi.is_invertible():
         return failing("xi_isomorphism", anchor)
-    moved, n = dst.conjugate(xi).table, src.dim
+    moved, n = dst.conjugate(xi), src.dim
+    common = lcm(moved._den, src._den)
+    fm, fs = common // moved._den, common // src._den
     bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                if moved[i][j] != src.table[i][j]), None)
+                if [(k, fm * x) for k, x in moved._cells[i][j]]
+                != [(k, fs * x) for k, x in src._cells[i][j]]), None)
     return Report("xi_isomorphism", bad is None, anchor, witness=bad)
 
 
@@ -332,11 +353,11 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     n = lie.dim
     rs = r.r_sharp
 
-    # -ad_{r#a}^t b + ad_{r#b}^t a on basis covectors: rows of ad_{r#e_i}
-    ads = [lie.left_mult(rs.col(i)) for i in range(n)]
-    dual_bracket = Algebra([[vec_sub(ads[b].row(a), ads[a].row(b))
-                             for b in range(n)] for a in range(n)],
-                           tuple(s + "*" for s in lie.basis))
+    # -ad_{r#a}^t b + ad_{r#b}^t a, ad_{r#a} the left multiplication of
+    # act: (a, Y) -> [r#a, Y]
+    act = _slot_sum([(1, lie, rs, None, None)], lie.basis)
+    dual_bracket = _swapped(_coaction(act, 1, tuple(
+        s + "*" for s in lie.basis))).add(_coaction(act, -1))
     rr = _sharp_defect(lie, r.matrix, dual_bracket)
 
     reports = [invariance_check(rr, ("ad", "ad", "ad"), lie,
@@ -347,12 +368,12 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     # [X+a, Y+b] = [X,Y] + ad*_b^t X - ad*_a^t Y - ad_X^t b + ad_Y^t a
     #              + [a,b]*, with ad* the left multiplication of [,]*
     bracket_r = Algebra.from_blocks(
-        [[(lie.table, None),
+        [[(lie, None),
           (_swapped(_coaction(dual_bracket)), _coaction(lie, -1))],
          [(_coaction(dual_bracket, -1), _swapped(_coaction(lie))),
-          (None, dual_bracket.table)]],
+          (None, dual_bracket)]],
         lie.basis, "*")
-    twisted = _semidirect(lie, lie, rr.table)
+    twisted = _semidirect(lie, lie, rr)
     reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),

@@ -5,83 +5,90 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .algebra import Algebra, _int_product
-from .exact import (ZERO, _as_fractions, _int_combine, _int_rows, is_zero_vec,
-                    vec)
+from .algebra import (Algebra, _dense, _int_product, _int_vec, _reduced,
+                      _set_slots, _sparse)
+from .exact import _as_fractions, _int_combine, _int_rows, vec
 from .report import Certificate, Report
 
 
 class LieTriple:
-    """A trilinear bracket Q^n x Q^n x Q^n -> Q^n."""
+    """A trilinear bracket Q^n x Q^n x Q^n -> Q^n.
 
-    __slots__ = ("dim", "table")
+    Stored like an Algebra: one denominator D and, in cell
+    c = (i n + j) n + k, the nonzero (s, D L_s) of L(e_i, e_j, e_k);
+    equality and hashing compare it, and `table` is built on first read.
+    """
+
+    __slots__ = ("dim", "_den", "_cells", "_table")
 
     def __init__(self, table: Sequence[Sequence[Sequence[Sequence]]]):
         n = len(table)
         tab = tuple(tuple(tuple(vec(cell) for cell in row) for row in plane)
                     for plane in table)
-        for plane in tab:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("triple table must be n x n x n x n")
-            for row in plane:
-                if any(len(cell) != n for cell in row):
-                    raise ValueError("triple table must be n x n x n x n")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "table", tab)
+        if any(len(plane) != n or any(len(row) != n or any(
+                len(cell) != n for cell in row) for row in plane)
+               for plane in tab):
+            raise ValueError("triple table must be n x n x n x n")
+        _set_slots(self, (n,) + _int_rows(
+            [x for plane in tab for row in plane for cell in row
+             for x in cell], n ** 3, n) + (tab,))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieTriple is immutable")
 
+    @property
+    def table(self) -> tuple:
+        """table[i][j][k][s] = L(e_i, e_j, e_k)_s as Fractions, built on
+        first read."""
+        if self._table is None:
+            n, den, cells = self.dim, self._den, self._cells
+            object.__setattr__(self, "_table", tuple(tuple(tuple(
+                _dense(den, cells[(i * n + j) * n + k], n) for k in range(n))
+                for j in range(n)) for i in range(n)))
+        return self._table
+
+    def __eq__(self, other):
+        return (isinstance(other, LieTriple) and self.dim == other.dim
+                and self._den == other._den and self._cells == other._cells)
+
+    def __hash__(self):
+        return hash((self._den, self._cells))
+
     @staticmethod
     def compose(bilinear: Algebra, action: Algebra) -> "LieTriple":
         """L(x,y,z) = action(bilinear(x,y), z): each cell of the integer
-        view of bilinear in the left slot of that of action, over the
+        form of bilinear in the left slot of that of action, over the
         product of the two denominators."""
         n = bilinear.dim
         if action.dim != n:
             raise ValueError("dimension mismatch")
         d1, cells = bilinear._int_view()
         d2, act = action._int_view()
-        return LieTriple([[[_as_fractions(_int_product(act, cell, ((k, 1),)),
-                                          d1 * d2) for k in range(n)]
-                           for cell in row] for row in cells])
+        return _set_slots(object.__new__(LieTriple), (n,) + _reduced(
+            d1 * d2, [_sparse(_int_product(act, cell, ((k, 1),)))
+                      for row in cells for cell in row for k in range(n)])
+            + (None,))
 
     def __call__(self, x, y, z):
         n = self.dim
-        out = [ZERO] * n
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in enumerate(z):
-                    if c == 0:
-                        continue
-                    cell = self.table[i][j][k]
-                    f = ab * c
-                    for s in range(n):
-                        if cell[s]:
-                            out[s] += f * cell[s]
-        return tuple(out)
+        (dx, xs), (dy, ys), (dz, zs) = map(_int_vec, (x, y, z))
+        terms = [((i * n + j) * n + k, a * b * c)
+                 for i, a in xs for j, b in ys for k, c in zs]
+        return _as_fractions(_int_combine(self._cells, terms, n),
+                             self._den * dx * dy * dz)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(cell) for plane in self.table
-                   for row in plane for cell in row)
+        return not any(self._cells)
 
     def check(self) -> Certificate:
         """The three Lie-triple-system axioms, each with a witness.
 
-        Each axiom is read off the integer view of the table: cells[c]
-        lists the nonzero (s, D L_s) of cell c = (i n + j) n + k, D the
-        common denominator.  The derivation axiom is contracted on it:
-        with d = L(e_u, e_v, .), both sides on (e_i, e_j, e_k) are sums of
-        cells weighted by entries of cells, all over D^2.
+        Each axiom is read off the stored cells.  The derivation axiom is
+        contracted on them: with d = L(e_u, e_v, .), both sides on
+        (e_i, e_j, e_k) are sums of cells weighted by entries of cells,
+        all over D^2.
         """
-        n = self.dim
-        cells = _int_rows([x for plane in self.table for row in plane
-                           for cell in row for x in cell], n ** 3, n)[1]
+        n, cells = self.dim, self._cells
 
         def at(i, j, k):
             return (i * n + j) * n + k

@@ -12,8 +12,9 @@ The certificate routes keep the eigenspaces as `Subspace`s tested with
 slot.  The derived products (the Yang-Baxter, delta and O defects, the
 symplectic and Theta "circ" products, the derivation law, the Lie triple
 systems and the dual product of a Yang-Baxter solution) are evaluated
-here as the bilinear maps of their formulas on basis vectors.  Nothing
-here is used by the library.
+here as the bilinear maps of their formulas on basis vectors, and so
+are the commutator, opposite, coaction, block, phase-space and
+semidirect products.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -822,3 +823,65 @@ def cybe_dual_product_table(lie, b):
     return tuple(tuple(tuple(-x for x in _matvec(_transpose(left_mult(lie, z)),
                                                   _basis(n, c)))
                        for c in range(n)) for z in zs)
+
+
+# -- products built from other products, through product ----------------------
+
+def commutator_table(alg):
+    return table_from_function(alg.dim, lambda x, y: bracket(alg, x, y))
+
+
+def swapped_table(alg):
+    """(x, y) -> y . x."""
+    return table_from_function(alg.dim, lambda x, y: product(alg, y, x))
+
+
+def coaction_table(alg, sign):
+    """(x, a) -> sign L_x^t a, L_x built through product."""
+    return table_from_function(alg.dim, lambda x, a: tuple(
+        sign * c for c in _matvec(_transpose(left_mult(alg, x)), a)))
+
+
+def blocks_table(grid, n):
+    """The product on V + V' whose block grid[p][q] = (f, g), algebras or
+    None, gives the V- and V'-parts of the product of part p by part q."""
+    def prod(x, y):
+        out = [ZERO] * (2 * n)
+        for p, q in itertools.product(range(2), repeat=2):
+            xs, ys = x[p * n:p * n + n], y[q * n:q * n + n]
+            for shift, alg in zip((0, n), grid[p][q]):
+                if alg is not None:
+                    for k, c in enumerate(product(alg, xs, ys)):
+                        out[shift + k] += c
+        return tuple(out)
+    return table_from_function(2 * n, prod)
+
+
+def phase_table(u, dual):
+    """(X+a).(Y+b) = X.Y - L_a^t Y - L_X^t b + a.b on U + U*, L_a the left
+    multiplication of dual."""
+    n = u.dim
+
+    def prod(x, y):
+        xu, xa, yu, yb = x[:n], x[n:], y[:n], y[n:]
+        la_t = _matvec(_transpose(left_mult(dual, xa)), yu)
+        lx_t = _matvec(_transpose(left_mult(u, xu)), yb)
+        return _sub(product(u, xu, yu), la_t) + _sub(product(dual, xa, yb),
+                                                     lx_t)
+    return table_from_function(2 * n, prod)
+
+
+def semidirect_table(u, corner):
+    """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
+    with the commutator and left multiplications of u and corner a table
+    or None."""
+    n = u.dim
+
+    def br(x, y):
+        xu, xa, yu, yb = x[:n], x[n:], y[:n], y[n:]
+        top = bracket(u, xu, yu)
+        if corner is not None:
+            top = _add(top, product(_on(corner), xa, yb))
+        return top + _sub(_matvec(_transpose(left_mult(u, yu)), xa),
+                          _matvec(_transpose(left_mult(u, xu)), yb))
+    return table_from_function(2 * n, br)

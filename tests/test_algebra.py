@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 import oracle_routes as oracle
-from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency, Mat,
-                      Tensor2, check, coadjoint_double, delta_r,
+from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency,
+                      LieTriple, Mat, Tensor2, build_phase, check,
+                      coadjoint_double, delta_op, delta_r,
                       dual_product_from_r, invariance_check, is_derivation,
-                      levi_civita, nijenhuis, product_subspaces)
+                      levi_civita, nijenhuis, o_op, product_subspaces,
+                      twisted_structures, yb)
 from lsaforge import algebra
 from lsaforge.algebra import associator, curvature
+from lsaforge.doubling import theta_circ_product
 from lsaforge.exact import basis_vec
 
 
@@ -208,7 +211,7 @@ def _assert_like_public(alg):
         type(row) is tuple and all(type(cell) is tuple
                                    and all(type(x) is Fraction for x in cell)
                                    for cell in row) for row in alg.table)
-    for attr in ("dim", "basis", "table", "_ints"):
+    for attr in ("dim", "basis", "table", "_den", "_cells"):
         with pytest.raises(AttributeError):
             setattr(alg, attr, None)
 
@@ -234,6 +237,27 @@ def test_private_constructor_paths_build_public_algebras(aff, heis, sl2,
         dual_product_from_r(nab_lsa, r), delta_r(nab_lsa, r),
         dual_product_from_r(nab_lsa, Mat.zeros(2, 2)),
         coadjoint_double(heis, skew).rr, Algebra.zero(0).conjugate(
-            Mat.identity(0))]
+            Mat.identity(0)),
+        Algebra.from_blocks([[(aff, None), (None, aff.scale(3))],
+                             [(None, None), (nab_lsa, nab_lsa)]],
+                            aff.basis, "*"),
+        algebra._coaction(nab_lsa, -1), algebra._swapped(sl2.conjugate(p)),
+        nab_lsa.scale(Fraction(-7, 48)), nab_lsa.scale(0),
+        nab_lsa.add(aff.scale(Fraction(1, 89))), Algebra.zero(3),
+        yb(a, aff), delta_op(a, nab_lsa), o_op(a, nab_lsa),
+        theta_circ_product(nab_lsa, Bilinear(Mat.from_rows(
+            [[0, Fraction(1, 7)], [Fraction(-1, 7), 0]]), "skew"), a),
+        build_phase(nab_lsa, nab_lsa.scale(Fraction(3, 7))).extended]
+    tw = twisted_structures(nab_lsa, Mat.from_rows(
+        [[Fraction(3, 7), Fraction(-1, 89)], [0, 0]]))
+    built += [tw.twisted, tw.triangle, tw.bracket_r, tw.phase.extended]
     for alg in built:
         _assert_like_public(alg)
+    for lts in (tw.lts, LieTriple.compose(nab_lsa.scale(Fraction(2, 97)),
+                                          aff)):
+        public = LieTriple(lts.table)
+        assert lts == public and hash(lts) == hash(public)
+        assert lts.table == public.table and type(lts.table) is tuple
+        for attr in ("dim", "table", "_den", "_cells"):
+            with pytest.raises(AttributeError):
+                setattr(lts, attr, None)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -411,4 +413,50 @@ def test_duplicate_entry_is_usage_error(capsys, tmp_path, section, labels):
     _no_traceback_usage_error(code, err)
     assert "%s[2]: duplicate entry for (%s)" % (section, ", ".join(labels)) \
         in err
+    assert out == ""
+
+
+def _module_run(*argv):
+    """python -m lsaforge.cli argv, in a child process that imports the
+    package from this checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "lsaforge.cli"] + list(argv),
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_main():
+    bad = _module_run("check", "/nonexistent.json", "--pred", "bogus")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
+    listed = _module_run("catalog", "list")
+    assert listed.returncode == 0 and listed.stderr == ""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "catalog-list.txt")
+    with open(golden, encoding="utf-8") as handle:
+        assert listed.stdout == handle.read()
+
+
+_OMEGA = '{"kind": "skew", "matrix": [["0", "1"], ["-1", "0"]]}'
+
+
+@pytest.mark.parametrize("text,where,key", [
+    ('{"dim": 2, "basis": ["x", "y"], "product": [{"left": "x", "right":'
+     ' "y", "result": {"x": "1", "x": "0"}}]}', "product[0].result", "x"),
+    ('{"dim": 2, "basis": ["x", "y"], "product": [], "forms": {"w": %s,'
+     ' "w": %s}}' % (_OMEGA, _OMEGA), "forms", "w"),
+    ('{"dim": 2, "basis": ["x", "y"], "product": [], "endos": {"a":'
+     ' [["1", "0"], ["0", "1"]], "a": [["0", "0"], ["0", "0"]]}}', "endos",
+     "a"),
+    ('{"dim": 2, "basis": ["x", "y"], "product": [], "dim": 2}', None, "dim")])
+def test_repeated_json_key_is_usage_error(capsys, tmp_path, text, where, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = go(capsys, ["check", str(path), "--pred", "abelian"])
+    _no_traceback_usage_error(code, err)
+    place = str(path) if where is None else "%s:%s" % (path, where)
+    assert err == "error: %s: duplicate key %r\n" % (place, key)
     assert out == ""

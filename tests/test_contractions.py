@@ -19,7 +19,10 @@ slot contraction of `algebra._slot_sum` (the Yang-Baxter, delta and O
 defects, the symplectic and Theta "circ" products, the derivation law,
 the abelian test of a complex structure, the Lie triple systems and the
 dual product of a Yang-Baxter solution) are compared with their
-formulas evaluated on basis vectors.
+formulas evaluated on basis vectors.  Every product built from integer
+cells (the arithmetic of `Algebra`, the doubles, the twist and
+`LieTriple.compose`) must equal, hash like and read back the table of
+the object the public constructor makes of its oracle table.
 """
 
 import functools
@@ -41,7 +44,8 @@ from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_hyper,
                       verify_para_kahler, yb)
 from lsaforge import doubling, phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
-                              curvature, invariance_check, subspace_product)
+                              _coaction, _swapped, curvature,
+                              invariance_check, subspace_product)
 from lsaforge.catalog import (_trace_form, canonical, catalog_algebras,
                               killing_form)
 from lsaforge.exact import dot, zero_vec
@@ -1095,3 +1099,116 @@ def test_wrong_size_matrix_is_rejected(caller, size):
     with pytest.raises(ValueError,
                        match="shape mismatch|invertible of matching size"):
         SHAPE_CALLERS[caller](m)
+
+
+# -- the stored integer form ------------------------------------------------------
+
+def _fraction_tuples(table, depth):
+    """Whether table is nested tuples, depth deep, of Fractions."""
+    if depth == 0:
+        return type(table) is Fraction
+    return type(table) is tuple and all(_fraction_tuples(item, depth - 1)
+                                        for item in table)
+
+
+def _assert_stored(built, want):
+    """built equals, hashes like and has the table of `want`, the object
+    the public constructor makes of an oracle table (or that table):
+    an immutable tuple of tuples of Fraction cells."""
+    if not isinstance(want, (Algebra, LieTriple)):
+        want = type(built)(want)
+    assert type(built) is type(want)
+    assert built == want and hash(built) == hash(want)
+    assert (built._den, built._cells) == (want._den, want._cells)
+    assert built.table == want.table
+    assert _fraction_tuples(built.table, 4 if type(built) is LieTriple else 3)
+    for attr in ("dim", "table", "_den", "_cells"):
+        with pytest.raises(AttributeError):
+            setattr(built, attr, None)
+
+
+def _lie_and_metric(rng):
+    lie = _moved(rng, rng.choice(_lie_algebras()[:3]), LARGE)
+    return lie, _nondegenerate(rng, lie.dim, "symmetric")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 3), SEEDS)
+def test_producers_store_the_public_integer_form(kind, n, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    n = alg.dim
+    other = _algebra("large_denominators", n, rng)
+    c = rng.choice(LARGE)
+    a = _random_mat(rng, n, n, "dense", LARGE)
+    p = _invertible(rng, n, LARGE)
+    rm = _random_mat(rng, n, n, rng.choice(("sparse", "dense")), LARGE)
+    _assert_stored(alg.commutator_algebra(), oracle.commutator_table(alg))
+    _assert_stored(_swapped(alg), oracle.swapped_table(alg))
+    for sign in (1, -1):
+        _assert_stored(_coaction(alg, sign), oracle.coaction_table(alg, sign))
+    for f in (c, Fraction(0), Fraction(-1)):
+        _assert_stored(alg.scale(f), [[tuple(f * x for x in cell)
+                                       for cell in row] for row in alg.table])
+    _assert_stored(alg.add(other), [[tuple(x + y for x, y in zip(p_, q_))
+                                     for p_, q_ in zip(r1, r2)]
+                                    for r1, r2 in zip(alg.table, other.table)])
+    _assert_stored(alg.add(alg.scale(-1)), Algebra.zero(n))
+    _assert_stored(Algebra.zero(n), [[(Fraction(0),) * n] * n] * n)
+    grid = [[(alg, None), (None, other.scale(c))],
+            [(_swapped(other), alg.commutator_algebra()), (None, alg)]]
+    _assert_stored(Algebra.from_blocks(grid, alg.basis, "*"),
+                   oracle.blocks_table(grid, n))
+    _assert_stored(alg.conjugate(p), oracle.conjugate_table(alg, p))
+    _assert_stored(nijenhuis(a, alg), oracle.nijenhuis_table(a, alg))
+    _assert_stored(delta_op(a, alg), oracle.delta_op_table(a, alg))
+    _assert_stored(o_op(a, alg), oracle.o_op_table(a, alg))
+    _assert_stored(doubling._symp_circ(alg, a, p),
+                   oracle.symp_circ_table(alg, a, p))
+    _assert_stored(dual_product_from_r(alg, rm),
+                   oracle.dual_product_table(alg, rm))
+    _assert_stored(delta_r(alg, rm), oracle.delta_table(alg, rm))
+    _assert_stored(LieTriple.compose(other, alg),
+                   oracle.composed_triple(other.table, alg))
+    lie, metric = _lie_and_metric(rng)
+    b = _random_mat(rng, lie.dim, lie.dim, "dense", LARGE)
+    _assert_stored(yb(b, lie), oracle.yb_table(b, lie))
+    _assert_stored(levi_civita(lie, metric),
+                   oracle.levi_civita_table(lie, metric))
+    theta = _nondegenerate(rng, n, rng.choice(("skew", "symmetric")))
+    _assert_stored(doubling.theta_circ_product(alg, theta, a),
+                   oracle.theta_circ_table(alg, theta, a))
+
+
+@settings(max_examples=16, deadline=None)
+@given(SEEDS)
+def test_phase_and_twist_store_the_public_integer_form(seed):
+    rng = random.Random(seed)
+    u = _moved(rng, rng.choice(_planes()), LARGE)
+    dual = rng.choice((Algebra.zero(2), u.scale(rng.choice(LARGE))))
+    _assert_stored(build_phase(u, dual).extended, oracle.phase_table(u, dual))
+    r = _quasi_s(rng, u)
+    tw = twisted_structures(u, r)
+    dual = dual_product_from_r(u, r)
+    _assert_stored(tw.phase.extended, oracle.phase_table(u, dual))
+    _assert_stored(tw.bracket_r, oracle.commutator_table(tw.phase.extended))
+    _assert_stored(tw.triangle, oracle.semidirect_table(u, None))
+    delta = oracle.delta_table(u, r)
+    _assert_stored(tw.twisted, oracle.semidirect_table(u, delta))
+    _assert_stored(tw.lts, oracle.twist_triple(u, delta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALGEBRA_KINDS), st.integers(1, 4), SEEDS)
+def test_one_algebra_has_one_stored_form(kind, n, seed):
+    rng = random.Random(seed)
+    alg = _algebra(kind, n, rng)
+    p = _invertible(rng, alg.dim, LARGE)
+    c = rng.choice(LARGE)
+    for same in (alg.scale(2).scale(Fraction(1, 2)),
+                 alg.scale(c).scale(1 / c), alg.add(Algebra.zero(alg.dim)),
+                 alg.conjugate(p).conjugate(p.inverse()),
+                 _swapped(_swapped(alg)),
+                 _coaction(_coaction(alg, -1), -1)):
+        _assert_stored(same, alg)
+        _assert_stored(same, Algebra(alg.table))

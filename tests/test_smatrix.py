@@ -162,12 +162,14 @@ def test_antisymmetric_lsa_twists_certify(heis, aff):
 
 
 def test_rr_delta_disagreement_names_both_routes(monkeypatch, nab_lsa):
-    def corrupted(u, r):
-        out = rr_bracket(u, r)
-        out[0][1][1] += 1
-        return out
+    real = smatrix._rr_ints
 
-    monkeypatch.setattr(smatrix, "rr_bracket", corrupted)
+    def corrupted(u, r):                # [[r,r]] + 1 at (0, 1, 1)
+        scale, out = real(u, r)
+        out[0][1][1] += scale
+        return scale, out
+
+    monkeypatch.setattr(smatrix, "_rr_ints", corrupted)
     with pytest.raises(InternalInconsistency) as err:
         classify_r(nab_lsa, Tensor2(nab_lsa, Mat.zeros(2, 2)))
     assert str(err.value) == (
