@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from math import gcd, lcm
-
-from .exact import (ZERO, Mat, Subspace, _as_fractions, _int_combine,
-                    _int_rows, common_denominator, vec, vec_add, vec_sub)
+from .exact import (Mat, Subspace, _as_fractions, _dense, _int_combine,
+                    _int_rows, _int_vec, _reduced, _set_slots, _sparse,
+                    _Stored, vec, vec_add, vec_sub)
 from .report import Report, failing, passing, routes_disagree
 
-PREDICATES = ("left_symmetric", "associative", "commutative",
-              "lie_admissible", "jacobi_antisym", "abelian")
+PREDICATES = ("left_symmetric", "associative", "commutative", "abelian",
+              "lie_admissible", "jacobi_antisym")
 
 
 def _labels(basis, n: int) -> tuple:
@@ -36,42 +35,6 @@ def _labels(basis, n: int) -> tuple:
     if len(basis) != n:
         raise ValueError("basis label count mismatch")
     return basis
-
-
-def _set_slots(obj, values):
-    """obj, an immutable object, with its slots set to the values."""
-    for name, value in zip(type(obj).__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _reduced(den: int, cells) -> tuple:
-    """(D, cells): den and the sparse integer cells divided by the gcd of
-    den and every entry, the one integer form (D the least common
-    denominator of the entries)."""
-    g = gcd(den, *(x for cell in cells for _, x in cell))
-    return den // g, tuple(tuple((k, x // g) for k, x in cell) if g > 1
-                           else tuple(cell) for cell in cells)
-
-
-def _dense(den: int, cell, n: int) -> tuple:
-    """The sparse integer cell over den as a tuple of n Fractions."""
-    out = [ZERO] * n
-    for k, x in cell:
-        out[k] = Fraction(x, den)
-    return tuple(out)
-
-
-def _sparse(ints) -> list:
-    """The nonzero (i, x) of a dense vector."""
-    return [(i, x) for i, x in enumerate(ints) if x]
-
-
-def _int_vec(v: Sequence) -> tuple:
-    """(D, [(i, D v_i) for the nonzero v_i]) for a rational vector v, D
-    the least common denominator of its entries."""
-    den, ints = common_denominator(v)
-    return den, _sparse(ints)
 
 
 def _int_product(cells, left, right) -> list:
@@ -169,7 +132,7 @@ def _nonzero_cell(alg: "Algebra"):
                  for j, cell in enumerate(row) if cell), None)
 
 
-class Algebra:
+class Algebra(_Stored):
     """An algebra on Q^n with product table[i][j] = e_i . e_j.
 
     What is stored is the integer form: the least common denominator D
@@ -181,6 +144,7 @@ class Algebra:
 
     __slots__ = ("dim", "basis", "_den", "_cells", "_table", "_bracket",
                  "_lefts")
+    _SHAPE = ("dim",)
 
     def __init__(self, table: Sequence[Sequence[Sequence]], basis=None):
         n = len(table)
@@ -200,9 +164,6 @@ class Algebra:
         den, flat = _reduced(den, [cell for row in cells for cell in row])
         return _set_slots(object.__new__(Algebra), (n, basis, den, tuple(
             flat[i * n:i * n + n] for i in range(n)), None, None, None))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Algebra is immutable")
 
     @property
     def table(self) -> tuple:
@@ -250,13 +211,6 @@ class Algebra:
             second = tuple("(%s)%s" % (s, suffix) for s in basis)
         return Algebra._of(common, cells, basis + second)
 
-    def __eq__(self, other):
-        return (isinstance(other, Algebra) and self.dim == other.dim
-                and self._den == other._den and self._cells == other._cells)
-
-    def __hash__(self):
-        return hash((self._den, self._cells))
-
     def __repr__(self):
         return "Algebra(dim=%d)" % self.dim
 
@@ -268,18 +222,13 @@ class Algebra:
                              self._den * du * dv)
 
     def left_mults(self) -> tuple:
-        """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j."""
+        """L_{e_1}, ..., L_{e_n}: column j of L_{e_i} is e_i . e_j, so
+        L_{e_i} is the transpose of the matrix with the rows cells[i]."""
         if self._lefts is None:
             n, den = self.dim, self._den
-            object.__setattr__(self, "_lefts", tuple(Mat._of(n, n, tuple(
-                x for line in zip(*(_dense(den, cell, n) for cell in row))
-                for x in line)) for row in self._cells))
+            object.__setattr__(self, "_lefts", tuple(
+                Mat._of(n, n, den, row).transpose() for row in self._cells))
         return self._lefts
-
-    def _int_view(self) -> tuple:
-        """(D, cells), the stored integer form: cells[i][j] lists the
-        nonzero (k, D c_ij^k) of e_i . e_j."""
-        return self._den, self._cells
 
     def left_mult(self, u: Sequence) -> Mat:
         """L_u = sum_i u_i L_{e_i}; the memoized matrix itself for a
@@ -303,7 +252,7 @@ class Algebra:
 
     # -- algebra arithmetic -------------------------------------------------
     def scale(self, c) -> "Algebra":
-        c = Fraction(c)
+        """c times the product, c an int or a Fraction."""
         return Algebra._of(self._den * c.denominator, [
             [tuple((k, c.numerator * x) for k, x in cell) if c else ()
              for cell in row] for row in self._cells], self.basis)
@@ -316,9 +265,6 @@ class Algebra:
         return Algebra._of(den, [
             [_sparse(_int_combine(pair, fg, self.dim)) for pair in zip(p, q)]
             for p, q in zip(self._cells, other._cells)], self.basis)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self._cells)
 
     def conjugate(self, p: Mat) -> "Algebra":
         """Transport by the basis matrix p (columns = new basis vectors):

@@ -24,10 +24,10 @@ from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _slot_sum,
                       _swapped, check, invariance_check, is_derivation,
                       product_subspaces)
 from .doubling import is_compatible
-from .exact import (Mat, Subspace, ZERO, ONE, basis_vec, form_value,
-                    is_zero_vec, lagrangian_complement, parse_rational, solve,
-                    symp_orthogonal, vec, vec_add, vec_scale, vec_sub,
-                    zero_vec)
+from .exact import (Mat, Subspace, ZERO, ONE, _sparse, _unpacked, basis_vec,
+                    form_value, is_zero_vec, lagrangian_complement,
+                    parse_rational, solve, symp_orthogonal, vec, vec_add,
+                    vec_scale, vec_sub, zero_vec)
 from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
 from .phase import build_phase, verify_para_kahler
@@ -375,22 +375,16 @@ def _trace_form(alg: Algebra, side: str) -> Mat:
     tr(X_i X_j) = sum c_ib^a c_ja^b."""
     n = alg.dim
     den, cells = (alg if side == "left" else _swapped(alg))._int_view()
-    # mats[i][a * n + b] = D (X_i)_ab, support[i] its nonzero (b n + a, .)
-    mats = [[0] * (n * n) for _ in range(n)]
-    for mat, row in zip(mats, cells):
-        for b, cell in enumerate(row):
-            for a, x in cell:
-                mat[a * n + b] = x
-    support = [[(b * n + a, x) for a in range(n) for b in range(n)
-                if (x := mat[a * n + b])] for mat in mats]
-    gram = [ZERO] * (n * n)
+    # mats[i][b][a] = D (X_i)_ab, the cells of row i made dense
+    mats = [_unpacked(row, n) for row in cells]
+    gram = [[0] * n for _ in range(n)]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         mj, s = mats[j], 0
-        for pos, x in support[i]:
-            s += x * mj[pos]
-        if s:
-            gram[i * n + j] = gram[j * n + i] = Fraction(s, den * den)
-    return Mat(n, n, gram)
+        for b, cell in enumerate(cells[i]):
+            for a, x in cell:
+                s += x * mj[a][b]
+        gram[i][j] = gram[j][i] = s
+    return Mat._of(n, n, den * den, [_sparse(row) for row in gram])
 
 
 def _fingerprint(alg: Algebra, subs: dict) -> dict:

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra, check
+from .algebra import PREDICATES, Algebra, check
 from .catalog import (DEFAULT_SCALARS, FAMILIES, build_quadratic_symplectic,
                       catalog_load, classify_compatible_dim2, cybe_double,
                       derivation_phase, flat_double, normalize_assoc_symp,
                       normalize_dim2_slsa)
 from .doubling import build_hyper, build_symp_double, build_theta_double
 from .exact import Mat, format_rational, parse_rational, zero_vec
-from .forms import Bilinear, is_flat, is_invariant_form, is_two_cocycle
+from .forms import (FORM_KINDS, Bilinear, is_flat, is_invariant_form,
+                    is_two_cocycle)
 from .phase import build_phase
 from .report import _bool_report, failing
 from .smatrix import twisted_structures
@@ -34,12 +35,9 @@ from .triple import LieTriple
 
 DEFAULT_MAX_DIM = 16
 
-_ALGEBRA_PREDICATES = ("left_symmetric", "associative", "commutative",
-                       "abelian", "lie_admissible", "jacobi_antisym")
 _FORM_PREDICATES = ("invariant", "two_cocycle", "flat", "nondegenerate")
 _TOP_KEYS = ("dim", "basis", "product", "product2", "forms", "endos",
              "tensors", "triple")
-_FORM_KINDS = ("skew", "symmetric", "none")
 
 
 class UsageError(Exception):
@@ -226,9 +224,9 @@ def load_structure(path: str) -> StructFile:
         if not isinstance(spec, dict) or set(spec) - {"kind", "matrix"}:
             raise UsageError("%s: expected {kind, matrix}" % here)
         kind = spec.get("kind")
-        if kind not in _FORM_KINDS:
+        if kind not in FORM_KINDS:
             raise UsageError("%s: kind must be one of %s"
-                             % (here, ", ".join(_FORM_KINDS)))
+                             % (here, ", ".join(FORM_KINDS)))
         mat = _matrix(spec.get("matrix"), dim, here + ".matrix")
         try:
             out.forms[name] = Bilinear(mat, kind)
@@ -357,7 +355,7 @@ def _cmd_check(args) -> int:
     struct = load_structure(args.file)
     alg = struct.need("products", "product")
     pred = args.pred
-    if pred in _ALGEBRA_PREDICATES:
+    if pred in PREDICATES:
         rep = check(alg, pred)
         return _emit(args, [rep.line()])
     if ":" in pred:
@@ -379,7 +377,7 @@ def _cmd_check(args) -> int:
             return _emit(args, [rep.line()])
     raise UsageError(
         "unknown predicate %r (algebra predicates: %s; form predicates: %s)"
-        % (pred, ", ".join(_ALGEBRA_PREDICATES),
+        % (pred, ", ".join(PREDICATES),
            ", ".join(p + ":<form>" for p in _FORM_PREDICATES)))
 
 
@@ -427,6 +425,10 @@ def _cmd_build(args) -> int:
             grades = _int_param(_param_map(args.param), "n")
             if grades < 1:
                 raise UsageError("--param n must be at least 1")
+            if alg.dim * grades > _max_dim():
+                raise UsageError("--param n=%d gives a graded algebra of dim "
+                                 "%d, which exceeds LSA_FORGE_MAX_DIM=%d"
+                                 % (grades, alg.dim * grades, _max_dim()))
             data = build_quadratic_symplectic(alg, grades)
             reports, built = data.cert.reports, (
                 data.lie, {"metric": data.metric, "omega": data.omega,

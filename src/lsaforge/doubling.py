@@ -16,7 +16,7 @@ from typing import Tuple
 
 from .algebra import (Algebra, _nonzero_cell, _permuted, _slot_sum, _swapped,
                       check, curvature, invariance_check, nijenhuis)
-from .exact import Mat, basis_vec
+from .exact import Mat, _nonzero_entry, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
 from .phase import verify_hyper_para_kahler, verify_para_kahler
 from .report import (Certificate, Report, _bool_report, _relabel, certify,
@@ -249,31 +249,24 @@ def _symp_quasi_s_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
     return cls.is_quasi_s
 
 
-def _first_difference(ours, theirs):
-    """(i, j) of the first entry where two arrays of rows differ, or None."""
-    return next(((i, j) for i, (p, q) in enumerate(zip(ours, theirs))
-                 for j, (x, y) in enumerate(zip(p, q)) if x != y), None)
-
-
 def _symp_transport_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
                                bracket: Algebra, metric: Bilinear,
                                k: Mat) -> None:
     """The direct formulas must agree with the transport of the twist
     construction along mu: (X, Y) -> (X, flat(Y)); each structure is
-    compared, and a disagreement names the first differing basis pair or
-    entry of each."""
+    compared through the stored form of its difference, and a
+    disagreement names the first differing basis pair or entry of each."""
     tw = twisted_structures(dot, Tensor2(dot, _symp_r_matrix(omega, a)))
     n = dot.dim
     gt = omega.matrix.transpose()
     mu = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
                     [Mat.zeros(n, n), gt]])
     verdicts = [
-        ("bracket", _first_difference(bracket.table,
-                                      tw.twisted.conjugate(mu).table)),
-        ("metric", _first_difference(metric.matrix.row_list(), (
-            mu.transpose() * tw.metric_r.matrix * mu).row_list())),
-        ("involution", _first_difference(
-            k.row_list(), (mu.inverse() * tw.k_r * mu).row_list()))]
+        ("bracket", _nonzero_cell(bracket.add(
+            tw.twisted.conjugate(mu).scale(-1)))),
+        ("metric", _nonzero_entry(
+            metric.matrix - mu.transpose() * tw.metric_r.matrix * mu)),
+        ("involution", _nonzero_entry(k - mu.inverse() * tw.k_r * mu))]
     if any(w is not None for _, w in verdicts):
         raise routes_disagree(
             "direct formulas and the transported twist construction disagree",

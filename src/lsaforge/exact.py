@@ -1,8 +1,10 @@
 """Exact rational linear algebra kernel.
 
-Everything operates over the rationals: values are ``fractions.Fraction``,
-and the elimination computes over integer numerators with one common
-denominator per row; no floating point arithmetic appears anywhere.
+Everything operates over the rationals: values at the API are
+``fractions.Fraction``, a `Mat` stores its entries as integers over one
+common denominator (the form an `Algebra` and a `LieTriple` store too),
+and its arithmetic and the elimination compute over those integers; no
+floating point arithmetic appears anywhere.
 All operations are deterministic: echelon forms eliminate with the
 smallest pivot index first, so canonical bases and complements depend
 only on the input, not on dict ordering or hashing.
@@ -88,6 +90,82 @@ def _int_combine(rows, coeffs, width: int) -> list:
     return out
 
 
+def _set_slots(obj, values):
+    """obj, an immutable object, with its slots set to the values."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _reduced(den: int, cells) -> tuple:
+    """(D, cells): den and the sparse integer cells divided by the gcd of
+    den and every entry, the one integer form (D the least common
+    denominator of the entries)."""
+    g = gcd(den, *(x for cell in cells for _, x in cell))
+    return den // g, tuple(tuple((k, x // g) for k, x in cell) if g > 1
+                           else tuple(cell) for cell in cells)
+
+
+def _dense(den: int, cell, n: int) -> tuple:
+    """The sparse integer cell over den as a tuple of n Fractions."""
+    out = [ZERO] * n
+    for k, x in cell:
+        out[k] = Fraction(x, den)
+    return tuple(out)
+
+
+def _unpacked(cells, n: int) -> list:
+    """The sparse integer cells as dense lists of n ints."""
+    out = [[0] * n for _ in cells]
+    for row, cell in zip(out, cells):
+        for k, x in cell:
+            row[k] = x
+    return out
+
+
+def _sparse(ints) -> list:
+    """The nonzero (i, x) of a dense vector."""
+    return [(i, x) for i, x in enumerate(ints) if x]
+
+
+def _int_vec(v: Sequence) -> tuple:
+    """(D, [(i, D v_i) for the nonzero v_i]) for a rational vector v, D
+    the least common denominator of its entries."""
+    den, ints = common_denominator(v)
+    return den, _sparse(ints)
+
+
+class _Stored:
+    """Base of the immutable types stored as one integer form: the shape
+    (the slots named by _SHAPE), one denominator D `_den` and the sparse
+    integer cells `_cells` (grouped by row in an Algebra), each the
+    nonzero (k, x) of a row or cell, with D and the x reduced by their
+    gcd.  The form is unique, so equality and hashing compare it."""
+
+    __slots__ = ()
+    _SHAPE = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE) + (
+            self._den, self._cells)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _int_view(self) -> tuple:
+        """(D, cells), the stored integer form."""
+        return self._den, self._cells
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self._cells))
+
+
 def _primitive(row: list) -> list:
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row)
@@ -96,16 +174,17 @@ def _primitive(row: list) -> list:
 
 def _echelon(rows: list, cols: int) -> tuple:
     """Fraction-free Gauss-Jordan elimination of integer rows of length
-    cols: (the nonzero rows of the reduced row echelon form, as tuples of
-    Fractions, and the tuple of their pivot columns).
+    cols: (integer multiples of the nonzero rows of the reduced row
+    echelon form, each divided by the gcd of its entries, and the tuple
+    of their pivot columns).
 
     Elimination selects the first nonzero entry in the leftmost unsettled
     column.  Another row is reduced by the pivot row as (pv/g) row -
     (f/g) pivot row with g the gcd of the two leading entries, and every
     row is divided by the gcd of its entries.  Each integer row stays a
     nonzero multiple of the row the Fraction elimination would hold, so
-    the pivots are the same, and dividing each pivot row by its pivot at
-    the end gives the (unique) reduced form.
+    the pivots are the same, and dividing each returned row by its pivot
+    gives the (unique) reduced form.
     """
     m = [_primitive(row) for row in rows]
     pivots = []
@@ -131,11 +210,7 @@ def _echelon(rows: list, cols: int) -> tuple:
                 m[i] = _primitive([s * a - t * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
-    red = []
-    for row, c in zip(m, pivots):
-        pv = row[c]
-        red.append(tuple(Fraction(x, pv) if x else ZERO for x in row))
-    return tuple(red), tuple(pivots)
+    return m[:r], tuple(pivots)
 
 
 def vec(entries: Iterable) -> tuple:
@@ -177,47 +252,41 @@ def is_zero_vec(u: Sequence) -> bool:
     return not any(u)
 
 
-class Mat:
-    """An immutable matrix over the rationals (row-major).
+class Mat(_Stored):
+    """An immutable matrix over the rationals.
 
-    The integer view of the entries and the transpose are computed on
-    first use and kept on the object; equality and hashing ignore them.
+    Stored like an `Algebra`: the shape, the least common denominator D
+    of the entries and, per row, the nonzero (j, D a_ij) by increasing j
+    as ints.  `data`, the row-major tuple of the entries as Fractions, is
+    built on first read and the transpose on first use; both are kept on
+    the object.
     """
 
-    __slots__ = ("rows", "cols", "data", "_ints", "_t")
+    __slots__ = ("rows", "cols", "_den", "_cells", "_data", "_t")
+    _SHAPE = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, data: Iterable):
         data = tuple(_q(x) for x in data)
         if len(data) != rows * cols:
             raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_t", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
+        _set_slots(self, (rows, cols) + _int_rows(data, rows, cols)
+                   + (data, None))
 
     @staticmethod
-    def _of(rows: int, cols: int, data) -> "Mat":
-        """A matrix from entries that are already Fractions, in a tuple of
-        the right length; for results of Mat arithmetic only."""
-        m = object.__new__(Mat)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        object.__setattr__(m, "_ints", None)
-        object.__setattr__(m, "_t", None)
-        return m
+    def _of(rows: int, cols: int, den: int, cells) -> "Mat":
+        """The matrix with a_ij = x / den over the (j, x) of cells[i], by
+        increasing j; for results of arithmetic only."""
+        return _set_slots(object.__new__(Mat), (rows, cols)
+                          + _reduced(den, cells) + (None, None))
 
-    def _int_view(self) -> tuple:
-        """(D, rows): D the least common denominator of the entries,
-        rows[i] the nonzero (j, D a_ij) of row i as ints."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints",
-                               _int_rows(self.data, self.rows, self.cols))
-        return self._ints
+    @property
+    def data(self) -> tuple:
+        """The entries as Fractions, row-major, built on first read."""
+        if self._data is None:
+            den, cols = self._den, self.cols
+            object.__setattr__(self, "_data", tuple(
+                x for row in self._cells for x in _dense(den, row, cols)))
+        return self._data
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -234,25 +303,31 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return Mat._of(n, n, 1, [((i, 1),) for i in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return Mat(r, c, [ZERO] * (r * c))
+        return Mat._of(r, c, 1, [()] * r)
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
-        rows = []
+        widths = {sum(m.cols for m in band) for band in grid}
+        if len(widths) > 1:
+            raise ValueError("block widths disagree")
+        den = lcm(*(m._den for band in grid for m in band))
+        cells = []
         for band in grid:
             height = band[0].rows
             if any(m.rows != height for m in band):
                 raise ValueError("block heights disagree")
             for i in range(height):
-                row = []
+                row, shift = [], 0
                 for m in band:
-                    row.extend(m.row(i))
-                rows.append(row)
-        return Mat.from_rows(rows)
+                    f = den // m._den
+                    row.extend((j + shift, f * x) for j, x in m._cells[i])
+                    shift += m.cols
+                cells.append(row)
+        return Mat._of(len(cells), widths.pop() if widths else 0, den, cells)
 
     # -- access ----------------------------------------------------------
     def __getitem__(self, ij):
@@ -268,54 +343,45 @@ class Mat:
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    # -- equality / display -----------------------------------------------
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in self.row(i))
                          for i in range(self.rows))
         return "Mat(%dx%d: %s)" % (self.rows, self.cols, body)
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "Mat") -> "Mat":
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._of(self.rows, self.cols,
-                       tuple(a + b if b else a
-                             for a, b in zip(self.data, other.data)))
+        den = lcm(self._den, other._den)
+        fg = ((0, den // self._den), (1, sign * (den // other._den)))
+        return Mat._of(self.rows, self.cols, den, [
+            _sparse(_int_combine(pair, fg, self.cols))
+            for pair in zip(self._cells, other._cells)])
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._of(self.rows, self.cols,
-                       tuple(a - b if b else a
-                             for a, b in zip(self.data, other.data)))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat._of(self.rows, self.cols,
-                       tuple(-a if a else a for a in self.data))
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
-        return Mat._of(self.rows, self.cols, tuple(c * a for a in self.data))
+        """c times the matrix, c an int or a Fraction."""
+        return Mat._of(self.rows, self.cols, self._den * c.denominator, [
+            tuple((j, c.numerator * x) for j, x in row) if c else ()
+            for row in self._cells])
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        da, arows = self._int_view()
-        db, brows = other._int_view()
-        out = []
-        for arow in arows:
-            out.extend(_as_fractions(_int_combine(brows, arow, other.cols),
-                                     da * db))
-        return Mat._of(self.rows, other.cols, tuple(out))
+        return Mat._of(self.rows, other.cols, self._den * other._den, [
+            _sparse(_int_combine(other._cells, row, other.cols))
+            for row in self._cells])
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product, over the integer view of the matrix and
@@ -329,13 +395,13 @@ class Mat:
     def transpose(self) -> "Mat":
         """The transpose, computed once and kept on the matrix."""
         if self._t is None:
-            r, c = self.rows, self.cols
-            object.__setattr__(self, "_t", Mat._of(c, r, tuple(
-                self.data[i * c + j] for j in range(c) for i in range(r))))
+            cols = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self._cells):
+                for j, x in row:
+                    cols[j].append((i, x))
+            object.__setattr__(self, "_t", Mat._of(self.cols, self.rows,
+                                                   self._den, cols))
         return self._t
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -353,15 +419,16 @@ class Mat:
         Returns (R, pivots) where pivots is the tuple of pivot column
         indices in increasing order.  Elimination always selects the first
         nonzero entry in the leftmost unsettled column, so the result is a
-        canonical function of the matrix.  Each row is scaled to integers
-        by the common denominator of its entries and reduced by `_echelon`.
+        canonical function of the matrix.  `_echelon` reduces the integer
+        rows, and R is stored over the lcm of the pivots it leaves.
         """
         rows, cols = self.rows, self.cols
-        red, pivots = _echelon([common_denominator(self.row(i))[1]
-                                for i in range(rows)], cols)
-        data = [x for row in red for x in row]
-        data.extend((ZERO,) * ((rows - len(red)) * cols))
-        return Mat._of(rows, cols, tuple(data)), pivots
+        red, pivots = _echelon(_unpacked(self._cells, cols), cols)
+        den = lcm(*(row[c] for row, c in zip(red, pivots)))
+        cells = [_sparse([x * (den // row[c]) for x in row])
+                 for row, c in zip(red, pivots)]
+        return Mat._of(rows, cols, den,
+                       cells + [()] * (rows - len(red))), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -373,11 +440,12 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = Mat.block([[self, Mat.identity(n)]])
-        red, pivots = aug.rref()
-        if tuple(range(n)) != pivots[:n] or len(pivots) != n:
+        red, pivots = Mat.block([[self, Mat.identity(n)]]).rref()
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+        return Mat._of(n, n, red._den, [
+            tuple((j - n, x) for j, x in row if j >= n)
+            for row in red._cells])
 
     def kernel_basis(self) -> list:
         """Canonical basis of the null space (vectors of length cols)."""
@@ -391,6 +459,12 @@ class Mat:
                 v[p] = -red[r, f]
             basis.append(tuple(v))
         return basis
+
+
+def _nonzero_entry(m: Mat):
+    """(i, j) of the first nonzero entry of m, row by row, or None."""
+    return next(((i, row[0][0]) for i, row in enumerate(m._cells) if row),
+                None)
 
 
 def solve(mat: Mat, rhs: Sequence):
@@ -428,8 +502,11 @@ class Subspace:
         rows = [common_denominator(v)[1] for v in vectors]
         if any(len(v) != ambient for v in rows):
             raise ValueError("vector length differs from ambient dimension")
+        red, pivots = _echelon(rows, ambient)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", _echelon(rows, ambient)[0])
+        object.__setattr__(self, "basis", tuple(
+            tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+            for row, c in zip(red, pivots)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")

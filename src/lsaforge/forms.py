@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, _sparse, check
-from .exact import Mat, _int_combine, common_denominator
+from .algebra import Algebra, _coaction, _slot_sum, check
+from .exact import Mat, _int_combine, _sparse, _unpacked
 from .report import Report, _relabel, failing, passing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
@@ -70,11 +70,10 @@ def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     the bracket and of the Gram matrix (the sum is linear in each)."""
     anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
     n, cells = lie.dim, lie._int_view()[1]
-    # g[a * n + b] ~ omega(e_a, e_b)
-    g = common_denominator(_gram(omega, lie).data)[1]
+    g = _unpacked(_gram(omega, lie)._int_view()[1], n)  # ~ omega(e_a, e_b)
 
     def pair(cell, k):                              # ~ omega(cell, e_k)
-        return sum(x * g[a * n + k] for a, x in cell)
+        return sum(x * g[a][k] for a, x in cell)
     for i, j, k in itertools.combinations(range(n), 3):
         if pair(cells[i][j], k) + pair(cells[j][k], i) + pair(cells[k][i], j):
             return failing("is_two_cocycle", anchor, witness=(i, j, k))
@@ -89,14 +88,13 @@ def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
     each, so the scaling changes no verdict."""
     anchor = "omega(u.v,w) + omega(v,u.w) == 0"
     n, cells = alg.dim, alg._int_view()[1]
-    # g[a * n + b] ~ omega(e_a, e_b)
-    g = common_denominator(_gram(omega, alg).data)[1]
+    g = _unpacked(_gram(omega, alg)._int_view()[1], n)  # ~ omega(e_a, e_b)
     for i, j, k in itertools.product(range(n), repeat=3):
         s = 0
         for a, x in cells[i][j]:
-            s += x * g[a * n + k]
+            s += x * g[a][k]
         for a, x in cells[i][k]:
-            s += g[j * n + a] * x
+            s += g[j][a] * x
         if s:
             return failing("is_invariant_form", anchor, witness=(i, j, k))
     return passing("is_invariant_form", anchor)
@@ -113,12 +111,11 @@ def a_product(lie: Algebra, omega: Bilinear) -> Algebra:
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("form must be skew and nondegenerate")
     require(is_two_cocycle(omega, lie), "form is not a two-cocycle")
+    # a(u, v) = -G^-t ad_u^t G^t v, one term of `_slot_sum` over the
+    # coaction (u, a) -> ad_u^t a
     gt = omega.matrix.transpose()
-    gt_inv = gt.inverse()
-    # cell (i, j) is -gt^-1 ad_{e_i}^t gt e_j: column j of a product
-    ms = [-(gt_inv * li.transpose() * gt) for li in lie.left_mults()]
-    return Algebra([[m.col(j) for j in range(lie.dim)] for m in ms],
-                   lie.basis)
+    return _slot_sum([(-1, _coaction(lie), None, gt, gt.inverse())],
+                     lie.basis)
 
 
 def levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (Algebra, _coaction, _int_product, _sparse, check,
-                      nijenhuis)
-from .exact import (Mat, _int_apply, _int_combine, basis_vec,
-                    common_denominator, dot, vec_sub)
+from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
+from .exact import (Mat, _int_apply, _int_combine, _nonzero_entry, _sparse,
+                    basis_vec, common_denominator, dot, vec_sub)
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
                      routes_disagree)
@@ -138,9 +137,9 @@ def _cocycle_witness(alg: Algebra, other: Algebra):
                              for cell in row])
             diff = (lhs - ls[i] * xi[j] - xi[j] * ads[i].transpose()
                     + ls[j] * xi[i] + xi[i] * ads[j].transpose())
-            bad = next((c for c, x in enumerate(diff.data) if x), None)
+            bad = _nonzero_entry(diff)
             if bad is not None:
-                return (i, j) + divmod(bad, n)
+                return (i, j) + bad
     return None
 
 

@@ -29,9 +29,9 @@ from typing import Tuple
 
 from math import lcm
 
-from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _sparse,
-                      _swapped, check, invariance_check)
-from .exact import Mat, _as_fractions, _int_combine
+from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _swapped,
+                      check, invariance_check)
+from .exact import Mat, _as_fractions, _int_combine, _sparse
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,

@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .algebra import (Algebra, _dense, _int_product, _int_vec, _reduced,
-                      _set_slots, _sparse)
-from .exact import _as_fractions, _int_combine, _int_rows, vec
+from .algebra import Algebra, _int_product
+from .exact import (_as_fractions, _dense, _int_combine, _int_rows, _int_vec,
+                    _reduced, _set_slots, _sparse, _Stored, vec)
 from .report import Certificate, Report
 
 
-class LieTriple:
+class LieTriple(_Stored):
     """A trilinear bracket Q^n x Q^n x Q^n -> Q^n.
 
     Stored like an Algebra: one denominator D and, in cell
@@ -20,6 +20,7 @@ class LieTriple:
     """
 
     __slots__ = ("dim", "_den", "_cells", "_table")
+    _SHAPE = ("dim",)
 
     def __init__(self, table: Sequence[Sequence[Sequence[Sequence]]]):
         n = len(table)
@@ -33,9 +34,6 @@ class LieTriple:
             [x for plane in tab for row in plane for cell in row
              for x in cell], n ** 3, n) + (tab,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieTriple is immutable")
-
     @property
     def table(self) -> tuple:
         """table[i][j][k][s] = L(e_i, e_j, e_k)_s as Fractions, built on
@@ -46,13 +44,6 @@ class LieTriple:
                 _dense(den, cells[(i * n + j) * n + k], n) for k in range(n))
                 for j in range(n)) for i in range(n)))
         return self._table
-
-    def __eq__(self, other):
-        return (isinstance(other, LieTriple) and self.dim == other.dim
-                and self._den == other._den and self._cells == other._cells)
-
-    def __hash__(self):
-        return hash((self._den, self._cells))
 
     @staticmethod
     def compose(bilinear: Algebra, action: Algebra) -> "LieTriple":
@@ -76,9 +67,6 @@ class LieTriple:
                  for i, a in xs for j, b in ys for k, c in zs]
         return _as_fractions(_int_combine(self._cells, terms, n),
                              self._den * dx * dy * dz)
-
-    def is_zero(self) -> bool:
-        return not any(self._cells)
 
     def check(self) -> Certificate:
         """The three Lie-triple-system axioms, each with a witness.

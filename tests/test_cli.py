@@ -49,6 +49,17 @@ def test_check_unknown_predicate(capsys, nab_file):
     assert "nope" in err
 
 
+def test_unknown_predicate_line_lists_every_predicate(capsys, nab_file):
+    capsys.readouterr()   # drop fixture output
+    code, out, err = go(capsys, ["check", nab_file, "--pred", "nope"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown predicate 'nope' (algebra predicates: "
+        "left_symmetric, associative, commutative, abelian, lie_admissible, "
+        "jacobi_antisym; form predicates: invariant:<form>, "
+        "two_cocycle:<form>, flat:<form>, nondegenerate:<form>)\n")
+
+
 def test_report_header_and_determinism(capsys, nab_file):
     capsys.readouterr()   # drop fixture output
     first = go(capsys, ["check", nab_file, "--pred", "left_symmetric"])
@@ -129,6 +140,32 @@ def test_build_quadratic_requires_n(capsys, tmp_path):
     code, _, err = go(capsys, ["build", "quadratic", str(path)])
     assert code == 2
     assert "n=" in err
+    code, out, _ = go(capsys, ["build", "quadratic", str(path),
+                               "--param", "n=2"])
+    assert code == 0
+    assert any(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_build_quadratic_caps_the_graded_dim(capsys, tmp_path, monkeypatch):
+    # the graded algebra has dim n times the input's: a large n is bad
+    # input, rejected before anything is built
+    path = tmp_path / "aff.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "basis": ["e1", "e2"],
+         "product": [{"left": "e1", "right": "e2", "result": {"e1": "1"}},
+                     {"left": "e2", "right": "e1",
+                      "result": {"e1": "-1"}}]}))
+    code, out, err = go(capsys, ["build", "quadratic", str(path),
+                                 "--param", "n=1000000000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --param n=1000000000 gives a graded algebra of "
+                   "dim 2000000000, which exceeds LSA_FORGE_MAX_DIM=16\n")
+    monkeypatch.setenv("LSA_FORGE_MAX_DIM", "5")
+    code, out, err = go(capsys, ["build", "quadratic", str(path),
+                                 "--param", "n=3"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --param n=3 gives a graded algebra of dim 6, "
+                   "which exceeds LSA_FORGE_MAX_DIM=5\n")
     code, out, _ = go(capsys, ["build", "quadratic", str(path),
                                "--param", "n=2"])
     assert code == 0

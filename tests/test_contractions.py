@@ -26,6 +26,7 @@ the object the public constructor makes of its oracle table.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,14 +35,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_routes as oracle
-from lsaforge import (Bilinear, LieTriple, Mat, Subspace, build_hyper,
-                      build_phase, build_symp_double, build_theta_double,
-                      check, coadjoint_double, cybe_double, delta_op, delta_r,
-                      dual_product_from_r, is_derivation, is_invariant_form,
-                      is_two_cocycle, levi_civita, lts_from_o, lts_from_yb,
-                      myb_residual, nijenhuis, o_op, oeq_check,
-                      twisted_structures, verify_hyper_para_kahler,
-                      verify_para_kahler, yb)
+from lsaforge import (Bilinear, LieTriple, Mat, Subspace, a_product,
+                      build_hyper, build_phase, build_symp_double,
+                      build_theta_double, check, coadjoint_double,
+                      cybe_double, delta_op, delta_r, dual_product_from_r,
+                      is_derivation, is_invariant_form, is_two_cocycle,
+                      levi_civita, lts_from_o, lts_from_yb, myb_residual,
+                      nijenhuis, o_op, oeq_check, twisted_structures,
+                      verify_hyper_para_kahler, verify_para_kahler, yb)
 from lsaforge import doubling, phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               _coaction, _swapped, curvature,
@@ -351,6 +352,26 @@ def test_levi_civita_matches_metric_route(values, seed):
         tuple(tuple(cell) for cell in oracle.levi_civita_table(lie, metric))
 
 
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_a_product_matches_form_route(seed):
+    """omega(a(u,v), w) == -omega(v, [u,w]) on basis vectors, for the
+    commutator of the phase space of a left-symmetric plane (a symplectic
+    Lie algebra) in a random basis with large denominators."""
+    rng = random.Random(seed)
+    plane = rng.choice([a for a in _planes() + (_nab_lsa(), _ab_lsa())
+                        if check(a, "left_symmetric")])
+    ps = build_phase(_moved(rng, plane, LARGE))
+    p = _invertible(rng, 4, LARGE)
+    lie = ps.extended.commutator_algebra().conjugate(p)
+    omega = Bilinear(p.transpose() * ps.omega0.matrix * p, "skew")
+    prod = a_product(lie, omega)
+    es = [oracle._basis(4, i) for i in range(4)]
+    for u, v, w in itertools.product(es, repeat=3):
+        assert oracle.form_value(omega, oracle.product(prod, u, v), w) == \
+            -oracle.form_value(omega, v, oracle.product(lie, u, w))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(ALGEBRA_KINDS), st.integers(0, 5),
        st.sampled_from(sorted(ENTRIES)), SEEDS)
@@ -436,6 +457,72 @@ def test_apply_on_empty_and_zero_shapes(rows, cols):
     assert zero.apply(zero_vec(cols)) == zero_vec(rows)
     with pytest.raises(ValueError):
         zero.apply(zero_vec(cols + 1))
+
+
+def _zero_rowed(rng, rows, cols):
+    """A matrix with LARGE entries, about half of its rows zero."""
+    return Mat(rows, cols, [_entry(rng, 0.7, LARGE) if live else Fraction(0)
+                            for live in [rng.random() < 0.5
+                                         for _ in range(rows)]
+                            for _ in range(cols)])
+
+
+def _assert_mat(built, rows, cols, data):
+    """built equals, hashes like and reads back the data of the matrix
+    the public constructor makes of the oracle entries."""
+    want = Mat(rows, cols, data)
+    assert built == want and hash(built) == hash(want)
+    assert (built.rows, built.cols, built.data) == (rows, cols, want.data)
+    assert (built._den, built._cells) == (want._den, want._cells)
+    assert type(built.data) is tuple and all(
+        type(x) is Fraction for x in built.data)
+
+
+def _flat(rows):
+    return [x for row in rows for x in row]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), SEEDS)
+def test_mat_producers_store_the_public_integer_form(rows, inner, cols, seed):
+    rng = random.Random(seed)
+    a, b = _zero_rowed(rng, rows, inner), _zero_rowed(rng, rows, inner)
+    c = _zero_rowed(rng, inner, cols)
+    f = rng.choice(LARGE)
+    _assert_mat(a + b, rows, inner, [x + y for x, y in zip(a.data, b.data)])
+    _assert_mat(a - b, rows, inner, [x - y for x, y in zip(a.data, b.data)])
+    _assert_mat(a - a, rows, inner, [0] * (rows * inner))
+    _assert_mat(-a, rows, inner, [-x for x in a.data])
+    for g in (f, 0, -1, 3):
+        _assert_mat(a.scale(g), rows, inner, [g * x for x in a.data])
+    _assert_mat(a * c, rows, cols, _flat(oracle._matmul(
+        a.row_list(), c.row_list())) if inner else [0] * (rows * cols))
+    _assert_mat(a.transpose(), inner, rows,
+                [a[i, j] for j in range(inner) for i in range(rows)])
+    _assert_mat(Mat.block([[a, b], [c.transpose(), c.transpose()]]),
+                rows + cols, 2 * inner,
+                _flat(p + q for p, q in zip(a.row_list() + c.transpose(
+                ).row_list(), b.row_list() + c.transpose().row_list())))
+    vectors = [a.row(i) for i in range(rows)]
+    height = inner if rows else 0       # no columns make a 0 x 0 matrix
+    _assert_mat(Mat.from_cols(vectors), height, rows,
+                [v[i] for i in range(height) for v in vectors])
+    red, pivots = a.rref()
+    want, want_pivots = oracle.rref(a)
+    assert pivots == want_pivots
+    _assert_mat(red, rows, inner, _flat(want))
+    _assert_mat(Mat.identity(rows), rows, rows,
+                [int(i == j) for i in range(rows) for j in range(rows)])
+    _assert_mat(Mat.zeros(rows, cols), rows, cols, [0] * (rows * cols))
+    p = _invertible(rng, rows, LARGE)
+    aug, _ = oracle.rref(Mat.from_rows([
+        list(p.row(i)) + [int(i == j) for j in range(rows)]
+        for i in range(rows)]))
+    _assert_mat(p.inverse(), rows, rows, _flat(row[rows:] for row in aug))
+    alg = _algebra("large_denominators", rows, rng)
+    for i, lm in enumerate(alg.left_mults()):
+        _assert_mat(lm, rows, rows, _flat(oracle.left_mult(
+            alg, tuple(int(j == i) for j in range(rows)))))
 
 
 def _to_fraction(x):

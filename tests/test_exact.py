@@ -134,7 +134,7 @@ def test_mat_memo_keeps_equality_hash_and_immutability():
     assert t.transpose() == m and t._int_view()[0] == 4
     assert m == fresh and hash(m) == hash(fresh)
     assert {m: 1}[fresh] == 1
-    for attr in ("rows", "cols", "data", "_ints", "_t"):
+    for attr in ("rows", "cols", "data", "_den", "_cells", "_data", "_t"):
         with pytest.raises(AttributeError):
             setattr(m, attr, None)
     product = m * t                      # built by Mat arithmetic

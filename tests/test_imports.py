@@ -1,6 +1,9 @@
-"""Every module-level import of an lsaforge module is used by it.
+"""Every module-level import of an lsaforge module is used by it, and
+every relative import names the module that defines the name.
 
-`__init__.py` is left out: its imports are the package's public names.
+`__init__.py` is left out of the first guard: its imports are the
+package's public names.  It is in the second: each of them is taken from
+its defining module.
 """
 
 import ast
@@ -40,3 +43,45 @@ def test_the_guard_sees_an_unused_import():
 def test_module_uses_its_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
         assert _unused_imports(handle.read()) == []
+
+
+def _defined(source: str) -> set:
+    """The names a module binds at top level other than by importing."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _reexported(sources: dict) -> list:
+    """(importer, module, name) for each relative import whose module
+    does not define the name; sources maps a module name to its text."""
+    defined = {name: _defined(text) for name, text in sources.items()}
+    return sorted((importer, node.module, alias.name)
+                  for importer, text in sources.items()
+                  for node in ast.parse(text).body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names
+                  if alias.name not in defined[node.module])
+
+
+def test_the_guard_sees_a_reexported_name():
+    assert _reexported({
+        "low": "def helper():\n    pass\nLIMIT = 2\n",
+        "mid": "from .low import helper\n",
+        "top": "from .mid import helper\nfrom .low import LIMIT, helper\n",
+    }) == [("top", "mid", "helper")]
+
+
+def test_relative_imports_name_the_defining_module():
+    sources = {}
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+            sources[name[:-3]] = handle.read()
+    assert _reexported(sources) == []
