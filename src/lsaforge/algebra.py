@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .exact import (Mat, Subspace, _as_fractions, _dense, _int_combine,
                     _int_rows, _int_vec, _reduced, _set_slots, _sparse,
-                    _Stored, vec, vec_add, vec_sub)
+                    _Stored, _unpacked, vec, vec_sub)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative", "abelian",
@@ -466,24 +466,24 @@ def check(alg: Algebra, predicate: str) -> Report:
 
 def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
     """The span of the products a.b of basis vectors.  Each product is
-    computed over ints from the integer view and the basis vectors scaled
-    to ints: a nonzero multiple of a.b, which spans the same line."""
+    computed over ints from the integer view and the stored rows of s and
+    t: a nonzero multiple of a.b, which spans the same line."""
     cells = alg._int_view()[1]
-    lefts = [_int_vec(a)[1] for a in s.basis]
-    rights = [_int_vec(b)[1] for b in t.basis]
-    return Subspace(alg.dim, [_int_product(cells, left, right)
-                              for left in lefts for right in rights])
+    return Subspace._of(alg.dim, [_int_product(cells, left, right)
+                                  for left in s._cells for right in t._cells])
 
 
 def product_subspaces(alg: Algebra) -> dict:
     """U.U, its symmetric/antisymmetric spans, and the powers U^1..U^4.
 
     U^k is the span of all products of k elements, computed as the sum of
-    U^i . U^j over i + j = k.
+    U^i . U^j over i + j = k.  Every span is built from the integer cells.
     """
-    n, t = alg.dim, alg.table
-    pairs = list(itertools.product(range(n), repeat=2))
-    uu = Subspace(n, [t[i][j] for i, j in pairs])
+    n, cells = alg.dim, alg._int_view()[1]
+    flat = _unpacked([cell for row in cells for cell in row], n)
+    pairs = [(flat[i * n + j], flat[j * n + i])
+             for i, j in itertools.product(range(n), repeat=2)]
+    uu = Subspace._of(n, flat)
     powers = [Subspace.full(n), uu]
     for k in (3, 4):
         acc = Subspace.zero(n)
@@ -493,8 +493,10 @@ def product_subspaces(alg: Algebra) -> dict:
         powers.append(acc)
     return {
         "UU": uu,
-        "DUU": Subspace(n, [vec_sub(t[i][j], t[j][i]) for i, j in pairs]),
-        "SUU": Subspace(n, [vec_add(t[i][j], t[j][i]) for i, j in pairs]),
+        "DUU": Subspace._of(n, [[x - y for x, y in zip(p, q)]
+                                for p, q in pairs]),
+        "SUU": Subspace._of(n, [[x + y for x, y in zip(p, q)]
+                                for p, q in pairs]),
         "powers": tuple(powers),
     }
 

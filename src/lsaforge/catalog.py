@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _slot_sum,
                       _swapped, check, invariance_check, is_derivation,
-                      product_subspaces)
+                      product_subspaces, subspace_product)
 from .doubling import is_compatible
 from .exact import (Mat, Subspace, ZERO, ONE, _sparse, _unpacked, basis_vec,
                     form_value, is_zero_vec, lagrangian_complement,
@@ -579,18 +579,13 @@ def _darboux(gram: Mat, space: Subspace):
     return out
 
 
-def _restrict_gram(gram: Mat, basis) -> Mat:
-    k = len(basis)
-    return Mat(k, k, [form_value(gram, basis[i], basis[j])
-                      for i in range(k) for j in range(k)])
-
-
 def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
     """Covector-side basis: inside the span of ambient_basis (a symplectic
     subspace containing the Lagrangian iso_basis), an isotropic complement
-    (w_j) with form(w_j, v_i) = delta_ij."""
-    amb = Mat.from_cols([list(b) for b in ambient_basis])
-    sub_gram = _restrict_gram(gram, ambient_basis)
+    (w_j) with form(w_j, v_i) = delta_ij.  With A and V the two bases as
+    columns and W0 the Lagrangian complement of V in A's coordinates, the
+    w_j are the columns of -W0 (V^T G W0)^-1."""
+    amb = Mat.from_cols(ambient_basis)
     coords = []
     for v in iso_basis:
         sol, _ = solve(amb, v)
@@ -598,25 +593,14 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
             raise InternalInconsistency("isotropic vectors leave their "
                                         "ambient symplectic subspace")
         coords.append(sol)
-    lag = Subspace(len(ambient_basis), coords)
-    comp = lagrangian_complement(sub_gram, lag)
-    w0 = [amb.apply(c) for c in comp.basis]
-    k = len(iso_basis)
-    pairing = Mat(k, k, [form_value(gram, iso_basis[i], w0[j])
-                         for i in range(k) for j in range(k)])
-    coeff = pairing.inverse().scale(-1)
-    out = []
-    for j in range(k):
-        w = zero_vec(len(w0[0]))
-        for t in range(k):
-            w = vec_add(w, vec_scale(coeff[t, j], w0[t]))
-        out.append(w)
-    for j in range(k):
-        for i in range(k):
-            want = ONE if i == j else ZERO
-            if form_value(gram, out[j], iso_basis[i]) != want:
-                raise InternalInconsistency("dual pairing failed")
-    return out
+    comp = lagrangian_complement(amb.transpose() * gram * amb,
+                                 Subspace(len(ambient_basis), coords))
+    w0 = amb * comp.matrix().transpose()
+    iso = Mat.from_cols(iso_basis)
+    out = w0 * (iso.transpose() * gram * w0).inverse().scale(-1)
+    if out.transpose() * gram * iso != Mat.identity(len(iso_basis)):
+        raise InternalInconsistency("dual pairing failed")
+    return [out.col(j) for j in range(out.cols)]
 
 
 def _extract_type_one(moved: Algebra, p_dim: int, q_dim: int):
@@ -673,11 +657,9 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     u2, u3 = powers[1], powers[2]
     u2perp = symp_orthogonal(gram, u2)
     jspace = u2.add(u2perp)
-    for a in jspace.basis:
-        for b in jspace.basis:
-            if not is_zero_vec(alg.product(a, b)):
-                raise InternalInconsistency("square-plus-orthogonal ideal "
-                                            "fails to square to zero")
+    if not subspace_product(alg, jspace, jspace).is_zero():
+        raise InternalInconsistency("square-plus-orthogonal ideal "
+                                    "fails to square to zero")
     if not jspace.contains_space(symp_orthogonal(gram, jspace)):
         raise InternalInconsistency("the ideal fails to be co-isotropic")
     fp = _fingerprint(alg, subs)
@@ -709,10 +691,9 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
                                             "mismatch")
             return CanonicalId("assoc_type_one", params, Endo(alg, p), fp)
         icomp = v.complement_in(u2perp)
-        ipairs = _darboux(gram, icomp) if icomp.dim else []
+        ipairs = _darboux(gram, icomp)
         q_dim = len(ipairs)
-        iperp = symp_orthogonal(gram, Subspace(n, ipairs)) if ipairs \
-            else Subspace.full(n)
+        iperp = symp_orthogonal(gram, Subspace(n, ipairs))
         w = _dual_lagrangian(gram, list(v.basis), list(iperp.basis))
         cols = list(v.basis) + ipairs + w
         p = Mat.from_cols(cols)
@@ -737,8 +718,7 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     v1 = v0.complement_in(v)
     i0 = v.complement_in(u2)
     i1 = v.complement_in(u2perp)
-    i0_pairs = _darboux(gram, i0) if i0.dim else []
-    i1_pairs = _darboux(gram, i1) if i1.dim else []
+    i0_pairs, i1_pairs = _darboux(gram, i0), _darboux(gram, i1)
     for a in i0_pairs:
         for b in i1_pairs:
             if form_value(gram, a, b) != 0:
@@ -747,8 +727,7 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     p0, p1 = v0.dim, v1.dim
     q0, q1 = len(i0_pairs), len(i1_pairs)
     ivecs = i0_pairs + i1_pairs
-    iperp = symp_orthogonal(gram, Subspace(n, ivecs)) if ivecs \
-        else Subspace.full(n)
+    iperp = symp_orthogonal(gram, Subspace(n, ivecs))
     vbasis = list(v0.basis) + list(v1.basis)
     w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
     p = Mat.from_cols(vbasis + ivecs + w)
@@ -779,28 +758,16 @@ def graded_tensor_algebra(base: Algebra, n: int):
     """
     if n < 1:
         raise ValueError("need at least one grade")
-    m = base.dim
+    m, (den, cells) = base.dim, base._int_view()
     dim = m * n
-    z = zero_vec(dim)
-    table = [[z for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            grade = i + j + 1          # product of grades i+1 and j+1
-            if grade >= n:
-                continue
-            for a in range(m):
-                for b in range(m):
-                    prod = base.product(basis_vec(m, a), basis_vec(m, b))
-                    cell = list(zero_vec(dim))
-                    for k in range(m):
-                        cell[grade * m + k] = prod[k]
-                    table[i * m + a][j * m + b] = tuple(cell)
+    # cell (grade i+1, a).(grade j+1, b) is base cell (a, b) at grade i+j+2
+    table = [[tuple((k + (i + j + 1) * m, x) for k, x in cells[a][b])
+              if i + j + 1 < n else () for j in range(n) for b in range(m)]
+             for i in range(n) for a in range(m)]
     labels = tuple("%s@%d" % (base.basis[a], i + 1)
                    for i in range(n) for a in range(m))
-    graded = Algebra(table, labels)
-    diag = Mat(dim, dim, [
-        (Fraction(i // m + 1) if i == j else ZERO)
-        for i in range(dim) for j in range(dim)])
+    graded = Algebra._of(den, table, labels)
+    diag = Mat._of(dim, dim, 1, [((i, i // m + 1),) for i in range(dim)])
     der = is_derivation(diag, graded)
     if not der:
         raise InternalInconsistency("grading operator fails to derive the "

@@ -334,6 +334,8 @@ def _param_map(pairs) -> dict:
         if "=" not in item:
             raise UsageError("--param expects k=v, got %r" % item)
         key, _, val = item.partition("=")
+        if key in out:
+            raise UsageError("--param %s given twice" % key)
         out[key] = _rational(val, "--param %s" % key)
     return out
 

@@ -2,9 +2,10 @@
 
 Everything operates over the rationals: values at the API are
 ``fractions.Fraction``, a `Mat` stores its entries as integers over one
-common denominator (the form an `Algebra` and a `LieTriple` store too),
-and its arithmetic and the elimination compute over those integers; no
-floating point arithmetic appears anywhere.
+common denominator (the form an `Algebra`, a `LieTriple` and the
+canonical basis of a `Subspace` store too), and its arithmetic and the
+elimination compute over those integers; no floating point arithmetic
+appears anywhere.
 All operations are deterministic: echelon forms eliminate with the
 smallest pivot index first, so canonical bases and complements depend
 only on the input, not on dict ordering or hashing.
@@ -213,6 +214,19 @@ def _echelon(rows: list, cols: int) -> tuple:
     return m[:r], tuple(pivots)
 
 
+def _rref_ints(rows: list, cols: int) -> tuple:
+    """(D, cells, pivots): the nonzero rows of the reduced row echelon
+    form of the integer rows of length cols, as sparse integer cells over
+    one denominator D, and their pivot columns.  The rows `_echelon`
+    leaves are primitive, so with D the lcm of their pivots the cells and
+    D share no factor: the reduced form of `_Stored`.  `Mat.rref` and
+    `Subspace` both take their echelon forms from here."""
+    red, pivots = _echelon(rows, cols)
+    den = lcm(*(row[c] for row, c in zip(red, pivots)))
+    return den, tuple(tuple(_sparse([x * (den // row[c]) for x in row]))
+                      for row, c in zip(red, pivots)), pivots
+
+
 def vec(entries: Iterable) -> tuple:
     return tuple(_q(e) for e in entries)
 
@@ -419,16 +433,12 @@ class Mat(_Stored):
         Returns (R, pivots) where pivots is the tuple of pivot column
         indices in increasing order.  Elimination always selects the first
         nonzero entry in the leftmost unsettled column, so the result is a
-        canonical function of the matrix.  `_echelon` reduces the integer
-        rows, and R is stored over the lcm of the pivots it leaves.
+        canonical function of the matrix.
         """
-        rows, cols = self.rows, self.cols
-        red, pivots = _echelon(_unpacked(self._cells, cols), cols)
-        den = lcm(*(row[c] for row, c in zip(red, pivots)))
-        cells = [_sparse([x * (den // row[c]) for x in row])
-                 for row, c in zip(red, pivots)]
-        return Mat._of(rows, cols, den,
-                       cells + [()] * (rows - len(red))), pivots
+        den, cells, pivots = _rref_ints(_unpacked(self._cells, self.cols),
+                                        self.cols)
+        return Mat._of(self.rows, self.cols, den,
+                       cells + ((),) * (self.rows - len(cells))), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -488,121 +498,106 @@ def solve(mat: Mat, rhs: Sequence):
     return tuple(x), kernel
 
 
-class Subspace:
-    """A subspace of Q^n with a canonical reduced-echelon basis.
+class Subspace(_Stored):
+    """A subspace of Q^n, stored like a `Mat`: the ambient dimension n,
+    one denominator D and the sparse integer rows of its canonical basis,
+    the reduced row echelon form of any spanning set (smallest pivot
+    first), so that equal subspaces have equal forms.  `basis`, those
+    rows as tuples of Fractions, is built on first read."""
 
-    The basis is stored as rows in reduced row echelon form (smallest
-    pivot first), making equality of subspaces equality of
-    representations.
-    """
-
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "_den", "_cells", "_basis")
+    _SHAPE = ("ambient",)
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence]):
         rows = [common_denominator(v)[1] for v in vectors]
         if any(len(v) != ambient for v in rows):
             raise ValueError("vector length differs from ambient dimension")
-        red, pivots = _echelon(rows, ambient)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(
-            tuple(Fraction(x, row[c]) if x else ZERO for x in row)
-            for row, c in zip(red, pivots)))
+        _set_slots(self, (ambient,) + _rref_ints(rows, ambient)[:2] + (None,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+    @staticmethod
+    def _of(ambient: int, rows) -> "Subspace":
+        """The span of dense integer rows of length ambient."""
+        return _set_slots(object.__new__(Subspace), (ambient,)
+                          + _rref_ints(rows, ambient)[:2] + (None,))
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical basis as tuples of Fractions, built on first read."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(
+                _dense(self._den, cell, self.ambient) for cell in self._cells))
+        return self._basis
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, [basis_vec(n, i) for i in range(n)])
+        return Subspace._of(n, [[int(i == j) for j in range(n)]
+                                for i in range(n)])
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, [])
+        return Subspace._of(n, [])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return len(self._cells)
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient)
 
     def matrix(self) -> Mat:
         """Basis vectors as rows; zero-row matrix for the zero space."""
-        if self.dim == 0:
-            return Mat(0, self.ambient, [])
-        return Mat.from_rows([list(b) for b in self.basis])
+        return Mat._of(self.dim, self.ambient, self._den, self._cells)
 
     def contains(self, v: Sequence) -> bool:
-        return self.add(Subspace(self.ambient, [v])).dim == self.dim
+        return self.contains_space(Subspace(self.ambient, [v]))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        return self.add(other).dim == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace._of(self.ambient, _unpacked(
+            self._cells + other._cells, self.ambient))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The vectors A x with [A | B] (x, y) = 0, A and B the bases of
+        self and other as columns."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        a = self.matrix().transpose()          # ambient x p
-        b = other.matrix().transpose()         # ambient x q
-        stacked = Mat.block([[a, b]])
-        vectors = []
-        for k in stacked.kernel_basis():
-            coeffs = k[:self.dim]
-            v = zero_vec(self.ambient)
-            for c, bas in zip(coeffs, self.basis):
-                v = vec_add(v, vec_scale(c, bas))
-            vectors.append(v)
-        return Subspace(self.ambient, vectors)
+        a = self.matrix().transpose()
+        stacked = Mat.block([[a, other.matrix().transpose()]])
+        return Subspace(self.ambient, [a.apply(k[:self.dim])
+                                       for k in stacked.kernel_basis()])
 
     def complement_in(self, other: "Subspace") -> "Subspace":
         """Deterministic complement of self inside other (self <= other).
 
-        Scans other's canonical basis in order and keeps the vectors that
-        enlarge the span.
+        Keeps the basis vectors of other that enlarge the span, scanned in
+        order: the pivot columns past self's of one elimination of the
+        matrix whose columns are self's basis, then other's.
         """
-        if not other.contains_space(self):
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
+        cells = self._cells + other._cells
+        cols = Mat._of(len(cells), self.ambient, 1, cells).transpose()
+        pivots = _echelon(_unpacked(cols._cells, len(cells)), len(cells))[1]
+        if len(pivots) != other.dim:
             raise ValueError("complement_in requires self <= other")
-        current = list(self.basis)
-        chosen = []
-        rank = self.dim
-        for b in other.basis:
-            cand = current + [b]
-            new_rank = len(Mat.from_rows([list(v) for v in cand]).rref()[1])
-            if new_rank > rank:
-                current = cand
-                chosen.append(b)
-                rank = new_rank
-        return Subspace(self.ambient, chosen)
+        return Subspace._of(self.ambient, _unpacked(
+            [cells[j] for j in pivots[self.dim:]], self.ambient))
 
 
 def symp_orthogonal(gram: Mat, s: Subspace) -> Subspace:
     """Orthogonal of s for the (nondegenerate skew) form with Gram matrix gram.
 
-    s_perp = { x : omega(x, b) = 0 for every basis vector b of s }.
+    s_perp = { x : omega(x, b) = b^T G^T x = 0 for every basis vector b of
+    s }, the kernel of S G^T with S the basis of s as rows.
     """
     n = gram.rows
     if gram.cols != n or s.ambient != n:
         raise ValueError("shape mismatch")
-    if s.dim == 0:
-        return Subspace.full(n)
-    rows = [gram.apply(b) for b in s.basis]      # omega(x, b) = x . (gram b)
-    return Subspace(n, Mat.from_rows([list(r) for r in rows]).kernel_basis())
+    return Subspace(n, (s.matrix() * gram.transpose()).kernel_basis())
 
 
 def form_value(gram: Mat, u: Sequence, v: Sequence) -> Fraction:
@@ -612,48 +607,32 @@ def form_value(gram: Mat, u: Sequence, v: Sequence) -> Fraction:
 def lagrangian_complement(gram: Mat, lag: Subspace) -> Subspace:
     """Deterministic Lagrangian complement of a Lagrangian subspace.
 
-    gram is the Gram matrix of a nondegenerate skew form on the ambient
+    gram is the Gram matrix G of a nondegenerate skew form on the ambient
     space; lag must be Lagrangian (isotropic of half dimension).  The
     construction picks the deterministic echelon complement, re-expresses
     it in the omega-dual basis of lag, and applies the standard isotropic
-    correction, so the output depends only on the input.
+    correction, so the output depends only on the input.  Bases are the
+    columns of matrices: B of lag, C of the echelon complement.
     """
     n = gram.rows
     if n % 2 != 0:
         raise ValueError("ambient dimension must be even")
     if lag.dim * 2 != n:
         raise ValueError("subspace is not half-dimensional")
-    for a in lag.basis:
-        for b in lag.basis:
-            if form_value(gram, a, b) != 0:
-                raise ValueError("subspace is not isotropic")
-    comp = lag.complement_in(Subspace.full(n))
-    # omega-dual basis of the complement: c_i with omega(l_i, c_j) = delta_ij.
-    p = lag.dim
-    pairing = Mat(p, p, [form_value(gram, lag.basis[i], comp.basis[j])
-                         for i in range(p) for j in range(p)])
-    coeff = pairing.inverse()
-    duals = []
-    for j in range(p):
-        v = zero_vec(n)
-        for k in range(p):
-            v = vec_add(v, vec_scale(coeff[k, j], comp.basis[k]))
-        duals.append(v)
-    # isotropic correction: w_j = c_j - 1/2 sum_k omega(c_j, c_k) l_k keeps
+    bt = lag.matrix()
+    b = bt.transpose()
+    if not (bt * gram * b).is_zero():
+        raise ValueError("subspace is not isotropic")
+    c = lag.complement_in(Subspace.full(n)).matrix().transpose()
+    # omega-dual basis of the complement: the columns d_j of C P^-1, with
+    # the pairing P = B^T G C, have omega(l_i, d_j) = delta_ij.
+    d = c * (bt * gram * c).inverse()
+    # isotropic correction: w_j = d_j - 1/2 sum_k omega(d_j, d_k) l_k keeps
     # omega(l_i, w_j) = delta_ij and makes span(w_j) isotropic.
-    half = Fraction(1, 2)
-    ws = []
-    for j in range(p):
-        w = duals[j]
-        for k in range(p):
-            coef = half * form_value(gram, duals[j], duals[k])
-            w = vec_sub(w, vec_scale(coef, lag.basis[k]))
-        ws.append(w)
-    out = Subspace(n, ws)
-    for a in out.basis:
-        for b in out.basis:
-            if form_value(gram, a, b) != 0:
-                raise AssertionError("complement failed to be isotropic")
-    if not lag.intersect(out).is_zero() or lag.add(out).dim != n:
+    w = d - b * (d.transpose() * gram * d).scale(Fraction(1, 2)).transpose()
+    if not (w.transpose() * gram * w).is_zero():
+        raise AssertionError("complement failed to be isotropic")
+    out = Subspace._of(n, _unpacked(w.transpose()._cells, n))
+    if lag.add(out).dim != n:
         raise AssertionError("complement is not transverse")
     return out

@@ -7,14 +7,17 @@ and tensor invariance over integer numerators.  This module keeps
 the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.
+The subspace routes (intersection, complement, symplectic orthogonal,
+the powers of a product) and the Lagrangian complements of the
+associative normalizer are Fraction loops over basis vectors.
 The certificate routes keep the eigenspaces as `Subspace`s tested with
 `contains`, and the r-matrix routes the five-term bracket placed slot by
 slot.  The derived products (the Yang-Baxter, delta and O defects, the
 symplectic and Theta "circ" products, the derivation law, the Lie triple
 systems and the dual product of a Yang-Baxter solution) are evaluated
 here as the bilinear maps of their formulas on basis vectors, and so
-are the commutator, opposite, coaction, block, phase-space and
-semidirect products.  Nothing here is used by the library.
+are the commutator, opposite, coaction, block, phase-space, semidirect
+and graded tensor products.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -524,18 +527,136 @@ def trace_forms(alg):
     return tuple(forms)
 
 
+def _inverse(rows):
+    """The inverse of a square matrix given as rows, read off the reduced
+    form of [a | 1]."""
+    n = len(rows)
+    red, _ = rref(Mat.from_rows([list(rows[i]) + [Fraction(int(i == j))
+                                                  for j in range(n)]
+                                 for i in range(n)]))
+    return [row[n:] for row in red]
+
+
 def conjugate_table(alg, p):
-    """p^-1 ((p e_i) . (p e_j)) through product, p^-1 read off the
-    reduced form of [p | 1]."""
+    """p^-1 ((p e_i) . (p e_j)) through product."""
     n = alg.dim
     pr = p.row_list()
-    aug = type(p).from_rows([pr[i] + [Fraction(int(i == j)) for j in range(n)]
-                             for i in range(n)])
-    red, _ = rref(aug)
-    pinv = [row[n:] for row in red]
+    pinv = _inverse(pr)
     cols = [tuple(pr[i][j] for i in range(n)) for j in range(n)]
     return [[_matvec(pinv, product(alg, cols[i], cols[j])) for j in range(n)]
             for i in range(n)]
+
+
+# -- subspaces and the Lagrangian steps of the associative normalizer ---------
+#
+# Each route returns spanning vectors (or, for dual_lagrangian, the basis
+# itself) as tuples of Fractions; the tests compare the library's
+# Subspace with `Subspace(n, vectors)` of these.
+
+def _omega(gram, u, v) -> Fraction:
+    """u^T G v for the Gram matrix G."""
+    return dense_dot(u, dense_apply(gram, v))
+
+
+def _rank(vectors) -> int:
+    return len(rref(Mat.from_rows([list(v) for v in vectors]))[1]) \
+        if vectors else 0
+
+
+def _combine(coeffs, vectors, n) -> tuple:
+    """sum c v over the pairs of coeffs and vectors, in Q^n."""
+    out = (ZERO,) * n
+    for c, v in zip(coeffs, vectors):
+        out = _add(out, tuple(c * x for x in v))
+    return out
+
+
+def _columns(vectors, n):
+    """The vectors as the columns of n rows."""
+    return [[v[i] for v in vectors] for i in range(n)]
+
+
+def product_subspaces(alg):
+    """Spanning vectors of UU, DUU, SUU and of the powers U^1..U^4, every
+    one a product of basis vectors through product."""
+    n = alg.dim
+    es = [_basis(n, i) for i in range(n)]
+    pairs = [(product(alg, x, y), product(alg, y, x)) for x in es for y in es]
+    powers = [es, [xy for xy, _ in pairs]]
+    for k in (3, 4):
+        powers.append([product(alg, a, b) for i in range(1, k)
+                       for a in Subspace(n, powers[i - 1]).basis
+                       for b in Subspace(n, powers[k - i - 1]).basis])
+    return {"UU": powers[1], "DUU": [_sub(x, y) for x, y in pairs],
+            "SUU": [_add(x, y) for x, y in pairs], "powers": powers}
+
+
+def complement_in(s, other):
+    """Subspace.complement_in by one rank test per basis vector of other:
+    the vectors that enlarge the span, in order."""
+    current, chosen = list(s.basis), []
+    for b in other.basis:
+        if _rank(current + [b]) > _rank(current):
+            current.append(b)
+            chosen.append(b)
+    return chosen
+
+
+def intersect(s, t):
+    """Subspace.intersect: sum x_i a_i over the kernel vectors (x, y) of
+    [A | B], A and B the two bases as columns."""
+    n, p = s.ambient, s.dim
+    if p == 0 or t.dim == 0:
+        return []
+    stacked = Mat.from_rows(_columns(s.basis + t.basis, n))
+    return [_combine(k[:p], s.basis, n) for k in _kernel(stacked)]
+
+
+def symp_orthogonal(gram, s):
+    """symp_orthogonal: the kernel of the rows G b over s's basis."""
+    n = gram.rows
+    if s.dim == 0:
+        return [_basis(n, i) for i in range(n)]
+    return _kernel(Mat.from_rows([list(dense_apply(gram, b))
+                                  for b in s.basis]))
+
+
+def lagrangian_complement(gram, lag):
+    """exact.lagrangian_complement by Fraction loops: the echelon
+    complement c_j, its omega-dual basis d_j = sum_k (P^-1)_kj c_k with
+    P_ij = omega(l_i, c_j), and w_j = d_j - 1/2 sum_k omega(d_j, d_k) l_k."""
+    n, p, ls = gram.rows, lag.dim, lag.basis
+    comp = complement_in(lag, Subspace(n, [_basis(n, i) for i in range(n)]))
+    coeff = _inverse([[_omega(gram, l, c) for c in comp] for l in ls])
+    duals = [_combine([coeff[k][j] for k in range(p)], comp, n)
+             for j in range(p)]
+    half = Fraction(1, 2)
+    return [_sub(d, _combine([half * _omega(gram, d, e) for e in duals], ls,
+                             n)) for d in duals]
+
+
+def dual_lagrangian(gram, iso_basis, ambient_basis):
+    """catalog._dual_lagrangian by Fraction loops: the coordinates of the
+    iso vectors in the ambient basis, the Lagrangian complement w0_t of
+    their span for the restricted form, mapped back, and w_j = -sum_t
+    (P^-1)_tj w0_t with P_ij = omega(v_i, w0_j)."""
+    n, m, k = gram.rows, len(ambient_basis), len(iso_basis)
+    coords = []
+    for v in iso_basis:
+        red, pivots = rref(Mat.from_rows([row + [v[i]] for i, row in
+                                          enumerate(_columns(ambient_basis,
+                                                             n))]))
+        x = [ZERO] * m
+        for r, c in enumerate(pivots):
+            x[c] = red[r][m]
+        coords.append(x)
+    sub_gram = Mat(m, m, [_omega(gram, a, b) for a in ambient_basis
+                          for b in ambient_basis])
+    comp = Subspace(m, lagrangian_complement(sub_gram, Subspace(m, coords)))
+    w0 = [_combine(c, ambient_basis, n) for c in comp.basis]
+    coeff = _inverse([[_omega(gram, v, w) for w in w0] for v in iso_basis])
+    return [_combine([-coeff[t][j] for t in range(k)], w0, n)
+            for j in range(k)]
 
 
 # -- certificates --------------------------------------------------------------
@@ -855,6 +976,23 @@ def blocks_table(grid, n):
                         out[shift + k] += c
         return tuple(out)
     return table_from_function(2 * n, prod)
+
+
+def graded_table(base, grades):
+    """The graded tensor product of base with e_1..e_grades: the part of
+    grade i+1 of x times the part of grade j+1 of y through product,
+    placed at grade i+j+2, nothing past grades."""
+    m = base.dim
+
+    def prod(x, y):
+        out = [ZERO] * (m * grades)
+        for i, j in itertools.product(range(grades), repeat=2):
+            if i + j + 1 < grades:
+                xy = product(base, x[i * m:i * m + m], y[j * m:j * m + m])
+                for k, c in enumerate(xy):
+                    out[(i + j + 1) * m + k] += c
+        return tuple(out)
+    return table_from_function(m * grades, prod)
 
 
 def phase_table(u, dual):

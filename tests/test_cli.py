@@ -146,6 +146,14 @@ def test_build_quadratic_requires_n(capsys, tmp_path):
     assert any(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_repeated_param_is_a_usage_error(capsys):
+    # a second value for a key would silently replace the first
+    code, out, err = go(capsys, ["catalog", "emit", "dim2_nonabelian",
+                                 "--param", "a=2", "--param", "a=3"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --param a given twice"]
+
+
 def test_build_quadratic_caps_the_graded_dim(capsys, tmp_path, monkeypatch):
     # the graded algebra has dim n times the input's: a large n is bad
     # input, rejected before anything is built

@@ -8,11 +8,15 @@ whose entries have large, mixed denominators, and structured algebras
 random changes of basis) on which the checks pass.  The integer routes
 of the kernel and the constructions (rref, trace forms, subspace
 products, conjugation) are compared with their Fraction routes the same
-way.  The para-Kahler and twist certificates are compared line by line
-with routes that test each eigenspace as a `Subspace` and the twist
-isomorphism product by product, on 4-dimensional doubles in random bases
-with non-parallel involutions and tampered metrics, and the J line of
-the hyper-para-Kahler certificate with a matrix route.  The r-matrix
+way, and so is every `Subspace` a private path builds (sums,
+intersections, complements, products of subspaces, symplectic
+orthogonals and Lagrangian complements), against the public constructor
+of the oracle's vectors.  The para-Kahler and twist certificates are
+compared line by line with routes that test each eigenspace as a
+`Subspace` and the twist isomorphism product by product, on
+4-dimensional doubles in random bases with non-parallel involutions and
+tampered metrics, and the J line of the hyper-para-Kahler certificate
+with a matrix route.  The r-matrix
 layer ([[r,r]], the r-induced dual product and Delta(r)) is compared with
 its Fraction routes on general tables.  The products built by the one
 slot contraction of `algebra._slot_sum` (the Yang-Baxter, delta and O
@@ -20,13 +24,15 @@ defects, the symplectic and Theta "circ" products, the derivation law,
 the abelian test of a complex structure, the Lie triple systems and the
 dual product of a Yang-Baxter solution) are compared with their
 formulas evaluated on basis vectors.  Every product built from integer
-cells (the arithmetic of `Algebra`, the doubles, the twist and
-`LieTriple.compose`) must equal, hash like and read back the table of
-the object the public constructor makes of its oracle table.
+cells (the arithmetic of `Algebra`, the doubles, the twist, the graded
+tensor algebra and `LieTriple.compose`) must equal, hash like and read
+back the table of the object the public constructor makes of its oracle
+table.
 """
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -43,13 +49,15 @@ from lsaforge import (Bilinear, LieTriple, Mat, Subspace, a_product,
                       levi_civita, lts_from_o, lts_from_yb, myb_residual,
                       nijenhuis, o_op, oeq_check, twisted_structures,
                       verify_hyper_para_kahler, verify_para_kahler, yb)
-from lsaforge import doubling, phase, smatrix
+from lsaforge import catalog, doubling, phase, smatrix
 from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               _coaction, _swapped, curvature,
-                              invariance_check, subspace_product)
+                              invariance_check, product_subspaces,
+                              subspace_product)
 from lsaforge.catalog import (_trace_form, canonical, catalog_algebras,
                               killing_form)
-from lsaforge.exact import dot, zero_vec
+from lsaforge.exact import (dot, lagrangian_complement, symp_orthogonal,
+                            zero_vec)
 from lsaforge.smatrix import Tensor2, classify_r
 
 VALUES = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
@@ -638,6 +646,90 @@ def test_subspace_of_ints_matches_fraction_route(n, count, seed):
         assert space == Subspace(n, fractions)
         want = oracle.rref(Mat.from_rows(fractions))[0] if vectors else []
         assert [list(b) for b in space.basis] == [r for r in want if any(r)]
+
+
+def _spanning(rng, n, count):
+    """count vectors of Q^n with large-denominator entries, zero rows
+    among them."""
+    return [[rng.choice(LARGE) if rng.random() < 0.6 else 0 for _ in range(n)]
+            if rng.random() < 0.8 else [0] * n for _ in range(count)]
+
+
+def _assert_span(built, vectors):
+    """built equals, hashes like and has the basis of the Subspace the
+    public constructor makes of the oracle's vectors, and stores the
+    least common denominator D of the Fraction rref and D times its
+    rows."""
+    want = Subspace(built.ambient, vectors)
+    assert type(built) is Subspace
+    assert built == want and hash(built) == hash(want)
+    assert built.basis == want.basis
+    rows = [r for r in oracle.rref(Mat.from_rows(vectors))[0] if any(r)] \
+        if vectors else []
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    assert (built._den, built._cells) == (den, tuple(
+        tuple((k, int(x * den)) for k, x in enumerate(r) if x) for r in rows))
+    for attr in ("ambient", "basis", "_den", "_cells"):
+        with pytest.raises(AttributeError):
+            setattr(built, attr, None)
+
+
+def _symplectic_case(rng):
+    """(G, Q): the Gram matrix G = P^T J P of a random skew form on Q^2h,
+    J the standard one, and Q = P^-1, whose columns q_i are a symplectic
+    basis: omega(q_i, q_(h+i)) = 1, every other pairing 0."""
+    h = rng.choice((1, 2))
+    j = Mat(2 * h, 2 * h, [(i < h and k == i + h) - (i >= h and k == i - h)
+                           for i in range(2 * h) for k in range(2 * h)])
+    p = _invertible(rng, 2 * h, LARGE)
+    return p.transpose() * j * p, p.inverse()
+
+
+def _mixed(rng, vectors):
+    """A random basis of the span of the independent vectors."""
+    m = _invertible(rng, len(vectors), LARGE)
+    return [tuple(sum((m[i, k] * v[c] for k, v in enumerate(vectors)),
+                      Fraction(0)) for c in range(len(vectors[0])))
+            for i in range(len(vectors))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), SEEDS)
+def test_subspace_routes_match_fraction_routes(n, seed):
+    rng = random.Random(seed)
+    s, t = (Subspace(n, _spanning(rng, n, rng.randint(0, n)))
+            for _ in range(2))
+    both = s.add(t)
+    _assert_span(both, list(s.basis) + list(t.basis))
+    _assert_span(s.intersect(t), oracle.intersect(s, t))
+    _assert_span(s.complement_in(both), oracle.complement_in(s, both))
+    if not t.contains_space(s):
+        with pytest.raises(ValueError, match="requires self <= other"):
+            s.complement_in(t)
+    assert both.contains_space(s) and both.contains_space(t)
+    assert s.contains_space(both) == (s == both)
+    alg = _algebra(rng.choice(("sparse", "dense", "large_denominators")), n,
+                   rng)
+    _assert_span(subspace_product(alg, s, t), [
+        oracle.product(alg, a, b) for a in s.basis for b in t.basis])
+    subs, want = product_subspaces(alg), oracle.product_subspaces(alg)
+    for key in ("UU", "DUU", "SUU"):
+        _assert_span(subs[key], want[key])
+    for built, vectors in zip(subs["powers"], want["powers"]):
+        _assert_span(built, vectors)
+    gram, q = _symplectic_case(rng)
+    m, h = gram.rows, gram.rows // 2
+    u = Subspace(m, _spanning(rng, m, rng.randint(0, m)))
+    _assert_span(symp_orthogonal(gram, u), oracle.symp_orthogonal(gram, u))
+    lag = Subspace(m, _mixed(rng, [q.col(i) for i in range(h)]) + [[0] * m])
+    _assert_span(lagrangian_complement(gram, lag),
+                 oracle.lagrangian_complement(gram, lag))
+    k = rng.randint(1, h)
+    ambient = _mixed(rng, [q.col(i) for i in range(k)]
+                     + [q.col(h + i) for i in range(k)])
+    iso = _mixed(rng, [q.col(i) for i in range(k)])
+    assert [tuple(w) for w in catalog._dual_lagrangian(gram, iso, ambient)] \
+        == oracle.dual_lagrangian(gram, iso, ambient)
 
 
 # -- tensor invariance and the 1-cocycle law ----------------------------------
@@ -1247,6 +1339,9 @@ def test_producers_store_the_public_integer_form(kind, n, seed):
     _assert_stored(Algebra.from_blocks(grid, alg.basis, "*"),
                    oracle.blocks_table(grid, n))
     _assert_stored(alg.conjugate(p), oracle.conjugate_table(alg, p))
+    grades = rng.randint(1, 3)
+    _assert_stored(catalog.graded_tensor_algebra(alg, grades)[0],
+                   oracle.graded_table(alg, grades))
     _assert_stored(nijenhuis(a, alg), oracle.nijenhuis_table(a, alg))
     _assert_stored(delta_op(a, alg), oracle.delta_op_table(a, alg))
     _assert_stored(o_op(a, alg), oracle.o_op_table(a, alg))
