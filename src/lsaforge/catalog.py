@@ -585,18 +585,16 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
     (w_j) with form(w_j, v_i) = delta_ij.  With A and V the two bases as
     columns and W0 the Lagrangian complement of V in A's coordinates, the
     w_j are the columns of -W0 (V^T G W0)^-1."""
-    amb = Mat.from_cols(ambient_basis)
-    coords = []
-    for v in iso_basis:
-        sol, _ = solve(amb, v)
-        if sol is None:
-            raise InternalInconsistency("isotropic vectors leave their "
-                                        "ambient symplectic subspace")
-        coords.append(sol)
-    comp = lagrangian_complement(amb.transpose() * gram * amb,
-                                 Subspace(len(ambient_basis), coords))
+    amb, iso = Mat.from_cols(ambient_basis), Mat.from_cols(iso_basis)
+    m = amb.cols
+    # one elimination of [A | V]: its rows give the coordinates of V in A
+    red, pivots = Mat.block([[amb, iso]]).rref()
+    if pivots != tuple(range(m)):
+        raise InternalInconsistency("isotropic vectors leave their "
+                                    "ambient symplectic subspace")
+    comp = lagrangian_complement(amb.transpose() * gram * amb, Subspace(
+        m, [[red[r, m + j] for r in range(m)] for j in range(iso.cols)]))
     w0 = amb * comp.matrix().transpose()
-    iso = Mat.from_cols(iso_basis)
     out = w0 * (iso.transpose() * gram * w0).inverse().scale(-1)
     if out.transpose() * gram * iso != Mat.identity(len(iso_basis)):
         raise InternalInconsistency("dual pairing failed")
