@@ -583,8 +583,9 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
     """Covector-side basis: inside the span of ambient_basis (a symplectic
     subspace containing the Lagrangian iso_basis), an isotropic complement
     (w_j) with form(w_j, v_i) = delta_ij.  With A and V the two bases as
-    columns and W0 the Lagrangian complement of V in A's coordinates, the
-    w_j are the columns of -W0 (V^T G W0)^-1."""
+    columns, C the Lagrangian complement of V's coordinates in A for the
+    form A^T G A and W0 = A C, the w_j are the columns of
+    -W0 (V^T G W0)^-1."""
     amb, iso = Mat.from_cols(ambient_basis), Mat.from_cols(iso_basis)
     m = amb.cols
     # one elimination of [A | V]: its rows give the coordinates of V in A
