@@ -6,8 +6,9 @@ normalizers that land any instance onto a model by an explicit
 symplectic basis change, quadratic symplectic algebras built from a
 graded tensor construction, para-Kahler doubles of flat metrics and of
 Yang-Baxter data, and the invertible-derivation construction on phase
-spaces.  Every builder re-verifies its output; every normalizer
-re-applies its basis change and compares structure constants exactly.
+spaces.  Every builder re-verifies its output; every normalizer returns
+a passing certificate that its basis change lands exactly on the model,
+or raises InternalInconsistency naming normalize_<family>.
 """
 
 from __future__ import annotations
@@ -45,16 +46,19 @@ class CanonicalId:
     """Result of a normalizer: which family, with which parameters.
 
     Applying change_of_basis (columns are the new basis vectors) to the
-    input algebra yields exactly the canonical structure constants; the
-    fingerprint collects basis-independent invariants, reported
-    separately because the landed-on parameter may depend on the
-    deterministic basis choice.
+    input algebra yields exactly the canonical structure constants, and
+    certificate (named normalize_<family>) records that check for each
+    product and for the form; it is None only for dimension two's
+    "trivial" verdict, which has no model.  The fingerprint collects
+    basis-independent invariants, reported separately because the
+    landed-on parameter may depend on the deterministic basis choice.
     """
 
     family: str
     params: dict
     change_of_basis: Endo
     fingerprint: dict = field(default_factory=dict)
+    certificate: Optional[Certificate] = None
 
 
 def _frac(x) -> Fraction:
@@ -185,10 +189,7 @@ def _canonical_assoc_type_one(params):
     for i in range(q):
         for b in range(p):
             table[p + i][dual + b] = vcoords(n_maps[i].row(b))
-    alg = Algebra(table)
-    omega = _model_omega(p, 0, q, 0)
-    _assert_model(alg, omega, expect_u3_zero=True)
-    return {"alg": alg, "omega": omega}
+    return {"alg": Algebra(table), "omega": _model_omega(p, 0, q, 0)}
 
 
 def _type_two_dims(params):
@@ -272,10 +273,6 @@ def check_type_two_constraints(params) -> Certificate:
 def _canonical_assoc_type_two(params):
     dims, a_maps, b_maps, c_maps, d_maps, f_map = _type_two_maps(params)
     p0, p1, q0, q1 = dims
-    cons = check_type_two_constraints(params)
-    if not cons.passed:
-        bad = cons.first_failure()
-        raise ValueError("type-two constraint violated: %s" % bad.line())
     p = p0 + p1
     n = 2 * p + q0 + q1
     dual = p + q0 + q1
@@ -311,10 +308,7 @@ def _canonical_assoc_type_two(params):
                 for k in range(q0):
                     cell[p + k] = f_map[a][b][k]
             table[dual + a][dual + b] = tuple(cell)
-    alg = Algebra(table)
-    omega = _model_omega(p0, p1, q0, q1)
-    _assert_model(alg, omega, expect_u3_zero=False)
-    return {"alg": alg, "omega": omega}
+    return {"alg": Algebra(table), "omega": _model_omega(p0, p1, q0, q1)}
 
 
 def _assert_model(alg: Algebra, omega: Bilinear, expect_u3_zero: bool):
@@ -345,24 +339,32 @@ def canonical(family: str, params: dict) -> dict:
     """A canonical instance of one of the six families.
 
     Returns {"alg", "omega"} or, for the compatible-pair families,
-    {"bullet", "circ", "omega"}.  Parameter constraints (nonzero where
-    required, symmetric matrices, constraint equations) are enforced and
-    each output is re-verified against its defining predicates.
+    {"bullet", "circ", "omega"}.  The builders only reject parameters
+    they cannot build from; this is the one place that validates a
+    model: the type-two constraint equations, then each output's
+    defining predicates.  The normalizers skip it: equality with their
+    certified input is the stronger check.
     """
     if family not in _CANONICAL:
         raise ValueError("unknown family %r (expected one of %s)"
                          % (family, ", ".join(FAMILIES)))
+    if family == "assoc_type_two":
+        cons = check_type_two_constraints(params)
+        if not cons.passed:
+            raise ValueError("type-two constraint violated: %s"
+                             % cons.first_failure().line())
     out = _CANONICAL[family](params)
-    for key in ("alg", "bullet", "circ"):
-        if key in out and family.startswith(("dim2", "compat")):
-            rep = check(out[key], "left_symmetric")
-            if not rep:
-                raise InternalInconsistency(
-                    "canonical %s product not left symmetric" % key)
-            inv = is_invariant_form(out["omega"], out[key])
-            if not inv:
-                raise InternalInconsistency(
-                    "canonical %s form not invariant" % key)
+    if family.startswith("assoc"):
+        _assert_model(out["alg"], out["omega"],
+                      expect_u3_zero=family == "assoc_type_one")
+        return out
+    for key in (k for k in out if k != "omega"):
+        if not check(out[key], "left_symmetric"):
+            raise InternalInconsistency(
+                "canonical %s product not left symmetric" % key)
+        if not is_invariant_form(out["omega"], out[key]):
+            raise InternalInconsistency(
+                "canonical %s form not invariant" % key)
     return out
 
 
@@ -412,8 +414,22 @@ def _require_symplectic_lsa(alg: Algebra, omega: Bilinear):
     require(is_invariant_form(omega, alg), "form is not invariant")
 
 
-def _transport_form(omega: Bilinear, p: Mat) -> Mat:
-    return p.transpose() * omega.matrix * p
+def _landed(family, params, alg, omega, p, moved, fp=None, extra=()):
+    """The one epilogue of the normalizers: the model of family at params,
+    built unvalidated, must equal each conjugated product in moved (keyed
+    as the model's products) and the transported form p^T omega p; with
+    the caller's extra reports these certify normalize_<family>."""
+    model = _CANONICAL[family](params)
+    reports = []
+    for key, prod in moved.items():     # witness: the first differing cell
+        cell = _nonzero_cell(prod.add(model[key].scale(-1)))
+        reports.append(Report(key, cell is None, "moved %s == model %s"
+                              % (key, key), cell))
+    reports.append(_bool_report(
+        "omega", p.transpose() * omega.matrix * p == model["omega"].matrix,
+        "p^T omega p == model omega"))
+    cert = certify("normalize_" + family, tuple(reports) + tuple(extra))
+    return CanonicalId(family, params, Endo(alg, p), fp or {}, cert)
 
 
 def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
@@ -443,12 +459,8 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         e2, _ = solve(row, (ONE,))
         p = Mat.from_cols([e1, e2])
         moved = alg.conjugate(p)
-        expected = _canonical_dim2_abelian({"a": moved.table[1][1][0]})
-        if moved != expected["alg"] or \
-                _transport_form(omega, p) != expected["omega"].matrix:
-            raise InternalInconsistency("abelian normal form mismatch")
-        return CanonicalId("dim2_abelian", {"a": moved.table[1][1][0]},
-                           Endo(alg, p), fp)
+        return _landed("dim2_abelian", {"a": moved.table[1][1][0]}, alg,
+                       omega, p, {"alg": moved}, fp)
     duu, suu = subs["DUU"], subs["SUU"]
     if subs["UU"].dim != 2 or duu.dim != 1 or suu.dim != 1:
         raise InternalInconsistency(
@@ -460,21 +472,19 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         raise InternalInconsistency("product lines fail to be transverse")
     p = Mat.from_cols([d, vec_scale(ONE / c, s)])
     moved = alg.conjugate(p)
-    a = moved.table[0][1][0]
-    expected = _canonical_dim2_nonabelian({"a": a})
-    if moved != expected["alg"] or \
-            _transport_form(omega, p) != expected["omega"].matrix:
-        raise InternalInconsistency("non-abelian normal form mismatch")
-    return CanonicalId("dim2_nonabelian", {"a": a}, Endo(alg, p), fp)
+    return _landed("dim2_nonabelian", {"a": moved.table[0][1][0]}, alg, omega,
+                   p, {"alg": moved}, fp)
 
 
 # -- compatible-pair classifier -----------------------------------------------
 
 @dataclass(frozen=True)
 class CompatVerdict:
-    kind: str                       # "trivially compatible", "incompatible",
-    canonical: Optional[CanonicalId]  # "compat_family1" or "compat_family2"
-    witness: Optional[tuple] = None
+    # "trivially compatible", "incompatible", "compat_family1" or
+    # "compat_family2"
+    kind: str
+    canonical: Optional[CanonicalId]  # the landing, for the two families
+    witness: Optional[tuple] = None   # the failing tuple when incompatible
 
 
 def _proportional(first: Algebra, second: Algebra) -> bool:
@@ -516,15 +526,11 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
                                         "non-abelian")
         p = cid.change_of_basis.matrix
         star_m, other_m = star.conjugate(p), other.conjugate(p)
-        a = star_m.table[0][1][0]
-        b = other_m.table[1][1][0]
-        model = _canonical_compat_family1({"a": a, "b": b})
-        if star_m != model["bullet"] or other_m != model["circ"]:
-            raise InternalInconsistency("first-family normal form mismatch")
-        params = {"a": a, "b": b, "swapped": swapped, "sign": ONE}
-        return CompatVerdict("compat_family1",
-                             CanonicalId("compat_family1", params,
-                                         Endo(bullet, p)))
+        params = {"a": star_m.table[0][1][0], "b": other_m.table[1][1][0],
+                  "swapped": swapped, "sign": ONE}
+        return CompatVerdict("compat_family1", _landed(
+            "compat_family1", params, bullet, omega, p,
+            {"bullet": star_m, "circ": other_m}))
     sign = ONE
     total = bullet.add(circ)
     if check(total, "commutative"):
@@ -544,13 +550,10 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
     if c == 0 or b == 0 or a_sum == c:
         raise InternalInconsistency(
             "second-family parameters must be nonzero for a nontrivial pair")
-    model = _canonical_compat_family2({"a": c, "b": b, "c": a_sum - c})
-    if star_m != model["bullet"] or circ_m != model["circ"]:
-        raise InternalInconsistency("second-family normal form mismatch")
     params = {"a": c, "b": b, "c": a_sum - c, "swapped": ZERO, "sign": sign}
-    return CompatVerdict("compat_family2",
-                         CanonicalId("compat_family2", params,
-                                     Endo(bullet, p)))
+    return CompatVerdict("compat_family2", _landed(
+        "compat_family2", params, bullet, omega, p,
+        {"bullet": star_m, "circ": circ_m}))
 
 
 # -- associative symplectic normalizer ----------------------------------------
@@ -668,46 +671,27 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
         if not u2perp.contains_space(v):
             raise InternalInconsistency("square must be isotropic when the "
                                         "cube vanishes")
-        p_dim = v.dim
+        p_dim, q_dim = v.dim, 0
         if p_dim == 0:
-            # zero product: the first model with every map zero
-            params = {"dim_v": n // 2, "dim_i": 0,
-                      "m": tuple(Mat.zeros(n // 2, n // 2)
-                                 for _ in range(n // 2)), "n": ()}
-            # choose a symplectic basis of the whole space as V + V*
+            # zero product: the first model with every map zero on a
+            # symplectic basis of the whole space as V + V*; the pair
+            # basis gives omega(v_k, w_k) = 1 and the model wants
+            # omega(w_k, v_k) = 1, so the covector side is negated
             pairs = _darboux(gram, Subspace.full(n))
-            cols = [pairs[2 * k] for k in range(n // 2)] \
-                + [pairs[2 * k + 1] for k in range(n // 2)]
-            # pair basis gives omega(v_k, w_k) = 1; the model wants
-            # omega(w_k, v_k) = 1, so negate the covector side
-            cols = cols[:n // 2] + [vec_scale(-ONE, c) for c in cols[n // 2:]]
-            p = Mat.from_cols(cols)
-            moved = alg.conjugate(p)
-            model = _canonical_assoc_type_one(params)
-            if moved != model["alg"] or \
-                    _transport_form(omega, p) != model["omega"].matrix:
-                raise InternalInconsistency("trivial-product normal form "
-                                            "mismatch")
-            return CanonicalId("assoc_type_one", params, Endo(alg, p), fp)
-        icomp = v.complement_in(u2perp)
-        ipairs = _darboux(gram, icomp)
-        q_dim = len(ipairs)
-        iperp = symp_orthogonal(gram, Subspace(n, ipairs))
-        w = _dual_lagrangian(gram, list(v.basis), list(iperp.basis))
-        cols = list(v.basis) + ipairs + w
+            p_dim = n // 2
+            cols = pairs[0::2] + [vec_scale(-ONE, c) for c in pairs[1::2]]
+        else:
+            ipairs = _darboux(gram, v.complement_in(u2perp))
+            q_dim = len(ipairs)
+            iperp = symp_orthogonal(gram, Subspace(n, ipairs))
+            w = _dual_lagrangian(gram, list(v.basis), list(iperp.basis))
+            cols = list(v.basis) + ipairs + w
         p = Mat.from_cols(cols)
         moved = alg.conjugate(p)
-        if _transport_form(omega, p) != \
-                _model_omega(p_dim, 0, q_dim, 0).matrix:
-            raise InternalInconsistency("transported form is not the model "
-                                        "form")
         m_maps, n_maps = _extract_type_one(moved, p_dim, q_dim)
         params = {"dim_v": p_dim, "dim_i": q_dim, "m": m_maps, "n": n_maps}
-        model = _canonical_assoc_type_one(params)
-        if moved != model["alg"]:
-            raise InternalInconsistency("first-model structure constants "
-                                        "mismatch")
-        return CanonicalId("assoc_type_one", params, Endo(alg, p), fp)
+        return _landed("assoc_type_one", params, alg, omega, p,
+                       {"alg": moved}, fp)
 
     v0 = u3
     v = u2.intersect(u2perp)
@@ -731,17 +715,12 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
     p = Mat.from_cols(vbasis + ivecs + w)
     moved = alg.conjugate(p)
-    if _transport_form(omega, p) != _model_omega(p0, p1, q0, q1).matrix:
-        raise InternalInconsistency("transported form is not the model form")
     a_maps, b_maps, c_maps, d_maps, f_map = \
         _extract_type_two(moved, (p0, p1, q0, q1))
     params = {"dim_v0": p0, "dim_v1": p1, "dim_i0": q0, "dim_i1": q1,
               "a": a_maps, "b": b_maps, "c": c_maps, "d": d_maps, "f": f_map}
-    model = _canonical_assoc_type_two(params)
-    if moved != model["alg"]:
-        raise InternalInconsistency("second-model structure constants "
-                                    "mismatch")
-    return CanonicalId("assoc_type_two", params, Endo(alg, p), fp)
+    return _landed("assoc_type_two", params, alg, omega, p, {"alg": moved},
+                   fp, check_type_two_constraints(params).reports)
 
 
 # -- graded tensor construction and quadratic symplectic algebras -------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import Bilinear, Mat, check, is_invariant_form
+from lsaforge import Bilinear, Mat, catalog, check, is_invariant_form
 from lsaforge.algebra import Algebra
 from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _model_params,
                               build_quadratic_symplectic, canonical,
@@ -64,6 +64,23 @@ def test_catalog_entries_self_consistent():
         assert is_invariant_form(entry.omega, entry.alg)
 
 
+def _assert_landing(cid, names, normalize):
+    """cid carries a passing certificate with the given report names, the
+    validating route accepts its parameters, and normalizing that model
+    returns the same parameters by the identity."""
+    assert cid.certificate.passed
+    assert cid.certificate.name == "normalize_" + cid.family
+    assert [r.name for r in cid.certificate.reports] == names
+    model = canonical(cid.family, cid.params)
+    again = normalize(*model.values())
+    assert again.params == cid.params
+    assert again.change_of_basis.matrix == Mat.identity(model["omega"].dim)
+
+
+def _classified(bullet, circ, omega):
+    return classify_compatible_dim2(bullet, circ, omega).canonical
+
+
 def test_dim2_normalize_roundtrip(omega2):
     rng = random.Random(17)
     for family, a in (("dim2_abelian", Fraction(3, 2)),
@@ -76,12 +93,14 @@ def test_dim2_normalize_roundtrip(omega2):
             assert cid.family == family
             back = moved.conjugate(cid.change_of_basis.matrix)
             assert back == canonical(family, cid.params)["alg"]
+            _assert_landing(cid, ["alg", "omega"], normalize_dim2_slsa)
 
 
 def test_dim2_normalize_trivial(omega2):
     zero = Algebra([[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
     cid = normalize_dim2_slsa(zero, omega2)
     assert cid.family == "trivial"
+    assert cid.certificate is None
 
 
 def test_classify_verdicts(nab_lsa, omega2):
@@ -89,6 +108,7 @@ def test_classify_verdicts(nab_lsa, omega2):
     v = classify_compatible_dim2(pair["bullet"], pair["circ"], pair["omega"])
     assert v.kind == "compat_family1"
     assert v.canonical.params["a"] == 1 and v.canonical.params["b"] == 1
+    _assert_landing(v.canonical, ["bullet", "circ", "omega"], _classified)
     # same product twice up to scale
     v = classify_compatible_dim2(pair["bullet"], pair["bullet"].scale(2),
                                  pair["omega"])
@@ -103,6 +123,36 @@ def test_classify_verdicts(nab_lsa, omega2):
     v = classify_compatible_dim2(pair2["circ"], pair2["bullet"],
                                  pair2["omega"])
     assert v.kind == "compat_family2"
+    _assert_landing(v.canonical, ["bullet", "circ", "omega"], _classified)
+
+
+def _with_one_constant_changed(builder):
+    """A model builder whose product has e_0 . e_0 moved by e_0."""
+    def wrong(params):
+        out = builder(params)
+        table = [list(row) for row in out["alg"].table]
+        table[0][0] = (table[0][0][0] + 1,) + table[0][0][1:]
+        return dict(out, alg=Algebra(table))
+    return wrong
+
+
+def test_a_wrong_landing_is_named(monkeypatch, omega2):
+    nab = canonical("dim2_nonabelian", {"a": 1})["alg"]
+    data = canonical("assoc_type_one", type_one_template_params(1, 1, 2))
+    p = rand_symplectic(data["omega"].matrix, random.Random(5))
+    moved = data["alg"].conjugate(p)
+    for family in ("dim2_nonabelian", "assoc_type_one"):
+        monkeypatch.setitem(catalog._CANONICAL, family,
+                            _with_one_constant_changed(
+                                catalog._CANONICAL[family]))
+    with pytest.raises(InternalInconsistency,
+                       match=r"normalize_dim2_nonabelian .*FAIL alg  "
+                             r"witness=\(0, 0\)"):
+        normalize_dim2_slsa(nab, omega2)
+    with pytest.raises(InternalInconsistency,
+                       match=r"normalize_assoc_type_one .*FAIL alg  "
+                             r"witness=\(0, 0\)"):
+        normalize_assoc_symp(moved, data["omega"])
 
 
 def test_eval_linear():
@@ -189,12 +239,32 @@ def test_assoc_normalize_roundtrip():
         p = rand_symplectic(data["omega"].matrix, rng)
         cid = normalize_assoc_symp(data["alg"].conjugate(p), data["omega"])
         assert cid.family == "assoc_type_one"
+        _assert_landing(cid, ["alg", "omega"], normalize_assoc_symp)
     for _ in range(5):
         params = rand_type_two_params(rng)
         data = canonical("assoc_type_two", params)
         p = rand_symplectic(data["omega"].matrix, rng)
         cid = normalize_assoc_symp(data["alg"].conjugate(p), data["omega"])
         assert cid.family == "assoc_type_two"
+        _assert_landing(cid, ["alg", "omega", "constraint_mixed",
+                              "constraint_pure"], normalize_assoc_symp)
+
+
+# Only c's entries off the V0 x V0 block are nonzero: the constraint
+# equations do not see them, yet they break associativity at (5, 6, 6).
+GAP_PARAMS = {"dim_v0": 1, "dim_v1": 1, "dim_i0": 2, "dim_i1": 2,
+              "a": [[[-1]]], "b": [[[1]], [[1]]],
+              "c": [[[0, 0], [0, 0]], [[0, -1], [-1, 0]]],
+              "d": [[[-1, 1], [1, 0]], [[-1, 1], [1, 0]]],
+              "f": [[[1, 0]], [[1, 0]]]}
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the type-two constraint equations miss the I1 "
+                          "block of c")
+def test_type_two_constraints_imply_a_model():
+    if check_type_two_constraints(GAP_PARAMS).passed:
+        canonical("assoc_type_two", GAP_PARAMS)
 
 
 def test_type_one_template_params():

@@ -1,5 +1,7 @@
-"""Every module-level import of an lsaforge module is used by it, and
-every relative import names the module that defines the name.
+"""Every module-level import of an lsaforge module is used by it, every
+relative import names the module that defines the name, and every
+module-level private function or class is referred to somewhere in the
+package besides its own definition.
 
 `__init__.py` is left out of the first guard: its imports are the
 package's public names.  It is in the second: each of them is taken from
@@ -8,6 +10,7 @@ its defining module.
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -85,3 +88,38 @@ def test_relative_imports_name_the_defining_module():
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
             sources[name[:-3]] = handle.read()
     assert _reexported(sources) == []
+
+
+def _references(node) -> Counter:
+    """How often each name is read as a name or an attribute in node."""
+    return Counter(getattr(sub, "id", getattr(sub, "attr", None))
+                   for sub in ast.walk(node))
+
+
+def _dead_helpers(sources: dict) -> list:
+    """(module, name) for each module-level private function or class that
+    nothing in sources refers to outside its own definition; sources maps
+    a module name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum(map(_references, trees.values()), Counter())
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and total[node.name] == _references(node)[node.name])
+
+
+def test_the_guard_sees_a_dead_helper():
+    assert _dead_helpers({
+        "low": "def _used():\n    pass\ndef _dead():\n    return _dead()\n"
+               "class _Kept:\n    pass\n",
+        "top": "from . import low\nlow._used()\nx = [low._Kept]\n",
+    }) == [("low", "_dead")]
+
+
+def test_every_private_helper_is_used():
+    sources = {}
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+            sources[name[:-3]] = handle.read()
+    assert _dead_helpers(sources) == []
