@@ -15,6 +15,7 @@ product the bracket is its commutator, `commutator_algebra()`.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
@@ -38,14 +39,10 @@ def _labels(basis, n: int) -> tuple:
 
 
 def _int_product(cells, left, right) -> list:
-    """The product of two sparse integer vectors over an integer table.
-
-    cells[i][j] lists the nonzero (k, c_ij^k) of e_i . e_j, left and right
-    the nonzero (i, u_i) and (j, v_j); the result is the dense list of
-    the ints sum u_i v_j c_ij^k.  `Algebra.product`, `conjugate`,
-    `subspace_product` and the predicates of `check` that contract
-    structure constants all call this one loop.
-    """
+    """The dense list of the ints sum u_i v_j c_ij^k, the product of the
+    sparse integer vectors left = (i, u_i), right = (j, v_j) over the table
+    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j.  The predicates of
+    `check` sum over nonzero cells by `_spread` and `_push` instead."""
     out = [0] * len(cells)
     for i, x in left:
         row = cells[i]
@@ -358,31 +355,65 @@ def is_derivation(d, alg: Algebra) -> Report:
 
 # -- predicate checks -------------------------------------------------------
 
-def _basis_associator(alg: Algebra):
-    """(i, j, k) -> D^2 ass(e_i,e_j,e_k) = D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
-    as a list of ints, read off the integer view (D its denominator).
-    Every identity checked with it is homogeneous of degree 2 in the
-    structure constants, so the factor D^2 changes no verdict."""
-    cells = alg._int_view()[1]
+def _lines(table) -> list:
+    """Per row of a table of sparse cells, the nonzero (k, cell)."""
+    return [[(k, cell) for k, cell in enumerate(row) if cell] for row in table]
 
-    def ass(i, j, k):
-        return [a - b for a, b in
-                zip(_int_product(cells, cells[i][j], ((k, 1),)),
-                    _int_product(cells, ((i, 1),), cells[j][k]))]
-    return ass
+
+def _spread(acc, vec, rows, f, lo):
+    """acc[k] += f v.e_k for k > lo, v = vec, rows = `_lines` of the table."""
+    for l, x in vec:
+        for k, cell in rows[l]:
+            if k > lo:
+                out, c = acc[k], f * x
+                for s, z in cell:
+                    out[s] += c * z
+
+
+def _push(acc, pairs, line, f, lo):
+    """acc[k] += f sum y line[m] over the (m, y) of cell, for each (k, cell)
+    of pairs with k > lo: nonzero cells pushed through a row or column."""
+    for k, cell in pairs:
+        if k > lo:
+            out = acc[k]
+            for m, y in cell:
+                c = f * y
+                for s, z in line[m]:
+                    out[s] += c * z
+
+
+def _first_triple(n, pairs, sweep):
+    """The first (i, j, k), least k, with acc[k] != 0 after sweep(acc, i, j)
+    sums an identity on (e_i, e_j, e_k) for all k, over pairs in order."""
+    for i, j in pairs:
+        acc = defaultdict(lambda: [0] * n)
+        sweep(acc, i, j)
+        bad = [k for k, v in acc.items() if any(v)]
+        if bad:
+            return i, j, min(bad)
+    return None
 
 
 def _check_left_symmetric(alg: Algebra):
-    ass = _basis_associator(alg)
-    return next(((i, j, k) for i, j, k in itertools.product(
-        range(alg.dim), repeat=3) if j > i and ass(i, j, k) != ass(j, i, k)),
-        None)
+    # [e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k) = ass(i,j,k) - ass(j,i,k)
+    n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
+
+    def sweep(acc, i, j):
+        comm = _int_combine((cells[i][j], cells[j][i]), ((0, 1), (1, -1)), n)
+        _spread(acc, _sparse(comm), rows, 1, -1)
+        _push(acc, rows[j], cells[i], -1, -1)
+        _push(acc, rows[i], cells[j], 1, -1)
+    return _first_triple(n, itertools.combinations(range(n), 2), sweep)
 
 
 def _check_associative(alg: Algebra):
-    ass = _basis_associator(alg)
-    return next((t for t in itertools.product(range(alg.dim), repeat=3)
-                 if any(ass(*t))), None)
+    # D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
+    n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
+
+    def sweep(acc, i, j):
+        _spread(acc, cells[i][j], rows, 1, -1)
+        _push(acc, rows[j], cells[i], -1, -1)
+    return _first_triple(n, itertools.product(range(n), repeat=2), sweep)
 
 
 def _check_commutative(alg: Algebra):
@@ -392,16 +423,17 @@ def _check_commutative(alg: Algebra):
 
 
 def _jacobi_witness(br: Algebra):
-    """First basis triple violating Jacobi for an antisymmetric table: the
-    cyclic sum of D^2 [[e_i,e_j],e_k] is read off the integer view of br
-    (D its denominator)."""
-    cells = br._cells
+    """First basis triple i < j < k violating Jacobi: the cyclic sum of D^2
+    [[e_i,e_j],e_k] read off the cells of br (D its denominator)."""
+    n, cells, rows = br.dim, br._cells, _lines(br._cells)
+    cols = list(zip(*cells))
+    nonzero_cols = _lines(cols)
 
-    def bb(i, j, k):
-        return _int_product(cells, cells[i][j], ((k, 1),))
-    return next(((i, j, k) for i, j, k in itertools.combinations(
-        range(br.dim), 3) if any(a + b + c for a, b, c in zip(
-            bb(i, j, k), bb(j, k, i), bb(k, i, j)))), None)
+    def sweep(acc, i, j):
+        _spread(acc, cells[i][j], rows, 1, j)           # [[e_i,e_j],e_k]
+        _push(acc, rows[j], cols[i], 1, j)              # [[e_j,e_k],e_i]
+        _push(acc, nonzero_cols[i], cols[j], 1, j)      # [[e_k,e_i],e_j]
+    return _first_triple(n, itertools.combinations(range(n - 1), 2), sweep)
 
 
 def _check_jacobi_antisym(alg: Algebra):
@@ -413,19 +445,23 @@ def _check_jacobi_antisym(alg: Algebra):
 
 
 def _check_lie_admissible(alg: Algebra):
-    """Commutator satisfies Jacobi; checked both through the cyclic
-    curvature sum and directly on the commutator, which must agree."""
-    ass = _basis_associator(alg)
+    """Commutator satisfies Jacobi, checked on the bracket and by the cyclic
+    sum of K(e_i,e_j)e_k, which is that of e_i.[e_j,e_k] - [e_i,e_j].e_k,
+    here times D D' (the denominators of product and bracket): they agree."""
+    n, cells, br = alg.dim, alg._cells, alg.commutator_algebra()
+    rows, cols, brows = _lines(cells), list(zip(*cells)), _lines(br._cells)
+    nonzero_cols = _lines(cols)
 
-    def curv(i, j, k):
-        # D^2 K(e_i,e_j)e_k = D^2 (e_i.(e_j.e_k) - e_j.(e_i.e_k)
-        # - [e_i,e_j].e_k) = D^2 (ass(e_j,e_i,e_k) - ass(e_i,e_j,e_k))
-        return [a - b for a, b in zip(ass(j, i, k), ass(i, j, k))]
-
-    via_curvature = next(((i, j, k) for i, j, k in itertools.combinations(
-        range(alg.dim), 3) if any(a + b + c for a, b, c in zip(
-            curv(i, j, k), curv(j, k, i), curv(k, i, j)))), None)
-    via_jacobi = _jacobi_witness(alg.commutator_algebra())
+    def sweep(acc, i, j):
+        _push(acc, brows[j], cells[i], 1, j)            # e_i.[e_j,e_k]
+        _push(acc, brows[i], cells[j], -1, j)           # e_j.[e_k,e_i]
+        _spread(acc, br._cells[i][j], nonzero_cols, 1, j)  # e_k.[e_i,e_j]
+        _spread(acc, br._cells[i][j], rows, -1, j)      # -[e_i,e_j].e_k
+        _push(acc, brows[j], cols[i], -1, j)            # -[e_j,e_k].e_i
+        _push(acc, brows[i], cols[j], 1, j)             # -[e_k,e_i].e_j
+    via_curvature = _first_triple(n, itertools.combinations(range(n - 1), 2),
+                                  sweep)
+    via_jacobi = _jacobi_witness(br)
     if (via_curvature is None) != (via_jacobi is None):
         raise routes_disagree(
             "cyclic curvature sum and commutator Jacobi check disagree",

@@ -84,14 +84,18 @@ class LieTriple(_Stored):
         def nonzero(terms):            # the sum of y cells[c] over (c, y)
             return any(_int_combine(cells, terms, n))
 
+        # only the triples of nonzero cells, sorted like a witness, can fail
+        stored = [t for t, cell in zip(
+            itertools.product(range(n), repeat=3), cells) if cell]
         reports = []
-        alt = next((t for t in itertools.product(range(n), repeat=3)
+        alt = next((t for t in sorted({(*sorted(u[:2]), u[2]) for u in stored})
                     if nonzero(((at(*t), 1), (at(t[1], t[0], t[2]), 1)))),
                    None)
         reports.append(Report("alternating", alt is None,
                               "L(x,y,z) == -L(y,x,z)", witness=alt))
 
-        cyc = next((t for t in itertools.combinations(range(n), 3)
+        cyc = next((t for t in sorted({tuple(sorted(u)) for u in stored
+                                       if len(set(u)) == 3})
                     if nonzero([(at(*t[c:], *t[:c]), 1) for c in range(3)])),
                    None)
         reports.append(Report("cyclic", cyc is None,

@@ -6,7 +6,9 @@ forms, changes of basis, matrix products, torsions, Levi-Civita products
 and tensor invariance over integer numerators.  This module keeps
 the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
-verdicts, witnesses and values of two independent computations.
+verdicts, witnesses and values of two independent computations.  The
+`dense_*` predicates are the integer routes over every basis triple
+that the library's sweeps over nonzero cells replaced.
 The subspace routes (intersection, complement, symplectic orthogonal,
 the powers of a product) and the Lagrangian complements of the
 associative normalizer are Fraction loops over basis vectors.
@@ -26,6 +28,7 @@ import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
+from lsaforge.algebra import _int_product
 from lsaforge.exact import Mat, Subspace
 from lsaforge.triple import LieTriple
 
@@ -188,6 +191,62 @@ PREDICATES = {
     "lie_admissible": lie_admissible,
     "jacobi_antisym": jacobi_antisym,
 }
+
+
+# -- the dense integer routes that the sparse predicate sweeps replaced -------
+#
+# Each visits every basis triple with dense lists of ints read off the
+# integer view of the algebra: D^2 times the identity's value (D the
+# denominator), which has the verdict and witness of the identity itself.
+
+def _dense_associator(alg):
+    """(i, j, k) -> D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k)) as a list of ints."""
+    cells = alg._int_view()[1]
+
+    def ass(i, j, k):
+        return [a - b for a, b in
+                zip(_int_product(cells, cells[i][j], ((k, 1),)),
+                    _int_product(cells, ((i, 1),), cells[j][k]))]
+    return ass
+
+
+def dense_left_symmetric(alg):
+    ass = _dense_associator(alg)
+    return next(((i, j, k) for i, j, k in itertools.product(
+        range(alg.dim), repeat=3) if j > i and ass(i, j, k) != ass(j, i, k)),
+        None)
+
+
+def dense_associative(alg):
+    ass = _dense_associator(alg)
+    return next((t for t in itertools.product(range(alg.dim), repeat=3)
+                 if any(ass(*t))), None)
+
+
+def dense_jacobi(br):
+    """First basis triple whose cyclic sum of D^2 [[e_i,e_j],e_k] is
+    nonzero, for the product of br, antisymmetric or not."""
+    cells = br._cells
+
+    def bb(i, j, k):
+        return _int_product(cells, cells[i][j], ((k, 1),))
+    return next(((i, j, k) for i, j, k in itertools.combinations(
+        range(br.dim), 3) if any(a + b + c for a, b, c in zip(
+            bb(i, j, k), bb(j, k, i), bb(k, i, j)))), None)
+
+
+def dense_curvature(alg):
+    """First basis triple whose cyclic sum of D^2 K(e_i,e_j)e_k is
+    nonzero, with D^2 K(e_i,e_j)e_k = D^2 (ass(e_j,e_i,e_k) -
+    ass(e_i,e_j,e_k))."""
+    ass = _dense_associator(alg)
+
+    def curv(i, j, k):
+        return [a - b for a, b in zip(ass(j, i, k), ass(i, j, k))]
+
+    return next(((i, j, k) for i, j, k in itertools.combinations(
+        range(alg.dim), 3) if any(a + b + c for a, b, c in zip(
+            curv(i, j, k), curv(j, k, i), curv(k, i, j)))), None)
 
 
 # -- Lie triple systems -------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency,
                       twisted_structures, yb)
 from lsaforge import algebra
 from lsaforge.algebra import associator, curvature
+from lsaforge.catalog import build_quadratic_symplectic
 from lsaforge.doubling import theta_circ_product
 from lsaforge.exact import basis_vec
 
@@ -54,6 +56,62 @@ def test_lie_admissible_disagreement_names_both_routes(monkeypatch, table,
     assert str(err.value) == ("cyclic curvature sum and commutator Jacobi "
                               "check disagree: " + message)
 
+
+
+def _random_table(rng, n, density, antisymmetric=False):
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (not antisymmetric or i < j) and rng.random() < density:
+            table[i][j][k] = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+            if antisymmetric:
+                table[j][i][k] = -table[i][j][k]
+    return table
+
+
+def test_sparse_predicates_match_dense_routes(aff):
+    """`check` against the dense integer routes on every basis triple:
+    the dim-16 phase space of a Levi-Civita product, moved by a
+    unitriangular basis, each also with one structure constant changed,
+    and random sparse, dense and antisymmetric tables of dims 7 to 12."""
+    rng = random.Random(17)
+    q = build_quadratic_symplectic(aff, 2)
+    phase = build_phase(levi_civita(q.lie, q.metric)).extended
+    n = phase.dim
+    moved = phase.conjugate(Mat.from_rows(
+        [[int(i == j) or (rng.choice((-1, 0, 1)) if j > i else 0)
+          for j in range(n)] for i in range(n)]))
+
+    def tampered(alg):
+        table = [[list(cell) for cell in row] for row in alg.table]
+        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+        table[i][j][k] += 1
+        return Algebra(table)
+    inputs = [phase, moved, tampered(phase), tampered(moved)]
+    for _ in range(12):
+        inputs.append(Algebra(_random_table(
+            rng, rng.randint(7, 12), rng.choice((0.02, 0.1, 1.0)),
+            rng.random() < 0.3)))
+    for alg in inputs:
+        br = alg.commutator_algebra()
+        via_jacobi = oracle.dense_jacobi(br)
+        via_curvature = oracle.dense_curvature(alg)
+        want = {"left_symmetric": oracle.dense_left_symmetric(alg),
+                "associative": oracle.dense_associative(alg),
+                "lie_admissible": via_jacobi if via_curvature is None
+                else via_curvature}
+        for predicate, witness in want.items():
+            rep = check(alg, predicate)
+            assert (rep.passed, rep.witness) == (witness is None, witness)
+        rep = check(br, "jacobi_antisym")
+        assert (rep.passed, rep.witness) == (via_jacobi is None, via_jacobi)
+        assert algebra._jacobi_witness(alg) == oracle.dense_jacobi(alg)
+    # the phase space is Lie admissible; changing one of its structure
+    # constants makes both routes of lie_admissible fail (a route that
+    # disagreed would raise), so neither route is checked vacuously
+    assert check(phase, "lie_admissible")
+    assert not check(inputs[2], "lie_admissible")
+    assert algebra._jacobi_witness(inputs[2].commutator_algebra()) is not None
+    assert oracle.dense_curvature(inputs[2]) is not None
 
 def test_conjugate_preserves_predicates(nab_lsa):
     rng = random.Random(5)

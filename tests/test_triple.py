@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import oracle_routes as oracle
@@ -28,3 +29,17 @@ def test_corrupted_table_fails():
     cert = LieTriple(table).check()
     assert not cert.passed
     assert cert.first_failure().name == "alternating"
+
+
+def test_single_cell_witnesses_match_call_route():
+    # the alternating and cyclic axioms are read off the nonzero cells; a
+    # triple with one nonzero cell fails each at the least triple whose
+    # sum holds that cell, whatever the order of its indices
+    n = 3
+    for i, j, k in itertools.product(range(n), repeat=3):
+        table = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)]
+        table[i][j][k][(i + j + k) % n] = Fraction(2, 3)
+        lts = LieTriple(table)
+        got = {rep.name: rep.witness for rep in lts.check().reports}
+        assert got == oracle.lie_triple_witnesses(lts)
