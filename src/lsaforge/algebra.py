@@ -41,8 +41,8 @@ def _labels(basis, n: int) -> tuple:
 def _int_product(cells, left, right) -> list:
     """The dense list of the ints sum u_i v_j c_ij^k, the product of the
     sparse integer vectors left = (i, u_i), right = (j, v_j) over the table
-    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j.  The predicates of
-    `check` sum over nonzero cells by `_spread` and `_push` instead."""
+    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j; the sums over nonzero
+    cells use `_spread`, `_push` (`check`) or `exact._scatter` instead."""
     out = [0] * len(cells)
     for i, x in left:
         row = cells[i]
@@ -571,7 +571,7 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     (ad_dual, ad_dual, ad), which is the Jacobi identity.  The sum is
     taken over ints: each nonzero entry of the tensor's integer view is
     spread by the integer columns of each slot's matrix, all slots over
-    one denominator.
+    one denominator, into the positions reached.
     """
     if isinstance(tensor, Algebra):
         sizes = (tensor.dim,) * 3
@@ -600,7 +600,7 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
     slots = [slots[tag] for tag in reps]
     common = lcm(*(d for _, d, _ in slots))
     for m in range(n):
-        total = [0] * n ** order
+        total = defaultdict(int)        # position -> entry, reached only
         for (sign, d, cols), stride in zip(slots, strides):
             f = sign * (common // d)
             for pos, x in support:
@@ -608,7 +608,7 @@ def invariance_check(tensor, reps: Sequence[str], alg: Algebra,
                 base = pos - b * stride
                 for a, y in cols[m][b]:
                     total[base + a * stride] += f * x * y
-        pos = next((p for p, val in enumerate(total) if val), None)
+        pos = min((p for p, val in total.items() if val), default=None)
         if pos is not None:
             return failing(name, anchor, witness=(m,) + tuple(
                 pos // stride % n for stride in strides))

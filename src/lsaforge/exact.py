@@ -69,18 +69,6 @@ def _int_rows(entries: Sequence, count: int, width: int) -> tuple:
               if x) for r in range(count))
 
 
-def _int_apply(rows, ints) -> list:
-    """The integer matrix with sparse rows (j, a_ij) times the dense
-    integer vector ints."""
-    out = []
-    for row in rows:
-        s = 0
-        for j, a in row:
-            s += a * ints[j]
-        out.append(s)
-    return out
-
-
 def _int_combine(rows, coeffs, width: int) -> list:
     """sum x rows[k] over the sparse coefficients (k, x), for sparse
     integer rows of length width: the vector-matrix product."""
@@ -89,6 +77,21 @@ def _int_combine(rows, coeffs, width: int) -> list:
         for j, y in rows[k]:
             out[j] += x * y
     return out
+
+
+def _scatter(acc: dict, cell, rows, f: int = 1) -> dict:
+    """acc[s] += f x y over the (k, x) of the sparse integer cell and the
+    (s, y) of rows[k]: `_int_combine` into a dict of the reached entries."""
+    for k, x in cell:
+        c = f * x
+        for s, y in rows[k]:
+            acc[s] = acc.get(s, 0) + c * y
+    return acc
+
+
+def _settled(acc: dict) -> tuple:
+    """The nonzero (s, x) of a `_scatter` sum by increasing s, a cell."""
+    return tuple(sorted((s, x) for s, x in acc.items() if x))
 
 
 def _set_slots(obj, values):
@@ -102,7 +105,7 @@ def _reduced(den: int, cells) -> tuple:
     """(D, cells): den and the sparse integer cells divided by the gcd of
     den and every entry, the one integer form (D the least common
     denominator of the entries)."""
-    g = gcd(den, *(x for cell in cells for _, x in cell))
+    g = 1 if den == 1 else gcd(den, *(x for cell in cells for _, x in cell))
     return den // g, tuple(tuple((k, x // g) for k, x in cell) if g > 1
                            else tuple(cell) for cell in cells)
 
@@ -402,9 +405,14 @@ class Mat(_Stored):
         v scaled to ints."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        den, rows = self._int_view()
         dv, ints = common_denominator(v)
-        return _as_fractions(_int_apply(rows, ints), den * dv)
+        out = []
+        for row in self._cells:
+            s = 0
+            for j, a in row:
+                s += a * ints[j]
+            out.append(s)
+        return _as_fractions(out, self._den * dv)
 
     def transpose(self) -> "Mat":
         """The transpose, computed once and kept on the matrix."""
@@ -421,7 +429,8 @@ class Mat(_Stored):
         return self == self.transpose()
 
     def is_antisymmetric(self) -> bool:
-        return self == -self.transpose()
+        return self._cells == tuple(tuple((j, -x) for j, x in col)
+                                    for col in self.transpose()._cells)
 
     def commutator(self, other: "Mat") -> "Mat":
         return self * other - other * self

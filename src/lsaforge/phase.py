@@ -9,11 +9,12 @@ routes, cross-checked), and certifies para-Kahler structures.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
-from .exact import (Mat, _int_apply, _int_combine, _nonzero_entry, _sparse,
+from .exact import (Mat, _int_combine, _nonzero_entry, _scatter, _sparse,
                     basis_vec, common_denominator, dot, vec_sub)
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
@@ -166,9 +167,36 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
 
 # -- para-Kahler certificates -------------------------------------------------
 
-def _kills(rows, vecs) -> bool:
-    """Whether the integer rows (sparse) map each integer vector to 0."""
-    return not any(any(_int_apply(rows, v)) for v in vecs)
+def _eigenspace_lines(sign: str, shifted: Mat, basis, lie: Algebra,
+                      lc: Algebra, m: Mat, o: Mat) -> list:
+    """The subalgebra, isotropic, lagrangian and lc_stable lines of ker S,
+    S = shifted with kernel basis B: S (a.b), B^t m B, B^t o B and S (e_u.b)
+    for the Levi-Civita product lc vanish, over ints, from sparse cells."""
+    n = lie.dim
+    vecs = [_sparse(common_denominator(b)[1]) for b in basis]
+    scols, bcols = (x.transpose()._cells for x in (
+        shifted, Mat._of(len(vecs), n, 1, vecs)))
+
+    def kills(sums, rows):          # every sparse sum maps to 0 by rows
+        return not any(any(_scatter({}, v, rows).values()) for v in sums)
+
+    def prods(alg, left):           # a.b for a in left and b in B
+        for a, b in itertools.product(left, vecs):
+            acc = {}
+            for i, x in a:
+                _scatter(acc, b, alg._cells[i], x)
+            yield acc.items()
+
+    def form(g):                    # a^t g for a in B, pushed through B
+        return kills((_scatter({}, a, g._cells).items() for a in vecs), bcols)
+    return [_bool_report(law + sign, ok, anchor) for law, ok, anchor in (
+        ("subalgebra_", kills(prods(lie, vecs), scols),
+         "[g^e, g^e] <= g^e"),
+        ("isotropic_", form(m), "<g^e, g^e> == 0"),
+        ("lagrangian_", len(basis) * 2 == n and form(o),
+         "omega(g^e, g^e) == 0 at half dimension"),
+        ("lc_stable_", kills(prods(lc, [((i, 1),) for i in range(n)]), scols),
+         "u . g^e <= g^e for the Levi-Civita product"))]
 
 
 def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
@@ -220,28 +248,9 @@ def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat) -> tuple:
                                 "<K.,.> skew and nondegenerate"))
     if omega.matrix.is_antisymmetric():
         reports.append(_relabel(_two_cocycle(omega, lie), "omega_cocycle"))
-    # v lies in ker S iff S v == 0, so each eigenspace line asks a product
-    # to vanish, over ints: S (a.b) for a, b in a basis B of ker S,
-    # B^t G B, B^t Omega B and S L_u B
-    cells, lc_cells = lie._int_view()[1], lc._int_view()[1]
-    grows, orows = m._int_view()[1], omega.matrix._int_view()[1]
     for sign, shifted, basis in zip(("plus", "minus"), shifts, (plus, minus)):
-        srows = shifted._int_view()[1]
-        dense = [common_denominator(b)[1] for b in basis]
-        sparse = [_sparse(b) for b in dense]
-        reports.append(_bool_report("subalgebra_" + sign, _kills(
-            srows, (_int_product(cells, a, b) for a in sparse for b in sparse)),
-            "[g^e, g^e] <= g^e"))
-        reports.append(_bool_report("isotropic_" + sign, _kills(
-            sparse, (_int_apply(grows, b) for b in dense)), "<g^e, g^e> == 0"))
-        reports.append(_bool_report(
-            "lagrangian_" + sign, len(basis) * 2 == n and _kills(
-                sparse, (_int_apply(orows, b) for b in dense)),
-            "omega(g^e, g^e) == 0 at half dimension"))
-        reports.append(_bool_report("lc_stable_" + sign, _kills(
-            srows, (_int_product(lc_cells, ((i, 1),), b)
-                    for i in range(n) for b in sparse)),
-            "u . g^e <= g^e for the Levi-Civita product"))
+        reports += _eigenspace_lines(sign, shifted, basis, lie, lc, m,
+                                     omega.matrix)
     return reports, lc
 
 

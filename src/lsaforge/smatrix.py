@@ -31,7 +31,8 @@ from math import lcm
 
 from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _swapped,
                       check, invariance_check)
-from .exact import Mat, _as_fractions, _int_combine, _sparse
+from .exact import (Mat, _as_fractions, _int_combine, _scatter, _settled,
+                    _sparse)
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
@@ -309,18 +310,23 @@ def twisted_structures(u: Algebra, r) -> TwistData:
 
 
 def _xi_report(src: Algebra, dst: Algebra, xi: Mat) -> Report:
-    """xi [x,y]_src == [xi x, xi y]_dst exactly where [x,y]_src is the
-    bracket of dst moved by xi; the witness is the first basis pair i < j
-    where they differ."""
+    """xi [x,y]_src == [xi x, xi y]_dst for xi invertible; the witness is
+    the first basis pair i < j where they differ.  Both sides are summed
+    over nonzero cells at the scale d^2 D_src D_dst, d that of xi."""
     anchor = "xi([x,y]_src) == [xi(x), xi(y)]_dst and xi invertible"
     if not xi.is_invertible():
         return failing("xi_isomorphism", anchor)
-    moved, n = dst.conjugate(xi), src.dim
-    common = lcm(moved._den, src._den)
-    fm, fs = common // moved._den, common // src._den
+    n, (ds, scells), (dd, dcells) = src.dim, src._int_view(), dst._int_view()
+    dx, cols = xi.transpose()._int_view()          # cols[i] ~ xi e_i
+
+    def moved(i, j):                               # ~ [xi e_i, xi e_j]_dst
+        acc = {}
+        for a, x in cols[i]:
+            _scatter(acc, cols[j], dcells[a], ds * x)
+        return _settled(acc)
     bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                if [(k, fm * x) for k, x in moved._cells[i][j]]
-                != [(k, fs * x) for k, x in src._cells[i][j]]), None)
+                if _settled(_scatter({}, scells[i][j], cols, dx * dd))
+                != moved(i, j)), None)
     return Report("xi_isomorphism", bad is None, anchor, witness=bad)
 
 

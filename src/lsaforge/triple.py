@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .algebra import Algebra, _int_product
+from .algebra import Algebra
 from .exact import (_as_fractions, _dense, _int_combine, _int_rows, _int_vec,
-                    _reduced, _set_slots, _sparse, _Stored, vec)
+                    _reduced, _scatter, _set_slots, _settled, _Stored, vec)
 from .report import Certificate, Report
 
 
@@ -47,18 +47,22 @@ class LieTriple(_Stored):
 
     @staticmethod
     def compose(bilinear: Algebra, action: Algebra) -> "LieTriple":
-        """L(x,y,z) = action(bilinear(x,y), z): each cell of the integer
-        form of bilinear in the left slot of that of action, over the
-        product of the two denominators."""
+        """L(x,y,z) = action(bilinear(x,y), z): each nonzero cell of the
+        integer form of bilinear pushed through the nonzero cells of that
+        of action, over the product of the two denominators."""
         n = bilinear.dim
         if action.dim != n:
             raise ValueError("dimension mismatch")
         d1, cells = bilinear._int_view()
         d2, act = action._int_view()
-        return _set_slots(object.__new__(LieTriple), (n,) + _reduced(
-            d1 * d2, [_sparse(_int_product(act, cell, ((k, 1),)))
-                      for row in cells for cell in row for k in range(n)])
-            + (None,))
+        cols = list(zip(*act))          # cols[k][a] = action(e_a, e_k)
+        reach = [{k for k, cell in enumerate(row) if cell} for row in act]
+        out = [()] * n ** 3
+        for ij, cell in enumerate(c for row in cells for c in row):
+            for k in {k for a, _ in cell for k in reach[a]}:
+                out[ij * n + k] = _settled(_scatter({}, cell, cols[k]))
+        return _set_slots(object.__new__(LieTriple),
+                          (n,) + _reduced(d1 * d2, out) + (None,))
 
     def __call__(self, x, y, z):
         n = self.dim
@@ -82,7 +86,7 @@ class LieTriple(_Stored):
             return (i * n + j) * n + k
 
         def nonzero(terms):            # the sum of y cells[c] over (c, y)
-            return any(_int_combine(cells, terms, n))
+            return any(_scatter({}, terms, cells).values())
 
         # only the triples of nonzero cells, sorted like a witness, can fail
         stored = [t for t, cell in zip(
@@ -105,9 +109,13 @@ class LieTriple(_Stored):
         der = None
         for u, v in itertools.product(range(n), repeat=2):
             d = cells[at(u, v, 0):at(u, v, 0) + n]   # d[x] = L(e_u, e_v, e_x)
-            if not any(d):
+            support = [x for x, cell in enumerate(d) if cell]
+            if not support:
                 continue               # every term of the axiom vanishes
-            for i, j, k in itertools.product(range(n), repeat=3):
+            # so do those of an empty cell with no index in d's support
+            near = {t for x in support for a, b in itertools.product(
+                range(n), repeat=2) for t in ((x, a, b), (a, x, b), (a, b, x))}
+            for i, j, k in sorted(near.union(stored)):
                 # L(L(u,v,x),y,z) + L(x,L(u,v,y),z) + L(x,y,L(u,v,z))
                 # - L(u,v,L(x,y,z)), as one combination of cells
                 terms = [(at(u, v, x), -y) for x, y in cells[at(i, j, k)]]

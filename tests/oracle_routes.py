@@ -8,7 +8,11 @@ the routes they replaced, written over Fraction with dense loops over
 the tables and plain lists for matrices, so that the tests can compare
 verdicts, witnesses and values of two independent computations.  The
 `dense_*` predicates are the integer routes over every basis triple
-that the library's sweeps over nonzero cells replaced.
+that the library's sweeps over nonzero cells replaced, and so are the
+dense routes of the twist certificate (`dense_levi_civita`,
+`dense_two_cocycle`, `dense_eigenspace_lines`, `dense_compose`,
+`dense_invariance` and `dense_derivation`): dense lists over every basis
+pair or triple where the library accumulates from nonzero cells.
 The subspace routes (intersection, complement, symplectic orthogonal,
 the powers of a product) and the Lagrangian complements of the
 associative normalizer are Fraction loops over basis vectors.
@@ -26,10 +30,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
-from lsaforge.algebra import _int_product
-from lsaforge.exact import Mat, Subspace
+from lsaforge.algebra import Algebra, _int_product, _rep_columns
+from lsaforge.exact import (Mat, Subspace, _int_combine, _reduced, _set_slots,
+                            _sparse, _unpacked, common_denominator)
+from lsaforge.forms import _gram
+from lsaforge.report import _bool_report, failing, passing
 from lsaforge.triple import LieTriple
 
 ZERO = Fraction(0)
@@ -247,6 +255,168 @@ def dense_curvature(alg):
     return next(((i, j, k) for i, j, k in itertools.combinations(
         range(alg.dim), 3) if any(a + b + c for a, b, c in zip(
             curv(i, j, k), curv(j, k, i), curv(k, i, j)))), None)
+
+
+# -- the dense routes that the sparse twist certificate replaced --------------
+#
+# Copies of the integer routes of `forms._levi_civita`, `forms._two_cocycle`,
+# the eigenspace lines of `phase._para_kahler`, `LieTriple.compose`, the scan
+# of `invariance_check` and the derivation axiom of `LieTriple.check` as they
+# were before they accumulated from nonzero cells only.
+
+def _int_apply(rows, ints) -> list:
+    """The integer matrix with sparse rows (j, a_ij) times the dense
+    integer vector ints."""
+    out = []
+    for row in rows:
+        s = 0
+        for j, a in row:
+            s += a * ints[j]
+        out.append(s)
+    return out
+
+
+def _kills(rows, vecs) -> bool:
+    """Whether the integer rows (sparse) map each integer vector to 0."""
+    return not any(any(_int_apply(rows, v)) for v in vecs)
+
+
+def dense_levi_civita(lie, metric):
+    """levi_civita after its preconditions: the integer form of the bracket
+    contracted with the integer Gram matrix, the integer inverse last
+    (symmetric, so its rows are its columns)."""
+    n = lie.dim
+    den, cells = lie._int_view()
+    dg, grows = _gram(metric, lie)._int_view()
+    di, irows = metric.matrix.inverse()._int_view()
+    # gc[i][j][w] = D d_G <[e_i,e_j], e_w>, the cell times G (symmetric)
+    gc = [[_int_combine(grows, cell, n) for cell in row] for row in cells]
+    return Algebra._of(2 * den * dg * di, [[_sparse(_int_combine(
+        irows, _sparse([gc[i][j][w] + gc[w][i][j] + gc[w][j][i]
+                        for w in range(n)]), n))
+        for j in range(n)] for i in range(n)], lie.basis)
+
+
+def dense_two_cocycle(omega, lie):
+    """is_two_cocycle after its preconditions, over the integer views of
+    the bracket and of the Gram matrix (the sum is linear in each)."""
+    anchor = "omega([u,v],w) + omega([v,w],u) + omega([w,u],v) == 0"
+    n, cells = lie.dim, lie._int_view()[1]
+    g = _unpacked(_gram(omega, lie)._int_view()[1], n)  # ~ omega(e_a, e_b)
+
+    def pair(cell, k):                              # ~ omega(cell, e_k)
+        return sum(x * g[a][k] for a, x in cell)
+    for i, j, k in itertools.combinations(range(n), 3):
+        if pair(cells[i][j], k) + pair(cells[j][k], i) + pair(cells[k][i], j):
+            return failing("is_two_cocycle", anchor, witness=(i, j, k))
+    return passing("is_two_cocycle", anchor)
+
+
+def dense_eigenspace_lines(sign, shifted, basis, lie, lc, m, o):
+    """The subalgebra, isotropic, lagrangian and lc_stable reports of the
+    eigenspace ker S (S = shifted, basis its kernel basis), each asking a
+    product to vanish: S (a.b), B^t G B, B^t Omega B and S L_u B."""
+    n = lie.dim
+    cells, lc_cells = lie._int_view()[1], lc._int_view()[1]
+    grows, orows = m._int_view()[1], o._int_view()[1]
+    reports = []
+    srows = shifted._int_view()[1]
+    dense = [common_denominator(b)[1] for b in basis]
+    sparse = [_sparse(b) for b in dense]
+    reports.append(_bool_report("subalgebra_" + sign, _kills(
+        srows, (_int_product(cells, a, b) for a in sparse for b in sparse)),
+        "[g^e, g^e] <= g^e"))
+    reports.append(_bool_report("isotropic_" + sign, _kills(
+        sparse, (_int_apply(grows, b) for b in dense)), "<g^e, g^e> == 0"))
+    reports.append(_bool_report(
+        "lagrangian_" + sign, len(basis) * 2 == n and _kills(
+            sparse, (_int_apply(orows, b) for b in dense)),
+        "omega(g^e, g^e) == 0 at half dimension"))
+    reports.append(_bool_report("lc_stable_" + sign, _kills(
+        srows, (_int_product(lc_cells, ((i, 1),), b)
+                for i in range(n) for b in sparse)),
+        "u . g^e <= g^e for the Levi-Civita product"))
+    return reports
+
+
+def dense_compose(bilinear, action):
+    """L(x,y,z) = action(bilinear(x,y), z): each cell of the integer
+    form of bilinear in the left slot of that of action, over the
+    product of the two denominators."""
+    n = bilinear.dim
+    if action.dim != n:
+        raise ValueError("dimension mismatch")
+    d1, cells = bilinear._int_view()
+    d2, act = action._int_view()
+    return _set_slots(object.__new__(LieTriple), (n,) + _reduced(
+        d1 * d2, [_sparse(_int_product(act, cell, ((k, 1),)))
+                  for row in cells for cell in row for k in range(n)])
+        + (None,))
+
+
+def dense_invariance(tensor, reps, alg, name="invariance"):
+    """invariance_check's sum into a dense list of every position, scanned
+    for the first nonzero entry."""
+    if isinstance(tensor, Algebra):
+        sizes = (tensor.dim,) * 3
+        rows = [cell for row in tensor._int_view()[1] for cell in row]
+    else:
+        sizes = (tensor.rows, tensor.cols)
+        rows = tensor._int_view()[1]
+    order = len(sizes)
+    n = alg.dim
+    # the last index of an entry is its position in a row of the view
+    support = [(p * n + k, x) for p, row in enumerate(rows) for k, x in row]
+    strides = [n ** (order - 1 - s) for s in range(order)]
+    anchor = "sum over slots of %s action == 0" % (tuple(reps),)
+    slots = {tag: _rep_columns(tag, alg) for tag in set(reps)}
+    slots = [slots[tag] for tag in reps]
+    common = lcm(*(d for _, d, _ in slots))
+    for m in range(n):
+        total = [0] * n ** order
+        for (sign, d, cols), stride in zip(slots, strides):
+            f = sign * (common // d)
+            for pos, x in support:
+                b = pos // stride % n
+                base = pos - b * stride
+                for a, y in cols[m][b]:
+                    total[base + a * stride] += f * x * y
+        pos = next((p for p, val in enumerate(total) if val), None)
+        if pos is not None:
+            return failing(name, anchor, witness=(m,) + tuple(
+                pos // stride % n for stride in strides))
+    return passing(name, anchor)
+
+
+def dense_derivation(lts):
+    """The derivation witness of LieTriple.check, every triple visited for
+    each (u, v) with L(e_u, e_v, .) nonzero."""
+    n, cells = lts.dim, lts._cells
+
+    def at(i, j, k):
+        return (i * n + j) * n + k
+
+    def nonzero(terms):            # the sum of y cells[c] over (c, y)
+        return any(_int_combine(cells, terms, n))
+
+    der = None
+    for u, v in itertools.product(range(n), repeat=2):
+        d = cells[at(u, v, 0):at(u, v, 0) + n]   # d[x] = L(e_u, e_v, e_x)
+        if not any(d):
+            continue               # every term of the axiom vanishes
+        for i, j, k in itertools.product(range(n), repeat=3):
+            # L(L(u,v,x),y,z) + L(x,L(u,v,y),z) + L(x,y,L(u,v,z))
+            # - L(u,v,L(x,y,z)), as one combination of cells
+            terms = [(at(u, v, x), -y) for x, y in cells[at(i, j, k)]]
+            terms += [(at(m, j, k), y) for m, y in d[i]]
+            terms += [(at(i, m, k), y) for m, y in d[j]]
+            terms += [(at(i, j, m), y) for m, y in d[k]]
+            if nonzero(terms):
+                der = (u, v, i, j, k)
+                break
+        if der:
+            break
+    return der
 
 
 # -- Lie triple systems -------------------------------------------------------

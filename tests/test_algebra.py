@@ -11,7 +11,7 @@ from lsaforge import (Algebra, Bilinear, Endo, InternalInconsistency,
                       dual_product_from_r, invariance_check, is_derivation,
                       levi_civita, nijenhuis, o_op, product_subspaces,
                       twisted_structures, yb)
-from lsaforge import algebra
+from lsaforge import algebra, forms, phase
 from lsaforge.algebra import associator, curvature
 from lsaforge.catalog import build_quadratic_symplectic
 from lsaforge.doubling import theta_circ_product
@@ -112,6 +112,108 @@ def test_sparse_predicates_match_dense_routes(aff):
     assert not check(inputs[2], "lie_admissible")
     assert algebra._jacobi_witness(inputs[2].commutator_algebra()) is not None
     assert oracle.dense_curvature(inputs[2]) is not None
+
+
+def _unitriangular(rng, n):
+    return Mat.from_rows([[int(i == j) or (rng.choice((-1, 0, 1)) if j > i
+                                           else 0) for j in range(n)]
+                          for i in range(n)])
+
+
+def _certificate_data(lie, metric, k):
+    """(lie, metric, K, Levi-Civita product) for the dense comparison."""
+    return lie, metric, k, forms._levi_civita(lie, metric)
+
+
+def _random_certificate_data(rng, n, density):
+    """A seeded table of dim n with a random invertible metric and an
+    involution with eigenspaces of random dimensions."""
+    lie = Algebra(_random_table(rng, n, density, rng.random() < 0.5))
+    while True:
+        half = Mat(n, n, [Fraction(rng.randint(-2, 2)) for _ in range(n * n)])
+        metric = Bilinear(half + half.transpose(), "symmetric")
+        if metric.is_nondegenerate():
+            break
+    p, h = _unitriangular(rng, n), rng.randint(1, n - 1)
+    diag = Mat.from_rows([[(1 if i < h else -1) * int(i == j)
+                           for j in range(n)] for i in range(n)])
+    return _certificate_data(lie, metric, p.inverse() * diag * p)
+
+
+def test_sparse_certificate_routes_match_dense_routes(aff, nab_lsa):
+    """The twist certificate's sparse routes (Levi-Civita product, cocycle
+    sum, eigenspace lines, compose, invariance and the derivation axiom)
+    against their dense predecessors on the dim-16 twist of a Levi-Civita
+    product, moved by a unitriangular basis, with one structure constant
+    or one metric entry changed, and on seeded sparse and dense tables of
+    dims 7 to 12."""
+    rng = random.Random(18)
+    q = build_quadratic_symplectic(aff, 2)
+    dot = levi_civita(q.lie, q.metric)
+    tw = twisted_structures(dot, Tensor2(dot, q.metric.matrix.inverse()))
+    n = tw.twisted.dim
+    p = _unitriangular(rng, n)
+    moved = (tw.twisted.conjugate(p),
+             Bilinear(p.transpose() * tw.metric_r.matrix * p, "symmetric"),
+             p.inverse() * tw.k_r * p)
+    table = [[list(cell) for cell in row] for row in tw.twisted.table]
+    table[0][8][9] += 1                 # breaks Jacobi and the cocycle sum
+    table[8][0][9] -= 1
+    # a metric changed at the free column f of the last basis vector of
+    # ker(K - Id) only, so that only that vector is no longer isotropic
+    plus = (tw.k_r - Mat.identity(n)).kernel_basis()
+    f = next(j for j, x in enumerate(plus[-1])
+             if x == 1 and not any(v[j] for v in plus[:-1]))
+    bump = Mat(n, n, [int(i == j == f) for i in range(n) for j in range(n)])
+    cases = [_certificate_data(*data) for data in (
+        (tw.twisted, tw.metric_r, tw.k_r), moved,
+        (Algebra(table), tw.metric_r, tw.k_r),
+        (tw.twisted, Bilinear(tw.metric_r.matrix + bump, "symmetric"),
+         tw.k_r))]
+    for _ in range(6):
+        cases.append(_random_certificate_data(
+            rng, rng.randint(7, 12), rng.choice((0.02, 0.1, 1.0))))
+    seen = {}
+    for lie, metric, k, lc in cases:
+        assert lc == oracle.dense_levi_civita(lie, metric)
+        omega = k.transpose() * metric.matrix
+        got = [forms._two_cocycle(Bilinear(omega), lie)]
+        want = [oracle.dense_two_cocycle(Bilinear(omega), lie)]
+        for sign, e in (("plus", 1), ("minus", -1)):
+            shifted = k - Mat.identity(lie.dim).scale(e)
+            args = (sign, shifted, shifted.kernel_basis(), lie, lc,
+                    metric.matrix, omega)
+            got += phase._eigenspace_lines(*args)
+            want += oracle.dense_eigenspace_lines(*args)
+        for tensor, tags in ((lie, ("ad_dual", "ad_dual", "ad")),
+                             (lc, ("L", "L", "ad")),
+                             (metric.matrix, ("ad", "ad"))):
+            got.append(invariance_check(tensor, tags, lie))
+            want.append(oracle.dense_invariance(tensor, tags, lie))
+        assert [(r.name, r.passed, r.witness) for r in got] == \
+            [(r.name, r.passed, r.witness) for r in want]
+        for r in got:
+            seen.setdefault(r.name, set()).add(r.passed)
+        assert LieTriple.compose(lie, lc) == oracle.dense_compose(lie, lc)
+    # the derivation axiom on the twist's triple system (zero here), the
+    # triple [[x,y],z] of a dim-4 phase-space bracket in a unitriangular
+    # basis, that with one entry changed, and compositions of sparse tables
+    br = build_phase(nab_lsa).extended.commutator_algebra().conjugate(
+        _unitriangular(rng, 4))
+    table = [[[list(cell) for cell in row] for row in plane]
+             for plane in LieTriple.compose(br, br).table]
+    table[1][2][3][0] += 1
+    table[2][1][3][0] -= 1
+    triples = [tw.lts, LieTriple.compose(br, br), LieTriple(table)]
+    for size in (7, 9):
+        sparse = Algebra(_random_table(rng, size, 0.05, True))
+        triples.append(LieTriple.compose(sparse, sparse))
+    for lts in triples:
+        der, want = lts.check().reports[2], oracle.dense_derivation(lts)
+        assert (der.passed, der.witness) == (want is None, want)
+        seen.setdefault(der.name, set()).add(der.passed)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
 
 def test_conjugate_preserves_predicates(nab_lsa):
     rng = random.Random(5)

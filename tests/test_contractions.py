@@ -953,6 +953,29 @@ def test_twist_certificate_matches_product_route(xi_kind, seed):
         oracle.xi_isomorphism(tw.twisted, tw.bracket_r, xi)
 
 
+def test_xi_report_neither_conjugates_nor_inverts(monkeypatch):
+    # xi [x,y] is compared with [xi x, xi y] directly, so the certificate
+    # line needs neither the moved bracket nor the inverse of xi
+    rng = random.Random(7)
+    cases = []
+    for kind in XI_KINDS * 2:
+        u = _moved(rng, rng.choice(_planes()))
+        tw = twisted_structures(u, _quasi_s(rng, u))
+        cases.append((tw, _xi_candidate(kind, tw, rng)))
+
+    def refuse(*args):
+        raise AssertionError("the xi line conjugated or inverted")
+    monkeypatch.setattr(Algebra, "conjugate", refuse)
+    monkeypatch.setattr(Mat, "inverse", refuse)
+    reps = [smatrix._xi_report(tw.twisted, tw.bracket_r, xi)
+            for tw, xi in cases]
+    monkeypatch.undo()
+    for rep, (tw, xi) in zip(reps, cases):
+        assert (rep.passed, rep.witness) == \
+            oracle.xi_isomorphism(tw.twisted, tw.bracket_r, xi)
+    assert {rep.passed for rep in reps} == {True, False}
+
+
 def test_certificate_cases_reach_both_verdicts():
     lines = ["omega_cocycle"] + [
         law + "_" + sign for sign in ("plus", "minus")
