@@ -21,8 +21,8 @@ from math import lcm
 from typing import Sequence
 
 from .exact import (Mat, Subspace, _as_fractions, _dense, _int_combine,
-                    _int_rows, _int_vec, _reduced, _set_slots, _sparse,
-                    _Stored, _unpacked, vec, vec_sub)
+                    _int_rows, _int_vec, _reduced, _scatter, _set_slots,
+                    _settled, _sparse, _Stored, _unpacked, vec, vec_sub)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative", "abelian",
@@ -238,12 +238,14 @@ class Algebra(_Stored):
         return Mat.zeros(self.dim, self.dim) if out is None else out
 
     def commutator_algebra(self) -> "Algebra":
-        """The bracket [u,v] = u.v - v.u of this product."""
+        """The bracket [u,v] = u.v - v.u of this product: each cell p - q
+        from the stored cells of e_i.e_j and e_j.e_i, p where q is empty."""
         if self._bracket is None:
             c, n = self._cells, self.dim
             object.__setattr__(self, "_bracket", Algebra._of(self._den, [
-                [_sparse(_int_combine(pair, ((0, 1), (1, -1)), n))
-                 for pair in zip(row, col)]
+                [_sparse(_int_combine((p, q), ((0, 1), (1, -1)), n))
+                 if p and q else p or tuple((k, -x) for k, x in q)
+                 for p, q in zip(row, col)]
                 for row, col in zip(c, zip(*c))], self.basis))
         return self._bracket
 
@@ -314,31 +316,21 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     """Torsion N_A(u,v) = [Au,Av] - A[Au,v] - A[u,Av] + A^2 [u,v] of the
     Lie algebra alg, whose product is the bracket; pass
     `commutator_algebra()` for the torsion of another product's bracket.
-    On basis pairs it is [Ae_i,Ae_j] + A(A[e_i,e_j] - [Ae_i,e_j] -
-    [e_i,Ae_j]): slot contractions of the integer view with the integer
-    entries of A, over the one denominator D d_A^2.
+    With M(u,v) = [Au,v] - A[u,v] it is M(u,Av) - A M(u,v): the nonzero
+    cells of the integer view scattered by the integer entries of A, into
+    M over D d_A and the torsion over D d_A^2.
     """
-    n = alg.dim
     m = Endo(alg, _mat(a)).matrix                      # checks the shape
     den, cells = alg._int_view()
     da, cols = m.transpose()._int_view()               # A e_j, as ints
-    left = _left_slot(cells, cols)                      # [A e_i, e_b]
+    below = list(zip(*cells))                      # below[b][a] ~ [e_a,e_b]
     table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j] over D d_A, then A of
-            # it plus [Ae_i,Ae_j] over D d_A^2
-            inner = _int_product(cells, ((i, -1),), cols[j])
-            for k, x in left[i][j]:
-                inner[k] -= x
-            for k, x in cells[i][j]:
-                for c, y in cols[k]:
-                    inner[c] += x * y
-            outer = _int_product(left, ((i, 1),), cols[j])
-            row.append(_sparse([p + q for p, q in zip(
-                outer, _int_combine(cols, _sparse(inner), n))]))
-        table.append(row)
+    for ai, row in zip(cols, cells):
+        # M(e_i, e_b) for every b, unsorted
+        m_i = [tuple(_scatter(_scatter({}, ai, column), cell, cols, -1)
+                     .items()) for column, cell in zip(below, row)]
+        table.append([_settled(_scatter(_scatter({}, aj, m_i), cell, cols, -1))
+                      for aj, cell in zip(cols, m_i)])
     return Algebra._of(den * da * da, table, alg.basis)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -91,7 +92,7 @@ def _scatter(acc: dict, cell, rows, f: int = 1) -> dict:
 
 def _settled(acc: dict) -> tuple:
     """The nonzero (s, x) of a `_scatter` sum by increasing s, a cell."""
-    return tuple(sorted((s, x) for s, x in acc.items() if x))
+    return tuple(sorted(filter(itemgetter(1), acc.items())))
 
 
 def _set_slots(obj, values):
@@ -104,10 +105,17 @@ def _set_slots(obj, values):
 def _reduced(den: int, cells) -> tuple:
     """(D, cells): den and the sparse integer cells divided by the gcd of
     den and every entry, the one integer form (D the least common
-    denominator of the entries)."""
-    g = 1 if den == 1 else gcd(den, *(x for cell in cells for _, x in cell))
-    return den // g, tuple(tuple((k, x // g) for k, x in cell) if g > 1
-                           else tuple(cell) for cell in cells)
+    denominator of the entries), every cell a tuple.  The gcd reads the
+    nonzero cells only and stops at 1."""
+    g = den
+    for cell in filter(None, cells):
+        if g == 1:
+            break
+        g = gcd(g, *(x for _, x in cell))
+    if g == 1:
+        return den, tuple(map(tuple, cells))
+    return den // g, tuple(tuple((k, x // g) for k, x in cell) if cell else ()
+                           for cell in cells)
 
 
 def _dense(den: int, cell, n: int) -> tuple:

@@ -11,8 +11,9 @@ verdicts, witnesses and values of two independent computations.  The
 that the library's sweeps over nonzero cells replaced, and so are the
 dense routes of the twist certificate (`dense_levi_civita`,
 `dense_two_cocycle`, `dense_eigenspace_lines`, `dense_compose`,
-`dense_invariance` and `dense_derivation`): dense lists over every basis
-pair or triple where the library accumulates from nonzero cells.
+`dense_invariance`, `dense_derivation`, `dense_nijenhuis` and
+`dense_commutator`): dense lists over every basis pair or triple where
+the library accumulates from nonzero cells.
 The subspace routes (intersection, complement, symplectic orthogonal,
 the powers of a product) and the Lagrangian complements of the
 associative normalizer are Fraction loops over basis vectors.
@@ -33,7 +34,8 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from lsaforge.algebra import Algebra, _int_product, _rep_columns
+from lsaforge.algebra import (Algebra, Endo, _int_product, _left_slot,
+                              _mat, _rep_columns)
 from lsaforge.exact import (Mat, Subspace, _int_combine, _reduced, _set_slots,
                             _sparse, _unpacked, common_denominator)
 from lsaforge.forms import _gram
@@ -352,6 +354,43 @@ def dense_compose(bilinear, action):
         d1 * d2, [_sparse(_int_product(act, cell, ((k, 1),)))
                   for row in cells for cell in row for k in range(n)])
         + (None,))
+
+
+def dense_nijenhuis(a, alg):
+    """nijenhuis as slot contractions into dense integer lists: every
+    cell of [Ae_i, e_b] and of the torsion a length-n list made sparse."""
+    n = alg.dim
+    m = Endo(alg, _mat(a)).matrix                      # checks the shape
+    den, cells = alg._int_view()
+    da, cols = m.transpose()._int_view()               # A e_j, as ints
+    left = _left_slot(cells, cols)                      # [A e_i, e_b]
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            # A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j] over D d_A, then A of
+            # it plus [Ae_i,Ae_j] over D d_A^2
+            inner = _int_product(cells, ((i, -1),), cols[j])
+            for k, x in left[i][j]:
+                inner[k] -= x
+            for k, x in cells[i][j]:
+                for c, y in cols[k]:
+                    inner[c] += x * y
+            outer = _int_product(left, ((i, 1),), cols[j])
+            row.append(_sparse([p + q for p, q in zip(
+                outer, _int_combine(cols, _sparse(inner), n))]))
+        table.append(row)
+    return Algebra._of(den * da * da, table, alg.basis)
+
+
+def dense_commutator(alg):
+    """commutator_algebra with every cell a dense `_int_combine` list of
+    the two stored cells, made sparse."""
+    c, n = alg._cells, alg.dim
+    return Algebra._of(alg._den, [
+        [_sparse(_int_combine(pair, ((0, 1), (1, -1)), n))
+         for pair in zip(row, col)]
+        for row, col in zip(c, zip(*c))], alg.basis)
 
 
 def dense_invariance(tensor, reps, alg, name="invariance"):

@@ -215,6 +215,46 @@ def test_sparse_certificate_routes_match_dense_routes(aff, nab_lsa):
     assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
+def test_sparse_torsion_and_commutator_match_dense_routes(aff):
+    """`nijenhuis` and `commutator_algebra` against their dense routes,
+    stored forms compared (D and cells): the dim-16 twisted bracket with
+    K_r, a seeded table that is not antisymmetric, a dense dim-12 table
+    moved by a unitriangular basis with a dense A, and the zero algebra,
+    each also with A = Id and a nilpotent A."""
+    rng = random.Random(19)
+    q = build_quadratic_symplectic(aff, 2)
+    dot = levi_civita(q.lie, q.metric)
+    tw = twisted_structures(dot, Tensor2(dot, q.metric.matrix.inverse()))
+
+    def endo(n, nilpotent=False):
+        return Mat(n, n, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                          if j > i or not nilpotent else 0
+                          for i in range(n) for j in range(n)])
+    sparse = Algebra(_random_table(rng, 9, 0.1))
+    dense = Algebra(_random_table(rng, 12, 1.0)).conjugate(
+        _unitriangular(rng, 12))
+    zero = Algebra.zero(5)
+    cases = [(tw.twisted, tw.k_r), (sparse, endo(9)), (dense, endo(12)),
+             (zero, endo(5))]
+    for alg in (tw.twisted, sparse, dense, zero):
+        n = alg.dim
+        cases += [(alg, Mat.identity(n)), (alg, endo(n, nilpotent=True))]
+    torsions = []
+    for alg, a in cases:
+        torsion = nijenhuis(a, alg)
+        assert torsion == oracle.dense_nijenhuis(a, alg)
+        torsions.append(torsion.is_zero())
+    # K_r, Id and the zero algebra have no torsion; the others do
+    assert torsions == [True, False, False, True,
+                        True, False, True, False, True, False, True, True]
+    for alg in (tw.twisted, dot, tw.phase.extended, sparse, dense, zero):
+        fresh = Algebra._of(alg._den, alg._cells, alg.basis)
+        assert fresh.commutator_algebra() == oracle.dense_commutator(alg)
+    pairs = [(bool(p), bool(q)) for row, col in zip(
+        sparse._cells, zip(*sparse._cells)) for p, q in zip(row, col)]
+    assert {(True, False), (False, True), (True, True)} <= set(pairs)
+
+
 def test_conjugate_preserves_predicates(nab_lsa):
     rng = random.Random(5)
     for _ in range(10):

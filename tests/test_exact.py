@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsaforge.exact import (Mat, Subspace, basis_vec, form_value,
+from lsaforge.algebra import Algebra
+from lsaforge.exact import (Mat, Subspace, _reduced, basis_vec, form_value,
                             format_rational, is_zero_vec,
                             lagrangian_complement, parse_rational, solve,
                             symp_orthogonal, vec_add, vec_scale, zero_vec)
@@ -142,3 +143,33 @@ def test_mat_memo_keeps_equality_hash_and_immutability():
                                      [0, Fraction(9, 16)]])
     assert product._int_view() == (16, (((0, 20),), ((1, 9),)))
     assert product.transpose() == product
+
+
+def test_reduced_is_the_unique_integer_form():
+    """`_reduced` returns one form for every scaling of the same cells:
+    list and tuple cells, empty cells, den = 1 and a common factor g > 1
+    all land on equal tuples, so `Algebra._of` equals and hashes alike."""
+    cells = [[(0, 2), (3, -4)], [], ((1, 6),), (), [(2, 3)]]
+    tuples = [tuple(cell) for cell in cells]
+    cases = [(1, cells), (1, tuples), (5, cells), (6, tuples), (4, [[], ()]),
+             (1, [(), ()]), (3, [[(0, 3)], ((1, -6),)])]
+    for den, cell_list in cases:
+        want = _reduced(den, cell_list)
+        for g in (1, 2, 7, 12):
+            scaled = [[(k, g * x) for k, x in cell] for cell in cell_list]
+            for form in (scaled, [tuple(cell) for cell in scaled]):
+                got = _reduced(den * g, form)
+                assert got == want
+                assert all(type(cell) is tuple for cell in got[1])
+    assert _reduced(1, cells) == (1, tuple(tuples))
+    assert _reduced(6, tuples) == (6, tuple(tuples))
+    assert _reduced(4, [[(0, 2)], [(1, 6)]]) == (2, (((0, 1),), ((1, 3),)))
+    assert _reduced(4, [[], ()]) == (1, ((), ()))
+    rows = [[[(1, 2)], []], [[], [(0, -4), (1, 6)]]]
+    from_lists = Algebra._of(8, rows, ("x", "y"))
+    from_tuples = Algebra._of(8, [[tuple(c) for c in row] for row in rows],
+                              ("x", "y"))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists._int_view() == (
+        4, ((((1, 1),), ()), ((), ((0, -2), (1, 3)))))
