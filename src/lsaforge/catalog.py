@@ -1,8 +1,9 @@
 """Canonical families, constructive normal forms, and flat-metric builders.
 
 Dimension-two symplectic left-symmetric algebras and compatible pairs,
-the two model shapes of associative symplectic algebras together with
-normalizers that land any instance onto a model by an explicit
+the two model shapes of associative symplectic algebras (the first is
+the second at V0 = I0 = 0) together with one normalizer whose
+decomposition lands any instance onto either model by an explicit
 symplectic basis change, quadratic symplectic algebras built from a
 graded tensor construction, para-Kahler doubles of flat metrics and of
 Yang-Baxter data, and the invertible-derivation construction on phase
@@ -149,8 +150,7 @@ def _sym_mats(raw, count, size, label):
 
 
 def _model_omega(p0, p1, q0, q1) -> Bilinear:
-    """The skew form of the second model; the first model's is the one
-    with p1 = q1 = 0."""
+    """The skew form of the second model at dims (p0, p1, q0, q1)."""
     p = p0 + p1
     n = 2 * p + q0 + q1
     rows = [[ZERO] * n for _ in range(n)]
@@ -175,21 +175,8 @@ def _canonical_assoc_type_one(params):
         raise ValueError("dim_i must be a nonnegative even integer")
     m_maps = _sym_mats(params.get("m", ()), p, p, "m")
     n_maps = _sym_mats(params.get("n", ()), q, p, "n")
-    n = 2 * p + q
-    z = zero_vec(n)
-    table = [[z for _ in range(n)] for _ in range(n)]
-    dual = p + q
-
-    def vcoords(front):
-        return tuple(front) + zero_vec(n - p)
-
-    for a in range(p):
-        for b in range(p):
-            table[dual + a][dual + b] = vcoords(m_maps[a].row(b))
-    for i in range(q):
-        for b in range(p):
-            table[p + i][dual + b] = vcoords(n_maps[i].row(b))
-    return {"alg": Algebra(table), "omega": _model_omega(p, 0, q, 0)}
+    # the second model at V0 = I0 = 0, where a, b and f map nothing
+    return _assoc_model((0, p, 0, q), (), (), n_maps, m_maps, ())
 
 
 def _type_two_dims(params):
@@ -271,7 +258,12 @@ def check_type_two_constraints(params) -> Certificate:
 
 
 def _canonical_assoc_type_two(params):
-    dims, a_maps, b_maps, c_maps, d_maps, f_map = _type_two_maps(params)
+    return _assoc_model(*_type_two_maps(params))
+
+
+def _assoc_model(dims, a_maps, b_maps, c_maps, d_maps, f_map):
+    """The second model's product and form from validated parts; the first
+    model is this one with dim_v0 = dim_i0 = 0."""
     p0, p1, q0, q1 = dims
     p = p0 + p1
     n = 2 * p + q0 + q1
@@ -605,17 +597,6 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
     return [out.col(j) for j in range(out.cols)]
 
 
-def _extract_type_one(moved: Algebra, p_dim: int, q_dim: int):
-    dual, t = p_dim + q_dim, moved.table
-
-    def maps(first, count):     # V-parts of the products with V* basis
-        return tuple(Mat.from_rows([[t[first + a][dual + b][k]
-                                     for k in range(p_dim)]
-                                    for b in range(p_dim)])
-                     for a in range(count))
-    return maps(dual, p_dim), maps(p_dim, q_dim)
-
-
 def _extract_type_two(moved: Algebra, dims):
     p0, p1, q0, q1 = dims
     p = p0 + p1
@@ -665,58 +646,48 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     if not jspace.contains_space(symp_orthogonal(gram, jspace)):
         raise InternalInconsistency("the ideal fails to be co-isotropic")
     fp = _fingerprint(alg, subs)
+    if u3.is_zero() and not u2perp.contains_space(u2):
+        raise InternalInconsistency("square must be isotropic when the "
+                                    "cube vanishes")
 
-    if u3.is_zero():
-        v = u2
-        if not u2perp.contains_space(v):
-            raise InternalInconsistency("square must be isotropic when the "
-                                        "cube vanishes")
-        p_dim, q_dim = v.dim, 0
-        if p_dim == 0:
-            # zero product: the first model with every map zero on a
-            # symplectic basis of the whole space as V + V*; the pair
-            # basis gives omega(v_k, w_k) = 1 and the model wants
-            # omega(w_k, v_k) = 1, so the covector side is negated
-            pairs = _darboux(gram, Subspace.full(n))
-            p_dim = n // 2
-            cols = pairs[0::2] + [vec_scale(-ONE, c) for c in pairs[1::2]]
-        else:
-            ipairs = _darboux(gram, v.complement_in(u2perp))
-            q_dim = len(ipairs)
-            iperp = symp_orthogonal(gram, Subspace(n, ipairs))
-            w = _dual_lagrangian(gram, list(v.basis), list(iperp.basis))
-            cols = list(v.basis) + ipairs + w
-        p = Mat.from_cols(cols)
-        moved = alg.conjugate(p)
-        m_maps, n_maps = _extract_type_one(moved, p_dim, q_dim)
-        params = {"dim_v": p_dim, "dim_i": q_dim, "m": m_maps, "n": n_maps}
+    if u2.is_zero():
+        # zero product: the first model with every map zero on a
+        # symplectic basis of the whole space as V + V*; the pair
+        # basis gives omega(v_k, w_k) = 1 and the model wants
+        # omega(w_k, v_k) = 1, so the covector side is negated
+        pairs = _darboux(gram, Subspace.full(n))
+        dims = (0, n // 2, 0, 0)
+        cols = pairs[0::2] + [vec_scale(-ONE, c) for c in pairs[1::2]]
+    else:
+        v0 = u3
+        # V = U^2 when the cube vanishes: its isotropy was checked above
+        v = u2 if u3.is_zero() else u2.intersect(u2perp)
+        if not v.contains_space(v0):
+            raise InternalInconsistency("the cube must sit inside the "
+                                        "radical of the square")
+        v1 = v0.complement_in(v)
+        i0 = v.complement_in(u2)
+        i1 = v.complement_in(u2perp)
+        i0_pairs, i1_pairs = _darboux(gram, i0), _darboux(gram, i1)
+        for a in i0_pairs:
+            for b in i1_pairs:
+                if form_value(gram, a, b) != 0:
+                    raise InternalInconsistency("the two symplectic factors "
+                                                "fail to be orthogonal")
+        dims = (v0.dim, v1.dim, len(i0_pairs), len(i1_pairs))
+        ivecs = i0_pairs + i1_pairs
+        iperp = symp_orthogonal(gram, Subspace(n, ivecs))
+        vbasis = list(v0.basis) + list(v1.basis)
+        w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
+        cols = vbasis + ivecs + w
+    p = Mat.from_cols(cols)
+    moved = alg.conjugate(p)
+    a_maps, b_maps, c_maps, d_maps, f_map = _extract_type_two(moved, dims)
+    p0, p1, q0, q1 = dims
+    if p0 == 0:     # the cube vanishes: the first model, m = d and n = c
+        params = {"dim_v": p1, "dim_i": q1, "m": d_maps, "n": c_maps}
         return _landed("assoc_type_one", params, alg, omega, p,
                        {"alg": moved}, fp)
-
-    v0 = u3
-    v = u2.intersect(u2perp)
-    if not v.contains_space(v0):
-        raise InternalInconsistency("the cube must sit inside the radical "
-                                    "of the square")
-    v1 = v0.complement_in(v)
-    i0 = v.complement_in(u2)
-    i1 = v.complement_in(u2perp)
-    i0_pairs, i1_pairs = _darboux(gram, i0), _darboux(gram, i1)
-    for a in i0_pairs:
-        for b in i1_pairs:
-            if form_value(gram, a, b) != 0:
-                raise InternalInconsistency("the two symplectic factors "
-                                            "fail to be orthogonal")
-    p0, p1 = v0.dim, v1.dim
-    q0, q1 = len(i0_pairs), len(i1_pairs)
-    ivecs = i0_pairs + i1_pairs
-    iperp = symp_orthogonal(gram, Subspace(n, ivecs))
-    vbasis = list(v0.basis) + list(v1.basis)
-    w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
-    p = Mat.from_cols(vbasis + ivecs + w)
-    moved = alg.conjugate(p)
-    a_maps, b_maps, c_maps, d_maps, f_map = \
-        _extract_type_two(moved, (p0, p1, q0, q1))
     params = {"dim_v0": p0, "dim_v1": p1, "dim_i0": q0, "dim_i1": q1,
               "a": a_maps, "b": b_maps, "c": c_maps, "d": d_maps, "f": f_map}
     return _landed("assoc_type_two", params, alg, omega, p, {"alg": moved},

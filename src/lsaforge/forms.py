@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import Algebra, _coaction, _slot_sum, check
 from .exact import Mat, _scatter, _settled, _unpacked
@@ -26,7 +25,6 @@ class Bilinear:
 
     matrix: Mat
     kind: str = "none"
-    on: Optional[Algebra] = None
 
     def __post_init__(self):
         if self.kind not in FORM_KINDS:
@@ -37,8 +35,6 @@ class Bilinear:
             raise ValueError("Gram matrix is not antisymmetric")
         if self.kind == "symmetric" and not self.matrix.is_symmetric():
             raise ValueError("Gram matrix is not symmetric")
-        if self.on is not None and self.on.dim != self.matrix.rows:
-            raise ValueError("form dimension differs from algebra dimension")
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,8 @@ from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _model_params,
                               derivation_phase, eval_linear, flat_double,
                               graded_tensor_algebra, killing_form,
                               normalize_assoc_symp, normalize_dim2_slsa,
-                              rand_symplectic, rand_type_one_params,
+                              rand_fraction, rand_sym_mat, rand_symplectic,
+                              rand_type_one_params,
                               rand_type_two_params, type_one_template_params,
                               type_two_family_params)
 from lsaforge.report import InternalInconsistency
@@ -73,6 +74,7 @@ def _assert_landing(cid, names, normalize):
     assert [r.name for r in cid.certificate.reports] == names
     model = canonical(cid.family, cid.params)
     again = normalize(*model.values())
+    assert again.family == cid.family
     assert again.params == cid.params
     assert again.change_of_basis.matrix == Mat.identity(model["omega"].dim)
 
@@ -231,23 +233,81 @@ def test_rand_symplectic_property(omega2):
         assert m.transpose() * omega2.matrix * m == omega2.matrix
 
 
+def _moved_models(rng, family, draw, count):
+    """(family, moved algebra, form) for count models of family at
+    parameters draw(rng), each moved by a random symplectic basis."""
+    out = []
+    for _ in range(count):
+        data = canonical(family, draw(rng))
+        move = rand_symplectic(data["omega"].matrix, rng)
+        out.append((family, data["alg"].conjugate(move), data["omega"]))
+    return out
+
+
+def _type_one_draw(p, q):
+    """First-model parameters at shape (p, q) with some nonzero map."""
+    def draw(rng):
+        while True:
+            maps = [rand_sym_mat(rng, p) for _ in range(p + q)]
+            if any(not m.is_zero() for m in maps):
+                return {"dim_v": p, "dim_i": q, "m": maps[:p], "n": maps[p:]}
+    return draw
+
+
+def _zero_products(rng):
+    """The zero product at dims 2, 4 and 6 under the model's form moved by
+    random unitriangular bases, so that the pair basis has work to do."""
+    out = []
+    for half in (1, 2, 3):
+        data = canonical("assoc_type_one", {
+            "dim_v": half, "dim_i": 0, "m": [Mat.zeros(half, half)] * half})
+        for _ in range(2):
+            move = Mat.from_rows([[rand_fraction(rng, 2) if j > i
+                                   else int(i == j) for j in range(2 * half)]
+                                  for i in range(2 * half)])
+            gram = move.transpose() * data["omega"].matrix * move
+            out.append(("assoc_type_one", data["alg"], Bilinear(gram, "skew")))
+    return out
+
+
 def test_assoc_normalize_roundtrip():
+    """Every instance lands on its family with a passing certificate, and
+    normalizing the landed model returns it by the identity: first-model
+    shapes (p, q) in {1, 2, 3} x {0, 2, 4} (dims up to 10), the zero
+    product, and the solved second-model family."""
+    names = {"assoc_type_one": ["alg", "omega"],
+             "assoc_type_two": ["alg", "omega", "constraint_mixed",
+                                "constraint_pure"]}
     rng = random.Random(31)
-    for _ in range(5):
-        params = rand_type_one_params(rng)
-        data = canonical("assoc_type_one", params)
-        p = rand_symplectic(data["omega"].matrix, rng)
-        cid = normalize_assoc_symp(data["alg"].conjugate(p), data["omega"])
-        assert cid.family == "assoc_type_one"
-        _assert_landing(cid, ["alg", "omega"], normalize_assoc_symp)
-    for _ in range(5):
-        params = rand_type_two_params(rng)
-        data = canonical("assoc_type_two", params)
-        p = rand_symplectic(data["omega"].matrix, rng)
-        cid = normalize_assoc_symp(data["alg"].conjugate(p), data["omega"])
-        assert cid.family == "assoc_type_two"
-        _assert_landing(cid, ["alg", "omega", "constraint_mixed",
-                              "constraint_pure"], normalize_assoc_symp)
+    instances = _moved_models(rng, "assoc_type_one", rand_type_one_params, 5)
+    instances += _moved_models(rng, "assoc_type_two", rand_type_two_params, 5)
+    rng = random.Random(41)
+    for p in (1, 2, 3):
+        for q in (0, 2, 4):
+            instances += _moved_models(rng, "assoc_type_one",
+                                       _type_one_draw(p, q), 2)
+    instances += _zero_products(rng)
+    instances += _moved_models(rng, "assoc_type_two", rand_type_two_params, 6)
+    for family, alg, omega in instances:
+        cid = normalize_assoc_symp(alg, omega)
+        assert cid.family == family
+        _assert_landing(cid, names[family], normalize_assoc_symp)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"dim_v": 0}, "dim_v must be at least 1"),
+    ({"dim_v": 1, "dim_i": 1}, "dim_i must be a nonnegative even integer"),
+    ({"dim_v": 2, "m": [[[1, 0], [0, 1]]]}, "m must list 2 matrices"),
+    ({"dim_v": 2, "m": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]},
+     "m matrices must be symmetric"),
+    ({"dim_v": 1, "dim_i": 2, "m": [[[1]]],
+      "n": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}, "n matrices must be 1x1"),
+    ({"dim_v": 1, "dim_i": 2, "m": [], "n": []}, "m must list 1 matrices"),
+], ids=["dim_v", "dim_i", "m_count", "m_symmetric", "n_size", "m_before_n"])
+def test_type_one_parameter_errors(params, message):
+    with pytest.raises(ValueError) as err:
+        canonical("assoc_type_one", params)
+    assert str(err.value) == message
 
 
 # Only c's entries off the V0 x V0 block are nonzero: the constraint

@@ -1,7 +1,8 @@
 """Every module-level import of an lsaforge module is used by it, every
-relative import names the module that defines the name, and every
+relative import names the module that defines the name, every
 module-level private function or class is referred to somewhere in the
-package besides its own definition.
+package besides its own definition, and no function outside a shrinking
+list reads the `Fraction` views `.table` or `.data` of another object.
 
 `__init__.py` is left out of the first guard: its imports are the
 package's public names.  It is in the second: each of them is taken from
@@ -19,6 +20,15 @@ import lsaforge
 PACKAGE = os.path.dirname(lsaforge.__file__)
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
+
+
+def _package_sources() -> dict:
+    """Module name -> text, for every module of the package."""
+    sources = {}
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+            sources[name[:-3]] = handle.read()
+    return sources
 
 
 def _unused_imports(source: str) -> list:
@@ -83,11 +93,7 @@ def test_the_guard_sees_a_reexported_name():
 
 
 def test_relative_imports_name_the_defining_module():
-    sources = {}
-    for name in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
-            sources[name[:-3]] = handle.read()
-    assert _reexported(sources) == []
+    assert _reexported(_package_sources()) == []
 
 
 def _references(node) -> Counter:
@@ -118,8 +124,50 @@ def test_the_guard_sees_a_dead_helper():
 
 
 def test_every_private_helper_is_used():
-    sources = {}
-    for name in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
-            sources[name[:-3]] = handle.read()
-    assert _dead_helpers(sources) == []
+    assert _dead_helpers(_package_sources()) == []
+
+
+# The functions that still read a Fraction view; every other route reads
+# the stored integer cells.
+VIEW_READERS = {
+    "catalog.normalize_dim2_slsa", "catalog._proportional",
+    "catalog.classify_compatible_dim2", "catalog._extract_type_two",
+    "cli._product_entries", "phase._cocycle_witness",
+}
+
+
+def _view_readers(sources: dict) -> set:
+    """module.function (nested names joined by dots) for each function that
+    reads `.table` or `.data` of an object other than `self`; sources maps
+    a module name to its text."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) \
+                    and child.attr in ("table", "data") \
+                    and isinstance(child.ctx, ast.Load) \
+                    and getattr(child.value, "id", None) != "self":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), [module])
+    return found
+
+
+def test_the_guard_sees_a_view_read():
+    assert _view_readers({
+        "low": "class A:\n    def f(self):\n        return self.table\n"
+               "    def g(self, other):\n        return other.data[0]\n"
+               "def h(x):\n    def inner():\n        return x.table\n"
+               "    return inner\n"
+               "def k(x):\n    x.table = 1\n    return x.cells\n",
+    }) == {"low.A.g", "low.h.inner"}
+
+
+def test_only_listed_functions_read_a_fraction_view():
+    assert sorted(_view_readers(_package_sources()) - VIEW_READERS) == []
