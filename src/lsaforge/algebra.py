@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .exact import (Mat, Subspace, _as_fractions, _dense, _int_combine,
-                    _int_rows, _int_vec, _reduced, _scatter, _set_slots,
-                    _settled, _sparse, _Stored, _unpacked, vec, vec_sub)
+from .exact import (Mat, Subspace, _as_fractions, _dense, _int_rows,
+                    _int_vec, _reduced, _scatter, _set_slots, _settled,
+                    _sparse, _Stored, _unpacked, vec, vec_sub)
 from .report import Report, failing, passing, routes_disagree
 
 PREDICATES = ("left_symmetric", "associative", "commutative", "abelian",
@@ -38,26 +38,15 @@ def _labels(basis, n: int) -> tuple:
     return basis
 
 
-def _int_product(cells, left, right) -> list:
-    """The dense list of the ints sum u_i v_j c_ij^k, the product of the
+def _int_product(acc, cells, left, right, f: int = 1):
+    """acc plus f times the ints sum u_i v_j c_ij^k, the product of the
     sparse integer vectors left = (i, u_i), right = (j, v_j) over the table
-    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j; the sums over nonzero
-    cells use `_spread`, `_push` (`check`) or `exact._scatter` instead."""
-    out = [0] * len(cells)
+    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j: row i of the table
+    scattered by right, times f u_i, for each i of left (acc a dense list
+    or a dict, as for `exact._scatter`)."""
     for i, x in left:
-        row = cells[i]
-        for j, y in right:
-            c = x * y
-            for k, z in row[j]:
-                out[k] += c * z
-    return out
-
-
-def _left_slot(cells, vecs) -> list:
-    """The table of the products v . e_b, cells sparse, for the sparse
-    integer vectors v of vecs: the first slot step of a basis change."""
-    return [[_sparse(_int_product(cells, v, ((b, 1),)))
-             for b in range(len(cells))] for v in vecs]
+        _scatter(acc, right, cells[i], f * x)
+    return acc
 
 
 def _permuted(alg: "Algebra", order, sign: int = 1,
@@ -90,15 +79,17 @@ def _swapped(alg: "Algebra") -> "Algebra":
 def _slot_sum(terms, basis) -> "Algebra":
     """The table of (x, y) -> sum c out(left x * right y) over the terms
     (c, alg, left, right, out): c an int, * the product of alg, and left,
-    right, out n x n matrices or None for the identity.  Each term
-    contracts integer forms (the left slot by `_left_slot`, the right by
-    `_int_product`, out by its sparse columns); the terms are added over
-    the least common multiple of their denominators."""
+    right, out n x n matrices or None for the identity.  Row by row, every
+    term contracts integer forms through `exact._scatter` into dense
+    lists: the cells of alg by column i of left (left e_i . e_b for every
+    b), then by each column of right and the columns of out, into one row
+    of accumulators; the terms are added over the least common multiple
+    of their denominators."""
     n = len(basis)
     unit = [((j, 1),) for j in range(n)]
 
-    def columns(m):             # (d, the columns of d m), unit for None
-        return (1, unit) if m is None else m.transpose()._int_view()
+    def columns(m):             # (d, the columns of d m), or (1, None)
+        return (1, None) if m is None else m.transpose()._int_view()
     views = []
     for c, alg, left, right, out in terms:
         if alg.dim != n or any(m is not None and (m.rows, m.cols) != (n, n)
@@ -107,20 +98,24 @@ def _slot_sum(terms, basis) -> "Algebra":
         den, cells = alg._int_view()
         (dl, lcols), (dr, rcols), (do, ocols) = map(columns,
                                                     (left, right, out))
-        views.append((c, cells if left is None else _left_slot(cells, lcols),
-                      rcols, ocols, den * dl * dr * do))
+        views.append((c, cells, lcols, list(zip(*cells)), rcols or unit,
+                      ocols, den * dl * dr * do))
     common = lcm(*(view[-1] for view in views))
-    total = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for c, cells, rcols, ocols, den in views:
-        f = c * (common // den)
-        for i, row in enumerate(total):
+    table = []
+    for i in range(n):
+        row = [[0] * n for _ in range(n)]
+        for c, cells, lcols, below, rcols, ocols, den in views:
+            f = c * (common // den)
+            line = cells[i] if lcols is None else [
+                _sparse(_scatter([0] * n, lcols[i], col)) for col in below]
             for acc, col in zip(row, rcols):
-                for k, z in enumerate(_int_product(cells, ((i, f),), col)):
-                    if z:
-                        for s, w in ocols[k]:
-                            acc[s] += z * w
-    return Algebra._of(common, [[_sparse(cell) for cell in row]
-                                for row in total], basis)
+                if ocols is None:
+                    _scatter(acc, col, line, f)
+                else:
+                    _scatter(acc, _sparse(_scatter([0] * n, col, line, f)),
+                             ocols)
+        table.append([_sparse(acc) for acc in row])
+    return Algebra._of(common, table, basis)
 
 
 def _nonzero_cell(alg: "Algebra"):
@@ -213,9 +208,12 @@ class Algebra(_Stored):
 
     # -- products ---------------------------------------------------------
     def product(self, u: Sequence, v: Sequence) -> tuple:
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("vector length mismatch")
         du, left = _int_vec(u)
         dv, right = _int_vec(v)
-        return _as_fractions(_int_product(self._cells, left, right),
+        return _as_fractions(_int_product([0] * self.dim, self._cells, left,
+                                          right),
                              self._den * du * dv)
 
     def left_mults(self) -> tuple:
@@ -230,6 +228,8 @@ class Algebra(_Stored):
     def left_mult(self, u: Sequence) -> Mat:
         """L_u = sum_i u_i L_{e_i}; the memoized matrix itself for a
         basis vector."""
+        if len(u) != self.dim:
+            raise ValueError("vector length mismatch")
         out = None
         for a, li in zip(u, self.left_mults()):
             if a:
@@ -243,7 +243,7 @@ class Algebra(_Stored):
         if self._bracket is None:
             c, n = self._cells, self.dim
             object.__setattr__(self, "_bracket", Algebra._of(self._den, [
-                [_sparse(_int_combine((p, q), ((0, 1), (1, -1)), n))
+                [_sparse(_scatter([0] * n, ((0, 1), (1, -1)), (p, q)))
                  if p and q else p or tuple((k, -x) for k, x in q)
                  for p, q in zip(row, col)]
                 for row, col in zip(c, zip(*c))], self.basis))
@@ -262,7 +262,8 @@ class Algebra(_Stored):
         den = lcm(self._den, other._den)
         fg = ((0, den // self._den), (1, den // other._den))
         return Algebra._of(den, [
-            [_sparse(_int_combine(pair, fg, self.dim)) for pair in zip(p, q)]
+            [_sparse(_scatter([0] * self.dim, fg, pair))
+             for pair in zip(p, q)]
             for p, q in zip(self._cells, other._cells)], self.basis)
 
     def conjugate(self, p: Mat) -> "Algebra":
@@ -327,9 +328,11 @@ def nijenhuis(a, alg: Algebra) -> Algebra:
     table = []
     for ai, row in zip(cols, cells):
         # M(e_i, e_b) for every b, unsorted
-        m_i = [tuple(_scatter(_scatter({}, ai, column), cell, cols, -1)
-                     .items()) for column, cell in zip(below, row)]
-        table.append([_settled(_scatter(_scatter({}, aj, m_i), cell, cols, -1))
+        m_i = [tuple(_scatter(_scatter(defaultdict(int), ai, column), cell,
+                              cols, -1).items())
+               for column, cell in zip(below, row)]
+        table.append([_settled(_scatter(_scatter(defaultdict(int), aj, m_i),
+                                        cell, cols, -1))
                       for aj, cell in zip(cols, m_i)])
     return Algebra._of(den * da * da, table, alg.basis)
 
@@ -352,14 +355,13 @@ def _lines(table) -> list:
     return [[(k, cell) for k, cell in enumerate(row) if cell] for row in table]
 
 
-def _spread(acc, vec, rows, f, lo):
-    """acc[k] += f v.e_k for k > lo, v = vec, rows = `_lines` of the table."""
-    for l, x in vec:
-        for k, cell in rows[l]:
-            if k > lo:
-                out, c = acc[k], f * x
-                for s, z in cell:
-                    out[s] += c * z
+def _spread(acc, vec, rows, cols, f, lo):
+    """acc[k] += f v.e_k for k > lo, v = vec: cols[k] (column k of the
+    table) scattered by v, for each k that the rows of v reach (rows =
+    `_lines` of the table).  Most cells of a sparse table are empty."""
+    if vec:
+        for k in {k for l, _ in vec for k, _ in rows[l] if k > lo}:
+            _scatter(acc[k], vec, cols[k], f)
 
 
 def _push(acc, pairs, line, f, lo):
@@ -367,20 +369,17 @@ def _push(acc, pairs, line, f, lo):
     of pairs with k > lo: nonzero cells pushed through a row or column."""
     for k, cell in pairs:
         if k > lo:
-            out = acc[k]
-            for m, y in cell:
-                c = f * y
-                for s, z in line[m]:
-                    out[s] += c * z
+            _scatter(acc[k], cell, line, f)
 
 
 def _first_triple(n, pairs, sweep):
     """The first (i, j, k), least k, with acc[k] != 0 after sweep(acc, i, j)
     sums an identity on (e_i, e_j, e_k) for all k, over pairs in order."""
+    zero = [0] * n
     for i, j in pairs:
-        acc = defaultdict(lambda: [0] * n)
+        acc = defaultdict(zero.copy)
         sweep(acc, i, j)
-        bad = [k for k, v in acc.items() if any(v)]
+        bad = [k for k, v in acc.items() if v != zero]
         if bad:
             return i, j, min(bad)
     return None
@@ -388,11 +387,13 @@ def _first_triple(n, pairs, sweep):
 
 def _check_left_symmetric(alg: Algebra):
     # [e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k) = ass(i,j,k) - ass(j,i,k)
+    # with the bracket cells over D' scaled by D / D'
     n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
+    cols, br = list(zip(*cells)), alg.commutator_algebra()
+    scale = alg._den // br._den
 
     def sweep(acc, i, j):
-        comm = _int_combine((cells[i][j], cells[j][i]), ((0, 1), (1, -1)), n)
-        _spread(acc, _sparse(comm), rows, 1, -1)
+        _spread(acc, br._cells[i][j], rows, cols, scale, -1)
         _push(acc, rows[j], cells[i], -1, -1)
         _push(acc, rows[i], cells[j], 1, -1)
     return _first_triple(n, itertools.combinations(range(n), 2), sweep)
@@ -401,9 +402,10 @@ def _check_left_symmetric(alg: Algebra):
 def _check_associative(alg: Algebra):
     # D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
     n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
+    cols = list(zip(*cells))
 
     def sweep(acc, i, j):
-        _spread(acc, cells[i][j], rows, 1, -1)
+        _spread(acc, cells[i][j], rows, cols, 1, -1)
         _push(acc, rows[j], cells[i], -1, -1)
     return _first_triple(n, itertools.product(range(n), repeat=2), sweep)
 
@@ -422,7 +424,7 @@ def _jacobi_witness(br: Algebra):
     nonzero_cols = _lines(cols)
 
     def sweep(acc, i, j):
-        _spread(acc, cells[i][j], rows, 1, j)           # [[e_i,e_j],e_k]
+        _spread(acc, cells[i][j], rows, cols, 1, j)     # [[e_i,e_j],e_k]
         _push(acc, rows[j], cols[i], 1, j)              # [[e_j,e_k],e_i]
         _push(acc, nonzero_cols[i], cols[j], 1, j)      # [[e_k,e_i],e_j]
     return _first_triple(n, itertools.combinations(range(n - 1), 2), sweep)
@@ -445,10 +447,11 @@ def _check_lie_admissible(alg: Algebra):
     nonzero_cols = _lines(cols)
 
     def sweep(acc, i, j):
+        bij = br._cells[i][j]
         _push(acc, brows[j], cells[i], 1, j)            # e_i.[e_j,e_k]
         _push(acc, brows[i], cells[j], -1, j)           # e_j.[e_k,e_i]
-        _spread(acc, br._cells[i][j], nonzero_cols, 1, j)  # e_k.[e_i,e_j]
-        _spread(acc, br._cells[i][j], rows, -1, j)      # -[e_i,e_j].e_k
+        _spread(acc, bij, nonzero_cols, cells, 1, j)    # e_k.[e_i,e_j]
+        _spread(acc, bij, rows, cols, -1, j)            # -[e_i,e_j].e_k
         _push(acc, brows[j], cols[i], -1, j)            # -[e_j,e_k].e_i
         _push(acc, brows[i], cols[j], 1, j)             # -[e_k,e_i].e_j
     via_curvature = _first_triple(n, itertools.combinations(range(n - 1), 2),
@@ -497,7 +500,8 @@ def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
     computed over ints from the integer view and the stored rows of s and
     t: a nonzero multiple of a.b, which spans the same line."""
     cells = alg._int_view()[1]
-    return Subspace._of(alg.dim, [_int_product(cells, left, right)
+    return Subspace._of(alg.dim, [_int_product([0] * alg.dim, cells, left,
+                                               right)
                                   for left in s._cells for right in t._cells])
 
 

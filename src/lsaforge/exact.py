@@ -70,28 +70,21 @@ def _int_rows(entries: Sequence, count: int, width: int) -> tuple:
               if x) for r in range(count))
 
 
-def _int_combine(rows, coeffs, width: int) -> list:
-    """sum x rows[k] over the sparse coefficients (k, x), for sparse
-    integer rows of length width: the vector-matrix product."""
-    out = [0] * width
-    for k, x in coeffs:
-        for j, y in rows[k]:
-            out[j] += x * y
-    return out
-
-
-def _scatter(acc: dict, cell, rows, f: int = 1) -> dict:
+def _scatter(acc, cell, rows, f: int = 1):
     """acc[s] += f x y over the (k, x) of the sparse integer cell and the
-    (s, y) of rows[k]: `_int_combine` into a dict of the reached entries."""
+    (s, y) of rows[k]: the one contraction kernel.  The caller picks the
+    accumulator: a dense list of ints where the sum is dense (read back
+    by `_sparse`), a `defaultdict(int)` of the entries reached where it
+    is sparse (read back by `_settled`)."""
     for k, x in cell:
         c = f * x
         for s, y in rows[k]:
-            acc[s] = acc.get(s, 0) + c * y
+            acc[s] += c * y
     return acc
 
 
 def _settled(acc: dict) -> tuple:
-    """The nonzero (s, x) of a `_scatter` sum by increasing s, a cell."""
+    """The nonzero (s, x) of a `_scatter` dict by increasing s, a cell."""
     return tuple(sorted(filter(itemgetter(1), acc.items())))
 
 
@@ -381,7 +374,7 @@ class Mat(_Stored):
         den = lcm(self._den, other._den)
         fg = ((0, den // self._den), (1, sign * (den // other._den)))
         return Mat._of(self.rows, self.cols, den, [
-            _sparse(_int_combine(pair, fg, self.cols))
+            _sparse(_scatter([0] * self.cols, fg, pair))
             for pair in zip(self._cells, other._cells)])
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -405,7 +398,7 @@ class Mat(_Stored):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         return Mat._of(self.rows, other.cols, self._den * other._den, [
-            _sparse(_int_combine(other._cells, row, other.cols))
+            _sparse(_scatter([0] * other.cols, row, other._cells))
             for row in self._cells])
 
     def apply(self, v: Sequence) -> tuple:

@@ -12,7 +12,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .algebra import Algebra, _coaction, _slot_sum, check
+from .algebra import Algebra, _coaction, _lines, _slot_sum, check
 from .exact import Mat, _scatter, _settled, _unpacked
 from .report import Report, _relabel, failing, passing, require
 
@@ -70,9 +70,9 @@ def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
     cells = lie._int_view()[1]
     grows = _gram(omega, lie)._int_view()[1]        # ~ omega(e_a, e_b)
     sums = defaultdict(int)
-    for a, row in enumerate(cells):
-        for b, cell in enumerate(row):
-            for c, x in _scatter({}, cell, grows).items():
+    for a, row in enumerate(_lines(cells)):          # nonzero cells only
+        for b, cell in row:
+            for c, x in _scatter(defaultdict(int), cell, grows).items():
                 if a < b < c or b < c < a or c < a < b:
                     sums[tuple(sorted((a, b, c)))] += x
     bad = min((t for t, x in sums.items() if x), default=None)
@@ -139,14 +139,14 @@ def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
     dg, grows = _gram(metric, lie)._int_view()
     di, irows = metric.matrix.inverse()._int_view()
     spread = defaultdict(lambda: defaultdict(int))
-    for a, row in enumerate(cells):
-        for b, cell in enumerate(row):
-            for c, t in _scatter({}, cell, grows).items():
+    for a, row in enumerate(_lines(cells)):          # nonzero cells only
+        for b, cell in row:
+            for c, t in _scatter(defaultdict(int), cell, grows).items():
                 for key, w in (((a, b), c), ((b, c), a), ((c, b), a)):
                     spread[key][w] += t
     out = [[()] * n for _ in range(n)]
     for (i, j), acc in spread.items():
-        out[i][j] = _settled(_scatter({}, acc.items(), irows))
+        out[i][j] = _settled(_scatter(defaultdict(int), acc.items(), irows))
     return Algebra._of(2 * den * dg * di, out, lie.basis)
 
 

@@ -10,12 +10,13 @@ routes, cross-checked), and certifies para-Kahler structures.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
-from .exact import (Mat, _int_combine, _nonzero_entry, _scatter, _sparse,
-                    basis_vec, common_denominator, dot, vec_sub)
+from .exact import (Mat, _nonzero_entry, _scatter, _sparse, basis_vec,
+                    common_denominator, dot, vec_sub)
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
                      routes_disagree)
@@ -178,17 +179,16 @@ def _eigenspace_lines(sign: str, shifted: Mat, basis, lie: Algebra,
         shifted, Mat._of(len(vecs), n, 1, vecs)))
 
     def kills(sums, rows):          # every sparse sum maps to 0 by rows
-        return not any(any(_scatter({}, v, rows).values()) for v in sums)
+        return not any(any(_scatter(defaultdict(int), v, rows).values())
+                       for v in sums)
 
     def prods(alg, left):           # a.b for a in left and b in B
         for a, b in itertools.product(left, vecs):
-            acc = {}
-            for i, x in a:
-                _scatter(acc, b, alg._cells[i], x)
-            yield acc.items()
+            yield _int_product(defaultdict(int), alg._cells, a, b).items()
 
     def form(g):                    # a^t g for a in B, pushed through B
-        return kills((_scatter({}, a, g._cells).items() for a in vecs), bcols)
+        return kills((_scatter(defaultdict(int), a, g._cells).items()
+                      for a in vecs), bcols)
     return [_bool_report(law + sign, ok, anchor) for law, ok, anchor in (
         ("subalgebra_", kills(prods(lie, vecs), scols),
          "[g^e, g^e] <= g^e"),
@@ -205,8 +205,8 @@ def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
     e_i.(m e_j), of m L_i it is m(e_i.e_j): over ints, D_lc d_m."""
     n, cells, cols = lc.dim, lc._int_view()[1], m.transpose()._int_view()[1]
     bad = next(((i,) for i in range(n) if any(
-        _int_product(cells, ((i, 1),), cols[j])
-        != _int_combine(cols, cells[i][j], n) for j in range(n))), None)
+        _scatter([0] * n, cols[j], cells[i])
+        != _scatter([0] * n, cells[i][j], cols) for j in range(n))), None)
     return Report("parallel_" + label.lower(), bad is None,
                   "L_u %s == %s L_u for the Levi-Civita product"
                   % (label, label), witness=bad)

@@ -23,6 +23,7 @@ slots names the same condition in that argument convention.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -31,8 +32,7 @@ from math import lcm
 
 from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _swapped,
                       check, invariance_check)
-from .exact import (Mat, _as_fractions, _int_combine, _scatter, _settled,
-                    _sparse)
+from .exact import Mat, _as_fractions, _scatter, _sparse
 from .forms import Bilinear
 from .phase import PhaseSpace, build_phase, verify_para_kahler
 from .report import (Certificate, Report, _relabel, certify, failing,
@@ -119,10 +119,9 @@ def _sharp_defect(lie: Algebra, rm: Mat, dual_lie: Algebra) -> Algebra:
     den, cells = lie._int_view()
     dd, dual = dual_lie._int_view()
     f = dr * den
-    return Algebra._of(dr * f * dd, [[_sparse([f * x - dd * y for x, y in zip(
-        _int_combine(rows, dual[a][b], n),
-        _int_product(cells, rows[a], rows[b]))]) for b in range(n)]
-        for a in range(n)], lie.basis)
+    return Algebra._of(dr * f * dd, [[_sparse(_int_product(
+        _scatter([0] * n, dual[a][b], rows, f), cells, rows[a], rows[b], -dd))
+        for b in range(n)] for a in range(n)], lie.basis)
 
 
 def rr_bracket(u: Algebra, r):
@@ -318,15 +317,11 @@ def _xi_report(src: Algebra, dst: Algebra, xi: Mat) -> Report:
         return failing("xi_isomorphism", anchor)
     n, (ds, scells), (dd, dcells) = src.dim, src._int_view(), dst._int_view()
     dx, cols = xi.transpose()._int_view()          # cols[i] ~ xi e_i
-
-    def moved(i, j):                               # ~ [xi e_i, xi e_j]_dst
-        acc = {}
-        for a, x in cols[i]:
-            _scatter(acc, cols[j], dcells[a], ds * x)
-        return _settled(acc)
+    # xi [e_i,e_j]_src - [xi e_i, xi e_j]_dst, summed into one dict
     bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                if _settled(_scatter({}, scells[i][j], cols, dx * dd))
-                != moved(i, j)), None)
+                if any(_int_product(_scatter(
+                    defaultdict(int), scells[i][j], cols, dx * dd),
+                    dcells, cols[i], cols[j], -ds).values())), None)
     return Report("xi_isomorphism", bad is None, anchor, witness=bad)
 
 

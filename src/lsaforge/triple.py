@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Sequence
 
 from .algebra import Algebra
-from .exact import (_as_fractions, _dense, _int_combine, _int_rows, _int_vec,
-                    _reduced, _scatter, _set_slots, _settled, _Stored, vec)
+from .exact import (_as_fractions, _dense, _int_rows, _int_vec, _reduced,
+                    _scatter, _set_slots, _settled, _Stored, vec)
 from .report import Certificate, Report
 
 
@@ -60,16 +61,19 @@ class LieTriple(_Stored):
         out = [()] * n ** 3
         for ij, cell in enumerate(c for row in cells for c in row):
             for k in {k for a, _ in cell for k in reach[a]}:
-                out[ij * n + k] = _settled(_scatter({}, cell, cols[k]))
+                out[ij * n + k] = _settled(_scatter(defaultdict(int), cell,
+                                                    cols[k]))
         return _set_slots(object.__new__(LieTriple),
                           (n,) + _reduced(d1 * d2, out) + (None,))
 
     def __call__(self, x, y, z):
         n = self.dim
+        if any(len(v) != n for v in (x, y, z)):
+            raise ValueError("vector length mismatch")
         (dx, xs), (dy, ys), (dz, zs) = map(_int_vec, (x, y, z))
         terms = [((i * n + j) * n + k, a * b * c)
                  for i, a in xs for j, b in ys for k, c in zs]
-        return _as_fractions(_int_combine(self._cells, terms, n),
+        return _as_fractions(_scatter([0] * n, terms, self._cells),
                              self._den * dx * dy * dz)
 
     def check(self) -> Certificate:
@@ -86,7 +90,7 @@ class LieTriple(_Stored):
             return (i * n + j) * n + k
 
         def nonzero(terms):            # the sum of y cells[c] over (c, y)
-            return any(_scatter({}, terms, cells).values())
+            return any(_scatter(defaultdict(int), terms, cells).values())
 
         # only the triples of nonzero cells, sorted like a witness, can fail
         stored = [t for t, cell in zip(

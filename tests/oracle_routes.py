@@ -13,7 +13,9 @@ dense routes of the twist certificate (`dense_levi_civita`,
 `dense_two_cocycle`, `dense_eigenspace_lines`, `dense_compose`,
 `dense_invariance`, `dense_derivation`, `dense_nijenhuis` and
 `dense_commutator`): dense lists over every basis pair or triple where
-the library accumulates from nonzero cells.
+the library accumulates from nonzero cells.  They run on dense integer
+kernels of their own (`_int_combine`, `_int_product`, `_left_slot`),
+not on the library's one contraction kernel `exact._scatter`.
 The subspace routes (intersection, complement, symplectic orthogonal,
 the powers of a product) and the Lagrangian complements of the
 associative normalizer are Fraction loops over basis vectors.
@@ -34,15 +36,48 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from lsaforge.algebra import (Algebra, Endo, _int_product, _left_slot,
-                              _mat, _rep_columns)
-from lsaforge.exact import (Mat, Subspace, _int_combine, _reduced, _set_slots,
-                            _sparse, _unpacked, common_denominator)
+from lsaforge.algebra import Algebra, Endo, _mat, _rep_columns
+from lsaforge.exact import (Mat, Subspace, _reduced, _set_slots, _sparse,
+                            _unpacked, common_denominator)
 from lsaforge.forms import _gram
 from lsaforge.report import _bool_report, failing, passing
 from lsaforge.triple import LieTriple
 
 ZERO = Fraction(0)
+
+
+# -- the dense integer kernels, kept apart from the library's `_scatter` ------
+
+def _int_combine(rows, coeffs, width: int) -> list:
+    """sum x rows[k] over the sparse coefficients (k, x), for sparse
+    integer rows of length width: the vector-matrix product."""
+    out = [0] * width
+    for k, x in coeffs:
+        for j, y in rows[k]:
+            out[j] += x * y
+    return out
+
+
+def _int_product(cells, left, right) -> list:
+    """The dense list of the ints sum u_i v_j c_ij^k, the product of the
+    sparse integer vectors left = (i, u_i), right = (j, v_j) over the table
+    cells[i][j] = the nonzero (k, c_ij^k) of e_i . e_j; the sums over nonzero
+    cells use `_spread`, `_push` (`check`) or `exact._scatter` instead."""
+    out = [0] * len(cells)
+    for i, x in left:
+        row = cells[i]
+        for j, y in right:
+            c = x * y
+            for k, z in row[j]:
+                out[k] += c * z
+    return out
+
+
+def _left_slot(cells, vecs) -> list:
+    """The table of the products v . e_b, cells sparse, for the sparse
+    integer vectors v of vecs: the first slot step of a basis change."""
+    return [[_sparse(_int_product(cells, v, ((b, 1),)))
+             for b in range(len(cells))] for v in vecs]
 
 
 # -- dense linear algebra -----------------------------------------------------

@@ -361,6 +361,22 @@ def test_bad_table_rejected():
         Algebra([[(0, 0)]])
 
 
+@pytest.mark.parametrize("call", [
+    lambda alg: alg.product((1,), (0, 1)),
+    lambda alg: alg.product((0, 0, 1), (0, 1)),
+    lambda alg: alg.product((0, 1), (1, 0, 0)),
+    lambda alg: alg.left_mult((1, 0, 5)),
+    lambda alg: alg.left_mult((1,)),
+    lambda alg: LieTriple.compose(alg, alg)((0, 0, 1), (1, 0), (0, 1)),
+    lambda alg: LieTriple.compose(alg, alg)((1, 0), (1, 0), (1,)),
+], ids=["product_short_left", "product_long_left", "product_long_right",
+        "left_mult_long", "left_mult_short", "triple_long_first",
+        "triple_short_last"])
+def test_vectors_of_the_wrong_length_are_rejected(aff, call):
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        call(aff)
+
+
 def test_endo_wraps(nab_lsa):
     e = Endo(nab_lsa, Mat.identity(2))
     assert e.matrix == Mat.identity(2)

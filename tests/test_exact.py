@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsaforge.algebra import Algebra
-from lsaforge.exact import (Mat, Subspace, _reduced, basis_vec, form_value,
-                            format_rational, is_zero_vec,
-                            lagrangian_complement, parse_rational, solve,
-                            symp_orthogonal, vec_add, vec_scale, zero_vec)
+from lsaforge.exact import (Mat, Subspace, _reduced, _scatter, _settled,
+                            _sparse, basis_vec, form_value, format_rational,
+                            is_zero_vec, lagrangian_complement,
+                            parse_rational, solve, symp_orthogonal, vec_add,
+                            vec_scale, zero_vec)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
 
@@ -173,3 +175,44 @@ def test_reduced_is_the_unique_integer_form():
     assert hash(from_lists) == hash(from_tuples)
     assert from_lists._int_view() == (
         4, ((((1, 1),), ()), ((), ((0, -2), (1, 3)))))
+
+
+def _sparse_cell(rng, width, size):
+    """size nonzero seeded entries (s, x) at distinct s < width, by s."""
+    return tuple(sorted((s, rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for s in rng.sample(range(width), size)))
+
+
+def _double_loop(start, cell, rows, f):
+    """start plus f x y at s over every (k, x) of cell and (s, y) of rows[k]."""
+    out = list(start)
+    for k, x in cell:
+        for s, y in rows[k]:
+            out[s] += f * x * y
+    return out
+
+
+@pytest.mark.parametrize("f", [1, -1, 3])
+def test_scatter_into_a_list_and_a_dict_matches_a_double_loop(f):
+    rng = random.Random(22)
+    width = 8
+    cases = [([((0, 1), (2, 2)), ((0, -1), (2, 4))], ((0, 2), (1, 2))),
+             ([((3, 1),), ((3, -1),)], ((0, 1), (1, 1))),  # sums to 0
+             ([((0, 1),)], ())]                               # empty cell
+    for _ in range(40):
+        rows = [_sparse_cell(rng, width, rng.randint(0, 4))
+                for _ in range(rng.randint(1, 6))]
+        cases.append((rows, _sparse_cell(rng, len(rows),
+                                         rng.randint(0, len(rows)))))
+    for rows, cell in cases:
+        for start in ([0] * width, [rng.randint(-1, 1) for _ in range(width)]):
+            want = _double_loop(start, cell, rows, f)
+            dense = list(start)
+            assert _scatter(dense, cell, rows, f) is dense
+            assert dense == want
+            reached = defaultdict(int, _sparse(start))
+            assert _scatter(reached, cell, rows, f) is reached
+            assert [reached[s] for s in range(width)] == want
+            # neither readback keeps an entry that cancelled to 0
+            assert tuple(_sparse(dense)) == _settled(reached) \
+                == tuple((s, x) for s, x in enumerate(want) if x)

@@ -1,8 +1,9 @@
 """Every module-level import of an lsaforge module is used by it, every
 relative import names the module that defines the name, every
 module-level private function or class is referred to somewhere in the
-package besides its own definition, and no function outside a shrinking
-list reads the `Fraction` views `.table` or `.data` of another object.
+package besides its own definition, no function outside a shrinking
+list reads the `Fraction` views `.table` or `.data` of another object,
+and the test oracles do not reach the contraction kernel they check.
 
 `__init__.py` is left out of the first guard: its imports are the
 package's public names.  It is in the second: each of them is taken from
@@ -171,3 +172,33 @@ def test_the_guard_sees_a_view_read():
 
 def test_only_listed_functions_read_a_fraction_view():
     assert sorted(_view_readers(_package_sources()) - VIEW_READERS) == []
+
+
+# The library's one contraction kernel and its dict readback; the
+# oracles keep dense kernels of their own.
+KERNEL = {"_scatter", "_settled"}
+
+
+def _kernel_reads(source: str) -> list:
+    """(line, name) for each import or attribute read of a KERNEL name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.lineno, alias.name) for alias in node.names
+                         if alias.name in KERNEL)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL:
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_guard_sees_a_kernel_import():
+    assert _kernel_reads("from lsaforge.exact import (Mat,\n    _scatter)\n"
+                         "import lsaforge.exact as ex\nex._settled({})\n"
+                         "from lsaforge.algebra import _scattered\n") == [
+        (1, "_scatter"), (4, "_settled")]
+
+
+def test_oracles_do_not_use_the_kernel_they_check():
+    path = os.path.join(os.path.dirname(__file__), "oracle_routes.py")
+    with open(path, encoding="utf-8") as handle:
+        assert _kernel_reads(handle.read()) == []
