@@ -22,8 +22,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
-from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _slot_sum,
-                      _swapped, check, invariance_check, is_derivation,
+from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _swapped,
+                      check, invariance_check, is_derivation,
                       product_subspaces, subspace_product)
 from .doubling import is_compatible
 from .exact import (Mat, Subspace, ZERO, ONE, _sparse, _unpacked, basis_vec,
@@ -32,10 +32,10 @@ from .exact import (Mat, Subspace, ZERO, ONE, _sparse, _unpacked, basis_vec,
                     vec_scale, vec_sub, zero_vec)
 from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
-from .phase import build_phase, verify_para_kahler
+from .phase import _split_form, build_phase, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
                      _relabel, certify, require)
-from .smatrix import (Tensor2, coadjoint_double, semidirect_bracket,
+from .smatrix import (Tensor2, _coadjoint, semidirect_bracket,
                       twisted_structures)
 
 FAMILIES = ("dim2_abelian", "dim2_nonabelian", "compat_family1",
@@ -744,9 +744,8 @@ def build_quadratic_symplectic(lie: Algebra, n: int) -> QuadraticData:
     graded, delta = graded_tensor_algebra(lie, n)
     big = semidirect_bracket(graded, graded)
     m = graded.dim
-    ident = Mat.identity(m)
     zero = Mat.zeros(m, m)
-    pairing = Bilinear(Mat.block([[zero, ident], [ident, zero]]), "symmetric")
+    pairing = Bilinear(_split_form(Mat.identity(m)), "symmetric")
     dmat = Mat.block([[delta, zero], [zero, delta.transpose().scale(-1)]])
     omega = Bilinear(dmat.transpose() * pairing.matrix, "skew")
     metric = Bilinear(dmat.transpose() * pairing.matrix * dmat, "symmetric")
@@ -781,43 +780,30 @@ class FlatDoubleData:
 def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
     """Para-Kahler double of a flat pseudo-metric Lie algebra.
 
-    The Levi-Civita product is left symmetric; its coadjoint double
-    carries the metric [[0, I], [I, -2 G^-1]] and the involution
-    [[I, -2 G^-1], [0, -I]].  The Levi-Civita product of the double is
-    re-verified to equal the lifted product, and the whole bundle is
-    cross-checked against the twist induced by the inverse metric seen
-    as an invariant symmetric tensor.
+    The Levi-Civita product is left symmetric and G^-1 an S-matrix for
+    it; the twist by G^-1 gives the double's bracket (the semidirect
+    one), metric [[0, I], [I, -2 G^-1]] and involution
+    [[I, -2 G^-1], [0, -I]].  The bracket is re-verified as the
+    commutator of the lifted product, which must be its Levi-Civita
+    product, and the twisted bracket must equal it: Delta(G^-1) == 0.
     """
     require(is_flat(lie, metric), "metric is not flat")
     dot = levi_civita(lie, metric)
-    ps = build_phase(dot)
-    triangle = ps.extended
-    bracket = semidirect_bracket(dot.commutator_algebra(), dot)
-    n = lie.dim
-    g = metric.matrix
-    ginv = g.inverse()
-    ident = Mat.identity(n)
-    zero = Mat.zeros(n, n)
-    metric_d = Bilinear(Mat.block([[zero, ident],
-                                   [ident, ginv.scale(-2)]]), "symmetric")
-    k = Mat.block([[ident, ginv.scale(-2)], [zero, ident.scale(-1)]])
+    triangle = build_phase(dot).extended
+    ginv = metric.matrix.inverse()
+    tw = twisted_structures(dot, Tensor2(dot, ginv))
+    bracket, metric_d, k = tw.triangle, tw.metric_r, tw.k_r
     reports = [_bool_report(
         "commutator_of_lift", bracket == triangle.commutator_algebra(),
-        "semidirect bracket == commutator of the lifted product")]
-    lc = levi_civita(bracket, metric_d)
-    reports.append(_bool_report(
-        "levi_civita_of_double", lc == triangle,
-        "Levi-Civita product of the double == lifted product"))
-    rt = Tensor2(dot, ginv)
-    reports.append(_relabel(
-        invariance_check(ginv, ("L", "L"), dot), "inverse_metric_invariant"))
-    tw = twisted_structures(dot, rt)
-    agree = (tw.triangle == bracket and tw.twisted == bracket
-             and tw.metric_r.matrix == metric_d.matrix and tw.k_r == k)
-    reports.append(_bool_report(
-        "twist_crosscheck", agree,
-        "twist by the inverse metric reproduces bracket, metric, and "
-        "involution"))
+        "semidirect bracket == commutator of the lifted product"),
+        _bool_report("levi_civita_of_double",
+                     levi_civita(bracket, metric_d) == triangle,
+                     "Levi-Civita product of the double == lifted product"),
+        _relabel(invariance_check(ginv, ("L", "L"), dot),
+                 "inverse_metric_invariant"),
+        _bool_report("twist_crosscheck", tw.twisted == tw.triangle,
+                     "twist by the inverse metric reproduces bracket, "
+                     "metric, and involution")]
     cert = certify("flat_double", tuple(reports)
                    + verify_para_kahler(bracket, metric_d, k).reports)
     return FlatDoubleData(triangle, bracket, metric_d, k, cert)
@@ -847,36 +833,34 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     form on the Lie algebra.
 
     The solution induces a left-symmetric product on the dual; the form,
-    re-read on the dual's own dual, is then left-invariant there, and
-    the double is built twice — directly from the bracket, metric, and
-    involution formulas, and through the twist on the dual product —
-    with exact agreement required.
+    re-read on the dual's own dual, is then left-invariant there.  The
+    metric [[-2S, I], [I, 0]] (S the symmetric part of the form) and the
+    involution [[-I, 0], [-2R^t, I]] are those of the twist by the form
+    on the dual product, moved by the swap of g and g*.  The bracket is
+    built directly from r_# and the dual bracket, and must equal both
+    the twist's semidirect and twisted brackets, moved by the swap.
     """
     bmat = b.matrix if isinstance(b, Tensor2) else b
     n = lie.dim
-    dd = coadjoint_double(lie, bmat)
-    wit = _nonzero_cell(dd.rr)
+    r_act, dual_bracket, rr = _coadjoint(lie, bmat)
+    wit = _nonzero_cell(rr)
     if wit is not None:
         raise ValueError("Yang-Baxter equation fails: [b,b](e_%d*, e_%d*) "
                          "is nonzero" % wit)
-    bsh = bmat.transpose()
-    zvecs = [bsh.col(a) for a in range(n)]
-    # [r_#(e_a), e_c] in cell (a, c); the dual product a.c = -ad_{r_#(a)}^t c
-    r_act = _slot_sum([(1, lie, bsh, None, None)], lie.basis)
+    # the dual product a.c = -ad_{r_#(a)}^t c, ad_{r_#(a)} that of r_act
     dstar = _coaction(r_act, -1, tuple(s + "*" for s in lie.basis))
     ls = check(dstar, "left_symmetric")
     if not ls:
         raise InternalInconsistency("dual product of a Yang-Baxter solution "
                                     "must be left symmetric")
-    if dstar.commutator_algebra() != dd.dual_bracket:
+    if dstar.commutator_algebra() != dual_bracket:
         raise InternalInconsistency("dual product commutator disagrees with "
                                     "the dual bracket")
     rmat = r_dual.matrix if isinstance(r_dual, (Bilinear, Tensor2)) else r_dual
     if rmat.rows != n or rmat.cols != n:
         raise ValueError("form shape mismatch")
-    coad = all((lie.left_mult(z).transpose() * rmat
-                + rmat * lie.left_mult(z)).is_zero()
-               for z in zvecs)
+    coad = all((ad.transpose() * rmat + rmat * ad).is_zero()
+               for ad in r_act.left_mults())     # ad_{r_#(e_a)}
     linv = invariance_check(rmat, ("L", "L"), dstar,
                             name="form_left_invariant")
     if coad != bool(linv):
@@ -890,25 +874,18 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
     bracket = Algebra.from_blocks(
         [[(None, None), (_swapped(r_act.scale(-1)), None)],
-         [(r_act, None), (None, dd.dual_bracket)]],
+         [(r_act, None), (None, dual_bracket)]],
         lie.basis, "*")
     # (X+a).(Y+b) = [r_#(a), Y] + a.b with the dual product
     triangle = Algebra.from_blocks(
         [[(None, None), (None, None)],
          [(r_act, None), (None, dstar)]],
         lie.basis, "*")
-    ident = Mat.identity(n)
-    zero = Mat.zeros(n, n)
-    sym = (rmat + rmat.transpose()).scale(Fraction(1, 2))
-    metric = Bilinear(Mat.block([[sym.scale(-2), ident],
-                                 [ident, zero]]), "symmetric")
-    k = Mat.block([[ident.scale(-1), zero],
-                   [rmat.transpose().scale(-2), ident]])
-    swap = Mat.block([[zero, ident], [ident, zero]])
+    swap = _split_form(Mat.identity(n))     # its own inverse and transpose
+    metric = Bilinear(swap * tw.metric_r.matrix * swap, "symmetric")
+    k = swap * tw.k_r * swap
     agree = (bracket == tw.triangle.conjugate(swap)
-             and bracket == tw.twisted.conjugate(swap)
-             and metric.matrix == swap.transpose() * tw.metric_r.matrix * swap
-             and k == swap.inverse() * tw.k_r * swap)
+             and bracket == tw.twisted.conjugate(swap))
     reports = [
         _bool_report("yang_baxter", True, "[b,b] == 0"),
         _relabel(ls, "dual_product_left_symmetric"),

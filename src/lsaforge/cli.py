@@ -405,6 +405,9 @@ def _cmd_build(args) -> int:
         if what == "phase":
             dual = None if args.dual == "zero" else \
                 load_structure(args.dual).need("products", "product")
+            if dual is not None and dual.dim != alg.dim:
+                raise UsageError("%s: dim %d does not match the dim %d of %s"
+                                 % (args.dual, dual.dim, alg.dim, args.file))
             ps = build_phase(alg, dual)
             reports = [check(ps.extended, "left_symmetric"),
                        is_invariant_form(ps.omega0, ps.extended)]

@@ -18,7 +18,8 @@ from .algebra import (Algebra, _nonzero_cell, _permuted, _slot_sum, _swapped,
                       check, curvature, invariance_check, nijenhuis)
 from .exact import Mat, _nonzero_entry, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
-from .phase import verify_hyper_para_kahler, verify_para_kahler
+from .phase import (_involution, _require_left_symmetric, _split_form,
+                    verify_hyper_para_kahler, verify_para_kahler)
 from .report import (Certificate, Report, _bool_report, _relabel, certify,
                      failing, passing, require, routes_disagree)
 from .smatrix import Tensor2, classify_r, twisted_structures
@@ -55,11 +56,8 @@ def is_compatible(bullet: Algebra, circ: Algebra) -> Report:
     Cross-checked against the Lie-admissibility of the double product;
     the two verdicts must coincide.
     """
-    for alg, label in ((bullet, "first"), (circ, "second")):
-        rep = check(alg, "left_symmetric")
-        if not rep:
-            raise ValueError("%s product is not left symmetric (witness %s)"
-                             % (label, rep.witness))
+    _require_left_symmetric((bullet, "first product"),
+                            (circ, "second product"))
     witness = _compat_witness(bullet, circ)
     via_double = check(tu_product(bullet, circ), "lie_admissible")
     if (witness is None) != bool(via_double):
@@ -104,8 +102,7 @@ def tu_product(bullet: Algebra, circ: Algebra) -> Algebra:
 
 
 def double_k(n: int) -> Mat:
-    ident, zero = Mat.identity(n), Mat.zeros(n, n)
-    return Mat.block([[ident, zero], [zero, -ident]])
+    return _involution(n)
 
 
 def double_j(n: int) -> Mat:
@@ -173,9 +170,7 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
 
 def double_metric(omega: Bilinear) -> Bilinear:
     """<(u,v),(w,z)>_1 = omega(z,u) + omega(v,w)."""
-    g = omega.matrix
-    zero = Mat.zeros(g.rows, g.cols)
-    return Bilinear(Mat.block([[zero, -g], [g, zero]]), "symmetric")
+    return Bilinear(_split_form(omega.matrix), "symmetric")
 
 
 @dataclass(frozen=True)
@@ -321,12 +316,9 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
         lie.basis, "'")
 
     g = omega.matrix
-    zero = Mat.zeros(n, n)
-    metric = Bilinear(Mat.block([[zero, -g],
-                                 [g, (a_a.transpose() * g).scale(2)]]),
+    metric = Bilinear(_split_form(g, (a_a.transpose() * g).scale(2)),
                       "symmetric")
-    ident = Mat.identity(n)
-    k = Mat.block([[ident, a.scale(-2)], [zero, -ident]])
+    k = _involution(n, a)
 
     if quasi:
         _symp_transport_crosscheck(dot, omega, a, bracket, metric, k)
@@ -447,18 +439,16 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
         alg.basis, "'")
 
     g = theta.matrix
-    zero = Mat.zeros(n, n)
     # corner term -2*sym(r)(Theta Y, Theta T) of the transported metric:
     # +2 theta(A^a Y, T) for skew theta, -2 theta(A^s Y, T) for symmetric
     if theta.kind == "skew":
         corner = (a_a.transpose() * g).scale(2)
     else:
         corner = (a_s.transpose() * g).scale(-2)
-    metric = Bilinear(Mat.block([[zero, g.transpose()], [g, corner]]),
-                      "symmetric")
+    metric = Bilinear(_split_form(g, corner), "symmetric")
+    k = _involution(n, a)
     ident = Mat.identity(n)
-    k = Mat.block([[ident, a.scale(-2)], [zero, -ident]])
-    j = Mat.block([[a, -(Mat.identity(n) + a * a)], [ident, -a]])
+    j = Mat.block([[a, -(ident + a * a)], [ident, -a]])
 
     reports = list(pre_reports)
     reports.append(_relabel(check(circ, "left_symmetric"),

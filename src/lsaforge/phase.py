@@ -48,11 +48,7 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         dual = Algebra.zero(u.dim)
     if dual.dim != u.dim:
         raise ValueError("dual product dimension mismatch")
-    for alg, label in ((u, "product on U"), (dual, "product on U*")):
-        rep = check(alg, "left_symmetric")
-        if not rep:
-            raise ValueError("%s is not left symmetric (witness %s)"
-                             % (label, rep.witness))
+    _require_left_symmetric((u, "product on U"), (dual, "product on U*"))
     extended = Algebra.from_blocks(
         [[(u, None), (None, _coaction(u, -1))],
          [(_coaction(dual, -1), None), (None, dual)]],
@@ -60,11 +56,32 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
     n = u.dim
     ident = Mat.identity(n)
     zero = Mat.zeros(n, n)
-    pairing0 = Bilinear(Mat.block([[zero, ident], [ident, zero]]), "symmetric")
     omega0 = Bilinear(Mat.block([[zero, ident], [-ident, zero]]), "skew")
-    k0 = Mat.block([[ident, zero], [zero, -ident]])
-    return PhaseSpace(u=u, dual=dual, extended=extended, pairing0=pairing0,
-                      omega0=omega0, k0=k0)
+    return PhaseSpace(u=u, dual=dual, extended=extended,
+                      pairing0=Bilinear(_split_form(ident), "symmetric"),
+                      omega0=omega0, k0=_involution(n))
+
+
+def _require_left_symmetric(*labelled) -> None:
+    """ValueError for the first (algebra, label) not left symmetric."""
+    for alg, label in labelled:
+        rep = check(alg, "left_symmetric")
+        if not rep:
+            raise ValueError("%s is not left symmetric (witness %s)"
+                             % (label, rep.witness))
+
+
+def _involution(n: int, a: Optional[Mat] = None) -> Mat:
+    """The involution K_A = [[I, -2A], [0, -I]], A = 0 by default."""
+    ident, zero = Mat.identity(n), Mat.zeros(n, n)
+    return Mat.block([[ident, zero if a is None else a.scale(-2)],
+                      [zero, -ident]])
+
+
+def _split_form(g: Mat, c: Optional[Mat] = None) -> Mat:
+    """The split form [[0, G^t], [G, C]], C = 0 by default."""
+    zero = Mat.zeros(g.rows, g.cols)
+    return Mat.block([[zero, g.transpose()], [g, zero if c is None else c]])
 
 
 def _rho(u: Algebra, dual: Algebra, x, alpha) -> Mat:

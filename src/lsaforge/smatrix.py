@@ -3,12 +3,13 @@
 A tensor r in U (x) U induces a product on U*, a defect map Delta(r)
 measuring how far r_# is from a morphism, and a five-term bracket
 [[r,r]]; the two agree through the duality pairing and both are
-computed and compared over ints, each as a contraction of integer forms
-(R, the cells of U and of its bracket over their denominators): [[r,r]]
-from R and the cells, Delta(r) from r_# and the r-induced product, both
-compared at one scale.  Quasi-S-matrices (skew part invariant under
-left multiplications, Delta(r) invariant under the mixed action) twist
-the semidirect phase-space bracket into new para-Kahler Lie algebras.
+computed over ints, each as a contraction of integer forms (R, the
+cells of U and of its bracket over their denominators): [[r,r]] from R
+and the cells, Delta(r) from r_# and the r-induced product, both
+compared as stored algebras (a, b) -> U.  Quasi-S-matrices (skew part
+invariant under left multiplications, Delta(r) invariant under the
+mixed action) twist the semidirect phase-space bracket into new
+para-Kahler Lie algebras.
 
 Convention note: the invariance of Delta(r) is checked with the slot
 representations (L, L, ad) applied directly to the indices of the
@@ -28,13 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from math import lcm
-
-from .algebra import (Algebra, _coaction, _int_product, _slot_sum, _swapped,
-                      check, invariance_check)
-from .exact import Mat, _as_fractions, _scatter, _sparse
+from .algebra import (Algebra, _coaction, _int_product, _nonzero_cell,
+                      _slot_sum, _swapped, check, invariance_check)
+from .exact import Mat, _dense, _scatter, _sparse
 from .forms import Bilinear
-from .phase import PhaseSpace, build_phase, verify_para_kahler
+from .phase import (PhaseSpace, _involution, _split_form, build_phase,
+                    verify_para_kahler)
 from .report import (Certificate, Report, _relabel, certify, failing,
                      require, routes_disagree)
 from .triple import LieTriple
@@ -126,18 +126,18 @@ def _sharp_defect(lie: Algebra, rm: Mat, dual_lie: Algebra) -> Algebra:
 
 def rr_bracket(u: Algebra, r):
     """The five-term bracket [[r,r]] in U (x) U (x) U, as Fractions."""
-    scale, out = _rr_ints(u, _as_tensor2(u, r))
-    return [[list(_as_fractions(row, scale)) for row in plane]
-            for plane in out]
+    rr = _rr_algebra(u, _as_tensor2(u, r))
+    return [[list(_dense(rr._den, cell, u.dim)) for cell in row]
+            for row in rr._cells]
 
 
-def _rr_ints(u: Algebra, r: Tensor2) -> tuple:
-    """(S, the int array S [[r,r]]) for the five-term bracket
+def _rr_algebra(u: Algebra, r: Tensor2) -> Algebra:
+    """The algebra (a, b) -> [[r,r]](a, b, .) of the five-term bracket
 
     [[r,r]] = r13.r12 - r23.r21 + [r23,r12] - [r13,r21] - [r13,r23],
     r = sum R[i][j] e_i (x) e_j: each product R[i][j] R[k][l] of nonzero
     entries (over D_r^2) spreads the cells of e_i.e_k (over D), [e_i,e_l]
-    and [e_j,e_l] (over D_br) into the array, over S = D_r^2 D D_br.
+    and [e_j,e_l] (over D_br) into an int array over S = D_r^2 D D_br.
     """
     n = u.dim
     dr, rows = r.matrix._int_view()
@@ -158,7 +158,8 @@ def _rr_ints(u: Algebra, r: Tensor2) -> tuple:
                 out[s][k][j] -= v
             for s, c in br[j][l]:           # -[r13,r23]
                 out[i][k][s] -= w * c * den
-    return dr * dr * den * dbr, out
+    return Algebra._of(dr * dr * den * dbr, [[_sparse(c) for c in row]
+                                             for row in out], u.basis)
 
 
 def rr_delta_agree(u: Algebra, r) -> Report:
@@ -169,27 +170,18 @@ def rr_delta_agree(u: Algebra, r) -> Report:
 
 
 def _rr_delta_report(u: Algebra, r: Tensor2, delta: Algebra) -> Report:
-    """[[r,r]] less Delta(r), over ints at the least common multiple of
-    their denominators; the witness is its first nonzero (a, b, c)."""
-    scale, diff = _rr_ints(u, r)
-    den, cells = delta._int_view()
-    common = lcm(scale, den)
-    diff = [[[common // scale * x for x in row] for row in plane]
-            for plane in diff]
-    for a, row in enumerate(cells):
-        for b, cell in enumerate(row):
-            for c, x in cell:
-                diff[a][b][c] -= common // den * x
-    bad = _first_nonzero(diff)
+    """[[r,r]] against Delta(r), both as stored algebras; where they
+    differ the witness is the first nonzero (a, b, c) of rr - Delta."""
+    rr = _rr_algebra(u, r)
+    bad = None if rr == delta else _first_entry(rr.add(delta.scale(-1)))
     return Report("rr_delta_agree", bad is None,
                   "[[r,r]](a,b,c) == <c, Delta(r)(a,b)>", witness=bad)
 
 
-def _first_nonzero(tensor):
-    """The first (a, b, c) with tensor[a][b][c] != 0, or None."""
-    n = len(tensor)
-    return next((idx for idx in itertools.product(range(n), repeat=3)
-                 if tensor[idx[0]][idx[1]][idx[2]]), None)
+def _first_entry(alg: Algebra):
+    """The first (a, b, c) with c_ab^c != 0, or None."""
+    ab = _nonzero_cell(alg)
+    return None if ab is None else ab + (alg._cells[ab[0]][ab[1]][0][0],)
 
 
 @dataclass(frozen=True)
@@ -222,10 +214,9 @@ def _classify(u: Algebra, r: Tensor2, delta: Algebra) -> RClass:
         raise routes_disagree(
             "Delta(r) and [[r,r]] pairing disagree at %s" % (agree.witness,),
             [("[[r,r]] == 0 by the five-term bracket",
-              _first_nonzero(_rr_ints(u, r)[1])),
+              _first_entry(_rr_algebra(u, r))),
              ("[[r,r]] == 0 by the pairing with Delta(r)",
-              next(((a, b, cell[0][0]) for a, row in enumerate(delta._cells)
-                    for b, cell in enumerate(row) if cell), None))])
+              _first_entry(delta))])
     sym = r.is_symmetric()
     rr_zero = delta.is_zero()
     reports = (skew_inv, q_inv, agree,
@@ -290,12 +281,10 @@ def twisted_structures(u: Algebra, r) -> TwistData:
 
     bracket_r = ps.extended.commutator_algebra()
     ident = Mat.identity(n)
-    zero = Mat.zeros(n, n)
-    xi = Mat.block([[ident, -r.r_sharp], [zero, ident]])
-    metric_r = Bilinear(Mat.block([[zero, ident],
-                                   [ident, r.sym_matrix.scale(-2)]]),
+    xi = Mat.block([[ident, -r.r_sharp], [Mat.zeros(n, n), ident]])
+    metric_r = Bilinear(_split_form(ident, r.sym_matrix.scale(-2)),
                         "symmetric")
-    k_r = Mat.block([[ident, r.r_sharp.scale(-2)], [zero, -ident]])
+    k_r = _involution(n, r.r_sharp)
 
     # L(a,b,c) = -L_x^t c with x = Delta(r)(a,b)
     lts = LieTriple.compose(delta, _coaction(u, -1))
@@ -339,6 +328,21 @@ class CoadjointDoubleData:
         return all(r.passed for r in self.reports)
 
 
+def _coadjoint(lie: Algebra, r) -> tuple:
+    """(act, [,]*, [r,r]) for a skew r on the Lie algebra lie: act the
+    product (a, Y) -> [r#a, Y], [a,b]* = -ad_{r#a}^t b + ad_{r#b}^t a
+    on g*, ad_{r#a} the left multiplication of act, and the defect
+    [r,r](a,b) = r#([a,b]*) - [r#a, r#b]."""
+    r = _as_tensor2(lie, r)
+    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
+    if not r.matrix.is_antisymmetric():
+        raise ValueError("r must be skew-symmetric")
+    act = _slot_sum([(1, lie, r.r_sharp, None, None)], lie.basis)
+    dual_bracket = _swapped(_coaction(act, 1, tuple(
+        s + "*" for s in lie.basis))).add(_coaction(act, -1))
+    return act, dual_bracket, _sharp_defect(lie, r.matrix, dual_bracket)
+
+
 def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     """Skew r on a Lie algebra: the coadjoint-twisted brackets.
 
@@ -348,19 +352,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     the full bracket.  Requires [r,r] to be ad-invariant.
     """
     r = _as_tensor2(lie, r)
-    require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
-    if not r.matrix.is_antisymmetric():
-        raise ValueError("r must be skew-symmetric")
-    n = lie.dim
-    rs = r.r_sharp
-
-    # -ad_{r#a}^t b + ad_{r#b}^t a, ad_{r#a} the left multiplication of
-    # act: (a, Y) -> [r#a, Y]
-    act = _slot_sum([(1, lie, rs, None, None)], lie.basis)
-    dual_bracket = _swapped(_coaction(act, 1, tuple(
-        s + "*" for s in lie.basis))).add(_coaction(act, -1))
-    rr = _sharp_defect(lie, r.matrix, dual_bracket)
-
+    _, dual_bracket, rr = _coadjoint(lie, r)
     reports = [invariance_check(rr, ("ad", "ad", "ad"), lie,
                                 name="rr_ad_invariant")]
     reports.append(_relabel(check(dual_bracket, "jacobi_antisym"),
@@ -379,8 +371,8 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),
                             "twisted_bracket_jacobi"))
-    ident = Mat.identity(n)
-    xi = Mat.block([[ident, -rs], [Mat.zeros(n, n), ident]])
+    n, ident = lie.dim, Mat.identity(lie.dim)
+    xi = Mat.block([[ident, -r.r_sharp], [Mat.zeros(n, n), ident]])
     reports.append(_xi_report(twisted, bracket_r, xi))
     return CoadjointDoubleData(dual_bracket=dual_bracket, rr=rr,
                                bracket_r=bracket_r, twisted=twisted, xi=xi,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -200,6 +201,36 @@ def test_cybe_double(heis, sl2):
     b = Mat.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     data = cybe_double(sl2, b, killing.matrix)
     assert data.cert.passed
+    # the closed forms the swapped twist must give, S the symmetric part
+    r = Mat.from_rows([[1, 2, 0], [0, 1, 1], [0, -1, 0]])
+    data = cybe_double(heis, good, r)
+    assert data.cert.passed
+    ident, zero = Mat.identity(3), Mat.zeros(3, 3)
+    sym = (r + r.transpose()).scale(Fraction(1, 2))
+    assert data.metric.matrix == Mat.block([[sym.scale(-2), ident],
+                                            [ident, zero]])
+    assert data.k == Mat.block([[-ident, zero],
+                                [r.transpose().scale(-2), ident]])
+
+
+@pytest.mark.parametrize("double", ["flat_double", "cybe_double"])
+def test_twist_crosscheck_fails_on_a_wrong_twisted_bracket(monkeypatch, aff,
+                                                           heis, double):
+    q = build_quadratic_symplectic(aff, 2)
+    args = {"flat_double": (q.lie, q.metric),
+            "cybe_double": (heis, Mat.from_rows(
+                [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]), Mat.zeros(3, 3))}[double]
+    real = catalog.twisted_structures
+
+    def wrong(u, r):                    # the twisted bracket, doubled
+        tw = real(u, r)
+        assert not tw.twisted.is_zero()
+        return dataclasses.replace(tw, twisted=tw.twisted.scale(2))
+
+    monkeypatch.setattr(catalog, "twisted_structures", wrong)
+    with pytest.raises(InternalInconsistency, match="own certificate: FAIL "
+                                                    "twist_crosscheck  "):
+        getattr(catalog, double)(*args)
 
 
 def test_graded_tensor_and_derivation_phase(aff):
@@ -224,6 +255,12 @@ def test_quadratic_and_flat_double(aff):
     fd = flat_double(q.lie, q.metric)
     assert fd.cert.passed
     assert fd.bracket.dim == 16
+    # the closed forms the twist by G^-1 must give
+    ginv, ident, zero = (q.metric.matrix.inverse(), Mat.identity(8),
+                         Mat.zeros(8, 8))
+    assert fd.metric.matrix == Mat.block([[zero, ident],
+                                          [ident, ginv.scale(-2)]])
+    assert fd.k == Mat.block([[ident, ginv.scale(-2)], [zero, -ident]])
 
 
 def test_rand_symplectic_property(omega2):

@@ -129,6 +129,20 @@ def test_phase_of_a_phase_space_reads_back(capsys, nab_file, tmp_path):
     assert out.splitlines()[-1] == "PASS check:left_symmetric"
 
 
+def test_phase_dual_of_another_dim_is_usage_error(capsys, nab_file,
+                                                  tmp_path):
+    capsys.readouterr()                 # drop the fixture's own report
+    dual, out_file = tmp_path / "a4.json", tmp_path / "phase.json"
+    dual.write_text(json.dumps({"dim": 4, "basis": ["f1", "f2", "f3", "f4"],
+                                "product": []}))
+    code, out, err = go(capsys, ["build", "phase", nab_file, "--dual",
+                                 str(dual), "--out", str(out_file)])
+    _no_traceback_usage_error(code, err)
+    assert err == "error: %s: dim 4 does not match the dim 2 of %s\n" % (
+        dual, nab_file)
+    assert out == "" and not out_file.exists()
+
+
 def test_build_quadratic_requires_n(capsys, tmp_path):
     # input must be a Lie bracket table
     path = tmp_path / "aff.json"

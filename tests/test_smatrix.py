@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracle_routes as oracle
-from lsaforge import (InternalInconsistency, Mat, Tensor2, check, classify_r,
-                      coadjoint_double, dual_product_from_r,
+from lsaforge import (Algebra, InternalInconsistency, Mat, Tensor2, check,
+                      classify_r, coadjoint_double, dual_product_from_r,
                       graded_tensor_algebra, twisted_structures)
 from lsaforge import smatrix
 from lsaforge.catalog import catalog_algebras, rand_fraction
@@ -162,14 +162,13 @@ def test_antisymmetric_lsa_twists_certify(heis, aff):
 
 
 def test_rr_delta_disagreement_names_both_routes(monkeypatch, nab_lsa):
-    real = smatrix._rr_ints
+    real = smatrix._rr_algebra
+    bump = Algebra([[[0, 0], [0, 1]], [[0, 0], [0, 0]]])   # e_0.e_1 = e_1
 
     def corrupted(u, r):                # [[r,r]] + 1 at (0, 1, 1)
-        scale, out = real(u, r)
-        out[0][1][1] += scale
-        return scale, out
+        return real(u, r).add(bump)
 
-    monkeypatch.setattr(smatrix, "_rr_ints", corrupted)
+    monkeypatch.setattr(smatrix, "_rr_algebra", corrupted)
     with pytest.raises(InternalInconsistency) as err:
         classify_r(nab_lsa, Tensor2(nab_lsa, Mat.zeros(2, 2)))
     assert str(err.value) == (
