@@ -276,11 +276,11 @@ class Mat(_Stored):
     Stored like an `Algebra`: the shape, the least common denominator D
     of the entries and, per row, the nonzero (j, D a_ij) by increasing j
     as ints.  `data`, the row-major tuple of the entries as Fractions, is
-    built on first read and the transpose on first use; both are kept on
-    the object.
+    built on first read, the transpose and the inverse on first use; all
+    three are kept on the object.
     """
 
-    __slots__ = ("rows", "cols", "_den", "_cells", "_data", "_t")
+    __slots__ = ("rows", "cols", "_den", "_cells", "_data", "_t", "_inv")
     _SHAPE = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, data: Iterable):
@@ -288,14 +288,14 @@ class Mat(_Stored):
         if len(data) != rows * cols:
             raise ValueError("entry count does not match shape")
         _set_slots(self, (rows, cols) + _int_rows(data, rows, cols)
-                   + (data, None))
+                   + (data, None, None))
 
     @staticmethod
     def _of(rows: int, cols: int, den: int, cells) -> "Mat":
         """The matrix with a_ij = x / den over the (j, x) of cells[i], by
         increasing j; for results of arithmetic only."""
         return _set_slots(object.__new__(Mat), (rows, cols)
-                          + _reduced(den, cells) + (None, None))
+                          + _reduced(den, cells) + (None, None, None))
 
     @property
     def data(self) -> tuple:
@@ -454,31 +454,43 @@ class Mat(_Stored):
         return len(self.rref()[1])
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        return self.rows == self.cols and self._inverse() is not False
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        red, pivots = Mat.block([[self, Mat.identity(n)]]).rref()
-        if pivots != tuple(range(n)):
+        if self._inverse() is False:
             raise ValueError("matrix is singular")
-        return Mat._of(n, n, red._den, [
-            tuple((j - n, x) for j, x in row if j >= n)
-            for row in red._cells])
+        return self._inv
+
+    def _inverse(self):
+        """The inverse of a square matrix, False where it is singular: one
+        elimination of the integer rows [D A | D I], kept on the matrix."""
+        if self._inv is None:
+            n, rows = self.rows, _unpacked(self._cells, 2 * self.rows)
+            for i, row in enumerate(rows):
+                row[n + i] = self._den
+            den, cells, pivots = _rref_ints(rows, 2 * n)
+            object.__setattr__(self, "_inv", pivots == tuple(range(n)) and (
+                Mat._of(n, n, den, [tuple((j - n, x) for j, x in row if j >= n)
+                                    for row in cells])))
+        return self._inv
+
+    def _kernel_cells(self) -> tuple:
+        """(D, cells): the canonical null-space basis as sparse integer
+        rows over D, one per free column f of the reduced form: D at f,
+        minus column f of the reduced rows at their pivots."""
+        den, cells, pivots = _rref_ints(_unpacked(self._cells, self.cols),
+                                        self.cols)
+        red = _unpacked(cells, self.cols)
+        return den, tuple(tuple(sorted([(f, den)] + [
+            (p, -row[f]) for p, row in zip(pivots, red) if row[f]]))
+            for f in range(self.cols) if f not in pivots)
 
     def kernel_basis(self) -> list:
         """Canonical basis of the null space (vectors of length cols)."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = -red[r, f]
-            basis.append(tuple(v))
-        return basis
+        den, cells = self._kernel_cells()
+        return [_dense(den, cell, self.cols) for cell in cells]
 
 
 def _nonzero_entry(m: Mat):

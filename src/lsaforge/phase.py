@@ -9,14 +9,14 @@ routes, cross-checked), and certifies para-Kahler structures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
-from .exact import (Mat, _nonzero_entry, _scatter, _sparse, basis_vec,
-                    common_denominator, dot, vec_sub)
+from .exact import Mat, _nonzero_entry, _scatter, basis_vec, dot, vec_sub
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
                      routes_disagree)
@@ -53,13 +53,18 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         [[(u, None), (None, _coaction(u, -1))],
          [(_coaction(dual, -1), None), (None, dual)]],
         u.basis, "*")
-    n = u.dim
-    ident = Mat.identity(n)
-    zero = Mat.zeros(n, n)
-    omega0 = Bilinear(Mat.block([[zero, ident], [-ident, zero]]), "skew")
-    return PhaseSpace(u=u, dual=dual, extended=extended,
-                      pairing0=Bilinear(_split_form(ident), "symmetric"),
-                      omega0=omega0, k0=_involution(n))
+    pairing0, omega0, k0 = _phase_forms(u.dim)
+    return PhaseSpace(u=u, dual=dual, extended=extended, pairing0=pairing0,
+                      omega0=omega0, k0=k0)
+
+
+@functools.lru_cache
+def _phase_forms(n: int) -> tuple:
+    """(pairing0, omega0, k0) on U + U*, built once per n and shared."""
+    ident, zero = Mat.identity(n), Mat.zeros(n, n)
+    return (Bilinear(_split_form(ident), "symmetric"),
+            Bilinear(Mat.block([[zero, ident], [-ident, zero]]), "skew"),
+            _involution(n))
 
 
 def _require_left_symmetric(*labelled) -> None:
@@ -71,17 +76,29 @@ def _require_left_symmetric(*labelled) -> None:
                              % (label, rep.witness))
 
 
+def _upper_block(n: int, a: Optional[Mat], f: int, s: int) -> Mat:
+    """[[I, f A], [0, s I]] on U + U*, assembled from the integer cells of
+    the n x n matrix A (A = 0 for None)."""
+    den, cells = (1, ((),) * n) if a is None else a._int_view()
+    return Mat._of(2 * n, 2 * n, den, [
+        ((i, den),) + tuple((n + j, f * x) for j, x in cells[i])
+        for i in range(n)] + [((n + i, s * den),) for i in range(n)])
+
+
 def _involution(n: int, a: Optional[Mat] = None) -> Mat:
     """The involution K_A = [[I, -2A], [0, -I]], A = 0 by default."""
-    ident, zero = Mat.identity(n), Mat.zeros(n, n)
-    return Mat.block([[ident, zero if a is None else a.scale(-2)],
-                      [zero, -ident]])
+    return _upper_block(n, a, -2, -1)
 
 
 def _split_form(g: Mat, c: Optional[Mat] = None) -> Mat:
-    """The split form [[0, G^t], [G, C]], C = 0 by default."""
-    zero = Mat.zeros(g.rows, g.cols)
-    return Mat.block([[zero, g.transpose()], [g, zero if c is None else c]])
+    """The split form [[0, G^t], [G, C]] from cells, C = 0 by default."""
+    n, (dg, gcells), gt = g.rows, g._int_view(), g.transpose()._cells
+    dc, ccells = (1, ((),) * n) if c is None else c._int_view()
+    return Mat._of(2 * n, 2 * n, dg * dc, [
+        tuple((n + j, dc * x) for j, x in row) for row in gt] + [
+        tuple((j, dc * x) for j, x in grow)
+        + tuple((n + j, dg * x) for j, x in crow)
+        for grow, crow in zip(gcells, ccells)])
 
 
 def _rho(u: Algebra, dual: Algebra, x, alpha) -> Mat:
@@ -185,13 +202,12 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
 
 # -- para-Kahler certificates -------------------------------------------------
 
-def _eigenspace_lines(sign: str, shifted: Mat, basis, lie: Algebra,
+def _eigenspace_lines(sign: str, shifted: Mat, vecs, lie: Algebra,
                       lc: Algebra, m: Mat, o: Mat) -> list:
     """The subalgebra, isotropic, lagrangian and lc_stable lines of ker S,
-    S = shifted with kernel basis B: S (a.b), B^t m B, B^t o B and S (e_u.b)
-    for the Levi-Civita product lc vanish, over ints, from sparse cells."""
+    S = shifted with kernel basis B the integer rows vecs: S (a.b), B^t m B,
+    B^t o B and S (e_u.b) for the Levi-Civita product lc vanish, over ints."""
     n = lie.dim
-    vecs = [_sparse(common_denominator(b)[1]) for b in basis]
     scols, bcols = (x.transpose()._cells for x in (
         shifted, Mat._of(len(vecs), n, 1, vecs)))
 
@@ -210,7 +226,7 @@ def _eigenspace_lines(sign: str, shifted: Mat, basis, lie: Algebra,
         ("subalgebra_", kills(prods(lie, vecs), scols),
          "[g^e, g^e] <= g^e"),
         ("isotropic_", form(m), "<g^e, g^e> == 0"),
-        ("lagrangian_", len(basis) * 2 == n and form(o),
+        ("lagrangian_", len(vecs) * 2 == n and form(o),
          "omega(g^e, g^e) == 0 at half dimension"),
         ("lc_stable_", kills(prods(lc, [((i, 1),) for i in range(n)]), scols),
          "u . g^e <= g^e for the Levi-Civita product"))]
@@ -245,28 +261,28 @@ def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat) -> tuple:
     reports.append(_bool_report("involution", kmat * kmat == ident,
                                 "K.K == Id"))
     shifts = (kmat - ident, kmat + ident)           # S for e = 1 and e = -1
-    plus, minus = (s.kernel_basis() for s in shifts)
+    plus, minus = (s._kernel_cells()[1] for s in shifts)
     reports.append(_bool_report(
         "eigenspace_split", len(plus) == len(minus) and len(plus) * 2 == n,
         "dim ker(K-Id) == dim ker(K+Id) == dim/2"))
+    # m is symmetric, so K^t m + m K is omega + omega^t for omega = K^t m
     m = metric.matrix
-    reports.append(_bool_report("metric_skew_k",
-                                (kmat.transpose() * m + m * kmat).is_zero(),
+    omega = Bilinear((kmat.transpose() * m), "none")
+    skew = omega.matrix.is_antisymmetric()
+    reports.append(_bool_report("metric_skew_k", skew,
                                 "<Ku,v> + <u,Kv> == 0"))
     lc = _levi_civita(lie, metric)
     reports.append(_parallel_report(lc, kmat, "K"))
 
     reports.append(_bool_report("torsion_k", nijenhuis(kmat, lie).is_zero(),
                                 "N_K(u,v) == 0"))
-    omega = Bilinear((kmat.transpose() * m), "none")
     reports.append(_bool_report("omega_skew",
-                                omega.matrix.is_antisymmetric()
-                                and omega.is_nondegenerate(),
+                                skew and omega.is_nondegenerate(),
                                 "<K.,.> skew and nondegenerate"))
-    if omega.matrix.is_antisymmetric():
+    if skew:
         reports.append(_relabel(_two_cocycle(omega, lie), "omega_cocycle"))
-    for sign, shifted, basis in zip(("plus", "minus"), shifts, (plus, minus)):
-        reports += _eigenspace_lines(sign, shifted, basis, lie, lc, m,
+    for sign, shifted, vecs in zip(("plus", "minus"), shifts, (plus, minus)):
+        reports += _eigenspace_lines(sign, shifted, vecs, lie, lc, m,
                                      omega.matrix)
     return reports, lc
 

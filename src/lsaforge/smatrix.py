@@ -33,8 +33,8 @@ from .algebra import (Algebra, _coaction, _int_product, _nonzero_cell,
                       _slot_sum, _swapped, check, invariance_check)
 from .exact import Mat, _dense, _scatter, _sparse
 from .forms import Bilinear
-from .phase import (PhaseSpace, _involution, _split_form, build_phase,
-                    verify_para_kahler)
+from .phase import (PhaseSpace, _involution, _split_form, _upper_block,
+                    build_phase, verify_para_kahler)
 from .report import (Certificate, Report, _relabel, certify, failing,
                      require, routes_disagree)
 from .triple import LieTriple
@@ -82,25 +82,29 @@ def dual_product_from_r(u: Algebra, r) -> Algebra:
 
 
 def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
-    """<a.b, e_k> = (L_k R + R ad_k^t)[a][b]: the cells of e_k.e_p (over
-    D) against row p of R, those of [e_k,e_p] (over D_br) against column
-    p of R (over D_r), all over D_r D D_br."""
+    """<a.b, e_k> = (L_k R + R ad_k^t)[a][b], one covector row a at a time
+    into n lists over k: each L_k[a][p] (over D) times row p of R (over
+    D_r), then row a of R times the cells [e_k,e_p] (over D_br)."""
     n = u.dim
     dr, rows = r.matrix._int_view()
-    cols = r.matrix.transpose()._int_view()[1]
-    den, tab = u._int_view()
-    dbr, br = u.commutator_algebra()._int_view()
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    (den, tab), (dbr, br) = u._int_view(), u.commutator_algebra()._int_view()
+    lts, brs = [[] for _ in range(n)], [[] for _ in range(n)]
     for k, p in itertools.product(range(n), repeat=2):
-        for a, c in tab[k][p]:              # L_k[a][p] = c
+        for a, c in tab[k][p]:                  # L_k[a][p] = c
+            lts[a].append((p, k, c * dbr))
+        for b, c in br[k][p]:                   # ad_k[b][p] = c
+            brs[p].append((k, b, c * den))
+    cells = []
+    for a in range(n):
+        acc = [[0] * n for _ in range(n)]       # acc[b][k]
+        for p, k, c in lts[a]:
             for b, x in rows[p]:
-                out[a][b][k] += c * x * dbr
-        for b, c in br[k][p]:               # ad_k[b][p] = c
-            for a, x in cols[p]:
-                out[a][b][k] += x * c * den
-    return Algebra._of(dr * den * dbr, [[_sparse(c) for c in row]
-                                        for row in out],
-                       tuple(b + "*" for b in u.basis))
+                acc[b][k] += c * x
+        for p, x in rows[a]:
+            for k, b, c in brs[p]:
+                acc[b][k] += x * c
+        cells.append([_sparse(v) for v in acc])
+    return Algebra._of(dr * den * dbr, cells, tuple(b + "*" for b in u.basis))
 
 
 def delta_r(u: Algebra, r) -> Algebra:
@@ -280,10 +284,9 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     twisted = _semidirect(lie, u, delta)
 
     bracket_r = ps.extended.commutator_algebra()
-    ident = Mat.identity(n)
-    xi = Mat.block([[ident, -r.r_sharp], [Mat.zeros(n, n), ident]])
-    metric_r = Bilinear(_split_form(ident, r.sym_matrix.scale(-2)),
-                        "symmetric")
+    xi = _upper_block(n, r.r_sharp, -1, 1)
+    metric_r = Bilinear(_split_form(Mat.identity(n),
+                                    -(r.matrix + r.r_sharp)), "symmetric")
     k_r = _involution(n, r.r_sharp)
 
     # L(a,b,c) = -L_x^t c with x = Delta(r)(a,b)
@@ -371,8 +374,7 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),
                             "twisted_bracket_jacobi"))
-    n, ident = lie.dim, Mat.identity(lie.dim)
-    xi = Mat.block([[ident, -r.r_sharp], [Mat.zeros(n, n), ident]])
+    xi = _upper_block(lie.dim, r.r_sharp, -1, 1)
     reports.append(_xi_report(twisted, bracket_r, xi))
     return CoadjointDoubleData(dual_bracket=dual_bracket, rr=rr,
                                bracket_r=bracket_r, twisted=twisted, xi=xi,

@@ -12,10 +12,11 @@ that the library's sweeps over nonzero cells replaced, and so are the
 dense routes of the twist certificate (`dense_levi_civita`,
 `dense_two_cocycle`, `dense_eigenspace_lines`, `dense_compose`,
 `dense_invariance`, `dense_derivation`, `dense_nijenhuis` and
-`dense_commutator`): dense lists over every basis pair or triple where
-the library accumulates from nonzero cells.  They run on dense integer
-kernels of their own (`_int_combine`, `_int_product`, `_left_slot`),
-not on the library's one contraction kernel `exact._scatter`.
+`dense_commutator`) and `dense_dual_product`: dense lists over every
+basis pair or triple where the library accumulates from nonzero cells.
+They run on dense integer kernels of their own (`_int_combine`,
+`_int_product`, `_left_slot`), not on the library's one contraction
+kernel `exact._scatter`.
 The subspace routes (intersection, complement, symplectic orthogonal,
 the powers of a product) and the Lagrangian complements of the
 associative normalizer are Fraction loops over basis vectors.
@@ -26,7 +27,9 @@ symplectic and Theta "circ" products, the derivation law, the Lie triple
 systems and the dual product of a Yang-Baxter solution) are evaluated
 here as the bilinear maps of their formulas on basis vectors, and so
 are the commutator, opposite, coaction, block, phase-space, semidirect
-and graded tensor products.  Nothing here is used by the library.
+and graded tensor products.  `block_upper` and `block_split_form` keep
+the `Mat.block` formulas of the U + U* builders that now assemble their
+cells directly.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -688,6 +691,29 @@ def dual_product_table(alg, rm):
     return tuple(tuple(tuple(cell) for cell in row) for row in cells)
 
 
+def dense_dual_product(u, rm):
+    """The integer route of the dual product that the library's scatter
+    replaced: <a.b, e_k> = (L_k R + R ad_k^t)[a][b] summed into a dense
+    n^3 list, the cells of e_k.e_p (over D) against row p of R, those of
+    [e_k,e_p] (over D_br) against column p of R (over D_r)."""
+    n = u.dim
+    dr, rows = rm._int_view()
+    cols = rm.transpose()._int_view()[1]
+    den, tab = u._int_view()
+    dbr, br = u.commutator_algebra()._int_view()
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for k, p in itertools.product(range(n), repeat=2):
+        for a, c in tab[k][p]:              # L_k[a][p] = c
+            for b, x in rows[p]:
+                out[a][b][k] += c * x * dbr
+        for b, c in br[k][p]:               # ad_k[b][p] = c
+            for a, x in cols[p]:
+                out[a][b][k] += x * c * den
+    return Algebra._of(dr * den * dbr, [[_sparse(c) for c in row]
+                                        for row in out],
+                       tuple(b + "*" for b in u.basis))
+
+
 def delta_table(alg, rm):
     """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] on the basis
     covectors, r_# = R^t, [a,b] the commutator of the dual product and
@@ -1326,3 +1352,18 @@ def semidirect_table(u, corner):
         return top + _sub(_matvec(_transpose(left_mult(u, yu)), xa),
                           _matvec(_transpose(left_mult(u, xu)), yb))
     return table_from_function(2 * n, br)
+
+
+# -- the block formulas of the U + U* builders --------------------------------
+
+def block_upper(n, a, f, s):
+    """[[I, f A], [0, s I]] by `Mat.block`, A = 0 for None."""
+    ident, zero = Mat.identity(n), Mat.zeros(n, n)
+    return Mat.block([[ident, zero if a is None else a.scale(f)],
+                      [zero, ident.scale(s)]])
+
+
+def block_split_form(g, c):
+    """[[0, G^t], [G, C]] by `Mat.block`, C = 0 for None."""
+    zero = Mat.zeros(g.rows, g.cols)
+    return Mat.block([[zero, g.transpose()], [g, zero if c is None else c]])

@@ -181,10 +181,11 @@ def test_sparse_certificate_routes_match_dense_routes(aff, nab_lsa):
         want = [oracle.dense_two_cocycle(Bilinear(omega), lie)]
         for sign, e in (("plus", 1), ("minus", -1)):
             shifted = k - Mat.identity(lie.dim).scale(e)
-            args = (sign, shifted, shifted.kernel_basis(), lie, lc,
-                    metric.matrix, omega)
-            got += phase._eigenspace_lines(*args)
-            want += oracle.dense_eigenspace_lines(*args)
+            rest = (lie, lc, metric.matrix, omega)
+            got += phase._eigenspace_lines(
+                sign, shifted, shifted._kernel_cells()[1], *rest)
+            want += oracle.dense_eigenspace_lines(
+                sign, shifted, shifted.kernel_basis(), *rest)
         for tensor, tags in ((lie, ("ad_dual", "ad_dual", "ad")),
                              (lc, ("L", "L", "ad")),
                              (metric.matrix, ("ad", "ad"))):

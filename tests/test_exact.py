@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_routes as oracle
 from lsaforge.algebra import Algebra
 from lsaforge.exact import (Mat, Subspace, _reduced, _scatter, _settled,
                             _sparse, basis_vec, form_value, format_rational,
@@ -137,7 +138,8 @@ def test_mat_memo_keeps_equality_hash_and_immutability():
     assert t.transpose() == m and t._int_view()[0] == 4
     assert m == fresh and hash(m) == hash(fresh)
     assert {m: 1}[fresh] == 1
-    for attr in ("rows", "cols", "data", "_den", "_cells", "_data", "_t"):
+    for attr in ("rows", "cols", "data", "_den", "_cells", "_data", "_t",
+                 "_inv"):
         with pytest.raises(AttributeError):
             setattr(m, attr, None)
     product = m * t                      # built by Mat arithmetic
@@ -175,6 +177,72 @@ def test_reduced_is_the_unique_integer_form():
     assert hash(from_lists) == hash(from_tuples)
     assert from_lists._int_view() == (
         4, ((((1, 1),), ()), ((), ((0, -2), (1, 3)))))
+
+
+def _mixed_mat(rng, rows, cols, density):
+    """A seeded matrix with mixed denominators, entries nonzero with the
+    given probability."""
+    return Mat(rows, cols, [Fraction(rng.randint(-6, 6),
+                                     rng.choice((1, 2, 3, 4, 9)))
+                            if rng.random() < density else 0
+                            for _ in range(rows * cols)])
+
+
+def test_inverse_is_kept_and_refused_for_singular_or_non_square_input():
+    """One elimination per matrix: the inverse (or the singular verdict)
+    is kept, `is_invertible` and `inverse` agree with the Fraction
+    route, and a second call returns the same object."""
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        m = _mixed_mat(rng, n, n, rng.choice((0.3, 0.7, 1.0)))
+        invertible = len(oracle.rref(m)[1]) == n
+        seen.add(invertible)
+        assert m.is_invertible() is invertible
+        if invertible:
+            inv = m.inverse()
+            assert inv.row_list() == oracle._inverse(m.row_list())
+            assert m.inverse() is inv and m._inv is inv
+            assert m * inv == Mat.identity(n) == inv * m
+        else:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            assert m.is_invertible() is False
+    assert seen == {True, False}
+    fresh = Mat.from_rows([[Fraction(1, 2), 3], [Fraction(2, 9), 1]])
+    assert fresh.is_invertible()            # the check keeps the inverse
+    assert fresh._inv is fresh.inverse()
+    wide = _mixed_mat(rng, 2, 3, 1.0)
+    assert wide.is_invertible() is False
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-square"):
+            wide.inverse()
+    assert Mat.zeros(3, 3).is_invertible() is False
+
+
+def test_kernel_cells_match_the_fraction_kernel():
+    """`_kernel_cells` holds D times the kernel basis of the Fraction
+    rref, one sparse integer row per free column, by increasing index;
+    `kernel_basis` is its Fraction view."""
+    rng = random.Random(25)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        m = _mixed_mat(rng, rows, cols, rng.choice((0.2, 0.6, 1.0)))
+        if rows and rng.random() < 0.3:     # a dependent row
+            m = Mat.from_rows(m.row_list() + [list(vec_add(m.row(0),
+                                                           m.row(rows - 1)))])
+        den, cells = m._kernel_cells()
+        want = oracle._kernel(m)
+        assert m.kernel_basis() == want
+        assert len(cells) == len(want)
+        for cell, v in zip(cells, want):
+            assert all(type(x) is int and x for _, x in cell)
+            assert [k for k, _ in cell] == sorted(k for k, x in enumerate(v)
+                                                  if x)
+            assert [Fraction(x, den) for _, x in cell] == [x for x in v if x]
+            assert m.apply(v) == zero_vec(m.rows)
 
 
 def _sparse_cell(rng, width, size):

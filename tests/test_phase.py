@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Bilinear, InternalInconsistency, Mat, build_phase, check,
-                      cocycle_check, is_lie_extendible, phase,
+import oracle_routes as oracle
+from lsaforge import (Bilinear, InternalInconsistency, Mat, Tensor2,
+                      build_phase, check, coadjoint_double, cocycle_check,
+                      is_lie_extendible, phase, twisted_structures,
                       verify_hyper_para_kahler, verify_para_kahler)
 from lsaforge.algebra import Algebra
 from lsaforge.exact import basis_vec, zero_vec
@@ -137,3 +140,53 @@ def test_parallel_report_names_the_first_index_that_fails():
     rep = phase._parallel_report(lc, Mat.identity(3).scale(Fraction(5, 3)),
                                  "K")
     assert (rep.name, rep.passed, rep.witness) == ("parallel_k", True, None)
+
+
+def _mixed_mat(rng, n, density):
+    return Mat(n, n, [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 9)))
+                      if rng.random() < density else 0 for _ in range(n * n)])
+
+
+def test_cell_builders_match_the_block_formulas():
+    """The U + U* builders, assembled from integer cells, against the
+    `Mat.block` formulas they replaced (stored forms compared), on seeded
+    matrices with mixed denominators, zero blocks and n = 0; and the
+    twist's xi, metric and involution and the coadjoint double's xi."""
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        a, g, c = (_mixed_mat(rng, n, rng.choice((0.0, 0.4, 1.0)))
+                   for _ in range(3))
+        for f, s in ((-2, -1), (-1, 1), (3, -2)):
+            assert phase._upper_block(n, a, f, s) == \
+                oracle.block_upper(n, a, f, s)
+            assert phase._upper_block(n, None, f, s) == \
+                oracle.block_upper(n, None, f, s)
+        assert phase._involution(n, a) == oracle.block_upper(n, a, -2, -1)
+        assert phase._involution(n) == oracle.block_upper(n, None, -2, -1)
+        assert phase._split_form(g, c) == oracle.block_split_form(g, c)
+        assert phase._split_form(g) == oracle.block_split_form(g, None)
+    for n in (1, 2, 3):
+        zero = _zero_alg(n)
+        r = Tensor2(zero, _mixed_mat(rng, n, 1.0))
+        tw = twisted_structures(zero, r)           # every r is quasi-S here
+        assert tw.xi == oracle.block_upper(n, r.r_sharp, -1, 1)
+        assert tw.k_r == oracle.block_upper(n, r.r_sharp, -2, -1)
+        assert tw.metric_r.matrix == oracle.block_split_form(
+            Mat.identity(n), r.sym_matrix.scale(-2))
+        skew = r.matrix - r.matrix.transpose()
+        assert coadjoint_double(zero, skew).xi == oracle.block_upper(
+            n, skew.transpose(), -1, 1)
+
+
+def test_phase_forms_are_built_once_per_dimension(nab_lsa, ab_lsa):
+    """pairing0, omega0 and k0 are shared by every phase space of one
+    dimension and equal the block formulas."""
+    ps, other = build_phase(nab_lsa), build_phase(ab_lsa)
+    assert (ps.pairing0, ps.omega0, ps.k0) == phase._phase_forms(2)
+    assert other.pairing0 is ps.pairing0 and other.omega0 is ps.omega0
+    assert other.k0 is ps.k0
+    ident = Mat.identity(2)
+    assert ps.pairing0.matrix == oracle.block_split_form(ident, None)
+    assert ps.k0 == oracle.block_upper(2, None, -2, -1)
+    assert build_phase(_zero_alg(3)).k0 == oracle.block_upper(3, None, -2, -1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,49 @@ def test_rr_delta_disagreement_names_both_routes(monkeypatch, nab_lsa):
         "Delta(r) and [[r,r]] pairing disagree at (0, 1, 1): "
         "[[r,r]] == 0 by the five-term bracket: FAIL witness=(0, 1, 1); "
         "[[r,r]] == 0 by the pairing with Delta(r): PASS")
+
+
+def _mixed_table(rng, n, density):
+    """A seeded product table with mixed denominators."""
+    return Algebra([[[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+                      if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)] for _ in range(n)])
+
+
+def test_row_dual_product_matches_the_dense_route(heis, aff):
+    """`_dual_product`, one covector row at a time, against the dense n^3
+    route it replaced: stored forms and labels, on seeded tables and
+    tensors with mixed denominators (sparse, dense and zero), and on the
+    catalog's Heisenberg product and a graded tensor algebra."""
+    rng = random.Random(41)
+    algs = [heis, graded_tensor_algebra(aff, 2)[0], Algebra.zero(3)]
+    algs += [_mixed_table(rng, rng.randint(1, 6), rng.choice((0.1, 0.5, 1.0)))
+             for _ in range(12)]
+    for alg in algs:
+        n = alg.dim
+        for density in (0.0, 0.3, 1.0):
+            rm = Mat(n, n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 7)))
+                            if rng.random() < density else 0
+                            for _ in range(n * n)])
+            got = dual_product_from_r(alg, rm)
+            want = oracle.dense_dual_product(alg, rm)
+            assert got == want and got.basis == want.basis
+
+
+def test_a_plane_twist_keeps_its_allocation_budget(monkeypatch):
+    """The stored matrices (`Mat._of`) and algebras (`Algebra._of`) that a
+    twist of the abelian plane builds, counted on a second twist of the
+    same plane by the same r: exact counts, no timing, so a builder that
+    slips back to identity, zero and `Mat.block` chains shows here."""
+    plane = Algebra.zero(2)
+    r = Tensor2(plane, Mat.from_rows([[Fraction(2, 3), Fraction(-1, 3)],
+                                      [Fraction(-1, 3), Fraction(-1, 2)]]))
+    twisted_structures(plane, r)
+    counts = Counter()
+    for cls in (Mat, Algebra):
+        def counted(*args, _make=cls._of, _name=cls.__name__):
+            counts[_name] += 1
+            return _make(*args)
+        monkeypatch.setattr(cls, "_of", staticmethod(counted))
+    assert twisted_structures(plane, r).cert.passed
+    assert counts == {"Mat": 27, "Algebra": 19}
