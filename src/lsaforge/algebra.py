@@ -355,59 +355,81 @@ def _lines(table) -> list:
     return [[(k, cell) for k, cell in enumerate(row) if cell] for row in table]
 
 
-def _spread(acc, vec, rows, cols, f, lo):
-    """acc[k] += f v.e_k for k > lo, v = vec: cols[k] (column k of the
-    table) scattered by v, for each k that the rows of v reach (rows =
-    `_lines` of the table).  Most cells of a sparse table are empty."""
-    if vec:
-        for k in {k for l, _ in vec for k, _ in rows[l] if k > lo}:
-            _scatter(acc[k], vec, cols[k], f)
+def _height(lines) -> int:
+    """The largest |x| in the cells of `_lines`, 0 for none."""
+    return max([abs(x) for line in lines for _, cell in line for _, x in cell],
+               default=0)
 
 
-def _push(acc, pairs, line, f, lo):
-    """acc[k] += f sum y line[m] over the (m, y) of cell, for each (k, cell)
-    of pairs with k > lo: nonzero cells pushed through a row or column."""
+def _words(lines, bound) -> list:
+    """Dense rows of words: each nonzero cell of `_lines` as one int, sum
+    x_s 2^(w s) over its (s, x), w = bound.bit_length() + 1; a sum of words
+    with coordinates at most bound in size is 0 exactly when each is."""
+    w = bound.bit_length() + 1
+    rows = [[0] * len(lines) for _ in lines]
+    for row, line in zip(rows, lines):
+        for k, cell in line:
+            for s, x in cell:
+                row[k] += x << w * s
+    return rows
+
+
+def _spread(acc, vec, lines, words, f, lo):
+    """acc[k] += f x words[l][k] over the (l, x) of vec and the k > lo of
+    lines[l] (`_lines` of the table): a cell contracted with the words."""
+    for l, x in vec:
+        c, row = f * x, words[l]
+        for k, _ in lines[l]:
+            if k > lo:
+                acc[k] += c * row[k]
+
+
+def _push(acc, pairs, words, f, lo):
+    """acc[k] += f sum y words[m] over the (m, y) of cell, for each (k, cell)
+    of pairs with k > lo: cells pushed through a row or column of words."""
     for k, cell in pairs:
         if k > lo:
-            _scatter(acc[k], cell, line, f)
+            t = 0
+            for m, y in cell:
+                t += y * words[m]
+            acc[k] += f * t
 
 
-def _first_triple(n, pairs, sweep):
+def _first_triple(pairs, sweep):
     """The first (i, j, k), least k, with acc[k] != 0 after sweep(acc, i, j)
-    sums an identity on (e_i, e_j, e_k) for all k, over pairs in order."""
-    zero = [0] * n
+    sums an identity on (e_i, e_j, e_k) as words for all k, over pairs."""
     for i, j in pairs:
-        acc = defaultdict(zero.copy)
+        acc = defaultdict(int)
         sweep(acc, i, j)
-        bad = [k for k, v in acc.items() if v != zero]
-        if bad:
-            return i, j, min(bad)
+        if any(acc.values()):
+            return i, j, min(k for k, v in acc.items() if v)
     return None
 
 
 def _check_left_symmetric(alg: Algebra):
     # [e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k) = ass(i,j,k) - ass(j,i,k)
-    # with the bracket cells over D' scaled by D / D'
+    # with bracket cells over D' scaled by D / D' (<= 2M); coordinates <= 4nM^2
     n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
-    cols, br = list(zip(*cells)), alg.commutator_algebra()
+    br = alg.commutator_algebra()
     scale = alg._den // br._den
+    words = _words(rows, 4 * n * _height(rows) ** 2)
 
     def sweep(acc, i, j):
-        _spread(acc, br._cells[i][j], rows, cols, scale, -1)
-        _push(acc, rows[j], cells[i], -1, -1)
-        _push(acc, rows[i], cells[j], 1, -1)
-    return _first_triple(n, itertools.combinations(range(n), 2), sweep)
+        _spread(acc, br._cells[i][j], rows, words, scale, -1)
+        _push(acc, rows[j], words[i], -1, -1)
+        _push(acc, rows[i], words[j], 1, -1)
+    return _first_triple(itertools.combinations(range(n), 2), sweep)
 
 
 def _check_associative(alg: Algebra):
-    # D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k))
+    # D^2 ((e_i.e_j).e_k - e_i.(e_j.e_k)), each coordinate at most 2nM^2
     n, cells, rows = alg.dim, alg._cells, _lines(alg._cells)
-    cols = list(zip(*cells))
+    words = _words(rows, 2 * n * _height(rows) ** 2)
 
     def sweep(acc, i, j):
-        _spread(acc, cells[i][j], rows, cols, 1, -1)
-        _push(acc, rows[j], cells[i], -1, -1)
-    return _first_triple(n, itertools.product(range(n), repeat=2), sweep)
+        _spread(acc, cells[i][j], rows, words, 1, -1)
+        _push(acc, rows[j], words[i], -1, -1)
+    return _first_triple(itertools.product(range(n), repeat=2), sweep)
 
 
 def _check_commutative(alg: Algebra):
@@ -418,16 +440,17 @@ def _check_commutative(alg: Algebra):
 
 def _jacobi_witness(br: Algebra):
     """First basis triple i < j < k violating Jacobi: the cyclic sum of D^2
-    [[e_i,e_j],e_k] read off the cells of br (D its denominator)."""
+    [[e_i,e_j],e_k] read off the cells of br (D its denominator), three
+    sums of n products of two cells, so each coordinate is at most 3nM^2."""
     n, cells, rows = br.dim, br._cells, _lines(br._cells)
-    cols = list(zip(*cells))
-    nonzero_cols = _lines(cols)
+    words = _words(rows, 3 * n * _height(rows) ** 2)
+    wcols, nonzero_cols = list(zip(*words)), _lines(zip(*cells))
 
     def sweep(acc, i, j):
-        _spread(acc, cells[i][j], rows, cols, 1, j)     # [[e_i,e_j],e_k]
-        _push(acc, rows[j], cols[i], 1, j)              # [[e_j,e_k],e_i]
-        _push(acc, nonzero_cols[i], cols[j], 1, j)      # [[e_k,e_i],e_j]
-    return _first_triple(n, itertools.combinations(range(n - 1), 2), sweep)
+        _spread(acc, cells[i][j], rows, words, 1, j)    # [[e_i,e_j],e_k]
+        _push(acc, rows[j], wcols[i], 1, j)             # [[e_j,e_k],e_i]
+        _push(acc, nonzero_cols[i], wcols[j], 1, j)     # [[e_k,e_i],e_j]
+    return _first_triple(itertools.combinations(range(n - 1), 2), sweep)
 
 
 def _check_jacobi_antisym(alg: Algebra):
@@ -441,20 +464,22 @@ def _check_jacobi_antisym(alg: Algebra):
 def _check_lie_admissible(alg: Algebra):
     """Commutator satisfies Jacobi, checked on the bracket and by the cyclic
     sum of K(e_i,e_j)e_k, which is that of e_i.[e_j,e_k] - [e_i,e_j].e_k,
-    here times D D' (the denominators of product and bracket): they agree."""
+    here times D D' (the denominators of product and bracket): they agree.
+    The sum is six sums of n products of a product and a bracket cell."""
     n, cells, br = alg.dim, alg._cells, alg.commutator_algebra()
-    rows, cols, brows = _lines(cells), list(zip(*cells)), _lines(br._cells)
-    nonzero_cols = _lines(cols)
+    rows, brows = _lines(cells), _lines(br._cells)
+    words = _words(rows, 6 * n * _height(rows) * _height(brows))
+    wcols, nonzero_cols = list(zip(*words)), _lines(zip(*cells))
 
     def sweep(acc, i, j):
         bij = br._cells[i][j]
-        _push(acc, brows[j], cells[i], 1, j)            # e_i.[e_j,e_k]
-        _push(acc, brows[i], cells[j], -1, j)           # e_j.[e_k,e_i]
-        _spread(acc, bij, nonzero_cols, cells, 1, j)    # e_k.[e_i,e_j]
-        _spread(acc, bij, rows, cols, -1, j)            # -[e_i,e_j].e_k
-        _push(acc, brows[j], cols[i], -1, j)            # -[e_j,e_k].e_i
-        _push(acc, brows[i], cols[j], 1, j)             # -[e_k,e_i].e_j
-    via_curvature = _first_triple(n, itertools.combinations(range(n - 1), 2),
+        _push(acc, brows[j], words[i], 1, j)            # e_i.[e_j,e_k]
+        _push(acc, brows[i], words[j], -1, j)           # e_j.[e_k,e_i]
+        _spread(acc, bij, nonzero_cols, wcols, 1, j)    # e_k.[e_i,e_j]
+        _spread(acc, bij, rows, words, -1, j)           # -[e_i,e_j].e_k
+        _push(acc, brows[j], wcols[i], -1, j)           # -[e_j,e_k].e_i
+        _push(acc, brows[i], wcols[j], 1, j)            # -[e_k,e_i].e_j
+    via_curvature = _first_triple(itertools.combinations(range(n - 1), 2),
                                   sweep)
     via_jacobi = _jacobi_witness(br)
     if (via_curvature is None) != (via_jacobi is None):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .algebra import (Algebra, _coaction, _int_product, _nonzero_cell,
-                      _slot_sum, _swapped, check, invariance_check)
+                      _permuted, _slot_sum, check, invariance_check)
 from .exact import Mat, _dense, _scatter, _sparse
 from .forms import Bilinear
 from .phase import (PhaseSpace, _involution, _split_form, _upper_block,
@@ -244,22 +244,27 @@ class TwistData:
     cert: Certificate
 
 
-def _semidirect(lie: Algebra, act: Algebra, corner) -> Algebra:
+def _action_blocks(act: Algebra) -> tuple:
+    """The tables of (X, b) -> -L_X^t b and (a, Y) -> L_Y^t a, L_X the
+    left multiplication of act: the two blocks of its action on U*."""
+    return _coaction(act, -1), _permuted(act, (2, 0, 1))
+
+
+def _semidirect(lie: Algebra, blocks, corner) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a + corner(a,b) on U + U*,
-    with [X,Y] the product of the Lie algebra lie, L_X the left
-    multiplication of act (lie itself for the coadjoint action, or a
-    left-symmetric product whose commutator is lie) and the bilinear map
-    corner: U* x U* -> U (None for zero)."""
-    return Algebra.from_blocks(
-        [[(lie, None), (None, _coaction(act, -1))],
-         [(None, _swapped(_coaction(act))), (corner, None)]],
-        lie.basis, "*")
+    with [X,Y] the product of the Lie algebra lie, the action terms the
+    `_action_blocks` of a product act (lie itself for the coadjoint
+    action, or a left-symmetric product whose commutator is lie) and the
+    bilinear map corner: U* x U* -> U (None for zero)."""
+    return Algebra.from_blocks([[(lie, None), (None, blocks[0])],
+                                [(None, blocks[1]), (corner, None)]],
+                               lie.basis, "*")
 
 
 def semidirect_bracket(lie: Algebra, act: Algebra) -> Algebra:
     """[X+a, Y+b] = [X,Y] - L_X^t b + L_Y^t a on U + U*, the bracket of
     lie and the action of act as in _semidirect."""
-    return _semidirect(lie, act, None)
+    return _semidirect(lie, _action_blocks(act), None)
 
 
 def twisted_structures(u: Algebra, r) -> TwistData:
@@ -280,8 +285,9 @@ def twisted_structures(u: Algebra, r) -> TwistData:
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
     n = u.dim
     ps = build_phase(u, dual)
-    triangle = semidirect_bracket(lie, u)
-    twisted = _semidirect(lie, u, delta)
+    blocks = _action_blocks(u)
+    triangle = _semidirect(lie, blocks, None)
+    twisted = _semidirect(lie, blocks, delta)
 
     bracket_r = ps.extended.commutator_algebra()
     xi = _upper_block(n, r.r_sharp, -1, 1)
@@ -290,7 +296,7 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     k_r = _involution(n, r.r_sharp)
 
     # L(a,b,c) = -L_x^t c with x = Delta(r)(a,b)
-    lts = LieTriple.compose(delta, _coaction(u, -1))
+    lts = LieTriple.compose(delta, blocks[0])
 
     cert = certify("twist", (_xi_report(twisted, bracket_r, xi),)
                    + verify_para_kahler(twisted, metric_r, k_r).reports
@@ -341,8 +347,8 @@ def _coadjoint(lie: Algebra, r) -> tuple:
     if not r.matrix.is_antisymmetric():
         raise ValueError("r must be skew-symmetric")
     act = _slot_sum([(1, lie, r.r_sharp, None, None)], lie.basis)
-    dual_bracket = _swapped(_coaction(act, 1, tuple(
-        s + "*" for s in lie.basis))).add(_coaction(act, -1))
+    dual_bracket = _permuted(act, (2, 0, 1), 1, tuple(
+        s + "*" for s in lie.basis)).add(_coaction(act, -1))
     return act, dual_bracket, _sharp_defect(lie, r.matrix, dual_bracket)
 
 
@@ -363,13 +369,12 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
 
     # [X+a, Y+b] = [X,Y] + ad*_b^t X - ad*_a^t Y - ad_X^t b + ad_Y^t a
     #              + [a,b]*, with ad* the left multiplication of [,]*
+    (coact, swapped), (dual_coact, dual_swapped) = map(
+        _action_blocks, (lie, dual_bracket))
     bracket_r = Algebra.from_blocks(
-        [[(lie, None),
-          (_swapped(_coaction(dual_bracket)), _coaction(lie, -1))],
-         [(_coaction(dual_bracket, -1), _swapped(_coaction(lie))),
-          (None, dual_bracket)]],
-        lie.basis, "*")
-    twisted = _semidirect(lie, lie, rr)
+        [[(lie, None), (dual_swapped, coact)],
+         [(dual_coact, swapped), (None, dual_bracket)]], lie.basis, "*")
+    twisted = _semidirect(lie, (coact, swapped), rr)
     reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),

@@ -140,6 +140,44 @@ def _random_certificate_data(rng, n, density):
     return _certificate_data(lie, metric, p.inverse() * diag * p)
 
 
+def _fields(word, w, n):
+    """The n signed w-bit fields of an int, least first, and the rest."""
+    out = []
+    for _ in range(n):
+        low = word & ((1 << w) - 1)
+        out.append(low - (1 << w) if low >> (w - 1) else low)
+        word = (word - out[-1]) >> w
+    return out, word
+
+
+def test_summed_words_are_zero_exactly_when_every_coordinate_is():
+    """The width rule of the predicate sweeps' packed words: a vector v
+    with entries in [-bound, bound], split into cells that sum to it,
+    packs at w = bound.bit_length() + 1 into words whose sum is 0 exactly
+    when v is 0 and holds each coordinate of v in its own signed w-bit
+    field.  The draws include +-bound and (2^(w-2), -1, 0, ...), which a
+    width of w - 2 would pack to 0."""
+    rng = random.Random(25)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        bound = rng.choice((1, 2, 3, 2 ** 40, 10 ** 24,
+                            rng.randint(1, 10 ** 30)))
+        w = bound.bit_length() + 1
+        vectors = [[rng.randint(-bound, bound) for _ in range(n)],
+                   [rng.choice((-bound, 0, bound)) for _ in range(n)],
+                   [bound] * n, [-bound] * n, [0] * n,
+                   ([2 ** (w - 2), -1] + [0] * n)[:n]]
+        for v in vectors:
+            first = [rng.randint(-5 * bound, 5 * bound) for _ in range(n)]
+            cells = [[(s, x) for s, x in enumerate(part) if x]
+                     for part in (first, [a - b for a, b in zip(v, first)])]
+            total = sum(map(sum, algebra._words(
+                [[(k, cell)] if cell else [] for k, cell in enumerate(cells)],
+                bound)))
+            assert (total == 0) == (not any(v)), (bound, v)
+            assert _fields(total, w, n) == (v, 0), (bound, v)
+
+
 def test_sparse_certificate_routes_match_dense_routes(aff, nab_lsa):
     """The twist certificate's sparse routes (Levi-Civita product, cocycle
     sum, eigenspace lines, compose, invariance and the derivation axiom)

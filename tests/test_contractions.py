@@ -3,9 +3,12 @@
 Every check here compares verdict and witness of the library with the
 dense reference routes of `oracle_routes`, on seeded tables of dimension
 at most 5: sparse and dense random tables, antisymmetrized ones, tables
-whose entries have large, mixed denominators, and structured algebras
-(Lie algebras, left-symmetric algebras and their phase spaces, moved by
-random changes of basis) on which the checks pass.  The integer routes
+whose entries have large, mixed denominators, tables whose nonzero
+entries are all +-M with M up to 10^12 (so that the identity sums of the
+predicate sweeps reach the bound their packed words are sized for), and
+structured algebras (Lie algebras, left-symmetric algebras and their
+phase spaces, moved by random changes of basis) on which the checks
+pass.  The integer routes
 of the kernel and the constructions (rref, trace forms, subspace
 products, conjugation) are compared with their Fraction routes the same
 way, and so is every `Subspace` a private path builds (sums,
@@ -151,6 +154,11 @@ def _algebra(kind, n, rng):
         return Algebra(_random_table(rng, n, DENSITY[kind]))
     if kind == "antisymmetrized":
         return Algebra(_random_table(rng, n, 0.5)).commutator_algebra()
+    if kind == "extreme":           # every nonzero entry +-M, M up to 10^12
+        m, density = rng.choice((1, 7, 2 ** 31, 10 ** 12)), rng.random()
+        return Algebra([[tuple(rng.choice((m, -m)) if rng.random() < density
+                               else 0 for _ in range(n)) for _ in range(n)]
+                        for _ in range(n)])
     if kind == "large_denominators":
         return Algebra([[tuple(rng.choice(LARGE + VALUES)
                                if rng.random() < 0.6 else Fraction(0)
@@ -163,7 +171,7 @@ def _algebra(kind, n, rng):
 
 
 ALGEBRA_KINDS = ("sparse", "dense", "antisymmetrized", "large_denominators",
-                 "structured", "moved", "moved_large_denominators")
+                 "structured", "moved", "moved_large_denominators", "extreme")
 # the entries of a drawn matrix, metric or tensor
 ENTRIES = {"small": VALUES, "large": LARGE}
 

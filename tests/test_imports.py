@@ -174,9 +174,10 @@ def test_only_listed_functions_read_a_fraction_view():
     assert sorted(_view_readers(_package_sources()) - VIEW_READERS) == []
 
 
-# The library's one contraction kernel and its dict readback; the
-# oracles keep dense kernels of their own.
-KERNEL = {"_scatter", "_settled"}
+# The library's one contraction kernel and its dict readback, and the
+# packed words of the predicate sweeps and the height that sizes them;
+# the oracles keep dense kernels of their own.
+KERNEL = {"_scatter", "_settled", "_words", "_height"}
 
 
 def _kernel_reads(source: str) -> list:
