@@ -1,5 +1,7 @@
 """Command-line front end: parse structure files, dispatch checks,
-builders, and normalizers, and emit deterministic reports.
+builders, and normalizers, and emit deterministic reports.  `run(argv)`
+runs one command in-process: it builds the parser on its first call and
+reuses it, and looks each command up by name at call time.
 
 Exit codes: 0 when every check passes, 1 when a mathematical predicate
 fails (the report is still written), 2 on input or usage errors, 3 on
@@ -12,6 +14,7 @@ comment-style header lines, the body carries no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -561,6 +564,7 @@ def _cmd_lts(args) -> int:
     return _emit(args, _report_lines(cert.reports))
 
 
+@functools.lru_cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
@@ -579,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="run a predicate on a structure file")
     p_check.add_argument("--pred", required=True)
     p_check.add_argument("file")
-    p_check.set_defaults(fn=_cmd_check)
 
     p_build = sub.add_parser("build", parents=[common],
                              help="run a construction and write its output")
@@ -593,44 +596,40 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="twist: name of the tensor to use")
     p_build.add_argument("--hyper", action="store_true",
                          help="ttheta: also certify the complex structure")
-    p_build.set_defaults(fn=_cmd_build)
 
     p_norm = sub.add_parser("normalize", parents=[common],
                             help="land an instance on its canonical model")
     p_norm.add_argument("what", choices=("dim2", "assoc"))
     p_norm.add_argument("file")
-    p_norm.set_defaults(fn=_cmd_normalize)
 
     p_cls = sub.add_parser("classify", parents=[common],
                            help="classify a pair of products")
     p_cls.add_argument("what", choices=("compat2",))
     p_cls.add_argument("file")
-    p_cls.set_defaults(fn=_cmd_classify)
 
     p_cat = sub.add_parser("catalog", parents=[common],
                            help="list families or emit an instance")
     p_cat.add_argument("what", choices=("list", "emit"))
     p_cat.add_argument("family", nargs="?", default=None)
-    p_cat.set_defaults(fn=_cmd_catalog)
 
     p_lts = sub.add_parser("lts", parents=[common],
                            help="verify a Lie triple system file")
     p_lts.add_argument("what", choices=("verify",))
     p_lts.add_argument("file")
-    p_lts.set_defaults(fn=_cmd_lts)
     return parser
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv = ["lsaforge"] + argv
     try:
-        return args.fn(args)
+        return {"check": _cmd_check, "build": _cmd_build,
+                "normalize": _cmd_normalize, "classify": _cmd_classify,
+                "catalog": _cmd_catalog, "lts": _cmd_lts}[args.command](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -48,9 +48,14 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         dual = Algebra.zero(u.dim)
     if dual.dim != u.dim:
         raise ValueError("dual product dimension mismatch")
+    return _phase(u, dual, _coaction(u, -1))
+
+
+def _phase(u: Algebra, dual: Algebra, coaction: Algebra) -> PhaseSpace:
+    """build_phase for a dual of the dim of u, coaction = _coaction(u, -1)."""
     _require_left_symmetric((u, "product on U"), (dual, "product on U*"))
     extended = Algebra.from_blocks(
-        [[(u, None), (None, _coaction(u, -1))],
+        [[(u, None), (None, coaction)],
          [(_coaction(dual, -1), None), (None, dual)]],
         u.basis, "*")
     pairing0, omega0, k0 = _phase_forms(u.dim)

@@ -33,8 +33,8 @@ from .algebra import (Algebra, _coaction, _int_product, _nonzero_cell,
                       _permuted, _slot_sum, check, invariance_check)
 from .exact import Mat, _dense, _scatter, _sparse
 from .forms import Bilinear
-from .phase import (PhaseSpace, _involution, _split_form, _upper_block,
-                    build_phase, verify_para_kahler)
+from .phase import (PhaseSpace, _involution, _phase, _split_form,
+                    _upper_block, verify_para_kahler)
 from .report import (Certificate, Report, _relabel, certify, failing,
                      require, routes_disagree)
 from .triple import LieTriple
@@ -284,8 +284,8 @@ def twisted_structures(u: Algebra, r) -> TwistData:
         bad = next(rep for rep in cls.reports if not rep.passed)
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
     n = u.dim
-    ps = build_phase(u, dual)
     blocks = _action_blocks(u)
+    ps = _phase(u, dual, blocks[0])
     triangle = _semidirect(lie, blocks, None)
     twisted = _semidirect(lie, blocks, delta)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -475,16 +476,21 @@ def test_duplicate_entry_is_usage_error(capsys, tmp_path, section, labels):
     assert out == ""
 
 
-def _module_run(*argv):
-    """python -m lsaforge.cli argv, in a child process that imports the
-    package from this checkout's src/."""
+def _python(*args):
+    """python args, in a child process that imports the package from this
+    checkout's src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "lsaforge.cli"] + list(argv),
+    return subprocess.run([sys.executable] + list(args),
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _module_run(*argv):
+    """python -m lsaforge.cli argv, in such a child process."""
+    return _python("-m", "lsaforge.cli", *argv)
 
 
 def test_module_entry_point_runs_main():
@@ -497,6 +503,75 @@ def test_module_entry_point_runs_main():
                           "golden", "catalog-list.txt")
     with open(golden, encoding="utf-8") as handle:
         assert listed.stdout == handle.read()
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built by the first run, never at import, so importing
+    lsaforge.cli constructs no ArgumentParser."""
+    child = _python("-c", "import argparse\n"
+                    "built = []\n"
+                    "init = argparse.ArgumentParser.__init__\n"
+                    "def counted(self, *args, **kwargs):\n"
+                    "    built.append(self)\n"
+                    "    init(self, *args, **kwargs)\n"
+                    "argparse.ArgumentParser.__init__ = counted\n"
+                    "import lsaforge.cli\n"
+                    "print(len(built))\n")
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+
+
+def test_one_parser_per_process(capsys, monkeypatch, nab_file):
+    """Ten runs construct the parsers of one build when the cache is cold
+    (common, top level and six commands) and none when it is warm."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    script = [["catalog", "list"], ["check", nab_file, "--pred", "abelian"],
+              ["check", nab_file], ["--help"], ["lts", "verify", nab_file]]
+    cli._build_parser.cache_clear()
+    counts = []
+    for _ in range(2):
+        del built[:]
+        for argv in script * 2:
+            run(argv)
+        counts.append(len(built))
+    capsys.readouterr()
+    assert 0 < counts[0] <= 8 and counts[1] == 0
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reusing_the_parser_leaks_nothing_between_runs(capsys, tmp_path):
+    """A script of commands run twice, then once in reverse order, in one
+    process: each command writes the same stdout, stderr, exit code and
+    file every time.  The emit without --param runs after one with it, so
+    an `append` default shared between runs would show there."""
+    emitted, phase = tmp_path / "nab.json", tmp_path / "phase.json"
+    script = [["catalog", "emit", "dim2_nonabelian", "--param", "a=2",
+               "--out", str(emitted)],
+              ["catalog", "emit", "dim2_nonabelian"],
+              ["check", str(emitted)],
+              ["--help"],
+              ["check", str(emitted), "--pred", "associative"],
+              ["build", "phase", str(emitted), "--out", str(phase)]]
+    written = {str(emitted): emitted, str(phase): phase}
+
+    def outcome(argv):
+        target = written.get(argv[-1]) if "--out" in argv else None
+        if target is not None:
+            target.unlink(missing_ok=True)
+        code, out, err = go(capsys, argv)
+        return code, out, err, target and target.read_text()
+    cli._build_parser.cache_clear()
+    capsys.readouterr()
+    first = [outcome(argv) for argv in script]
+    assert [row[0] for row in first] == [0, 0, 2, 0, 1, 0]
+    assert "param a=2" in first[0][1] and "param a=1" in first[1][1]
+    assert first == [outcome(argv) for argv in script]
+    assert first[::-1] == [outcome(argv) for argv in reversed(script)]
 
 
 _OMEGA = '{"kind": "skew", "matrix": [["0", "1"], ["-1", "0"]]}'

@@ -221,4 +221,4 @@ def test_a_plane_twist_keeps_its_allocation_budget(monkeypatch):
             return _make(*args)
         monkeypatch.setattr(cls, "_of", staticmethod(counted))
     assert twisted_structures(plane, r).cert.passed
-    assert counts == {"Mat": 27, "Algebra": 14}
+    assert counts == {"Mat": 27, "Algebra": 13}
