@@ -438,12 +438,12 @@ def _check_commutative(alg: Algebra):
                  if cells[i][j] != cells[j][i]), None)
 
 
-def _jacobi_witness(br: Algebra):
+def _jacobi_witness(br: Algebra, rows, height: int):
     """First basis triple i < j < k violating Jacobi: the cyclic sum of D^2
-    [[e_i,e_j],e_k] read off the cells of br (D its denominator), three
-    sums of n products of two cells, so each coordinate is at most 3nM^2."""
-    n, cells, rows = br.dim, br._cells, _lines(br._cells)
-    words = _words(rows, 3 * n * _height(rows) ** 2)
+    [[e_i,e_j],e_k] over rows (`_lines` of br, D its denominator), three sums
+    of n products of two cells, each coordinate at most 3nM^2, M = height."""
+    n, cells = br.dim, br._cells
+    words = _words(rows, 3 * n * height ** 2)
     wcols, nonzero_cols = list(zip(*words)), _lines(zip(*cells))
 
     def sweep(acc, i, j):
@@ -454,11 +454,11 @@ def _jacobi_witness(br: Algebra):
 
 
 def _check_jacobi_antisym(alg: Algebra):
-    cells = alg._cells
+    cells, rows = alg._cells, _lines(alg._cells)
     bad = next(((i, j) for i, j in itertools.combinations_with_replacement(
         range(alg.dim), 2)
         if cells[i][j] != tuple((k, -x) for k, x in cells[j][i])), None)
-    return _jacobi_witness(alg) if bad is None else bad
+    return _jacobi_witness(alg, rows, _height(rows)) if bad is None else bad
 
 
 def _check_lie_admissible(alg: Algebra):
@@ -468,7 +468,8 @@ def _check_lie_admissible(alg: Algebra):
     The sum is six sums of n products of a product and a bracket cell."""
     n, cells, br = alg.dim, alg._cells, alg.commutator_algebra()
     rows, brows = _lines(cells), _lines(br._cells)
-    words = _words(rows, 6 * n * _height(rows) * _height(brows))
+    bheight = _height(brows)
+    words = _words(rows, 6 * n * _height(rows) * bheight)
     wcols, nonzero_cols = list(zip(*words)), _lines(zip(*cells))
 
     def sweep(acc, i, j):
@@ -481,7 +482,7 @@ def _check_lie_admissible(alg: Algebra):
         _push(acc, brows[i], wcols[j], 1, j)            # -[e_k,e_i].e_j
     via_curvature = _first_triple(itertools.combinations(range(n - 1), 2),
                                   sweep)
-    via_jacobi = _jacobi_witness(br)
+    via_jacobi = _jacobi_witness(br, brows, bheight)
     if (via_curvature is None) != (via_jacobi is None):
         raise routes_disagree(
             "cyclic curvature sum and commutator Jacobi check disagree",

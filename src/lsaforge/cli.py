@@ -1,7 +1,8 @@
 """Command-line front end: parse structure files, dispatch checks,
 builders, and normalizers, and emit deterministic reports.  `run(argv)`
 runs one command in-process: it builds the parser on its first call and
-reuses it, and looks each command up by name at call time.
+reuses it, and looks each command up by name at call time.  Structure
+files load straight into integer cells, with no Fraction in between.
 
 Exit codes: 0 when every check passes, 1 when a mathematical predicate
 fails (the report is still written), 2 on input or usage errors, 3 on
@@ -20,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .algebra import PREDICATES, Algebra, check
@@ -28,7 +30,7 @@ from .catalog import (DEFAULT_SCALARS, FAMILIES, build_quadratic_symplectic,
                       derivation_phase, flat_double, normalize_assoc_symp,
                       normalize_dim2_slsa)
 from .doubling import build_hyper, build_symp_double, build_theta_double
-from .exact import Mat, format_rational, parse_rational, zero_vec
+from .exact import Mat, _ratio, _ratio_text, _unpacked, format_rational
 from .forms import (FORM_KINDS, Bilinear, is_flat, is_invariant_form,
                     is_two_cocycle)
 from .phase import build_phase
@@ -83,14 +85,22 @@ def _max_dim() -> int:
     return cap
 
 
-def _rational(text, where: str) -> Fraction:
+def _literal(text, where: str) -> tuple:
+    """(p, q) of a rational literal as written; all else is a usage error."""
     if not isinstance(text, str):
         raise UsageError("%s: expected a rational string, got %r"
                          % (where, text))
     try:
-        return parse_rational(text)
+        return _ratio(text)
     except ValueError as exc:
         raise UsageError("%s: %s" % (where, exc))
+
+
+def _over_lcm(cells) -> tuple:
+    """(D, cells of (k, D p/q)) over the nonzero (k, (p, q)), D the q's lcm."""
+    den = lcm(*{q for cell in cells for _, (_, q) in cell})
+    return den, [tuple((k, p * (den // q)) for k, (p, q) in cell if p)
+                 for cell in cells]
 
 
 def _matrix(raw, dim: int, where: str) -> Mat:
@@ -99,9 +109,9 @@ def _matrix(raw, dim: int, where: str) -> Mat:
                    for row in raw)):
         raise UsageError("%s: expected a %dx%d array of rational strings"
                          % (where, dim, dim))
-    return Mat.from_rows([
-        [_rational(raw[i][j], "%s[%d][%d]" % (where, i, j))
-         for j in range(dim)] for i in range(dim)])
+    return Mat._of(dim, dim, *_over_lcm([
+        [(j, _literal(raw[i][j], "%s[%d][%d]" % (where, i, j)))
+         for j in range(dim)] for i in range(dim)]))
 
 
 def _label(index, label, where: str) -> int:
@@ -111,15 +121,13 @@ def _label(index, label, where: str) -> int:
     return index[label]
 
 
-def _cell(entry, index, here: str) -> tuple:
-    """The result vector of a product or triple entry."""
+def _cell(entry, index, here: str) -> list:
+    """The (k, (p, q)) of an entry's result, by increasing k."""
     if not isinstance(entry["result"], dict):
         raise UsageError("%s.result: expected an object" % here)
-    cell = list(zero_vec(len(index)))
-    for lab, val in entry["result"].items():
-        cell[_label(index, lab, here + ".result")] = _rational(
-            val, "%s.result.%s" % (here, lab))
-    return tuple(cell)
+    return sorted((_label(index, lab, here + ".result"),
+                   _literal(val, "%s.result.%s" % (here, lab)))
+                  for lab, val in entry["result"].items())
 
 
 def _once(seen: set, key, labels, here: str) -> None:
@@ -130,12 +138,12 @@ def _once(seen: set, key, labels, here: str) -> None:
     seen.add(key)
 
 
-def _table(raw, labels, where: str):
+def _table(raw, labels, where: str) -> Algebra:
     if not isinstance(raw, list):
         raise UsageError("%s: expected an array of product entries" % where)
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
-    table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    cells = [()] * dim * dim
     seen = set()
     for pos, entry in enumerate(raw):
         here = "%s[%d]" % (where, pos)
@@ -151,8 +159,10 @@ def _table(raw, labels, where: str):
         i, j = (_label(index, entry[key], "%s.%s" % (here, key))
                 for key in ("left", "right"))
         _once(seen, (i, j), (entry["left"], entry["right"]), here)
-        table[i][j] = _cell(entry, index, here)
-    return table
+        cells[i * dim + j] = _cell(entry, index, here)
+    den, cells = _over_lcm(cells)
+    return Algebra._of(den, [cells[i:i + dim]
+                             for i in range(0, dim * dim, dim)], labels)
 
 
 class _Repeated(str):
@@ -216,9 +226,8 @@ def load_structure(path: str) -> StructFile:
     out = StructFile(path=path, labels=labels)
     for section in ("product", "product2"):
         if section in raw:
-            out.products[section] = Algebra(
-                _table(raw[section], labels, "%s:%s" % (path, section)),
-                labels)
+            out.products[section] = _table(raw[section], labels,
+                                           "%s:%s" % (path, section))
     for section in ("forms", "endos", "tensors"):
         if not isinstance(raw.get(section, {}), dict):
             raise UsageError("%s:%s: expected an object" % (path, section))
@@ -249,8 +258,7 @@ def _load_triple(raw, labels, where: str) -> LieTriple:
         raise UsageError("%s: expected an array of entries" % where)
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
-    table = [[[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-             for _ in range(dim)]
+    cells = [()] * dim ** 3
     seen = set()
     for pos, entry in enumerate(raw):
         here = "%s[%d]" % (where, pos)
@@ -261,29 +269,24 @@ def _load_triple(raw, labels, where: str) -> LieTriple:
         slots = [entry[slot] for slot in ("first", "second", "third")]
         i, j, k = (_label(index, lab, here) for lab in slots)
         _once(seen, (i, j, k), slots, here)
-        table[i][j][k] = _cell(entry, index, here)
-    return LieTriple(table)
+        cells[(i * dim + j) * dim + k] = _cell(entry, index, here)
+    return LieTriple._of(dim, *_over_lcm(cells))
 
 
 # -- deterministic writer -------------------------------------------------------
 
 def _fmt_matrix(mat: Mat):
-    return [[format_rational(mat[i, j]) for j in range(mat.cols)]
-            for i in range(mat.rows)]
+    den, cells = mat._int_view()
+    return [[_ratio_text(x, den) for x in row]
+            for row in _unpacked(cells, mat.cols)]
 
 
 def _product_entries(alg: Algebra):
-    labels = alg.basis
-    entries = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            cell = alg.table[i][j]
-            result = {labels[k]: format_rational(cell[k])
-                      for k in range(alg.dim) if cell[k] != 0}
-            if result:
-                entries.append({"left": labels[i], "right": labels[j],
-                                "result": result})
-    return entries
+    labels, (den, cells) = alg.basis, alg._int_view()
+    return [{"left": labels[i], "right": labels[j],
+             "result": {labels[k]: _ratio_text(x, den) for k, x in cell}}
+            for i, row in enumerate(cells) for j, cell in enumerate(row)
+            if cell]
 
 
 def dump_structure(alg: Algebra, forms=None, endos=None, tensors=None,
@@ -339,7 +342,7 @@ def _param_map(pairs) -> dict:
         key, _, val = item.partition("=")
         if key in out:
             raise UsageError("--param %s given twice" % key)
-        out[key] = _rational(val, "--param %s" % key)
+        out[key] = Fraction(*_literal(val, "--param %s" % key))
     return out
 
 

@@ -25,19 +25,29 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form ``[-]p`` or ``[-]p/q`` (q > 0)."""
+def _ratio(text: str) -> tuple:
+    """(p, q) of a literal ``[+-]p`` or ``[+-]p/q`` (q > 0), not reduced; a
+    ValueError for anything else or for digits past the int limit."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError("not a rational literal: %r" % (text,))
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal of the form ``[-]p`` or ``[-]p/q`` (q > 0)."""
+    return Fraction(*_ratio(text))
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms as text, an integer without "/1"."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form; round trips through parse_rational."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return _ratio_text(*Fraction(x).as_integer_ratio())
 
 
 def _q(x) -> Fraction:

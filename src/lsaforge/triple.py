@@ -35,6 +35,13 @@ class LieTriple(_Stored):
             [x for plane in tab for row in plane for cell in row
              for x in cell], n ** 3, n) + (tab,))
 
+    @staticmethod
+    def _of(n: int, den: int, cells) -> "LieTriple":
+        """The triple with L(e_i, e_j, e_k)_s = x / den over the (s, x) of
+        cells[(i n + j) n + k], by increasing s."""
+        return _set_slots(object.__new__(LieTriple),
+                          (n,) + _reduced(den, cells) + (None,))
+
     @property
     def table(self) -> tuple:
         """table[i][j][k][s] = L(e_i, e_j, e_k)_s as Fractions, built on
@@ -63,8 +70,7 @@ class LieTriple(_Stored):
             for k in {k for a, _ in cell for k in reach[a]}:
                 out[ij * n + k] = _settled(_scatter(defaultdict(int), cell,
                                                     cols[k]))
-        return _set_slots(object.__new__(LieTriple),
-                          (n,) + _reduced(d1 * d2, out) + (None,))
+        return LieTriple._of(n, d1 * d2, out)
 
     def __call__(self, x, y, z):
         n = self.dim

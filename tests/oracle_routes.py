@@ -29,7 +29,10 @@ here as the bilinear maps of their formulas on basis vectors, and so
 are the commutator, opposite, coaction, block, phase-space, semidirect
 and graded tensor products.  `block_upper` and `block_split_form` keep
 the `Mat.block` formulas of the U + U* builders that now assemble their
-cells directly.  Nothing here is used by the library.
+cells directly.  `fraction_structure` is the structure-file loader's
+route before files went straight into integer cells: every literal a
+Fraction in a dense table, through the public constructors.  Nothing
+here is used by the library.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from types import SimpleNamespace
 from lsaforge.algebra import Algebra, Endo, _mat, _rep_columns
 from lsaforge.exact import (Mat, Subspace, _reduced, _set_slots, _sparse,
                             _unpacked, common_denominator)
-from lsaforge.forms import _gram
+from lsaforge.forms import Bilinear, _gram
 from lsaforge.report import _bool_report, failing, passing
 from lsaforge.triple import LieTriple
 
@@ -1367,3 +1370,46 @@ def block_split_form(g, c):
     """[[0, G^t], [G, C]] by `Mat.block`, C = 0 for None."""
     zero = Mat.zeros(g.rows, g.cols)
     return Mat.block([[zero, g.transpose()], [g, zero if c is None else c]])
+
+
+# -- the structure-file loader over Fraction -----------------------------------
+
+def fraction_structure(raw) -> SimpleNamespace:
+    """The sections of a valid structure file, already parsed from JSON,
+    built as dense Fraction tables and matrices through `Algebra`,
+    `Mat.from_rows`, `Bilinear` and `LieTriple`."""
+    labels = tuple(raw["basis"])
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    def cell(result):
+        out = [ZERO] * n
+        for lab, val in result.items():
+            out[index[lab]] = Fraction(val)
+        return out
+
+    def table(entries):
+        tab = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for e in entries:
+            tab[index[e["left"]]][index[e["right"]]] = cell(e["result"])
+        return Algebra(tab, labels)
+
+    def matrix(rows):
+        return Mat.from_rows([[Fraction(x) for x in row] for row in rows])
+
+    triple = None
+    if "triple" in raw:
+        tab = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
+               for _ in range(n)]
+        for e in raw["triple"]:
+            i, j, k = (index[e[slot]] for slot in ("first", "second", "third"))
+            tab[i][j][k] = cell(e["result"])
+        triple = LieTriple(tab)
+    return SimpleNamespace(
+        labels=labels, triple=triple,
+        products={name: table(raw[name]) for name in ("product", "product2")
+                  if name in raw},
+        forms={name: Bilinear(matrix(spec["matrix"]), spec["kind"])
+               for name, spec in raw.get("forms", {}).items()},
+        endos={name: matrix(m) for name, m in raw.get("endos", {}).items()},
+        tensors={name: matrix(m) for name, m in raw.get("tensors", {}).items()})

@@ -1,12 +1,16 @@
 import argparse
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracle_routes as oracle
 from lsaforge import (Algebra, Bilinear, InternalInconsistency, Mat, canonical,
                       graded_tensor_algebra)
 from lsaforge import cli
@@ -594,3 +598,135 @@ def test_repeated_json_key_is_usage_error(capsys, tmp_path, text, where, key):
     place = str(path) if where is None else "%s:%s" % (path, where)
     assert err == "error: %s: duplicate key %r\n" % (place, key)
     assert out == ""
+
+
+_HUGE = "9" * 5000          # past the default 4,300-digit int conversion limit
+
+
+@pytest.mark.parametrize("section,body,argv,where", [
+    ("product", [{"left": "x", "right": "y", "result": {"y": "-" + _HUGE}}],
+     ["check", "{}", "--pred", "abelian"], "{}:product[0].result.y"),
+    ("forms", {"w": {"kind": "skew", "matrix": [["0", "1/" + _HUGE],
+                                                 ["-1", "0"]]}},
+     ["check", "{}", "--pred", "abelian"], "{}:forms.w.matrix[0][1]"),
+    ("triple", [{"first": "x", "second": "y", "third": "x",
+                 "result": {"x": _HUGE + "/2"}}],
+     ["lts", "verify", "{}"], "{}:triple[0].result.x"),
+    (None, None, ["catalog", "emit", "dim2_nonabelian", "--param",
+                  "a=" + _HUGE], "--param a")],
+    ids=["product", "form", "triple", "param"])
+def test_overlong_literal_is_usage_error(capsys, tmp_path, section, body, argv,
+                                         where):
+    """A literal whose digits pass the interpreter's limit on int conversion
+    exits 2 with the ValueError's message at its place, not as an internal
+    error."""
+    path = tmp_path / "big.json"
+    if section is not None:
+        path.write_text(json.dumps({"dim": 2, "basis": ["x", "y"],
+                                    section: body}))
+    with pytest.raises(ValueError) as limit:
+        int(_HUGE)
+    code, out, err = go(capsys, [arg.format(path) for arg in argv])
+    _no_traceback_usage_error(code, err)
+    assert err == "error: %s: %s\n" % (where.format(path), limit.value)
+    assert out == ""
+
+
+_LITERALS = ("6/4", "+3", "-0", "0/7", "-2/6", "0", "1", "-1/3",
+             str(10 ** 30), "-%d/6" % 10 ** 30)
+_ZEROS = ("-0", "0/7", "0")
+
+
+def _literal_of(rng) -> str:
+    """A seeded literal: unreduced, signed, zero, or up to 10^30 in size."""
+    if rng.random() < 0.6:
+        return rng.choice(_LITERALS)
+    p = rng.randint(-10 ** 30, 10 ** 30)
+    return rng.choice((str(p), "%d/%d" % (p, rng.randint(1, 10 ** 30))))
+
+
+def _negated(text: str) -> str:
+    return text[1:] if text[0] == "-" else "-" + text.lstrip("+")
+
+
+def _structure(rng, dim: int) -> dict:
+    """A seeded structure file with every section, its entries in random
+    order, the first entry of each table all zero literals, and product2
+    sometimes an empty list."""
+    labels = ["v%d" % i for i in range(dim)]
+
+    def entries(slots, count):
+        keys = rng.sample(list(itertools.product(labels, repeat=len(slots))),
+                          count)
+        return [dict(zip(slots, key), result={
+            lab: rng.choice(_ZEROS) if pos == 0 else _literal_of(rng)
+            for lab in rng.sample(labels, rng.randint(1, dim))})
+            for pos, key in enumerate(keys)]
+
+    def matrix(kind):
+        rows = [[_literal_of(rng) for _ in labels] for _ in labels]
+        for i, j in itertools.combinations_with_replacement(range(dim), 2):
+            if kind == "skew":
+                rows[i][i] = rng.choice(_ZEROS)
+                rows[j][i] = _negated(rows[i][j])
+            elif kind == "symmetric":
+                rows[j][i] = rows[i][j]
+        return rows
+
+    return {"dim": dim, "basis": labels,
+            "product": entries(("left", "right"), rng.randint(1, dim * dim)),
+            "product2": entries(("left", "right"),
+                                rng.choice((0, rng.randint(1, dim * dim)))),
+            "forms": {kind[0]: {"kind": kind, "matrix": matrix(kind)}
+                      for kind in ("skew", "symmetric", "none")},
+            "endos": {"a": matrix("none")}, "tensors": {"r": matrix("none")},
+            "triple": entries(("first", "second", "third"),
+                              rng.randint(1, dim ** 3))}
+
+
+def test_structure_files_load_like_the_fraction_route(tmp_path):
+    """`load_structure` against `oracle.fraction_structure` on seeded files
+    with every section: each algebra, form, matrix and triple compares
+    equal and has the same stored integer form."""
+    rng, texts = random.Random(29), []
+    path = tmp_path / "s.json"
+    for _ in range(40):
+        raw = _structure(rng, rng.randint(1, 4))
+        texts.append(json.dumps(raw))
+        path.write_text(texts[-1])
+        got, want = cli.load_structure(str(path)), oracle.fraction_structure(raw)
+        assert got.labels == want.labels
+        for section in ("products", "forms", "endos", "tensors"):
+            have, ref = getattr(got, section), getattr(want, section)
+            assert have.keys() == ref.keys()
+            for name in ref:
+                assert have[name] == ref[name]
+                a, b = have[name], ref[name]
+                if section == "forms":
+                    a, b = a.matrix, b.matrix
+                assert a._int_view() == b._int_view()
+        assert all(got.products[name].basis == want.labels
+                   for name in got.products)
+        assert got.triple == want.triple
+        assert got.triple._int_view() == want.triple._int_view()
+    assert all('"%s"' % lit in "".join(texts) for lit in _LITERALS)
+    assert '"product2": []' in "".join(texts)
+
+
+def test_loading_a_structure_file_builds_no_fraction(monkeypatch, tmp_path):
+    """`Fraction.__new__` calls during `load_structure` of a file with
+    product, product2, forms, endos, tensors and triple: none, as every
+    literal goes straight into integer cells."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_structure(random.Random(3), 3)))
+    counts = Counter()
+
+    def counted(cls, *args, _make=Fraction.__new__, **kwargs):
+        counts["Fraction"] += 1
+        return _make(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    struct = cli.load_structure(str(path))
+    monkeypatch.undo()
+    assert set(struct.products) == {"product", "product2"}
+    assert struct.forms and struct.endos and struct.tensors and struct.triple
+    assert counts == Counter()

@@ -133,7 +133,7 @@ def test_every_private_helper_is_used():
 VIEW_READERS = {
     "catalog.normalize_dim2_slsa", "catalog._proportional",
     "catalog.classify_compatible_dim2", "catalog._extract_type_two",
-    "cli._product_entries", "phase._cocycle_witness",
+    "phase._cocycle_witness",
 }
 
 
