@@ -25,7 +25,7 @@ from .exact import Mat, Subspace, format_rational, parse_rational
 from .forms import (Bilinear, a_product, is_flat, is_invariant_form,
                     is_invariant_iso, is_two_cocycle, levi_civita)
 from .phase import (build_phase, cocycle_check, is_lie_extendible, rho,
-                    rho_star, verify_hyper_para_kahler, verify_para_kahler)
+                    verify_hyper_para_kahler, verify_para_kahler)
 from .report import Certificate, InternalInconsistency, Report
 from .smatrix import (Tensor2, rr_bracket, classify_r, delta_r, coadjoint_double,
                       dual_product_from_r, twisted_structures)

@@ -49,11 +49,11 @@ def _int_product(acc, cells, left, right, f: int = 1):
     return acc
 
 
-def _permuted(alg: "Algebra", order, sign: int = 1,
-              basis=None) -> "Algebra":
-    """The product with the constant sign c_ij^k at index t[order[0]],
-    t[order[1]], t[order[2]] for each t = (i, j, k), the cells of alg
-    moved over ints; labelled by basis, else by alg's labels."""
+def _permuted_cells(alg: "Algebra", order, sign: int = 1) -> tuple:
+    """(D, cells) with the constant sign c_ij^k at index t[order[0]],
+    t[order[1]], t[order[2]] for each t = (i, j, k): the cells of alg
+    moved over ints, each a list by increasing index (with the other two
+    indices fixed the third grows with the scan), and D that of alg."""
     n, (den, cells) = alg.dim, alg._int_view()
     out = [[[] for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(cells):
@@ -61,7 +61,15 @@ def _permuted(alg: "Algebra", order, sign: int = 1,
             for k, x in cell:
                 t = (i, j, k)
                 out[t[order[0]]][t[order[1]]].append((t[order[2]], sign * x))
-    return Algebra._of(den, out, alg.basis if basis is None else basis)
+    return den, out
+
+
+def _permuted(alg: "Algebra", order, sign: int = 1,
+              basis=None) -> "Algebra":
+    """The product of `_permuted_cells`, labelled by basis, else by alg's
+    labels."""
+    return Algebra._of(*_permuted_cells(alg, order, sign),
+                       alg.basis if basis is None else basis)
 
 
 def _coaction(alg: "Algebra", sign: int = 1, basis=None) -> "Algebra":
@@ -570,7 +578,7 @@ def _rep_columns(tag: str, alg: Algebra) -> tuple:
     the rows of L, the cells of the coaction."""
     src = alg.commutator_algebra() if tag.startswith("ad") else alg
     if tag.endswith("_dual"):
-        return (-1,) + _coaction(src)._int_view()
+        return (-1,) + _permuted_cells(src, (0, 2, 1))
     return (1,) + src._int_view()
 
 

@@ -20,13 +20,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from typing import Optional, Tuple
 
-from .algebra import (Algebra, Endo, _coaction, _nonzero_cell, _swapped,
-                      check, invariance_check, is_derivation,
+from .algebra import (Algebra, Endo, _coaction, _labels, _nonzero_cell,
+                      _swapped, check, invariance_check, is_derivation,
                       product_subspaces, subspace_product)
 from .doubling import is_compatible
-from .exact import (Mat, Subspace, ZERO, ONE, _sparse, _unpacked, basis_vec,
+from .exact import (Mat, Subspace, ZERO, ONE, _dense, _sparse, _unpacked,
                     form_value, is_zero_vec, lagrangian_complement,
                     parse_rational, solve, symp_orthogonal, vec, vec_add,
                     vec_scale, vec_sub, zero_vec)
@@ -85,19 +86,24 @@ def _std_omega2() -> Bilinear:
 
 
 def _alg_from_left_mults(mats) -> Algebra:
-    """Structure constants from the list of left-multiplication matrices."""
-    n = len(mats)
-    return Algebra([[tuple(mats[i].col(j)) for j in range(n)]
-                    for i in range(n)])
+    """Structure constants from the list of left-multiplication matrices:
+    cell (i, j) is column j of mats[i], a row of its transposed cells."""
+    den = lcm(*(m._den for m in mats))
+    return Algebra._of(den, [[tuple((k, den // m._den * x) for k, x in col)
+                              for col in m.transpose()._cells]
+                             for m in mats], _labels(None, len(mats)))
 
 
-def _sym_block(q: int) -> Mat:
-    """Standard symplectic Gram on an even-dimensional space."""
-    rows = [[ZERO] * q for _ in range(q)]
-    for k in range(0, q, 2):
-        rows[k][k + 1] = ONE
-        rows[k + 1][k] = -ONE
-    return Mat.from_rows(rows)
+def _coef(alg: Algebra, i: int, j: int, k: int) -> Fraction:
+    """c_ij^k, the e_k coordinate of e_i . e_j, from the integer cells."""
+    den, cells = alg._int_view()
+    return Fraction(dict(cells[i][j]).get(k, 0), den)
+
+
+def _s0(k: int) -> tuple:
+    """(m, s): row k of the standard symplectic Gram s0 (pairs e_2t,
+    e_2t+1 with s0(e_2t, e_2t+1) = 1) is s at column m."""
+    return k ^ 1, -1 if k & 1 else 1
 
 
 # -- canonical families -------------------------------------------------------
@@ -150,20 +156,14 @@ def _sym_mats(raw, count, size, label):
 
 
 def _model_omega(p0, p1, q0, q1) -> Bilinear:
-    """The skew form of the second model at dims (p0, p1, q0, q1)."""
+    """The skew form of the second model at dims (p0, p1, q0, q1): V
+    paired with V* and s0 on I0 and on I1, one signed entry a row."""
     p = p0 + p1
-    n = 2 * p + q0 + q1
-    rows = [[ZERO] * n for _ in range(n)]
-    dual = p + q0 + q1
-    for k in range(p):
-        rows[k][dual + k] = -ONE
-        rows[dual + k][k] = ONE
-    for off, q in ((p, q0), (p + q0, q1)):
-        sb = _sym_block(q)
-        for i in range(q):
-            for j in range(q):
-                rows[off + i][off + j] = sb[i, j]
-    return Bilinear(Mat.from_rows(rows), "skew")
+    n, dual = 2 * p + q0 + q1, p + q0 + q1
+    rows = ([((dual + k, -1),) for k in range(p)]
+            + [((p + m, s),) for m, s in map(_s0, range(q0 + q1))]
+            + [((k, 1),) for k in range(p)])
+    return Bilinear(Mat._of(n, n, 1, rows), "skew")
 
 
 def _canonical_assoc_type_one(params):
@@ -216,7 +216,6 @@ def check_type_two_constraints(params) -> Certificate:
     dims, a_maps, b_maps, _c_maps, d_maps, f_map = _type_two_maps(params)
     p0, p1, q0, _q1 = dims
     p = p0 + p1
-    s0 = _sym_block(q0)
 
     def a_of_e1(alpha, beta, g, m):
         # a(E_1(alpha, beta))(g, m): E has V1 coordinates d(alpha)[beta, p0+t]
@@ -236,7 +235,8 @@ def check_type_two_constraints(params) -> Certificate:
         return total
 
     def s0_val(u, v):
-        return form_value(s0, u, v) if q0 else ZERO
+        return sum((s * x * v[m] for (m, s), x in zip(map(_s0, range(q0)), u)),
+                   ZERO)
 
     def holds(alpha, beta, g, m):   # mixed law for beta < p0, else pure
         lhs = a_of_e1(alpha, beta, g, m)
@@ -262,45 +262,38 @@ def _canonical_assoc_type_two(params):
 
 
 def _assoc_model(dims, a_maps, b_maps, c_maps, d_maps, f_map):
-    """The second model's product and form from validated parts; the first
+    """The second model's product and form from validated parts, built
+    as integer cells over the lcm of the parts' denominators; the first
     model is this one with dim_v0 = dim_i0 = 0."""
     p0, p1, q0, q1 = dims
     p = p0 + p1
     n = 2 * p + q0 + q1
     dual = p + q0 + q1
-    s0 = _sym_block(q0)
-    z = zero_vec(n)
-    table = [[z for _ in range(n)] for _ in range(n)]
+    den = lcm(*(m._den for m in a_maps + b_maps + c_maps + d_maps),
+              *(x.denominator for row in f_map for cell in row for x in cell))
+    table = [[[] for _ in range(n)] for _ in range(n)]
 
-    def embed(front, off):
-        return zero_vec(off) + tuple(front) + zero_vec(n - off - len(front))
+    def over(x):        # D x for a Fraction x
+        return x.numerator * (den // x.denominator)
 
-    # V1 . V1^0 and I0 . V1^0 land in V0
-    for k in range(p1):
-        for b in range(p0):
-            table[p0 + k][dual + b] = embed(a_maps[k].row(b), 0)
-    for k in range(q0):
-        for b in range(p0):
-            table[p + k][dual + b] = embed(b_maps[k].row(b), 0)
-    # V* . I0 lands in V0 through s0 and F
-    for a in range(p):
-        for k in range(q0):
-            front = [form_value(s0, basis_vec(q0, k), f_map[a][l])
-                     for l in range(p0)]
-            table[dual + a][p + k] = embed(front, 0)
-    # I1 . V* lands in V
-    for k in range(q1):
-        for a in range(p):
-            table[p + q0 + k][dual + a] = embed(c_maps[k].row(a), 0)
-    # V* . V* = E + F
-    for a in range(p):
-        for b in range(p):
-            cell = list(embed(d_maps[a].row(b), 0))
-            if b < p0:
-                for k in range(q0):
-                    cell[p + k] = f_map[a][b][k]
-            table[dual + a][dual + b] = tuple(cell)
-    return {"alg": Algebra(table), "omega": _model_omega(p0, p1, q0, q1)}
+    # V1 . V1^0 and I0 . V1^0 land in V0, I1 . V* in V, V* . V* = E + F:
+    # row b of map k is the cell (first + k, dual + b)
+    for first, maps in ((p0, a_maps), (p, b_maps), (p + q0, c_maps),
+                        (dual, d_maps)):
+        for k, m in enumerate(maps):
+            f = den // m._den
+            for b, row in enumerate(m._cells):
+                table[first + k][dual + b] = [(l, f * x) for l, x in row]
+    for a, row in enumerate(f_map):
+        for b, cell in enumerate(row):      # F, the I0 part of V* . V*
+            table[dual + a][dual + b] += [(p + k, over(x))
+                                          for k, x in enumerate(cell) if x]
+            # V* . I0 lands in V0 through s0 and F
+            for k, (m, s) in enumerate(map(_s0, range(q0))):
+                if cell[m]:
+                    table[dual + a][p + k].append((b, s * over(cell[m])))
+    return {"alg": Algebra._of(den, table, _labels(None, n)),
+            "omega": _model_omega(p0, p1, q0, q1)}
 
 
 def _assert_model(alg: Algebra, omega: Bilinear, expect_u3_zero: bool):
@@ -451,7 +444,7 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         e2, _ = solve(row, (ONE,))
         p = Mat.from_cols([e1, e2])
         moved = alg.conjugate(p)
-        return _landed("dim2_abelian", {"a": moved.table[1][1][0]}, alg,
+        return _landed("dim2_abelian", {"a": _coef(moved, 1, 1, 0)}, alg,
                        omega, p, {"alg": moved}, fp)
     duu, suu = subs["DUU"], subs["SUU"]
     if subs["UU"].dim != 2 or duu.dim != 1 or suu.dim != 1:
@@ -464,8 +457,8 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         raise InternalInconsistency("product lines fail to be transverse")
     p = Mat.from_cols([d, vec_scale(ONE / c, s)])
     moved = alg.conjugate(p)
-    return _landed("dim2_nonabelian", {"a": moved.table[0][1][0]}, alg, omega,
-                   p, {"alg": moved}, fp)
+    return _landed("dim2_nonabelian", {"a": _coef(moved, 0, 1, 0)}, alg,
+                   omega, p, {"alg": moved}, fp)
 
 
 # -- compatible-pair classifier -----------------------------------------------
@@ -484,7 +477,8 @@ def _proportional(first: Algebra, second: Algebra) -> bool:
     read at the first nonzero structure constant of first."""
     i, j = _nonzero_cell(first)
     k = first._int_view()[1][i][j][0][0]
-    return second == first.scale(second.table[i][j][k] / first.table[i][j][k])
+    return second == first.scale(_coef(second, i, j, k)
+                                 / _coef(first, i, j, k))
 
 
 def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
@@ -518,7 +512,7 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
                                         "non-abelian")
         p = cid.change_of_basis.matrix
         star_m, other_m = star.conjugate(p), other.conjugate(p)
-        params = {"a": star_m.table[0][1][0], "b": other_m.table[1][1][0],
+        params = {"a": _coef(star_m, 0, 1, 0), "b": _coef(other_m, 1, 1, 0),
                   "swapped": swapped, "sign": ONE}
         return CompatVerdict("compat_family1", _landed(
             "compat_family1", params, bullet, omega, p,
@@ -537,8 +531,7 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
     a_sum = cid.params["a"]
     star_m = bullet.conjugate(p)
     circ_m = circ_eff.conjugate(p)
-    c = star_m.table[0][1][0]
-    b = star_m.table[1][1][0]
+    c, b = _coef(star_m, 0, 1, 0), _coef(star_m, 1, 1, 0)
     if c == 0 or b == 0 or a_sum == c:
         raise InternalInconsistency(
             "second-family parameters must be nonzero for a nontrivial pair")
@@ -598,23 +591,22 @@ def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
 
 
 def _extract_type_two(moved: Algebra, dims):
+    """The parameters of the second model read off the integer cells of
+    the moved product, the inverse of `_assoc_model`."""
     p0, p1, q0, q1 = dims
     p = p0 + p1
     dual = p + q0 + q1
-    mat = Mat.from_rows
-    a_maps = tuple(mat([[moved.table[p0 + k][dual + b][m] for m in range(p0)]
-                        for b in range(p0)]) for k in range(p1))
-    b_maps = tuple(mat([[moved.table[p + k][dual + b][m] for m in range(p0)]
-                        for b in range(p0)]) for k in range(q0))
-    c_maps = tuple(mat([[moved.table[p + q0 + k][dual + a][l]
-                         for l in range(p)] for a in range(p)])
-                   for k in range(q1))
-    d_maps = tuple(mat([[moved.table[dual + a][dual + b][l] for l in range(p)]
-                        for b in range(p)]) for a in range(p))
-    f_map = tuple(tuple(tuple(moved.table[dual + a][dual + b][p + k]
-                              for k in range(q0)) for b in range(p0))
-                  for a in range(p))
-    return a_maps, b_maps, c_maps, d_maps, f_map
+    den, cells = moved._int_view()
+
+    def maps(first, count, size):   # row b of map k: cell (first+k, dual+b)
+        return tuple(Mat._of(size, size, den, [
+            tuple((l, x) for l, x in cells[first + k][dual + b] if l < size)
+            for b in range(size)]) for k in range(count))
+    f_map = tuple(tuple(_dense(den, cells[dual + a][dual + b],
+                               moved.dim)[p:p + q0]
+                        for b in range(p0)) for a in range(p))
+    return (maps(p0, p1, p0), maps(p, q0, p0), maps(p + q0, q1, p),
+            maps(dual, p, p), f_map)
 
 
 def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:

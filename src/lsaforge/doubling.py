@@ -101,10 +101,6 @@ def tu_product(bullet: Algebra, circ: Algebra) -> Algebra:
         bullet.basis, "'")
 
 
-def double_k(n: int) -> Mat:
-    return _involution(n)
-
-
 def double_j(n: int) -> Mat:
     ident, zero = Mat.identity(n), Mat.zeros(n, n)
     return Mat.block([[zero, -ident], [ident, zero]])
@@ -136,7 +132,7 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
     prod = tu_product(bullet, circ)
     lie = prod.commutator_algebra()
     n = bullet.dim
-    k1, j1 = double_k(n), double_j(n)
+    k1, j1 = _involution(n), double_j(n)
     reports = [_relabel(check(prod, "lie_admissible"), "double_lie_admissible"),
                _relabel(check(lie, "jacobi_antisym"), "double_jacobi")]
     reports.append(_bool_report("torsion_k1", nijenhuis(k1, lie).is_zero(),

@@ -8,13 +8,13 @@ dual.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .algebra import Algebra, _coaction, _lines, _slot_sum, check
-from .exact import Mat, _scatter, _settled, _unpacked
-from .report import Report, _relabel, failing, passing, require
+from .algebra import (Algebra, _coaction, _lines, _slot_sum, check,
+                      invariance_check)
+from .exact import Mat, _scatter, _settled
+from .report import Report, _relabel, failing, require
 
 FORM_KINDS = ("skew", "symmetric", "none")
 
@@ -80,23 +80,12 @@ def _two_cocycle(omega: Bilinear, lie: Algebra) -> Report:
 
 
 def is_invariant_form(omega: Bilinear, alg: Algebra) -> Report:
-    """omega(u.v, w) + omega(v, u.w) == 0 for all basis triples.
-
-    Evaluated over ints on the integer view of the table and the Gram
-    matrix scaled by its common denominator; the identity is linear in
-    each, so the scaling changes no verdict."""
-    anchor = "omega(u.v,w) + omega(v,u.w) == 0"
-    n, cells = alg.dim, alg._int_view()[1]
-    g = _unpacked(_gram(omega, alg)._int_view()[1], n)  # ~ omega(e_a, e_b)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        s = 0
-        for a, x in cells[i][j]:
-            s += x * g[a][k]
-        for a, x in cells[i][k]:
-            s += g[j][a] * x
-        if s:
-            return failing("is_invariant_form", anchor, witness=(i, j, k))
-    return passing("is_invariant_form", anchor)
+    """omega(u.v, w) + omega(v, u.w) == 0 for all basis triples: the Gram
+    matrix annihilated by (L_dual, L_dual), one `invariance_check`, whose
+    witness (u, v, w) is the first failing triple."""
+    rep = invariance_check(_gram(omega, alg), ("L_dual", "L_dual"), alg)
+    return Report("is_invariant_form", rep.passed,
+                  "omega(u.v,w) + omega(v,u.w) == 0", witness=rep.witness)
 
 
 def a_product(lie: Algebra, omega: Bilinear) -> Algebra:

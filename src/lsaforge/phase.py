@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
-from .exact import Mat, _nonzero_entry, _scatter, basis_vec, dot, vec_sub
+from .exact import Mat, _scatter, basis_vec
 from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
 from .report import (Certificate, Report, _bool_report, _relabel,
                      routes_disagree)
@@ -120,11 +120,6 @@ def rho(ps: PhaseSpace, x, alpha) -> Mat:
     return _rho(ps.u, ps.dual, x, alpha)
 
 
-def rho_star(ps: PhaseSpace, alpha, x) -> Mat:
-    """Mirror of rho on U*: rho*(a,X) = [La, LX^t] + L_{LX^t a} + L^t_{La^t X}."""
-    return _rho(ps.dual, ps.u, alpha, x)
-
-
 def _extendible_witness(ps: PhaseSpace):
     """The first (name, i, a, j) with rho(e_i, e^a) e_j != rho(e_j, e^a) e_i,
     then the same for rho* with the roles of U and U* swapped."""
@@ -164,23 +159,40 @@ def _cocycle_witness(alg: Algebra, other: Algebra):
 
     xi([X,Y]) == Psi(X) xi(Y) - Psi(Y) xi(X),  Psi = L (x) ad of alg,
 
-    with xi(e_k) the matrix xi_k and Psi(X) t = L_X t + t ad_X^t.
-    """
-    n = alg.dim
-    xi = [Mat(n, n, [cell[k] for row in other.table for cell in row])
-          for k in range(n)]
-    ls = alg.left_mults()
-    ads = alg.commutator_algebra().left_mults()
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = vec_sub(alg.table[i][j], alg.table[j][i])
-            lhs = Mat(n, n, [dot(br, cell) for row in other.table
-                             for cell in row])
-            diff = (lhs - ls[i] * xi[j] - xi[j] * ads[i].transpose()
-                    + ls[j] * xi[i] + xi[i] * ads[j].transpose())
-            bad = _nonzero_entry(diff)
-            if bad is not None:
-                return (i, j) + bad
+    with xi(e_k) the matrix xi_k and Psi(X) t = L_X t + t ad_X^t.  Over
+    ints, times D E (the denominators of alg and other): for each pair
+    i < j the nonzero cells are summed into the entries (p, q) reached,
+    and the witness is the least such entry left nonzero."""
+    n, cells = alg.dim, alg._cells
+    br = alg.commutator_algebra()
+    f = alg._den // br._den                 # the bracket's cells over D
+    # the entries of xi_k by rows and by columns: xi_k[a][b] = x at
+    # rows[k][a] as (b, x) and at cols[k][b] as (a, x)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    cols = [[[] for _ in range(n)] for _ in range(n)]
+    for a, row in enumerate(other._cells):
+        for b, cell in enumerate(row):
+            for k, x in cell:
+                rows[k][a].append((b, x))
+                cols[k][b].append((a, x))
+    for i, j in itertools.combinations(range(n), 2):
+        acc = defaultdict(int)
+        for k, x in br._cells[i][j]:                # xi([e_i, e_j])
+            for p, row in enumerate(rows[k]):
+                for q, y in row:
+                    acc[p, q] += f * x * y
+        for s, u, v in ((-1, i, j), (1, j, i)):     # -/+ Psi(e_u) xi(e_v)
+            for r, cell in enumerate(cells[u]):     # L_u xi_v
+                for p, c in cell:
+                    for q, y in rows[v][r]:
+                        acc[p, q] += s * c * y
+            for r, cell in enumerate(br._cells[u]):     # xi_v ad_u^t
+                for q, c in cell:
+                    for p, y in cols[v][r]:
+                        acc[p, q] += s * f * c * y
+        bad = min((key for key, x in acc.items() if x), default=None)
+        if bad is not None:
+            return (i, j) + bad
     return None
 
 
@@ -192,10 +204,10 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
     and U* swapped.  The verdict is cross-checked against
     is_lie_extendible and must agree.
     """
+    direct = is_lie_extendible(u, dual)     # checks the dimensions
     w1 = _cocycle_witness(u, dual)
     w2 = _cocycle_witness(dual, u)
     witness = w1 if w1 is not None else (None if w2 is None else ("dual",) + w2)
-    direct = is_lie_extendible(u, dual)
     if (witness is None) != bool(direct):
         raise routes_disagree(
             "1-cocycle characterization and rho-symmetry disagree",

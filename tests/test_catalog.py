@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import Bilinear, Mat, catalog, check, is_invariant_form
+from lsaforge import (Bilinear, Mat, catalog, check, cli, cocycle_check,
+                      dual_product_from_r, is_invariant_form, levi_civita)
 from lsaforge.algebra import Algebra
 from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _model_params,
                               build_quadratic_symplectic, canonical,
@@ -368,3 +369,89 @@ def test_type_one_template_params():
     params = type_one_template_params(1, 1, 2)
     data = canonical("assoc_type_one", params)
     assert check(data["alg"], "associative")
+
+
+def _scaled_params(base: dict, moved: dict) -> bool:
+    """moved is base under the symplectic scaling diag(1/s, s) of the
+    plane, which sends (a, b, c) to (s a, s^3 b, s c) and keeps swapped
+    and sign: the compatible families' parameters are a normal form up to
+    that scaling, so a moved pair may land on another point of its orbit."""
+    s = moved["a"] / base["a"]
+    return moved == dict(base, a=s * base["a"], b=s ** 3 * base["b"],
+                         **({"c": s * base["c"]} if "c" in base else {}))
+
+
+def test_classifier_is_equivariant_under_symplectic_moves():
+    """A pair moved by a symplectic basis gets its unmoved pair's verdict,
+    with parameters on the same scaling orbit: both compatible families,
+    each with swapped arguments, and a proportional pair at ratio -3/2."""
+    pairs = []
+    for family, params in (
+            ("compat_family1", {"a": Fraction(3, 2), "b": Fraction(-2)}),
+            ("compat_family2", {"a": Fraction(1), "b": Fraction(-1, 3),
+                                "c": Fraction(2)})):
+        pair = canonical(family, params)
+        pairs += [(pair["bullet"], pair["circ"], pair["omega"]),
+                  (pair["circ"], pair["bullet"], pair["omega"])]
+    nab = canonical("dim2_nonabelian", {"a": Fraction(2)})
+    pairs.append((nab["alg"], nab["alg"].scale(Fraction(-3, 2)), nab["omega"]))
+    rng = random.Random(43)
+    seen = set()
+    for bullet, circ, omega in pairs:
+        base = classify_compatible_dim2(bullet, circ, omega)
+        seen.add(base.kind)
+        for _ in range(3):
+            p = rand_symplectic(omega.matrix, rng)
+            moved = classify_compatible_dim2(bullet.conjugate(p),
+                                             circ.conjugate(p), omega)
+            assert moved.kind == base.kind
+            if base.canonical is None:
+                assert moved.canonical is None
+            else:
+                assert _scaled_params(base.canonical.params,
+                                      moved.canonical.params)
+    assert seen == {"compat_family1", "compat_family2",
+                    "trivially compatible"}
+
+
+def _no_table(alg):
+    raise AssertionError("a route read the Fraction view Algebra.table")
+
+
+def test_no_route_builds_an_algebra_table_view(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(Algebra, "table", property(_no_table))
+    for family in FAMILIES:
+        canonical(family, _model_params(family, DEFAULT_SCALARS[family]))
+        catalog_load(family)
+    nab, ab = (canonical(family, {"a": Fraction(3, 2)})
+               for family in ("dim2_nonabelian", "dim2_abelian"))
+    omega = nab["omega"]
+    assert [normalize_dim2_slsa(alg, omega).family
+            for alg in (nab["alg"], ab["alg"], Algebra.zero(2))] == [
+        "dim2_nonabelian", "dim2_abelian", "trivial"]
+    one = canonical("compat_family1", {"a": 1, "b": 1})
+    two = canonical("compat_family2", {"a": 1, "b": 1, "c": 1})
+    moved = nab["alg"].conjugate(rand_symplectic(omega.matrix,
+                                                 random.Random(3)))
+    assert [classify_compatible_dim2(x, y, omega).kind for x, y in (
+        (one["bullet"], one["circ"]), (two["circ"], two["bullet"]),
+        (nab["alg"], nab["alg"].scale(2)), (nab["alg"], moved))] == [
+        "compat_family1", "compat_family2", "trivially compatible",
+        "incompatible"]
+    rng = random.Random(5)
+    for family in ("assoc_type_one", "assoc_type_two"):
+        data = canonical(family, _model_params(family,
+                                               DEFAULT_SCALARS[family]))
+        p = rand_symplectic(data["omega"].matrix, rng)
+        assert normalize_assoc_symp(data["alg"].conjugate(p),
+                                    data["omega"]).family == family
+    data = build_quadratic_symplectic(nab["alg"].commutator_algebra(), 2)
+    lc = levi_civita(data.lie, data.metric)
+    dual = dual_product_from_r(lc, data.metric.matrix.inverse())
+    assert not dual.is_zero() and cocycle_check(lc, dual)
+    for family, argv in (("dim2_nonabelian", ["normalize", "dim2"]),
+                         ("assoc_type_two", ["normalize", "assoc"]),
+                         ("compat_family2", ["classify", "compat2"])):
+        path = str(tmp_path / (family + ".json"))
+        assert cli.run(["catalog", "emit", family, "--out", path]) == 0
+        assert cli.run(argv + [path]) == 0, capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Every module-level import of an lsaforge module is used by it, every
 relative import names the module that defines the name, every
 module-level private function or class is referred to somewhere in the
-package besides its own definition, no function outside a shrinking
-list reads the `Fraction` views `.table` or `.data` of another object,
-and the test oracles do not reach the contraction kernel they check.
+package besides its own definition, every module-level public function
+or class is referred to in the package besides its own definition and
+`__init__`, or named by the tests, the benchmark or the README, no
+function reads the `Fraction` views `.table` or `.data` of another
+object (every route reads the stored integer cells), and the test
+oracles do not reach the contraction kernel they check.
 
 `__init__.py` is left out of the first guard: its imports are the
 package's public names.  It is in the second: each of them is taken from
@@ -12,6 +15,7 @@ its defining module.
 
 import ast
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -128,13 +132,50 @@ def test_every_private_helper_is_used():
     assert _dead_helpers(_package_sources()) == []
 
 
-# The functions that still read a Fraction view; every other route reads
-# the stored integer cells.
-VIEW_READERS = {
-    "catalog.normalize_dim2_slsa", "catalog._proportional",
-    "catalog.classify_compatible_dim2", "catalog._extract_type_two",
-    "phase._cocycle_witness",
-}
+def _unused_public(sources: dict, named: str) -> list:
+    """(module, name) for each module-level public function or class that
+    nothing in sources refers to outside its own definition and outside
+    `__init__`, and that the text named (tests, benchmark, README) does
+    not name as a word; sources maps a module name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()
+             if name != "__init__"}
+    total = sum(map(_references, trees.values()), Counter())
+    words = set(re.findall(r"\w+", named))
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and total[node.name] == _references(node)[node.name]
+                  and node.name not in words)
+
+
+def test_the_guard_sees_an_unused_public_helper():
+    assert _unused_public({
+        "low": "def used():\n    pass\ndef alone():\n    return alone()\n"
+               "def shown():\n    pass\nclass Kept:\n    pass\n"
+               "def _private():\n    pass\n",
+        "top": "from . import low\nBOTH = low.used(), low.Kept\n",
+        "__init__": "from .low import alone, used\n",
+    }, "shown(x) is documented") == [("low", "alone")]
+
+
+def _named_outside_the_package() -> str:
+    """The text of tests/*.py, bench/*.py and README.md."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "README.md")] + [
+        os.path.join(root, folder, name) for folder in ("tests", "bench")
+        for name in sorted(os.listdir(os.path.join(root, folder)))
+        if name.endswith(".py")]
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    return "\n".join(texts)
+
+
+def test_every_public_helper_is_used():
+    assert _unused_public(_package_sources(),
+                          _named_outside_the_package()) == []
 
 
 def _view_readers(sources: dict) -> set:
@@ -171,7 +212,8 @@ def test_the_guard_sees_a_view_read():
 
 
 def test_only_listed_functions_read_a_fraction_view():
-    assert sorted(_view_readers(_package_sources()) - VIEW_READERS) == []
+    # every route reads the stored integer cells; the views serve users
+    assert _view_readers(_package_sources()) == set()
 
 
 # The library's one contraction kernel and its dict readback, and the
