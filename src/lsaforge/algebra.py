@@ -529,42 +529,46 @@ def check(alg: Algebra, predicate: str) -> Report:
 
 # -- subspace products ------------------------------------------------------
 
-def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    """The span of the products a.b of basis vectors.  Each product is
-    computed over ints from the integer view and the stored rows of s and
-    t: a nonzero multiple of a.b, which spans the same line."""
+def _products(alg: Algebra, s: Subspace, t: Subspace) -> list:
+    """The products a.b of the basis vectors of s and t, each computed
+    over ints from the integer view and the stored rows of s and t: a
+    dense row, a nonzero multiple of a.b, which spans the same line."""
     cells = alg._int_view()[1]
-    return Subspace._of(alg.dim, [_int_product([0] * alg.dim, cells, left,
-                                               right)
-                                  for left in s._cells for right in t._cells])
+    return [_int_product([0] * alg.dim, cells, left, right)
+            for left in s._cells for right in t._cells]
+
+
+def subspace_product(alg: Algebra, s: Subspace, t: Subspace) -> Subspace:
+    """The span of the products a.b of basis vectors."""
+    return Subspace._of(alg.dim, _products(alg, s, t))
+
+
+def _twin_spans(alg: Algebra) -> tuple:
+    """(DUU, SUU): the spans of e_i.e_j - e_j.e_i and of e_i.e_j + e_j.e_i
+    over i <= j (the other pairs repeat them up to sign)."""
+    n, cells = alg.dim, alg._int_view()[1]
+    pairs = [_unpacked((cells[i][j], cells[j][i]), n)
+             for i, j in itertools.combinations_with_replacement(range(n), 2)]
+    return tuple(Subspace._of(n, [[x + f * y for x, y in zip(p, q)]
+                                  for p, q in pairs]) for f in (-1, 1))
 
 
 def product_subspaces(alg: Algebra) -> dict:
     """U.U, its symmetric/antisymmetric spans, and the powers U^1..U^4.
 
-    U^k is the span of all products of k elements, computed as the sum of
-    U^i . U^j over i + j = k.  Every span is built from the integer cells.
+    U^k is the span of all products of k elements, one elimination of the
+    products U^i . U^j over i + j = k (for any product; an associative one
+    has U^k = U . U^(k-1)).  Every span is built from the integer cells.
     """
-    n, cells = alg.dim, alg._int_view()[1]
-    flat = _unpacked([cell for row in cells for cell in row], n)
-    pairs = [(flat[i * n + j], flat[j * n + i])
-             for i, j in itertools.product(range(n), repeat=2)]
-    uu = Subspace._of(n, flat)
-    powers = [Subspace.full(n), uu]
-    for k in (3, 4):
-        acc = Subspace.zero(n)
-        for i in range(1, k):
-            j = k - i
-            acc = acc.add(subspace_product(alg, powers[i - 1], powers[j - 1]))
-        powers.append(acc)
-    return {
-        "UU": uu,
-        "DUU": Subspace._of(n, [[x - y for x, y in zip(p, q)]
-                                for p, q in pairs]),
-        "SUU": Subspace._of(n, [[x + y for x, y in zip(p, q)]
-                                for p, q in pairs]),
-        "powers": tuple(powers),
-    }
+    n = alg.dim
+    powers = [Subspace.full(n)]
+    for k in (2, 3, 4):
+        powers.append(Subspace._of(n, [
+            row for i in range(1, k)
+            for row in _products(alg, powers[i - 1], powers[k - i - 1])]))
+    duu, suu = _twin_spans(alg)
+    return {"UU": powers[1], "DUU": duu, "SUU": suu,
+            "powers": tuple(powers)}
 
 
 # -- tensor invariance engine ------------------------------------------------

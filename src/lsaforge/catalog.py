@@ -24,13 +24,14 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .algebra import (Algebra, Endo, _coaction, _labels, _nonzero_cell,
-                      _swapped, check, invariance_check, is_derivation,
-                      product_subspaces, subspace_product)
+                      _products, _swapped, _twin_spans, check,
+                      invariance_check, is_derivation, product_subspaces,
+                      subspace_product)
 from .doubling import is_compatible
-from .exact import (Mat, Subspace, ZERO, ONE, _dense, _sparse, _unpacked,
-                    form_value, is_zero_vec, lagrangian_complement,
-                    parse_rational, solve, symp_orthogonal, vec, vec_add,
-                    vec_scale, vec_sub, zero_vec)
+from .exact import (Mat, Subspace, ZERO, ONE, _dense, _dual_lagrangian,
+                    _primitive, _sparse, _unpacked, form_value, is_zero_vec,
+                    parse_rational, solve, symp_orthogonal, vec, vec_scale,
+                    zero_vec)
 from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
                     levi_civita)
 from .phase import _split_form, build_phase, verify_para_kahler
@@ -296,18 +297,26 @@ def _assoc_model(dims, a_maps, b_maps, c_maps, d_maps, f_map):
             "omega": _model_omega(p0, p1, q0, q1)}
 
 
+def _power_chain(alg: Algebra) -> tuple:
+    """(U^2, U^3) of an associative product whose fourth power vanishes.
+    Associativity gives U^k = U.U^(k-1): U^2 is the span of the cells,
+    U^3 one subspace product, and U^4 = 0 a zero test over the products
+    of U and U^3, with no elimination."""
+    n, full = alg.dim, Subspace.full(alg.dim)
+    u2 = Subspace._of(n, _unpacked([c for row in alg._cells for c in row], n))
+    u3 = subspace_product(alg, full, u2)
+    if any(map(any, _products(alg, full, u3))):
+        raise InternalInconsistency("fourth power fails to vanish")
+    return u2, u3
+
+
 def _assert_model(alg: Algebra, omega: Bilinear, expect_u3_zero: bool):
     require(check(alg, "associative"), "model product is not associative")
     require(is_invariant_form(omega, alg), "form is not invariant")
-    powers = product_subspaces(alg)["powers"]
-    if not powers[3].is_zero():
-        raise InternalInconsistency("fourth power fails to vanish")
-    if expect_u3_zero:
-        if not powers[2].is_zero():
-            raise ValueError("third power must vanish for this model")
-    else:
-        if powers[2].is_zero():
-            raise ValueError("third power vanishes; use the first model")
+    if _power_chain(alg)[1].is_zero() != expect_u3_zero:
+        raise ValueError("third power must vanish for this model"
+                         if expect_u3_zero else
+                         "third power vanishes; use the first model")
 
 
 _CANONICAL = {
@@ -374,18 +383,16 @@ def _trace_form(alg: Algebra, side: str) -> Mat:
     return Mat._of(n, n, den * den, [_sparse(row) for row in gram])
 
 
-def _fingerprint(alg: Algebra, subs: dict) -> dict:
-    """Invariants of alg; subs is product_subspaces(alg)."""
-    n = alg.dim
-    return {
-        "dim": n,
-        "dim_UU": subs["UU"].dim,
-        "dim_DUU": subs["DUU"].dim,
-        "dim_SUU": subs["SUU"].dim,
-        "dim_U3": subs["powers"][2].dim,
-        "left_trace_form_rank": _trace_form(alg, "left").rank(),
-        "right_trace_form_rank": _trace_form(alg, "right").rank(),
-    }
+def _fingerprint(alg: Algebra, *spans) -> dict:
+    """Invariants of alg: the dims of the spans UU, DUU, SUU and U^3, and
+    the ranks of the two trace forms.  A change of basis p keeps every
+    value (the spans move by p^-1, the trace forms by the congruence
+    p^T T p), so the spans may come from any product conjugate to alg."""
+    fp = dict(zip(("dim_UU", "dim_DUU", "dim_SUU", "dim_U3"),
+                  (span.dim for span in spans)), dim=alg.dim)
+    for side in ("left", "right"):
+        fp[side + "_trace_form_rank"] = _trace_form(alg, side).rank()
+    return fp
 
 
 # -- dimension-two normalizer -------------------------------------------------
@@ -407,7 +414,8 @@ def _landed(family, params, alg, omega, p, moved, fp=None, extra=()):
     model = _CANONICAL[family](params)
     reports = []
     for key, prod in moved.items():     # witness: the first differing cell
-        cell = _nonzero_cell(prod.add(model[key].scale(-1)))
+        cell = None if prod == model[key] else _nonzero_cell(
+            prod.add(model[key].scale(-1)))
         reports.append(Report(key, cell is None, "moved %s == model %s"
                               % (key, key), cell))
     reports.append(_bool_report(
@@ -428,7 +436,8 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         raise ValueError("normalizer requires dimension 2")
     _require_symplectic_lsa(alg, omega)
     subs = product_subspaces(alg)
-    fp = _fingerprint(alg, subs)
+    fp = _fingerprint(alg, subs["UU"], subs["DUU"], subs["SUU"],
+                      subs["powers"][2])
     if alg.is_zero():
         return CanonicalId("trivial", {}, Endo(alg, Mat.identity(2)), fp)
     gram = omega.matrix
@@ -543,51 +552,42 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
 
 # -- associative symplectic normalizer ----------------------------------------
 
-def _darboux(gram: Mat, space: Subspace):
-    """Symplectic basis of a subspace on which the form is nondegenerate:
-    ordered pairs (u, v) with form(u, v) = 1, pairwise orthogonal."""
-    vecs = [tuple(b) for b in space.basis]
+def _darboux(gram: Mat, space: Subspace) -> Mat:
+    """Symplectic basis of a subspace on which the form is nondegenerate,
+    as the rows of a Mat: ordered pairs (u, v) with form(u, v) = 1,
+    pairwise orthogonal.  A vector is a primitive integer list
+    [d, x_1, ..., x_n] for the x over d, and form(x/d, y/e) is
+    x^T G y / (d e D) for the integer cells G of gram over D."""
+    n, dg, g = gram.rows, gram._den, gram._cells
+
+    def form(x, y):                 # x^T G y of the numerators
+        return sum(a * y[1 + j] * xi for xi, row in zip(x[1:], g)
+                   for j, a in row)
+    vecs = [_primitive([space._den] + row)
+            for row in _unpacked(space._cells, n)]
     out = []
     while vecs:
         u = vecs.pop(0)
-        partner = None
-        for i, v in enumerate(vecs):
-            if form_value(gram, u, v) != 0:
-                partner = i
-                break
-        if partner is None:
+        i = next((i for i, v in enumerate(vecs) if form(u, v)), None)
+        if i is None:
             raise InternalInconsistency(
                 "restricted form is degenerate on the chosen complement")
-        v = vecs.pop(partner)
-        v = vec_scale(ONE / form_value(gram, u, v), v)
-        out.extend([u, v])
-        vecs = [vec_add(vec_sub(w, vec_scale(form_value(gram, u, w), v)),
-                        vec_scale(form_value(gram, v, w), u)) for w in vecs]
-        vecs = [w for w in vecs if not is_zero_vec(w)]
-    return out
-
-
-def _dual_lagrangian(gram: Mat, iso_basis, ambient_basis):
-    """Covector-side basis: inside the span of ambient_basis (a symplectic
-    subspace containing the Lagrangian iso_basis), an isotropic complement
-    (w_j) with form(w_j, v_i) = delta_ij.  With A and V the two bases as
-    columns, C the Lagrangian complement of V's coordinates in A for the
-    form A^T G A and W0 = A C, the w_j are the columns of
-    -W0 (V^T G W0)^-1."""
-    amb, iso = Mat.from_cols(ambient_basis), Mat.from_cols(iso_basis)
-    m = amb.cols
-    # one elimination of [A | V]: its rows give the coordinates of V in A
-    red, pivots = Mat.block([[amb, iso]]).rref()
-    if pivots != tuple(range(m)):
-        raise InternalInconsistency("isotropic vectors leave their "
-                                    "ambient symplectic subspace")
-    comp = lagrangian_complement(amb.transpose() * gram * amb, Subspace(
-        m, [[red[r, m + j] for r in range(m)] for j in range(iso.cols)]))
-    w0 = amb * comp.matrix().transpose()
-    out = w0 * (iso.transpose() * gram * w0).inverse().scale(-1)
-    if out.transpose() * gram * iso != Mat.identity(len(iso_basis)):
-        raise InternalInconsistency("dual pairing failed")
-    return [out.col(j) for j in range(out.cols)]
+        v = vecs.pop(i)             # v / form(u, v) = d_u D v / (u^T G v)
+        f = u[0] * dg
+        v = _primitive([form(u, v)] + [f * x for x in v[1:]])
+        out += [u, v]
+        # w - form(u, w) v + form(v, w) u, over f d_w with f = d_u D d_v
+        f, rest = f * v[0], []
+        for w in vecs:
+            a, b = form(u, w), form(v, w)
+            w = [f * w[0]] + [f * x - a * y + b * z
+                              for x, y, z in zip(w[1:], v[1:], u[1:])]
+            if any(w[1:]):
+                rest.append(_primitive(w))
+        vecs = rest
+    den = lcm(*(w[0] for w in out))
+    return Mat._of(len(out), n, den, [_sparse([x * (den // w[0])
+                                               for x in w[1:]]) for w in out])
 
 
 def _extract_type_two(moved: Algebra, dims):
@@ -617,7 +617,11 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     orthogonal ideal squares to zero, then builds the deterministic
     basis (power chain, echelon complements, symplectic pair basis,
     paired Lagrangian complement) and verifies the transported structure
-    constants equal the rebuilt model exactly.
+    constants equal the rebuilt model exactly.  The product is
+    associative, so the chain is U^k = U.U^(k-1); the fingerprint's
+    values are basis invariants, so all but dim U^2 and dim U^3 are read
+    off the sparse landed product.  The subspace steps run on integer
+    rows.
     """
     require(check(alg, "associative"), "product is not associative")
     if omega.kind != "skew" or not omega.is_nondegenerate():
@@ -625,19 +629,16 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
     require(is_invariant_form(omega, alg), "form is not invariant")
     n = alg.dim
     gram = omega.matrix
-    subs = product_subspaces(alg)
-    powers = subs["powers"]
-    if not powers[3].is_zero():
-        raise InternalInconsistency("fourth power fails to vanish")
-    u2, u3 = powers[1], powers[2]
+    u2, u3 = _power_chain(alg)
     u2perp = symp_orthogonal(gram, u2)
     jspace = u2.add(u2perp)
-    if not subspace_product(alg, jspace, jspace).is_zero():
+    if any(map(any, _products(alg, jspace, jspace))):
         raise InternalInconsistency("square-plus-orthogonal ideal "
                                     "fails to square to zero")
-    if not jspace.contains_space(symp_orthogonal(gram, jspace)):
+    # V = U^2 meet U^2perp, which is U^2 when the cube vanishes
+    v = symp_orthogonal(gram, jspace)
+    if not jspace.contains_space(v):
         raise InternalInconsistency("the ideal fails to be co-isotropic")
-    fp = _fingerprint(alg, subs)
     if u3.is_zero() and not u2perp.contains_space(u2):
         raise InternalInconsistency("square must be isotropic when the "
                                     "cube vanishes")
@@ -649,31 +650,31 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
         # omega(w_k, v_k) = 1, so the covector side is negated
         pairs = _darboux(gram, Subspace.full(n))
         dims = (0, n // 2, 0, 0)
-        cols = pairs[0::2] + [vec_scale(-ONE, c) for c in pairs[1::2]]
+        rows = Mat._of(n, n, pairs._den,
+                       pairs._cells[0::2] + (-pairs)._cells[1::2])
     else:
         v0 = u3
-        # V = U^2 when the cube vanishes: its isotropy was checked above
-        v = u2 if u3.is_zero() else u2.intersect(u2perp)
         if not v.contains_space(v0):
             raise InternalInconsistency("the cube must sit inside the "
                                         "radical of the square")
         v1 = v0.complement_in(v)
-        i0 = v.complement_in(u2)
-        i1 = v.complement_in(u2perp)
-        i0_pairs, i1_pairs = _darboux(gram, i0), _darboux(gram, i1)
-        for a in i0_pairs:
-            for b in i1_pairs:
-                if form_value(gram, a, b) != 0:
-                    raise InternalInconsistency("the two symplectic factors "
-                                                "fail to be orthogonal")
-        dims = (v0.dim, v1.dim, len(i0_pairs), len(i1_pairs))
-        ivecs = i0_pairs + i1_pairs
-        iperp = symp_orthogonal(gram, Subspace(n, ivecs))
-        vbasis = list(v0.basis) + list(v1.basis)
-        w = _dual_lagrangian(gram, vbasis, list(iperp.basis))
-        cols = vbasis + ivecs + w
-    p = Mat.from_cols(cols)
+        i0 = _darboux(gram, v.complement_in(u2))
+        i1 = _darboux(gram, v.complement_in(u2perp))
+        if not (i0 * gram * i1.transpose()).is_zero():
+            raise InternalInconsistency("the two symplectic factors "
+                                        "fail to be orthogonal")
+        dims = (v0.dim, v1.dim, i0.rows, i1.rows)
+        ivecs = Mat.block([[i0], [i1]])
+        vrows = Mat.block([[v0.matrix()], [v1.matrix()]])
+        iperp = symp_orthogonal(gram, Subspace._of(n, _unpacked(
+            ivecs._cells, n)))
+        w = _dual_lagrangian(gram, vrows, iperp.matrix())
+        if w * gram * vrows.transpose() != Mat.identity(vrows.rows):
+            raise InternalInconsistency("dual pairing failed")
+        rows = Mat.block([[vrows], [ivecs], [w]])
+    p = rows.transpose()
     moved = alg.conjugate(p)
+    fp = _fingerprint(moved, u2, *_twin_spans(moved), u3)
     a_maps, b_maps, c_maps, d_maps, f_map = _extract_type_two(moved, dims)
     p0, p1, q0, q1 = dims
     if p0 == 0:     # the cube vanishes: the first model, m = d and n = c

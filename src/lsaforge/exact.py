@@ -515,19 +515,21 @@ def solve(mat: Mat, rhs: Sequence):
     Returns (particular, kernel) where particular is a solution vector or
     None when the system is inconsistent, and kernel is a Subspace of the
     homogeneous solutions.  The particular solution is the canonical one
-    with all free variables set to zero.
+    with all free variables set to zero, read off the last column of the
+    reduced integer rows [E D A | D E b] (D, E the denominators).
     """
     if len(rhs) != mat.rows:
         raise ValueError("rhs length mismatch")
-    aug = Mat.block([[mat, Mat.from_cols([vec(rhs)])]])
-    red, pivots = aug.rref()
-    kernel = Subspace(mat.cols, mat.kernel_basis())
-    if mat.cols in pivots:
+    n, (dr, ints) = mat.cols, common_denominator(vec(rhs))
+    den, cells, pivots = _rref_ints([
+        [dr * x for x in row] + [mat._den * y]
+        for row, y in zip(_unpacked(mat._cells, n), ints)], n + 1)
+    kernel = Subspace._of(n, _unpacked(mat._kernel_cells()[1], n))
+    if n in pivots:
         return None, kernel
-    x = [ZERO] * mat.cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r, mat.cols]
-    return tuple(x), kernel
+    x = {p: Fraction(c[-1][1], den) for p, c in zip(pivots, cells)
+         if c[-1][0] == n}
+    return tuple(x.get(j, ZERO) for j in range(n)), kernel
 
 
 class Subspace(_Stored):
@@ -562,8 +564,9 @@ class Subspace(_Stored):
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace._of(n, [[int(i == j) for j in range(n)]
-                                for i in range(n)])
+        """Q^n, built as its stored form: the unit rows over D = 1."""
+        return _set_slots(object.__new__(Subspace), (
+            n, 1, tuple(((i, 1),) for i in range(n)), None))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -593,14 +596,16 @@ class Subspace(_Stored):
             self._cells + other._cells, self.ambient))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The vectors A x with [A | B] (x, y) = 0, A and B the bases of
-        self and other as columns."""
+        """The vectors A x with [A | B] (x, y) = 0, A and B the integer
+        rows of self and other as columns, over the kernel's cells."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        a = self.matrix().transpose()
-        stacked = Mat.block([[a, other.matrix().transpose()]])
-        return Subspace(self.ambient, [a.apply(k[:self.dim])
-                                       for k in stacked.kernel_basis()])
+        cells = self._cells + other._cells
+        kernel = Mat._of(len(cells), self.ambient, 1,
+                         cells).transpose()._kernel_cells()[1]
+        return Subspace._of(self.ambient, [_scatter(
+            [0] * self.ambient, [(j, x) for j, x in k if j < self.dim],
+            self._cells) for k in kernel])
 
     def complement_in(self, other: "Subspace") -> "Subspace":
         """Deterministic complement of self inside other (self <= other).
@@ -624,47 +629,36 @@ def symp_orthogonal(gram: Mat, s: Subspace) -> Subspace:
     """Orthogonal of s for the (nondegenerate skew) form with Gram matrix gram.
 
     s_perp = { x : omega(x, b) = b^T G^T x = 0 for every basis vector b of
-    s }, the kernel of S G^T with S the basis of s as rows.
+    s }, the span of the kernel cells of S G^T, S the rows of s.
     """
     n = gram.rows
     if gram.cols != n or s.ambient != n:
         raise ValueError("shape mismatch")
-    return Subspace(n, (s.matrix() * gram.transpose()).kernel_basis())
+    return Subspace._of(n, _unpacked(
+        (s.matrix() * gram.transpose())._kernel_cells()[1], n))
 
 
 def form_value(gram: Mat, u: Sequence, v: Sequence) -> Fraction:
     return dot(u, gram.apply(v))
 
 
-def lagrangian_complement(gram: Mat, lag: Subspace) -> Subspace:
-    """Deterministic Lagrangian complement of a Lagrangian subspace.
-
-    gram is the Gram matrix G of a nondegenerate skew form on the ambient
-    space; lag must be Lagrangian (isotropic of half dimension).  The
-    construction picks the deterministic echelon complement, re-expresses
-    it in the omega-dual basis of lag, and applies the standard isotropic
-    correction, so the output depends only on the input.  Bases are the
-    columns of matrices: B of lag, C of the echelon complement.
-    """
-    n = gram.rows
-    if n % 2 != 0:
-        raise ValueError("ambient dimension must be even")
-    if lag.dim * 2 != n:
-        raise ValueError("subspace is not half-dimensional")
-    bt = lag.matrix()
-    b = bt.transpose()
-    if not (bt * gram * b).is_zero():
-        raise ValueError("subspace is not isotropic")
-    c = lag.complement_in(Subspace.full(n)).matrix().transpose()
-    # omega-dual basis of the complement: the columns d_j of C P^-1, with
-    # the pairing P = B^T G C, have omega(l_i, d_j) = delta_ij.
-    d = c * (bt * gram * c).inverse()
-    # isotropic correction: w_j = d_j - 1/2 sum_k omega(d_j, d_k) l_k keeps
-    # omega(l_i, w_j) = delta_ij and makes span(w_j) isotropic.
-    w = d - b * (d.transpose() * gram * d).scale(Fraction(1, 2)).transpose()
-    if not (w.transpose() * gram * w).is_zero():
-        raise AssertionError("complement failed to be isotropic")
-    out = Subspace._of(n, _unpacked(w.transpose()._cells, n))
-    if lag.add(out).dim != n:
-        raise AssertionError("complement is not transverse")
-    return out
+def _dual_lagrangian(gram: Mat, iso: Mat, amb: Mat) -> Mat:
+    """The covector side of the isotropic rows V of iso inside the span of
+    the rows of amb, a symplectic subspace in which they span a
+    Lagrangian: the rows W of an isotropic complement with W G V^T = I.
+    C holds the rows of amb that enlarge the span of V's, scanned in
+    order (one elimination); with P = V G C^T and K = C G C^T, W is
+    -P^-T (C - 1/2 K P^-1 V), the basis of C dual to V made isotropic.
+    It depends only on the span of V and the rows of amb; over the unit
+    rows of Q^n it spans a Lagrangian complement of V."""
+    k, cells = iso.rows, iso._cells + amb._cells
+    cols = Mat._of(len(cells), gram.rows, 1, cells).transpose()
+    pivots = _echelon(_unpacked(cols._cells, len(cells)), len(cells))[1]
+    if len(pivots) != amb.rows:
+        raise ValueError("isotropic vectors leave their ambient "
+                         "symplectic subspace")
+    c = Mat._of(len(cells) - amb.rows, gram.rows, amb._den,
+                [cells[j] for j in pivots[k:]])
+    pinv = (iso * gram * c.transpose()).inverse()
+    half = (c * gram * c.transpose() * pinv * iso).scale(Fraction(1, 2))
+    return (pinv.transpose() * (c - half)).scale(-1)

@@ -944,6 +944,20 @@ def intersect(s, t):
     return [_combine(k[:p], s.basis, n) for k in _kernel(stacked)]
 
 
+def solve(m, rhs):
+    """exact.solve by Fraction loops: the Fraction rref of [A | b], the
+    free variables at zero, and the kernel of A; (None, kernel) when the
+    last column holds a pivot."""
+    red, pivots = rref(Mat.from_rows([row + [b] for row, b in
+                                      zip(m.row_list(), rhs)]))
+    if m.cols in pivots:
+        return None, _kernel(m)
+    x = [ZERO] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][m.cols]
+    return tuple(x), _kernel(m)
+
+
 def symp_orthogonal(gram, s):
     """symp_orthogonal: the kernel of the rows G b over s's basis."""
     n = gram.rows
@@ -968,7 +982,7 @@ def lagrangian_complement(gram, lag):
 
 
 def dual_lagrangian(gram, iso_basis, ambient_basis):
-    """catalog._dual_lagrangian by Fraction loops: the coordinates of the
+    """exact._dual_lagrangian by Fraction loops: the coordinates of the
     iso vectors in the ambient basis, the Lagrangian complement w0_t of
     their span for the restricted form, mapped back, and w_j = -sum_t
     (P^-1)_tj w0_t with P_ij = omega(v_i, w0_j)."""

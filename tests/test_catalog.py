@@ -1,13 +1,17 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lsaforge import (Bilinear, Mat, catalog, check, cli, cocycle_check,
-                      dual_product_from_r, is_invariant_form, levi_civita)
-from lsaforge.algebra import Algebra
-from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _model_params,
+                      dual_product_from_r, exact, is_invariant_form,
+                      levi_civita)
+from lsaforge.algebra import Algebra, product_subspaces
+from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _fingerprint,
+                              _model_params,
                               build_quadratic_symplectic, canonical,
                               catalog_algebras, catalog_families,
                               catalog_load, check_type_two_constraints,
@@ -245,7 +249,6 @@ def test_graded_tensor_and_derivation_phase(aff):
     # higher truncation is still a Lie algebra with nilpotent products
     deep, _ = graded_tensor_algebra(aff, 3)
     assert check(deep, "jacobi_antisym")
-    from lsaforge.algebra import product_subspaces
     assert product_subspaces(deep)["powers"][-1].is_zero()
 
 
@@ -330,6 +333,51 @@ def test_assoc_normalize_roundtrip():
         cid = normalize_assoc_symp(alg, omega)
         assert cid.family == family
         _assert_landing(cid, names[family], normalize_assoc_symp)
+
+
+def test_fingerprint_of_the_landed_product_is_that_of_the_input():
+    """The associative normalizer takes dim UU and dim U^3 from its power
+    chain and reads DUU, SUU and the trace-form ranks off its sparse
+    landed product: every value must equal the fingerprint of the input
+    itself, its spans from the generic `product_subspaces`.  Both models
+    at every shape `test_assoc_normalize_roundtrip` draws, the zero
+    product, and the first model at dim 12: dims 2 to 12."""
+    rng = random.Random(53)
+    instances = _moved_models(rng, "assoc_type_two", rand_type_two_params, 3)
+    for p, q in itertools.product((1, 2, 3), (0, 2, 4)):
+        instances += _moved_models(rng, "assoc_type_one",
+                                   _type_one_draw(p, q), 1)
+    instances += _moved_models(rng, "assoc_type_one", _type_one_draw(4, 4), 1)
+    instances += _zero_products(rng)
+    for family, alg, omega in instances:
+        subs = product_subspaces(alg)
+        want = _fingerprint(alg, subs["UU"], subs["DUU"], subs["SUU"],
+                            subs["powers"][2])
+        assert normalize_assoc_symp(alg, omega).fingerprint == want
+    assert {alg.dim for _, alg, _ in instances} == {2, 4, 6, 8, 10, 12}
+
+
+def test_the_associative_normalizer_keeps_its_elimination_budget(
+        monkeypatch):
+    """The eliminations of one normalization of a fixed dim-6
+    second-model instance: the calls of `exact._rref_ints` and of
+    `exact._echelon` (under it and under `complement_in`), counted on a
+    second call, after the form's inverse is kept.  Exact counts, no
+    timing, so a span that is computed twice or a power chain that slips
+    back to sums of subspace products shows here."""
+    data = canonical("assoc_type_two",
+                     type_two_family_params(2, -1, 3, Fraction(1, 2)))
+    move = rand_symplectic(data["omega"].matrix, random.Random(5))
+    alg, omega = data["alg"].conjugate(move), data["omega"]
+    normalize_assoc_symp(alg, omega)
+    counts = Counter()
+    for name in ("_rref_ints", "_echelon"):
+        def counted(*args, _run=getattr(exact, name), _name=name):
+            counts[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(exact, name, counted)
+    assert normalize_assoc_symp(alg, omega).certificate.passed
+    assert counts == {"_rref_ints": 21, "_echelon": 25}
 
 
 @pytest.mark.parametrize("params, message", [

@@ -59,7 +59,7 @@ from lsaforge.algebra import (INVARIANCE_TAGS, PREDICATES, Algebra,
                               subspace_product)
 from lsaforge.catalog import (_trace_form, canonical, catalog_algebras,
                               killing_form)
-from lsaforge.exact import (dot, lagrangian_complement, symp_orthogonal,
+from lsaforge.exact import (_dual_lagrangian, dot, solve, symp_orthogonal,
                             zero_vec)
 from lsaforge.smatrix import Tensor2, classify_r
 
@@ -730,14 +730,33 @@ def test_subspace_routes_match_fraction_routes(n, seed):
     u = Subspace(m, _spanning(rng, m, rng.randint(0, m)))
     _assert_span(symp_orthogonal(gram, u), oracle.symp_orthogonal(gram, u))
     lag = Subspace(m, _mixed(rng, [q.col(i) for i in range(h)]) + [[0] * m])
-    _assert_span(lagrangian_complement(gram, lag),
+    comp = _dual_lagrangian(gram, lag.matrix(), Mat.identity(m))
+    _assert_span(Subspace(m, [comp.row(j) for j in range(h)]),
                  oracle.lagrangian_complement(gram, lag))
     k = rng.randint(1, h)
     ambient = _mixed(rng, [q.col(i) for i in range(k)]
                      + [q.col(h + i) for i in range(k)])
     iso = _mixed(rng, [q.col(i) for i in range(k)])
-    assert [tuple(w) for w in catalog._dual_lagrangian(gram, iso, ambient)] \
+    dual = _dual_lagrangian(gram, Mat.from_rows(iso), Mat.from_rows(ambient))
+    assert [dual.row(j) for j in range(k)] \
         == oracle.dual_lagrangian(gram, iso, ambient)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), SEEDS)
+def test_solve_matches_fraction_route(rows, cols, seed):
+    """solve reads its particular solution off the reduced integer rows of
+    [A | b] and its kernel off the integer kernel cells: the values of
+    the Fraction rref, for consistent and inconsistent systems."""
+    rng = random.Random(seed)
+    m = Mat(rows, cols, [_entry(rng, 0.6, LARGE) for _ in range(rows * cols)])
+    rhs = m.apply([_entry(rng, 0.8, LARGE) for _ in range(cols)]) \
+        if rng.random() < 0.5 else [_entry(rng, 0.8, LARGE)
+                                    for _ in range(rows)]
+    x, kernel = solve(m, rhs)
+    want, vectors = oracle.solve(m, list(rhs))
+    assert x == want
+    _assert_span(kernel, vectors)
 
 
 # -- tensor invariance and the 1-cocycle law ----------------------------------

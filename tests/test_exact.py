@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import oracle_routes as oracle
 from lsaforge.algebra import Algebra
-from lsaforge.exact import (Mat, Subspace, _reduced, _scatter, _settled,
-                            _sparse, basis_vec, form_value, format_rational,
-                            is_zero_vec, lagrangian_complement,
-                            parse_rational, solve, symp_orthogonal, vec_add,
-                            vec_scale, zero_vec)
+from lsaforge.exact import (Mat, Subspace, _dual_lagrangian, _reduced,
+                            _scatter, _settled, _sparse, basis_vec,
+                            format_rational, is_zero_vec, parse_rational,
+                            solve, symp_orthogonal, vec_add, vec_scale,
+                            zero_vec)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
 
@@ -96,18 +96,24 @@ def test_symp_orthogonal_dims():
     assert perp.contains((1, 0, 0, 0))
 
 
-def test_lagrangian_complement_pairing():
-    gram = Mat.from_rows([[0, 0, 1, 0], [0, 0, 0, 1],
-                          [-1, 0, 0, 0], [0, -1, 0, 0]])
-    lag = Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    comp = lagrangian_complement(gram, lag)
-    assert comp.dim == 2
-    for u in comp.basis:
-        for v in comp.basis:
-            assert form_value(gram, u, v) == 0
-    for i, u in enumerate(lag.basis):
-        for j, v in enumerate(comp.basis):
-            assert form_value(gram, u, v) == (1 if i == j else 0)
+def test_dual_lagrangian_pairing():
+    """Over the unit rows the covector side of span(e1, e2) for the
+    standard form is -e3, -e4.  For a form with omega(e1, e3) = 1 the
+    unit rows that enlarge span(e2, e4) are e1 and e3, which pair, so the
+    isotropic correction moves them.  Either way W is isotropic and
+    W G L^T = I."""
+    cases = [([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+              [(1, 0, 0, 0), (0, 1, 0, 0)],
+              [[0, 0, -1, 0], [0, 0, 0, -1]]),
+             ([[0, 1, 1, 0], [-1, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]],
+              [(0, 1, 0, 0), (0, 0, 0, 1)],
+              [[1, 0, 0, Fraction(1, 2)], [0, Fraction(-1, 2), 1, 0]])]
+    for rows, lag, want in cases:
+        gram, lag = Mat.from_rows(rows), Subspace(4, lag).matrix()
+        w = _dual_lagrangian(gram, lag, Mat.identity(4))
+        assert w == Mat.from_rows(want)
+        assert (w * gram * w.transpose()).is_zero()
+        assert w * gram * lag.transpose() == Mat.identity(2)
 
 
 @settings(max_examples=30)

@@ -5,8 +5,9 @@ package besides its own definition, every module-level public function
 or class is referred to in the package besides its own definition and
 `__init__`, or named by the tests, the benchmark or the README, no
 function reads the `Fraction` views `.table` or `.data` of another
-object (every route reads the stored integer cells), and the test
-oracles do not reach the contraction kernel they check.
+object (every route reads the stored integer cells), only the listed
+functions call the `Mat` views `row`, `col`, `row_list` or `m[i, j]`,
+and the test oracles do not reach the contraction kernel they check.
 
 `__init__.py` is left out of the first guard: its imports are the
 package's public names.  It is in the second: each of them is taken from
@@ -214,6 +215,61 @@ def test_the_guard_sees_a_view_read():
 def test_only_listed_functions_read_a_fraction_view():
     # every route reads the stored integer cells; the views serve users
     assert _view_readers(_package_sources()) == set()
+
+
+def _view_calls(sources: dict) -> set:
+    """module.function (nested names joined by dots) for each function that
+    calls `.row(`, `.col(` or `.row_list(` of an object other than `self`,
+    or reads an index m[i, j] with a tuple: the `Fraction` views of a
+    `Mat`.  Annotations and assignments to a tuple index (a dict keyed by
+    pairs) are not reads; sources maps a module name to its text."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if child in (getattr(node, "returns", None),
+                         getattr(node, "annotation", None)):
+                continue
+            call = isinstance(child, ast.Call) \
+                and isinstance(child.func, ast.Attribute) \
+                and child.func.attr in ("row", "col", "row_list") \
+                and getattr(child.func.value, "id", None) != "self"
+            if call or isinstance(child, ast.Subscript) \
+                    and isinstance(child.slice, ast.Tuple) \
+                    and isinstance(child.ctx, ast.Load):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), [module])
+    return found
+
+
+def test_the_guard_sees_a_view_call():
+    assert _view_calls({
+        "low": "class A:\n    def f(self):\n        return self.row(0)\n"
+               "    def g(self, m):\n        return m.col(1)\n"
+               "def h(m) -> Tuple[int, int]:\n    return m[0, 1]\n"
+               "def k(m, acc: Dict[int, int]):\n    acc[0, 1] += 1\n"
+               "    return m.rows, m[0]\n"
+               "def r(m):\n    def inner():\n        return m.row_list()\n"
+               "    return inner\n",
+    }) == {"low.A.g", "low.h", "low.r.inner"}
+
+
+# The functions that still read a `Mat` view (ROADMAP items 4 and 7): the
+# extendibility and compatibility witnesses compare columns, and the
+# type-two constraint equations index their maps.
+VIEW_CALLERS = {"phase._extendible_witness", "doubling._compat_witness",
+                "catalog.check_type_two_constraints.a_of_e1",
+                "catalog.check_type_two_constraints.b_of_f"}
+
+
+def test_only_listed_functions_call_a_mat_view():
+    assert _view_calls(_package_sources()) == VIEW_CALLERS
 
 
 # The library's one contraction kernel and its dict readback, and the
