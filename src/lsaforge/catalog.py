@@ -27,18 +27,18 @@ from .algebra import (Algebra, Endo, _coaction, _labels, _nonzero_cell,
                       _products, _swapped, _twin_spans, check,
                       invariance_check, is_derivation, product_subspaces,
                       subspace_product)
-from .doubling import is_compatible
+from .doubling import _compatible
 from .exact import (Mat, Subspace, ZERO, ONE, _dense, _dual_lagrangian,
                     _primitive, _sparse, _unpacked, form_value, is_zero_vec,
                     parse_rational, solve, symp_orthogonal, vec, vec_scale,
                     zero_vec)
-from .forms import (Bilinear, is_flat, is_invariant_form, is_two_cocycle,
-                    levi_civita)
-from .phase import _split_form, build_phase, verify_para_kahler
+from .forms import (Bilinear, _flat, _levi_civita, _two_cocycle,
+                    is_invariant_form, is_two_cocycle, levi_civita)
+from .phase import _phase, _split_form, build_phase, verify_para_kahler
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
                      _relabel, certify, require)
-from .smatrix import (Tensor2, _coadjoint, semidirect_bracket,
-                      twisted_structures)
+from .smatrix import (Tensor2, _coadjoint, _quasi_s, _twist,
+                      semidirect_bracket)
 
 FAMILIES = ("dim2_abelian", "dim2_nonabelian", "compat_family1",
             "compat_family2", "assoc_type_one", "assoc_type_two")
@@ -503,7 +503,7 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
     if bullet.is_zero() or circ.is_zero() \
             or _proportional(bullet, circ) or _proportional(circ, bullet):
         return CompatVerdict("trivially compatible", None)
-    comp = is_compatible(bullet, circ)
+    comp = _compatible(bullet, circ)[0]     # both checked left symmetric
     if not comp:
         return CompatVerdict("incompatible", None, witness=comp.witness)
     ab_bullet = bool(check(bullet, "commutative"))
@@ -637,8 +637,6 @@ def normalize_assoc_symp(alg: Algebra, omega: Bilinear) -> CanonicalId:
                                     "fails to square to zero")
     # V = U^2 meet U^2perp, which is U^2 when the cube vanishes
     v = symp_orthogonal(gram, jspace)
-    if not jspace.contains_space(v):
-        raise InternalInconsistency("the ideal fails to be co-isotropic")
     if u3.is_zero() and not u2perp.contains_space(u2):
         raise InternalInconsistency("square must be isotropic when the "
                                     "cube vanishes")
@@ -750,10 +748,10 @@ def build_quadratic_symplectic(lie: Algebra, n: int) -> QuadraticData:
         _relabel(is_derivation(dmat, big), "derivation"),
         _bool_report("derivation_invertible", dmat.is_invertible(),
                      "det != 0"),
-        _relabel(is_two_cocycle(omega, big), "omega_cocycle"),
+        _relabel(_two_cocycle(omega, big), "omega_cocycle"),
         _bool_report("omega_nondegenerate", omega.is_nondegenerate(),
                      "det != 0"),
-        _relabel(is_flat(big, metric), "metric_flat"),
+        _relabel(_flat(_levi_civita(big, metric)), "metric_flat"),
     ]
     cert = certify("quadratic_symplectic", reports)
     return QuadraticData(big, pairing, Endo(big, dmat), omega, metric, cert)
@@ -780,17 +778,18 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
     commutator of the lifted product, which must be its Levi-Civita
     product, and the twisted bracket must equal it: Delta(G^-1) == 0.
     """
-    require(is_flat(lie, metric), "metric is not flat")
     dot = levi_civita(lie, metric)
-    triangle = build_phase(dot).extended
+    require(_flat(dot), "metric is not flat")
+    triangle = _phase(dot, Algebra.zero(dot.dim), _coaction(dot, -1)).extended
     ginv = metric.matrix.inverse()
-    tw = twisted_structures(dot, Tensor2(dot, ginv))
+    r = Tensor2(dot, ginv)
+    tw = _twist(dot, r, *_quasi_s(dot, r))
     bracket, metric_d, k = tw.triangle, tw.metric_r, tw.k_r
     reports = [_bool_report(
         "commutator_of_lift", bracket == triangle.commutator_algebra(),
         "semidirect bracket == commutator of the lifted product"),
         _bool_report("levi_civita_of_double",
-                     levi_civita(bracket, metric_d) == triangle,
+                     _levi_civita(bracket, metric_d) == triangle,
                      "Levi-Civita product of the double == lifted product"),
         _relabel(invariance_check(ginv, ("L", "L"), dot),
                  "inverse_metric_invariant"),
@@ -862,7 +861,8 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     if not coad:
         raise ValueError("form is not invariant under the coadjoint action "
                          "of the image of b")
-    tw = twisted_structures(dstar, Tensor2(dstar, rmat))
+    r = Tensor2(dstar, rmat)
+    tw = _twist(dstar, r, *_quasi_s(dstar, r))
 
     # [X+a, Y+b] = [r_#(a), Y] - [r_#(b), X] + [a,b]*: g is abelian inside
     bracket = Algebra.from_blocks(

@@ -18,11 +18,11 @@ from .algebra import (Algebra, _nonzero_cell, _permuted, _slot_sum, _swapped,
                       check, curvature, invariance_check, nijenhuis)
 from .exact import Mat, _nonzero_entry, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
-from .phase import (_involution, _require_left_symmetric, _split_form,
+from .phase import (_hyper, _involution, _require_left_symmetric, _split_form,
                     verify_hyper_para_kahler, verify_para_kahler)
 from .report import (Certificate, Report, _bool_report, _relabel, certify,
                      failing, passing, require, routes_disagree)
-from .smatrix import Tensor2, classify_r, twisted_structures
+from .smatrix import Tensor2, _quasi_s, _twist, classify_r
 from .triple import LieTriple
 
 
@@ -58,8 +58,15 @@ def is_compatible(bullet: Algebra, circ: Algebra) -> Report:
     """
     _require_left_symmetric((bullet, "first product"),
                             (circ, "second product"))
+    return _compatible(bullet, circ)[0]
+
+
+def _compatible(bullet: Algebra, circ: Algebra) -> tuple:
+    """(is_compatible's report, the double product, its lie_admissible
+    report) for two left-symmetric products."""
     witness = _compat_witness(bullet, circ)
-    via_double = check(tu_product(bullet, circ), "lie_admissible")
+    prod = tu_product(bullet, circ)
+    via_double = check(prod, "lie_admissible")
     if (witness is None) != bool(via_double):
         raise routes_disagree(
             "mixed-curvature symmetry and double-product Lie-admissibility"
@@ -67,7 +74,8 @@ def is_compatible(bullet: Algebra, circ: Algebra) -> Report:
                           ("double-product Lie-admissibility",
                            via_double.witness)])
     anchor = "K(x,y)z == K(z,y)x and K(x,y)z == K(x,z)y"
-    return Report("is_compatible", witness is None, anchor, witness=witness)
+    return (Report("is_compatible", witness is None, anchor, witness=witness),
+            prod, via_double)
 
 
 def pencil_identity(bullet: Algebra, circ: Algebra) -> Report:
@@ -128,12 +136,14 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
     """Complex product structure (K1, J1) on the double of a compatible
     pair: both torsions vanish, J1 K1 == -K1 J1, and abelianness of K1,
     J1 and commutativity of the pair coincide."""
-    require(is_compatible(bullet, circ), "products are not compatible")
-    prod = tu_product(bullet, circ)
+    _require_left_symmetric((bullet, "first product"),
+                            (circ, "second product"))
+    comp, prod, admissible = _compatible(bullet, circ)
+    require(comp, "products are not compatible")
     lie = prod.commutator_algebra()
     n = bullet.dim
     k1, j1 = _involution(n), double_j(n)
-    reports = [_relabel(check(prod, "lie_admissible"), "double_lie_admissible"),
+    reports = [_relabel(admissible, "double_lie_admissible"),
                _relabel(check(lie, "jacobi_antisym"), "double_jacobi")]
     reports.append(_bool_report("torsion_k1", nijenhuis(k1, lie).is_zero(),
                                 "N_K1 == 0"))
@@ -186,8 +196,9 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
         raise ValueError("omega must be skew and nondegenerate")
     cp = build_complex_product(bullet, circ)
     metric = double_metric(omega)
-    cert = certify("hyper_para_kahler", verify_hyper_para_kahler(
-        cp.lie, metric, cp.k1, cp.j1).reports)
+    # the complex product's double_jacobi line is the Jacobi check of cp.lie
+    cert = certify("hyper_para_kahler", _hyper(
+        cp.lie, metric, cp.k1, cp.j1, cp.cert.reports[1]))
     return HyperData(complex_product=cp, metric=metric, cert=cert)
 
 
@@ -196,6 +207,10 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
 def yb(a: Mat, lie: Algebra) -> Algebra:
     """YB(A)(X,Y) = A[AX,Y] + A[X,AY] - [AX,AY]."""
     require(check(lie, "jacobi_antisym"), "product is not a Lie bracket")
+    return _yb(a, lie)
+
+
+def _yb(a: Mat, lie: Algebra) -> Algebra:      # yb for a Lie bracket
     return _slot_sum([(1, lie, a, None, a), (1, lie, None, a, a),
                       (-1, lie, a, a, None)], lie.basis)
 
@@ -247,7 +262,8 @@ def _symp_transport_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
     construction along mu: (X, Y) -> (X, flat(Y)); each structure is
     compared through the stored form of its difference, and a
     disagreement names the first differing basis pair or entry of each."""
-    tw = twisted_structures(dot, Tensor2(dot, _symp_r_matrix(omega, a)))
+    r = Tensor2(dot, _symp_r_matrix(omega, a))
+    tw = _twist(dot, r, *_quasi_s(dot, r))      # dot is left symmetric
     n = dot.dim
     gt = omega.matrix.transpose()
     mu = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
@@ -293,7 +309,7 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("omega must be skew and nondegenerate")
     dot = a_product(lie, omega)          # checks bracket + cocycle
-    defect = yb(a, lie)
+    defect = _yb(a, lie)
     inv_yb = invariance_check(defect, ("ad_dual", "ad_dual", "ad"), lie,
                               name="yb_ad_invariant")
     a_s, a_a = sym_skew_parts(a, omega)

@@ -93,8 +93,8 @@ def a_product(lie: Algebra, omega: Bilinear) -> Algebra:
 
     Requires a symplectic Lie algebra: antisymmetric Jacobi product and a
     nondegenerate skew two-cocycle.  The result is left symmetric with
-    commutator equal to the bracket and omega invariant under it; these
-    facts are re-checked by callers that need certificates.
+    commutator equal to the bracket and omega invariant under it, by
+    theorem: callers build on these facts without checking them again.
     """
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("form must be skew and nondegenerate")
@@ -142,7 +142,11 @@ def _levi_civita(lie: Algebra, metric: Bilinear) -> Algebra:
 def is_flat(lie: Algebra, metric: Bilinear) -> Report:
     """A pseudo-metric is flat exactly when its Levi-Civita product is
     left symmetric."""
-    rep = check(levi_civita(lie, metric), "left_symmetric")
+    return _flat(levi_civita(lie, metric))
+
+
+def _flat(lc: Algebra) -> Report:     # is_flat of a Levi-Civita product
+    rep = check(lc, "left_symmetric")
     return Report("is_flat", rep.passed, rep.anchor, witness=rep.witness,
                   details="Levi-Civita product")
 

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
 from .exact import Mat, _scatter, basis_vec
-from .forms import Bilinear, _levi_civita, _two_cocycle, levi_civita
-from .report import (Certificate, Report, _bool_report, _relabel,
+from .forms import Bilinear, _levi_civita, _two_cocycle
+from .report import (Certificate, Report, _bool_report, _relabel, failing,
                      routes_disagree)
 
 
@@ -48,12 +48,13 @@ def build_phase(u: Algebra, dual: Optional[Algebra] = None) -> PhaseSpace:
         dual = Algebra.zero(u.dim)
     if dual.dim != u.dim:
         raise ValueError("dual product dimension mismatch")
+    _require_left_symmetric((u, "product on U"), (dual, "product on U*"))
     return _phase(u, dual, _coaction(u, -1))
 
 
 def _phase(u: Algebra, dual: Algebra, coaction: Algebra) -> PhaseSpace:
-    """build_phase for a dual of the dim of u, coaction = _coaction(u, -1)."""
-    _require_left_symmetric((u, "product on U"), (dual, "product on U*"))
+    """build_phase for left-symmetric u and dual of one dimension,
+    coaction = _coaction(u, -1)."""
     extended = Algebra.from_blocks(
         [[(u, None), (None, coaction)],
          [(_coaction(dual, -1), None), (None, dual)]],
@@ -249,25 +250,29 @@ def _eigenspace_lines(sign: str, shifted: Mat, vecs, lie: Algebra,
          "u . g^e <= g^e for the Levi-Civita product"))]
 
 
-def _parallel_report(lc: Algebra, m: Mat, label: str) -> Report:
+def _parallel_report(lc: Optional[Algebra], m: Mat, label: str) -> Report:
     """m commutes with every left multiplication L_i of the Levi-Civita
-    product lc (witness: the first i where not).  Column j of L_i m is
-    e_i.(m e_j), of m L_i it is m(e_i.e_j): over ints, D_lc d_m."""
+    product lc (witness: the first i where not; failing for no lc).
+    Column j of L_i m is e_i.(m e_j), of m L_i it is m(e_i.e_j): over
+    ints, D_lc d_m."""
+    name = "parallel_" + label.lower()
+    anchor = "L_u %s == %s L_u for the Levi-Civita product" % (label, label)
+    if lc is None:
+        return failing(name, anchor)
     n, cells, cols = lc.dim, lc._int_view()[1], m.transpose()._int_view()[1]
     bad = next(((i,) for i in range(n) if any(
         _scatter([0] * n, cols[j], cells[i])
         != _scatter([0] * n, cells[i][j], cols) for j in range(n))), None)
-    return Report("parallel_" + label.lower(), bad is None,
-                  "L_u %s == %s L_u for the Levi-Civita product"
-                  % (label, label), witness=bad)
+    return Report(name, bad is None, anchor, witness=bad)
 
 
-def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat) -> tuple:
+def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat,
+                 jac: Report) -> tuple:
     """(the reports of verify_para_kahler, the Levi-Civita product or None
-    where the bracket or metric line fails).  Jacobi runs once, on the
-    bracket line, before the Levi-Civita product and the cocycle check."""
+    where the bracket or metric line fails); jac, the Jacobi report of
+    lie, is the bracket line."""
     n = lie.dim
-    reports = [_relabel(check(lie, "jacobi_antisym"), "bracket"),
+    reports = [_relabel(jac, "bracket"),
                _bool_report("metric", metric.kind == "symmetric"
                             and metric.is_nondegenerate(),
                             "<,> symmetric and nondegenerate")]
@@ -315,8 +320,8 @@ def verify_para_kahler(lie: Algebra, metric: Bilinear, k) -> Certificate:
     Lagrangian subalgebras preserved by the Levi-Civita product.
     """
     kmat = k.matrix if hasattr(k, "matrix") else k
-    return Certificate("para_kahler", tuple(_para_kahler(lie, metric,
-                                                         kmat)[0]))
+    return Certificate("para_kahler", tuple(_para_kahler(
+        lie, metric, kmat, check(lie, "jacobi_antisym"))[0]))
 
 
 def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificate:
@@ -324,7 +329,14 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
     J is parallel for the Levi-Civita product of the para-Kahler part."""
     kmat = k.matrix if hasattr(k, "matrix") else k
     jmat = j.matrix if hasattr(j, "matrix") else j
-    reports, lc = _para_kahler(lie, metric, kmat)
+    return Certificate("hyper_para_kahler", _hyper(
+        lie, metric, kmat, jmat, check(lie, "jacobi_antisym")))
+
+
+def _hyper(lie: Algebra, metric: Bilinear, kmat: Mat, jmat: Mat,
+           jac: Report) -> tuple:
+    """The reports of verify_hyper_para_kahler, jac as in _para_kahler."""
+    reports, lc = _para_kahler(lie, metric, kmat, jac)
     n = lie.dim
     ident = Mat.identity(n)
     reports.append(_bool_report("complex_j", (jmat * jmat) == -ident,
@@ -337,7 +349,5 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
                                 "<Ju,v> + <u,Jv> == 0"))
     reports.append(_bool_report("torsion_j", nijenhuis(jmat, lie).is_zero(),
                                 "N_J(u,v) == 0"))
-    if lc is None:      # bracket or metric failed: levi_civita raises
-        lc = levi_civita(lie, metric)
     reports.append(_parallel_report(lc, jmat, "J"))
-    return Certificate("hyper_para_kahler", tuple(reports))
+    return tuple(reports)

@@ -33,10 +33,11 @@ from .algebra import (Algebra, _coaction, _int_product, _nonzero_cell,
                       _permuted, _slot_sum, check, invariance_check)
 from .exact import Mat, _dense, _scatter, _sparse
 from .forms import Bilinear
-from .phase import (PhaseSpace, _involution, _phase, _split_form,
-                    _upper_block, verify_para_kahler)
-from .report import (Certificate, Report, _relabel, certify, failing,
-                     require, routes_disagree)
+from .phase import (PhaseSpace, _involution, _phase,
+                    _require_left_symmetric, _split_form, _upper_block,
+                    verify_para_kahler)
+from .report import (Certificate, InternalInconsistency, Report, _relabel,
+                     certify, failing, require, routes_disagree)
 from .triple import LieTriple
 
 
@@ -274,16 +275,36 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     the dual pairs), the isomorphism xi onto the commutator of the
     extended product, the deformed metric and involution, a para-Kahler
     certificate for the twisted data, and the Lie triple system carried
-    by the dual.  Raises if r is not quasi-S.
+    by the dual.  Raises if r is not quasi-S, then if U is not left
+    symmetric.
     """
     r = _as_tensor2(u, r)
-    dual, lie = _dual_product(u, r), u.commutator_algebra()
-    delta = _sharp_defect(lie, r.matrix, dual.commutator_algebra())
+    dual, delta = _quasi_s(u, r)
+    _require_left_symmetric((u, "product on U"))
+    return _twist(u, r, dual, delta)
+
+
+def _quasi_s(u: Algebra, r: Tensor2) -> tuple:
+    """(the r-induced product on U*, Delta(r)) for a quasi-S r, else
+    ValueError naming the first failing line."""
+    dual = _dual_product(u, r)
+    delta = _sharp_defect(u.commutator_algebra(), r.matrix,
+                          dual.commutator_algebra())
     cls = _classify(u, r, delta)
     if not cls.is_quasi_s:
         bad = next(rep for rep in cls.reports if not rep.passed)
         raise ValueError("r is not a quasi-S-matrix: %s" % bad.line())
-    n = u.dim
+    return dual, delta
+
+
+def _twist(u: Algebra, r: Tensor2, dual: Algebra,
+           delta: Algebra) -> TwistData:
+    """twisted_structures for a left-symmetric u and the `_quasi_s` parts
+    of r, whose dual is then left symmetric by theorem."""
+    if not check(dual, "left_symmetric"):
+        raise InternalInconsistency("product on U* induced by a quasi-S-"
+                                    "matrix is not left symmetric")
+    n, lie = u.dim, u.commutator_algebra()
     blocks = _action_blocks(u)
     ps = _phase(u, dual, blocks[0])
     triangle = _semidirect(lie, blocks, None)

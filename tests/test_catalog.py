@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from lsaforge import (Bilinear, Mat, catalog, check, cli, cocycle_check,
-                      dual_product_from_r, exact, is_invariant_form,
-                      levi_civita)
+from lsaforge import (Bilinear, Mat, algebra, build_complex_product,
+                      build_hyper, build_phase, build_symp_double,
+                      build_theta_double, catalog, check, cli, cocycle_check,
+                      doubling, dual_product_from_r, exact, is_invariant_form,
+                      levi_civita, twisted_structures)
 from lsaforge.algebra import Algebra, product_subspaces
 from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _fingerprint,
                               _model_params,
@@ -225,14 +227,14 @@ def test_twist_crosscheck_fails_on_a_wrong_twisted_bracket(monkeypatch, aff,
     args = {"flat_double": (q.lie, q.metric),
             "cybe_double": (heis, Mat.from_rows(
                 [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]), Mat.zeros(3, 3))}[double]
-    real = catalog.twisted_structures
+    real = catalog._twist
 
-    def wrong(u, r):                    # the twisted bracket, doubled
-        tw = real(u, r)
+    def wrong(*args):                   # the twisted bracket, doubled
+        tw = real(*args)
         assert not tw.twisted.is_zero()
         return dataclasses.replace(tw, twisted=tw.twisted.scale(2))
 
-    monkeypatch.setattr(catalog, "twisted_structures", wrong)
+    monkeypatch.setattr(catalog, "_twist", wrong)
     with pytest.raises(InternalInconsistency, match="own certificate: FAIL "
                                                     "twist_crosscheck  "):
         getattr(catalog, double)(*args)
@@ -377,7 +379,7 @@ def test_the_associative_normalizer_keeps_its_elimination_budget(
             return _run(*args)
         monkeypatch.setattr(exact, name, counted)
     assert normalize_assoc_symp(alg, omega).certificate.passed
-    assert counts == {"_rref_ints": 21, "_echelon": 25}
+    assert counts == {"_rref_ints": 20, "_echelon": 24}
 
 
 @pytest.mark.parametrize("params, message", [
@@ -503,3 +505,101 @@ def test_no_route_builds_an_algebra_table_view(monkeypatch, tmp_path, capsys):
         path = str(tmp_path / (family + ".json"))
         assert cli.run(["catalog", "emit", family, "--out", path]) == 0
         assert cli.run(argv + [path]) == 0, capsys.readouterr().err
+
+
+def _precondition_calls():
+    aff = Algebra([[(0, 0), (1, 0)], [(-1, 0), (0, 0)]])
+    nab = Algebra([[(0, 0), (1, 0)], [(-1, 0), (0, 1)]])
+    p = rand_symplectic(Mat.from_rows([[0, 1], [-1, 0]]), random.Random(3))
+    return {
+        "twist_u_not_left_symmetric": (
+            lambda: twisted_structures(aff, Mat.zeros(2, 2)),
+            "product on U is not left symmetric (witness (0, 1, 1))"),
+        # aff is not left symmetric either: the quasi-S verdict comes first
+        "twist_r_not_quasi_s": (
+            lambda: twisted_structures(aff, Mat.from_rows([[0, 1], [-1, 0]])),
+            "r is not a quasi-S-matrix: FAIL skew_part_invariant  "
+            "witness=(1, 0, 1)  violated: sum over slots of ('L', 'L') "
+            "action == 0"),
+        "phase_dual_not_left_symmetric": (
+            lambda: build_phase(nab, aff),
+            "product on U* is not left symmetric (witness (0, 1, 1))"),
+        "flat_double_metric_not_flat": (
+            lambda: flat_double(aff, Bilinear(Mat.identity(2), "symmetric")),
+            "metric is not flat: FAIL is_flat  witness=(0, 1, 0)  violated: "
+            "ass(u,v,w) == ass(v,u,w)  Levi-Civita product"),
+        "complex_product_incompatible": (
+            lambda: build_complex_product(nab, nab.conjugate(p)),
+            "products are not compatible: FAIL is_compatible  "
+            "witness=('first', 0, 0, 1)  violated: K(x,y)z == K(z,y)x and "
+            "K(x,y)z == K(x,z)y"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_precondition_calls()))
+def test_preconditions_keep_their_messages_and_order(case):
+    call, message = _precondition_calls()[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _construction_calls():
+    """Each construction on valid input, returning its certificate; the
+    input is built up front, so only the construction's checks count."""
+    aff = Algebra([[(0, 0), (1, 0)], [(-1, 0), (0, 0)]])
+    heis = Algebra([[(0, 0, 0), (0, 0, 1), (0, 0, 0)],
+                    [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+                    [(0, 0, 0), (0, 0, 0), (0, 0, 0)]])
+    omega = Bilinear(Mat.from_rows([[0, 1], [-1, 0]]), "skew")
+    plane = Algebra.zero(2)
+    r = Mat.from_rows([[Fraction(2, 3), Fraction(-1, 3)],
+                       [Fraction(-1, 3), Fraction(-1, 2)]])
+    q = build_quadratic_symplectic(aff, 1)
+    pair = canonical("compat_family1", {"a": 1, "b": 1})
+    ab = canonical("dim2_abelian", {"a": 1})["alg"]
+    graded, deriv = graded_tensor_algebra(aff, 2)
+    yb_sol = Mat.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    return {
+        "twisted_structures": lambda: twisted_structures(plane, r).cert,
+        "flat_double": lambda: flat_double(q.lie, q.metric).cert,
+        "cybe_double": lambda: cybe_double(heis, yb_sol, Mat.zeros(3, 3)).cert,
+        "build_quadratic_symplectic":
+            lambda: build_quadratic_symplectic(aff, 1).cert,
+        "build_hyper": lambda: build_hyper(pair["bullet"], pair["circ"],
+                                           pair["omega"]).cert,
+        "build_symp_double": lambda: build_symp_double(
+            Algebra.zero(2), omega, Mat.identity(2)).cert,
+        "build_theta_double": lambda: build_theta_double(
+            ab, omega, Mat.identity(2)).cert,
+        "derivation_phase": lambda: derivation_phase(graded, deriv).cert,
+        "classify_compatible_dim2": lambda: classify_compatible_dim2(
+            pair["bullet"], pair["circ"], pair["omega"]).canonical.certificate,
+    }
+
+
+@pytest.mark.parametrize("construction", sorted(_construction_calls()))
+def test_each_law_is_checked_once_per_construction(monkeypatch,
+                                                   construction):
+    """Every `check` a construction makes, keyed by predicate and object
+    identity (each object is held, so no id is reused): no pair runs
+    twice, and the double product of a compatible pair is built once."""
+    call = _construction_calls()[construction]
+    counts, held = Counter(), []
+    for predicate, sweep in list(algebra._CHECKS.items()):
+        def counted(alg, _predicate=predicate, _sweep=sweep):
+            held.append(alg)
+            counts[_predicate, id(alg)] += 1
+            return _sweep(alg)
+        monkeypatch.setitem(algebra._CHECKS, predicate, counted)
+    built = Counter()
+
+    def tu_counted(bullet, circ, _make=doubling.tu_product):
+        built["tu_product"] += 1
+        return _make(bullet, circ)
+    monkeypatch.setattr(doubling, "tu_product", tu_counted)
+    assert call().passed
+    assert counts and max(counts.values()) == 1, sorted(
+        (p, n) for (p, _), n in counts.items() if n > 1)
+    if construction == "build_hyper":
+        assert built["tu_product"] == 1

@@ -197,17 +197,17 @@ def test_symp_quasi_s_disagreement_names_both_routes(monkeypatch, omega2):
 
 def test_symp_transport_disagreement_names_every_structure(monkeypatch,
                                                            omega2):
-    twist = doubling.twisted_structures
+    twist = doubling._twist
 
-    def tampered(u, r):
-        tw = twist(u, r)
+    def tampered(*args):
+        tw = twist(*args)
         table = [list(row) for row in tw.twisted.table]
         table[0][1] = basis_vec(4, 0)     # [e1, e2] = e1 inside U
         return dataclasses.replace(
             tw, twisted=Algebra(table, tw.twisted.basis),
             k_r=Mat.identity(4))
 
-    monkeypatch.setattr(doubling, "twisted_structures", tampered)
+    monkeypatch.setattr(doubling, "_twist", tampered)
     with pytest.raises(InternalInconsistency) as err:
         _symp_zero_double(omega2)
     assert str(err.value) == (

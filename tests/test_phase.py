@@ -94,17 +94,35 @@ def test_para_kahler_tampered_metric(nab_lsa):
     assert first is not None and not first.passed
 
 
-def test_hyper_certificate_raises_where_the_bracket_fails(nab_lsa):
-    # the para-Kahler part stops at its bracket line, so J has no
-    # Levi-Civita product to be parallel for: levi_civita raises
+def test_hyper_certificate_fails_where_the_bracket_or_metric_fails(nab_lsa):
+    # the para-Kahler part stops at its bracket or metric line, so J has
+    # no Levi-Civita product to be parallel for: parallel_j fails too
     ps = build_phase(nab_lsa)
     n = nab_lsa.dim
     k = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
                    [Mat.zeros(n, n), Mat.identity(n).scale(-1)]])
     j = Mat.block([[Mat.zeros(n, n), Mat.identity(n).scale(-1)],
                    [Mat.identity(n), Mat.zeros(n, n)]])
-    with pytest.raises(ValueError, match="product is not a Lie bracket"):
-        verify_hyper_para_kahler(ps.extended, ps.pairing0, k, j)
+    z = zero_vec(4)
+    only_e1e2 = Algebra([[z, (0, 0, 1, 0), z, z]] + [[z] * 4] * 3)
+    degenerate = Bilinear(Mat.zeros(4, 4), "symmetric")
+    lie = ps.extended.commutator_algebra()
+    for alg, metric, first in ((ps.extended, ps.pairing0, "bracket"),
+                               (only_e1e2, ps.pairing0, "bracket"),
+                               (lie, degenerate, "metric")):
+        para = verify_para_kahler(alg, metric, k)
+        hyper = verify_hyper_para_kahler(alg, metric, k, j)
+        assert not hyper.passed
+        assert hyper.first_failure() == para.first_failure()
+        assert hyper.first_failure().name == first
+        assert hyper.reports[:len(para.reports)] == para.reports
+        assert [r.name for r in hyper.reports[len(para.reports):]] == [
+            "complex_j", "anticommute", "metric_skew_j", "torsion_j",
+            "parallel_j"]
+        assert not hyper.reports[-1].passed
+    assert verify_para_kahler(only_e1e2, ps.pairing0, k).lines()[1] == (
+        "  FAIL bracket  witness=(0, 1)  violated: [u,v] == -[v,u] and "
+        "cyclic sum [[u,v],w] == 0")
 
 
 def test_extendible_disagreement_names_both_routes(monkeypatch, nab_lsa):

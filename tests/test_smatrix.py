@@ -205,6 +205,18 @@ def test_row_dual_product_matches_the_dense_route(heis, aff):
             assert got == want and got.basis == want.basis
 
 
+def test_a_dual_that_is_not_left_symmetric_is_a_defect(monkeypatch, aff):
+    """r = 0 on the plane has Delta(r) = 0 whatever the dual product, so it
+    classifies as quasi-S; a quasi-S-matrix on a left-symmetric U induces
+    a left-symmetric product on U*, so a dual that is not (here the
+    bracket of aff) is a defect, not bad input."""
+    plane = Algebra.zero(2)
+    monkeypatch.setattr(smatrix, "_dual_product", lambda u, r: aff)
+    with pytest.raises(InternalInconsistency,
+                       match="quasi-S-matrix is not left symmetric"):
+        twisted_structures(plane, Mat.zeros(2, 2))
+
+
 def test_a_plane_twist_keeps_its_allocation_budget(monkeypatch):
     """The stored matrices (`Mat._of`) and algebras (`Algebra._of`) that a
     twist of the abelian plane builds, counted on a second twist of the
