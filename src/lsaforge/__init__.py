@@ -11,8 +11,8 @@ from .doubling import (build_complex_product, build_hyper, build_symp_double,
                        o_op, oeq_check, pencil, pencil_identity, tu_product,
                        yb)
 from .catalog import (CanonicalId, CatalogEntry, CompatVerdict,
-                      CybeDoubleData, DerivationPhaseData, FAMILIES,
-                      FlatDoubleData, QuadraticData, build_quadratic_symplectic,
+                      DerivationPhaseData, FAMILIES, QuadraticData,
+                      build_quadratic_symplectic,
                       canonical, catalog_algebras, catalog_families,
                       catalog_load, check_type_two_constraints,
                       classify_compatible_dim2, cybe_double, derivation_phase,
@@ -24,8 +24,8 @@ from .catalog import (CanonicalId, CatalogEntry, CompatVerdict,
 from .exact import Mat, Subspace, format_rational, parse_rational
 from .forms import (Bilinear, a_product, is_flat, is_invariant_form,
                     is_invariant_iso, is_two_cocycle, levi_civita)
-from .phase import (build_phase, cocycle_check, is_lie_extendible, rho,
-                    verify_hyper_para_kahler, verify_para_kahler)
+from .phase import (Double, build_phase, cocycle_check, is_lie_extendible,
+                    rho, verify_hyper_para_kahler, verify_para_kahler)
 from .report import Certificate, InternalInconsistency, Report
 from .smatrix import (Tensor2, rr_bracket, classify_r, delta_r, coadjoint_double,
                       dual_product_from_r, twisted_structures)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from math import lcm
@@ -34,7 +34,7 @@ from .exact import (Mat, Subspace, ZERO, ONE, _dense, _dual_lagrangian,
                     zero_vec)
 from .forms import (Bilinear, _flat, _levi_civita, _two_cocycle,
                     is_invariant_form, is_two_cocycle, levi_civita)
-from .phase import _phase, _split_form, build_phase, verify_para_kahler
+from .phase import Double, _phase, _split_form, build_phase
 from .report import (Certificate, InternalInconsistency, Report, _bool_report,
                      _relabel, certify, require)
 from .smatrix import (Tensor2, _coadjoint, _quasi_s, _twist,
@@ -435,11 +435,17 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
     if alg.dim != 2:
         raise ValueError("normalizer requires dimension 2")
     _require_symplectic_lsa(alg, omega)
+    cid, subs = _dim2_slsa(alg, omega)
+    return replace(cid, fingerprint=_fingerprint(
+        alg, subs["UU"], subs["DUU"], subs["SUU"], subs["powers"][2]))
+
+
+def _dim2_slsa(alg: Algebra, omega: Bilinear) -> tuple:
+    """(the landing of normalize_dim2_slsa with no fingerprint, the
+    product_subspaces of alg) for a symplectic left-symmetric plane."""
     subs = product_subspaces(alg)
-    fp = _fingerprint(alg, subs["UU"], subs["DUU"], subs["SUU"],
-                      subs["powers"][2])
     if alg.is_zero():
-        return CanonicalId("trivial", {}, Endo(alg, Mat.identity(2)), fp)
+        return CanonicalId("trivial", {}, Endo(alg, Mat.identity(2))), subs
     gram = omega.matrix
     if check(alg, "commutative"):
         uu = subs["UU"]
@@ -454,7 +460,7 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
         p = Mat.from_cols([e1, e2])
         moved = alg.conjugate(p)
         return _landed("dim2_abelian", {"a": _coef(moved, 1, 1, 0)}, alg,
-                       omega, p, {"alg": moved}, fp)
+                       omega, p, {"alg": moved}), subs
     duu, suu = subs["DUU"], subs["SUU"]
     if subs["UU"].dim != 2 or duu.dim != 1 or suu.dim != 1:
         raise InternalInconsistency(
@@ -467,7 +473,7 @@ def normalize_dim2_slsa(alg: Algebra, omega: Bilinear) -> CanonicalId:
     p = Mat.from_cols([d, vec_scale(ONE / c, s)])
     moved = alg.conjugate(p)
     return _landed("dim2_nonabelian", {"a": _coef(moved, 0, 1, 0)}, alg,
-                   omega, p, {"alg": moved}, fp)
+                   omega, p, {"alg": moved}), subs
 
 
 # -- compatible-pair classifier -----------------------------------------------
@@ -514,8 +520,8 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
     if ab_bullet != ab_circ:
         star, other = (circ, bullet) if ab_bullet else (bullet, circ)
         swapped = ONE if ab_bullet else ZERO
-        total = star.add(other)
-        cid = normalize_dim2_slsa(total, omega)
+        # a pencil member: left symmetric with omega invariant by theorem
+        cid = _dim2_slsa(star.add(other), omega)[0]
         if cid.family != "dim2_nonabelian":
             raise InternalInconsistency("sum of a mixed pair must be "
                                         "non-abelian")
@@ -532,7 +538,7 @@ def classify_compatible_dim2(bullet: Algebra, circ: Algebra,
         sign = -ONE
         total = bullet.add(circ.scale(-1))
     circ_eff = circ.scale(sign)
-    cid = normalize_dim2_slsa(total, omega)
+    cid = _dim2_slsa(total, omega)[0]
     if cid.family != "dim2_nonabelian":
         raise InternalInconsistency("adjusted sum of a non-abelian pair "
                                     "must be non-abelian")
@@ -759,16 +765,7 @@ def build_quadratic_symplectic(lie: Algebra, n: int) -> QuadraticData:
 
 # -- para-Kahler double of a flat metric --------------------------------------
 
-@dataclass(frozen=True)
-class FlatDoubleData:
-    triangle: Algebra     # left-symmetric product on g + g*
-    bracket: Algebra      # its commutator, the double's Lie bracket
-    metric: Bilinear      # split pairing corrected by the inverse metric
-    k: Mat                # para-complex involution
-    cert: Certificate
-
-
-def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
+def flat_double(lie: Algebra, metric: Bilinear) -> Double:
     """Para-Kahler double of a flat pseudo-metric Lie algebra.
 
     The Levi-Civita product is left symmetric and G^-1 an S-matrix for
@@ -777,6 +774,7 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
     [[I, -2 G^-1], [0, -I]].  The bracket is re-verified as the
     commutator of the lifted product, which must be its Levi-Civita
     product, and the twisted bracket must equal it: Delta(G^-1) == 0.
+    The Double's part "triangle" is that lifted product on g + g*.
     """
     dot = levi_civita(lie, metric)
     require(_flat(dot), "metric is not flat")
@@ -798,7 +796,7 @@ def flat_double(lie: Algebra, metric: Bilinear) -> FlatDoubleData:
                      "metric, and involution")]
     # by twist_crosscheck, the twist's lines less xi and the triple axioms
     cert = certify("flat_double", tuple(reports) + tw.cert.reports[1:-3])
-    return FlatDoubleData(triangle, bracket, metric_d, k, cert)
+    return Double(bracket, metric_d, k, None, cert, {"triangle": triangle})
 
 
 # -- para-Kahler double of Yang-Baxter data -----------------------------------
@@ -809,17 +807,7 @@ def killing_form(lie: Algebra) -> Bilinear:
     return Bilinear(_trace_form(lie, "left"), "symmetric")
 
 
-@dataclass(frozen=True)
-class CybeDoubleData:
-    dual_product: Algebra  # left-symmetric product on g* induced by b
-    triangle: Algebra      # left-symmetric product on g + g*
-    bracket: Algebra       # Lie bracket of the double (g abelian inside)
-    metric: Bilinear       # [[-2S, I], [I, 0]], S the symmetric part of r
-    k: Mat                 # involution x + a -> -x - 2 r_#(x) + a
-    cert: Certificate
-
-
-def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
+def cybe_double(lie: Algebra, b, r_dual) -> Double:
     """Para-Kahler double from a skew solution of the classical
     Yang-Baxter equation together with a coadjoint-invariant bilinear
     form on the Lie algebra.
@@ -831,6 +819,8 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
     on the dual product, moved by the swap of g and g*.  The bracket is
     built directly from r_# and the dual bracket, and must equal both
     the twist's semidirect and twisted brackets, moved by the swap.
+    The Double's parts are "dual_product", the product on g*, and
+    "triangle", its lift to g + g* whose commutator is the bracket.
     """
     bmat = b.matrix if isinstance(b, Tensor2) else b
     n = lie.dim
@@ -891,9 +881,11 @@ def cybe_double(lie: Algebra, b, r_dual) -> CybeDoubleData:
                      triangle.commutator_algebra() == bracket,
                      "commutator of the lifted product == bracket"),
     ]
-    cert = certify("cybe_double", tuple(reports)
-                   + verify_para_kahler(bracket, metric, k).reports)
-    return CybeDoubleData(dstar, triangle, bracket, metric, k, cert)
+    # by twist_crosscheck, the twist's lines less xi and the triple axioms:
+    # metric and k are the swap-conjugates of the twist's by construction
+    cert = certify("cybe_double", tuple(reports) + tw.cert.reports[1:-3])
+    return Double(bracket, metric, k, None, cert,
+                  {"dual_product": dstar, "triangle": triangle})
 
 
 # -- invertible derivations on phase spaces -----------------------------------

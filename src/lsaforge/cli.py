@@ -405,7 +405,9 @@ def _cmd_build(args) -> int:
                                              hyper=args.hyper),
         "flatdouble": lambda: flat_double(alg, need("forms", "metric")),
         "cybe": lambda: cybe_double(alg, need("tensors", "b"),
-                                    need("forms", "r"))}
+                                    need("forms", "r")),
+        "hyper": lambda: build_hyper(alg, need("products", "product2"),
+                                     need("forms", "omega"))}
     try:
         # reports, and the artifact: product, forms, endos, second product
         if what == "phase":
@@ -425,13 +427,6 @@ def _cmd_build(args) -> int:
             reports, built = tw.cert.reports, (
                 tw.twisted, {"metric_r": tw.metric_r},
                 {"k_r": tw.k_r, "xi": tw.xi}, None)
-        elif what == "hyper":
-            hy = build_hyper(alg, need("products", "product2"),
-                             need("forms", "omega"))
-            cp = hy.complex_product
-            reports = tuple(cp.cert.reports) + tuple(hy.cert.reports)
-            built = (cp.lie, {"metric": hy.metric},
-                     {"k1": cp.k1, "j1": cp.j1}, None)
         elif what == "quadratic":
             grades = _int_param(_param_map(args.param), "n")
             if grades < 1:
@@ -451,13 +446,13 @@ def _cmd_build(args) -> int:
                 data.phase.extended, {"omega0": data.phase.omega0},
                 {"delta": data.delta.matrix}, None)
         elif what in doubles:
-            data = doubles[what]()
-            endos = {"k": data.k}
-            if getattr(data, "j", None) is not None:
-                endos["j"] = data.j
-            reports, built = data.cert.reports, (
-                data.bracket, {"metric": data.metric}, endos,
-                getattr(data, "triangle", None))
+            d = doubles[what]()     # hyper: the complex product's lines first
+            cp = d.parts.get("complex_product")
+            names = ("k1", "j1") if cp else ("k", "j")
+            reports = (cp.cert.reports if cp else ()) + d.cert.reports
+            built = (d.bracket, {"metric": d.metric}, {
+                name: m for name, m in zip(names, (d.k, d.j))
+                if m is not None}, d.parts.get("triangle"))
         else:
             raise UsageError("unknown build target %r" % what)
     except ValueError as exc:

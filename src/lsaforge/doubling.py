@@ -10,7 +10,6 @@ triple systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -18,11 +17,11 @@ from .algebra import (Algebra, _nonzero_cell, _permuted, _slot_sum, _swapped,
                       check, curvature, invariance_check, nijenhuis)
 from .exact import Mat, _nonzero_entry, basis_vec
 from .forms import Bilinear, a_product, is_invariant_form, is_invariant_iso
-from .phase import (_hyper, _involution, _require_left_symmetric, _split_form,
-                    verify_hyper_para_kahler, verify_para_kahler)
-from .report import (Certificate, Report, _bool_report, _relabel, certify,
-                     failing, passing, require, routes_disagree)
-from .smatrix import Tensor2, _quasi_s, _twist, classify_r
+from .phase import (Double, _hyper, _involution, _require_left_symmetric,
+                    _split_form, verify_hyper_para_kahler, verify_para_kahler)
+from .report import (Report, _bool_report, _relabel, certify, failing,
+                     passing, require, routes_disagree)
+from .smatrix import Tensor2, _classify, _induced, _twist
 from .triple import LieTriple
 
 
@@ -123,19 +122,12 @@ def _abelian_witness(lie: Algebra, s: Mat, para: bool = False):
         [(1, lie, s, s, None), (sign, lie, None, None, None)], lie.basis))
 
 
-@dataclass(frozen=True)
-class ComplexProductData:
-    product: Algebra           # left-symmetric product on U x U
-    lie: Algebra               # its commutator bracket
-    k1: Mat
-    j1: Mat
-    cert: Certificate
-
-
-def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
+def build_complex_product(bullet: Algebra, circ: Algebra) -> Double:
     """Complex product structure (K1, J1) on the double of a compatible
     pair: both torsions vanish, J1 K1 == -K1 J1, and abelianness of K1,
-    J1 and commutativity of the pair coincide."""
+    J1 and commutativity of the pair coincide.  The Double has no metric;
+    its part "product" is the left-symmetric product on U x U whose
+    commutator is the bracket."""
     _require_left_symmetric((bullet, "first product"),
                             (circ, "second product"))
     comp, prod, admissible = _compatible(bullet, circ)
@@ -143,18 +135,15 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
     lie = prod.commutator_algebra()
     n = bullet.dim
     k1, j1 = _involution(n), double_j(n)
+    ident = Mat.identity(2 * n)
     reports = [_relabel(admissible, "double_lie_admissible"),
-               _relabel(check(lie, "jacobi_antisym"), "double_jacobi")]
-    reports.append(_bool_report("torsion_k1", nijenhuis(k1, lie).is_zero(),
-                                "N_K1 == 0"))
-    reports.append(_bool_report("torsion_j1", nijenhuis(j1, lie).is_zero(),
-                                "N_J1 == 0"))
-    reports.append(_bool_report("involution_k1",
-                                k1 * k1 == Mat.identity(2 * n), "K1.K1 == Id"))
-    reports.append(_bool_report("complex_j1",
-                                j1 * j1 == -Mat.identity(2 * n), "J1.J1 == -Id"))
-    reports.append(_bool_report("anticommute", j1 * k1 == -(k1 * j1),
-                                "J1.K1 == -K1.J1"))
+               _relabel(check(lie, "jacobi_antisym"), "double_jacobi")] + [
+        _bool_report(name, ok, anchor) for name, ok, anchor in (
+            ("torsion_k1", nijenhuis(k1, lie).is_zero(), "N_K1 == 0"),
+            ("torsion_j1", nijenhuis(j1, lie).is_zero(), "N_J1 == 0"),
+            ("involution_k1", k1 * k1 == ident, "K1.K1 == Id"),
+            ("complex_j1", j1 * j1 == -ident, "J1.J1 == -Id"),
+            ("anticommute", j1 * k1 == -(k1 * j1), "J1.K1 == -K1.J1"))]
     first, second = check(bullet, "commutative"), check(circ, "commutative")
     comm = (("first",) + first.witness if not first
             else None if second else ("second",) + second.witness)
@@ -171,7 +160,7 @@ def build_complex_product(bullet: Algebra, circ: Algebra) -> ComplexProductData:
                            " commutative",
                            details="all three = %s" % both_comm))
     cert = certify("complex_product", reports)
-    return ComplexProductData(product=prod, lie=lie, k1=k1, j1=j1, cert=cert)
+    return Double(lie, None, k1, j1, cert, {"product": prod})
 
 
 def double_metric(omega: Bilinear) -> Bilinear:
@@ -179,16 +168,11 @@ def double_metric(omega: Bilinear) -> Bilinear:
     return Bilinear(_split_form(omega.matrix), "symmetric")
 
 
-@dataclass(frozen=True)
-class HyperData:
-    complex_product: ComplexProductData
-    metric: Bilinear
-    cert: Certificate
-
-
-def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
+def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> Double:
     """Hyper-para-Kahler double of a compatible pair of products both
-    leaving omega invariant."""
+    leaving omega invariant: the complex product's bracket, K1 and J1
+    with the metric of omega; its parts are the complex product's
+    "product" and the complex product's own Double, "complex_product"."""
     for alg, label in ((bullet, "first"), (circ, "second")):
         require(is_invariant_form(omega, alg),
                 "omega is not invariant under the %s product" % label)
@@ -196,10 +180,14 @@ def build_hyper(bullet: Algebra, circ: Algebra, omega: Bilinear) -> HyperData:
         raise ValueError("omega must be skew and nondegenerate")
     cp = build_complex_product(bullet, circ)
     metric = double_metric(omega)
-    # the complex product's double_jacobi line is the Jacobi check of cp.lie
+    # the complex product's double_jacobi, torsion_k1 and torsion_j1 lines
+    # check the bracket, N_K and N_J of this double
+    jac, tk, tj = cp.cert.reports[1:4]
     cert = certify("hyper_para_kahler", _hyper(
-        cp.lie, metric, cp.k1, cp.j1, cp.cert.reports[1]))
-    return HyperData(complex_product=cp, metric=metric, cert=cert)
+        cp.bracket, metric, cp.k, cp.j, jac,
+        (_relabel(tk, "torsion_k"), _relabel(tj, "torsion_j"))))
+    return Double(cp.bracket, metric, cp.k, cp.j, cert, {
+        "product": cp.parts["product"], "complex_product": cp})
 
 
 # -- Yang-Baxter machinery on symplectic Lie algebras -------------------------
@@ -234,16 +222,9 @@ def sym_skew_parts(a: Mat, form: Bilinear) -> Tuple[Mat, Mat]:
     return (a + adj).scale(half), (a - adj).scale(half)
 
 
-def _symp_r_matrix(omega: Bilinear, a: Mat) -> Mat:
-    """The element of g (x) g whose sharp composed with flat is A."""
-    return (a * omega.matrix.transpose().inverse()).transpose()
-
-
-def _symp_quasi_s_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
-                             inv_yb, inv_s) -> bool:
+def _symp_quasi_s_crosscheck(cls, inv_yb, inv_s) -> None:
     """The endomorphism preconditions must coincide with the quasi-S
-    property of the corresponding tensor."""
-    cls = classify_r(dot, Tensor2(dot, _symp_r_matrix(omega, a)))
+    classification cls of the corresponding tensor."""
     expected = bool(inv_yb) and bool(inv_s)
     if cls.is_quasi_s != expected:
         raise routes_disagree(
@@ -252,22 +233,17 @@ def _symp_quasi_s_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
                           None)) for route, reps in
              (("endomorphism preconditions", (inv_yb, inv_s)),
               ("quasi-S classification", cls.reports[:2]))])
-    return cls.is_quasi_s
 
 
-def _symp_transport_crosscheck(dot: Algebra, omega: Bilinear, a: Mat,
-                               bracket: Algebra, metric: Bilinear,
-                               k: Mat) -> None:
-    """The direct formulas must agree with the transport of the twist
-    construction along mu: (X, Y) -> (X, flat(Y)); each structure is
-    compared through the stored form of its difference, and a
-    disagreement names the first differing basis pair or entry of each."""
-    r = Tensor2(dot, _symp_r_matrix(omega, a))
-    tw = _twist(dot, r, *_quasi_s(dot, r))      # dot is left symmetric
-    n = dot.dim
-    gt = omega.matrix.transpose()
+def _symp_transport_crosscheck(omega: Bilinear, tw, bracket: Algebra,
+                               metric: Bilinear, k: Mat) -> None:
+    """The direct formulas must agree with the transport of the twist tw
+    along mu: (X, Y) -> (X, flat(Y)); each structure is compared through
+    the stored form of its difference, and a disagreement names the
+    first differing basis pair or entry of each."""
+    n = omega.dim
     mu = Mat.block([[Mat.identity(n), Mat.zeros(n, n)],
-                    [Mat.zeros(n, n), gt]])
+                    [Mat.zeros(n, n), omega.matrix.transpose()]])
     verdicts = [
         ("bracket", _nonzero_cell(bracket.add(
             tw.twisted.conjugate(mu).scale(-1)))),
@@ -286,16 +262,7 @@ def _symp_circ(dot: Algebra, a: Mat, diff: Mat) -> Algebra:
                      dot.basis)
 
 
-@dataclass(frozen=True)
-class SympDoubleData:
-    circ: Algebra              # X°Y = X.[(A^s - A^a)Y] - (AX).Y
-    bracket: Algebra           # [.,.]^A on the double
-    metric: Bilinear
-    k: Mat
-    cert: Certificate
-
-
-def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
+def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> Double:
     """Para-Kahler double of a symplectic Lie algebra from an
     endomorphism with ad-invariant Yang-Baxter defect whose symmetric
     part intertwines the adjoint representation with left multiplication
@@ -304,7 +271,8 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     The preconditions are cross-checked against the quasi-S property of
     the corresponding element of g (x) g, and the produced bracket,
     metric and involution are cross-checked against the transport of the
-    twist construction; disagreement raises InternalInconsistency.
+    twist construction; disagreement raises InternalInconsistency.  The
+    Double's part "circ" is X°Y = X.[(A^s - A^a)Y] - (AX).Y.
     """
     if omega.kind != "skew" or not omega.is_nondegenerate():
         raise ValueError("omega must be skew and nondegenerate")
@@ -317,10 +285,12 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     # the left multiplication of the induced left-symmetric product.
     inv_s = invariance_check(a_s.transpose(), ("ad_dual", "L"), dot,
                              name="sym_part_intertwines")
-    quasi = _symp_quasi_s_crosscheck(dot, omega, a, inv_yb, inv_s)
+    # r in g (x) g, its sharp composed with flat being A
+    r = Tensor2(dot, (a * omega.matrix.transpose().inverse()).transpose())
+    dual, delta = _induced(dot, r)
+    _symp_quasi_s_crosscheck(_classify(dot, r, delta), inv_yb, inv_s)
     for rep in (inv_yb, inv_s):
         require(rep, "precondition failed")
-    n = lie.dim
     circ = _symp_circ(dot, a, a_s - a_a)
     # [(X,Y),(Z,T)] = ([X,Z] + YB(A)(Y,T), [X,T] + [Y,Z])
     bracket = Algebra.from_blocks(
@@ -330,17 +300,16 @@ def build_symp_double(lie: Algebra, omega: Bilinear, a: Mat) -> SympDoubleData:
     g = omega.matrix
     metric = Bilinear(_split_form(g, (a_a.transpose() * g).scale(2)),
                       "symmetric")
-    k = _involution(n, a)
+    k = _involution(lie.dim, a)
 
-    if quasi:
-        _symp_transport_crosscheck(dot, omega, a, bracket, metric, k)
-    reports = [inv_yb, inv_s,
-               _relabel(check(circ, "left_symmetric"), "circ_left_symmetric")]
-    cert_pk = verify_para_kahler(bracket, metric, k)
-    reports.extend(cert_pk.reports)
-    cert = certify("symp_double", reports)
-    return SympDoubleData(circ=circ, bracket=bracket, metric=metric, k=k,
-                          cert=cert)
+    # the preconditions hold, so by the cross-check r is quasi-S
+    tw = _twist(dot, r, dual, delta)
+    _symp_transport_crosscheck(omega, tw, bracket, metric, k)
+    # by the transport, the twist's lines less xi and the triple axioms
+    cert = certify("symp_double", (inv_yb, inv_s, _relabel(
+        check(circ, "left_symmetric"), "circ_left_symmetric"))
+        + tw.cert.reports[1:-3])
+    return Double(bracket, metric, k, None, cert, {"circ": circ})
 
 
 # -- invariant isomorphisms onto the dual --------------------------------------
@@ -369,16 +338,6 @@ def oeq_check(a: Mat, alg: Algebra) -> Report:
          (-1, delta_op(a, alg), None, None, a)], alg.basis))
     return Report("oeq_check", bad is None,
                   "O(A)(x,y) == N_A(x,y) + A(delta(A)(x,y))", witness=bad)
-
-
-@dataclass(frozen=True)
-class ThetaDoubleData:
-    circ: Algebra              # product transported from the dual by Theta
-    bracket: Algebra           # [.,.]^A on the double
-    metric: Bilinear
-    k: Mat
-    j: Mat
-    cert: Certificate
 
 
 def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
@@ -411,14 +370,16 @@ def theta_circ_product(alg: Algebra, theta: Bilinear, a: Mat) -> Algebra:
 
 
 def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
-                       hyper: bool = False) -> ThetaDoubleData:
+                       hyper: bool = False) -> Double:
     """Doubles built from an invariant isomorphism onto the dual.
 
     Preconditions: theta is an invariant nondegenerate form; O(A) is
     (L_dual, L_dual, ad)-invariant; the symmetric part of A (for skew
     theta) or its skew part (for symmetric theta) commutes with all left
     multiplications.  For hyper certificates (skew theta) additionally
-    delta(A^a) == 0 and N_A invariant.
+    delta(A^a) == 0 and N_A invariant.  The Double carries J with or
+    without hyper; its part "circ" is the product transported from the
+    dual by Theta.
     """
     iso = require(is_invariant_iso(theta, alg),
                   "theta is not an invariant isomorphism")
@@ -462,17 +423,12 @@ def build_theta_double(alg: Algebra, theta: Bilinear, a: Mat,
     ident = Mat.identity(n)
     j = Mat.block([[a, -(ident + a * a)], [ident, -a]])
 
-    reports = list(pre_reports)
-    reports.append(_relabel(check(circ, "left_symmetric"),
-                            "circ_left_symmetric"))
-    if hyper:
-        cert_main = verify_hyper_para_kahler(bracket, metric, k, j)
-    else:
-        cert_main = verify_para_kahler(bracket, metric, k)
-    reports.extend(cert_main.reports)
-    cert = certify("theta_double", reports)
-    return ThetaDoubleData(circ=circ, bracket=bracket, metric=metric, k=k,
-                           j=j, cert=cert)
+    main = (verify_hyper_para_kahler(bracket, metric, k, j) if hyper
+            else verify_para_kahler(bracket, metric, k))
+    cert = certify("theta_double", pre_reports + [_relabel(
+        check(circ, "left_symmetric"), "circ_left_symmetric")]
+        + list(main.reports))
+    return Double(bracket, metric, k, j, cert, {"circ": circ})
 
 
 # -- Lie triple systems from defects -------------------------------------------

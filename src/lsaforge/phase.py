@@ -13,7 +13,8 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .algebra import Algebra, _coaction, _int_product, check, nijenhuis
 from .exact import Mat, _scatter, basis_vec
@@ -220,6 +221,22 @@ def cocycle_check(u: Algebra, dual: Algebra) -> Report:
 
 # -- para-Kahler certificates -------------------------------------------------
 
+@dataclass(frozen=True)
+class Double:
+    """A para-Kahler or hyper-para-Kahler double; metric and J are None
+    where the route builds none, parts its named intermediates."""
+
+    bracket: Algebra
+    metric: Optional[Bilinear]
+    k: Mat
+    j: Optional[Mat]
+    cert: Certificate
+    parts: Mapping[str, object]
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
+
+
 def _eigenspace_lines(sign: str, shifted: Mat, vecs, lie: Algebra,
                       lc: Algebra, m: Mat, o: Mat) -> list:
     """The subalgebra, isotropic, lagrangian and lc_stable lines of ker S,
@@ -266,11 +283,11 @@ def _parallel_report(lc: Optional[Algebra], m: Mat, label: str) -> Report:
     return Report(name, bad is None, anchor, witness=bad)
 
 
-def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat,
-                 jac: Report) -> tuple:
+def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat, jac: Report,
+                 torsion: Optional[Report] = None) -> tuple:
     """(the reports of verify_para_kahler, the Levi-Civita product or None
     where the bracket or metric line fails); jac, the Jacobi report of
-    lie, is the bracket line."""
+    lie, is the bracket line, torsion (if given) the torsion_k line."""
     n = lie.dim
     reports = [_relabel(jac, "bracket"),
                _bool_report("metric", metric.kind == "symmetric"
@@ -296,8 +313,8 @@ def _para_kahler(lie: Algebra, metric: Bilinear, kmat: Mat,
     lc = _levi_civita(lie, metric)
     reports.append(_parallel_report(lc, kmat, "K"))
 
-    reports.append(_bool_report("torsion_k", nijenhuis(kmat, lie).is_zero(),
-                                "N_K(u,v) == 0"))
+    reports.append(torsion if torsion is not None else _bool_report(
+        "torsion_k", nijenhuis(kmat, lie).is_zero(), "N_K(u,v) == 0"))
     reports.append(_bool_report("omega_skew",
                                 skew and omega.is_nondegenerate(),
                                 "<K.,.> skew and nondegenerate"))
@@ -334,11 +351,12 @@ def verify_hyper_para_kahler(lie: Algebra, metric: Bilinear, k, j) -> Certificat
 
 
 def _hyper(lie: Algebra, metric: Bilinear, kmat: Mat, jmat: Mat,
-           jac: Report) -> tuple:
-    """The reports of verify_hyper_para_kahler, jac as in _para_kahler."""
-    reports, lc = _para_kahler(lie, metric, kmat, jac)
-    n = lie.dim
-    ident = Mat.identity(n)
+           jac: Report, torsions=(None, None)) -> tuple:
+    """The reports of verify_hyper_para_kahler, jac as in _para_kahler;
+    torsions holds the torsion_k and torsion_j lines, each None to have
+    it computed."""
+    reports, lc = _para_kahler(lie, metric, kmat, jac, torsions[0])
+    ident = Mat.identity(lie.dim)
     reports.append(_bool_report("complex_j", (jmat * jmat) == -ident,
                                 "J.J == -Id"))
     reports.append(_bool_report("anticommute", jmat * kmat == -(kmat * jmat),
@@ -347,7 +365,7 @@ def _hyper(lie: Algebra, metric: Bilinear, kmat: Mat, jmat: Mat,
     reports.append(_bool_report("metric_skew_j",
                                 (jmat.transpose() * m + m * jmat).is_zero(),
                                 "<Ju,v> + <u,Jv> == 0"))
-    reports.append(_bool_report("torsion_j", nijenhuis(jmat, lie).is_zero(),
-                                "N_J(u,v) == 0"))
+    reports.append(torsions[1] if torsions[1] is not None else _bool_report(
+        "torsion_j", nijenhuis(jmat, lie).is_zero(), "N_J(u,v) == 0"))
     reports.append(_parallel_report(lc, jmat, "J"))
     return tuple(reports)

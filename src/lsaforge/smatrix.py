@@ -110,9 +110,7 @@ def _dual_product(u: Algebra, r: Tensor2) -> Algebra:
 
 def delta_r(u: Algebra, r) -> Algebra:
     """Delta(r)(a,b) = r_#([a,b]) - [r_#(a), r_#(b)] : U* x U* -> U."""
-    r = _as_tensor2(u, r)
-    return _sharp_defect(u.commutator_algebra(), r.matrix,
-                         dual_product_from_r(u, r).commutator_algebra())
+    return _induced(u, _as_tensor2(u, r))[1]
 
 
 def _sharp_defect(lie: Algebra, rm: Mat, dual_lie: Algebra) -> Algebra:
@@ -284,12 +282,16 @@ def twisted_structures(u: Algebra, r) -> TwistData:
     return _twist(u, r, dual, delta)
 
 
-def _quasi_s(u: Algebra, r: Tensor2) -> tuple:
-    """(the r-induced product on U*, Delta(r)) for a quasi-S r, else
-    ValueError naming the first failing line."""
+def _induced(u: Algebra, r: Tensor2) -> tuple:
+    """(the r-induced product on U*, Delta(r))."""
     dual = _dual_product(u, r)
-    delta = _sharp_defect(u.commutator_algebra(), r.matrix,
-                          dual.commutator_algebra())
+    return dual, _sharp_defect(u.commutator_algebra(), r.matrix,
+                               dual.commutator_algebra())
+
+
+def _quasi_s(u: Algebra, r: Tensor2) -> tuple:
+    """_induced for a quasi-S r, else ValueError naming the first failure."""
+    dual, delta = _induced(u, r)
     cls = _classify(u, r, delta)
     if not cls.is_quasi_s:
         bad = next(rep for rep in cls.reports if not rep.passed)
@@ -348,7 +350,7 @@ def _xi_report(src: Algebra, dst: Algebra, xi: Mat) -> Report:
 class CoadjointDoubleData:
     dual_bracket: Algebra      # [a,b]* on g*
     rr: Algebra                # [r,r](a,b) = r#([a,b]*) - [r#a, r#b]
-    bracket_r: Algebra         # full bracket on g + g*
+    bracket: Algebra           # full bracket on g + g*
     twisted: Algebra           # diamond bracket + [r,r] on dual pairs
     xi: Mat
     reports: Tuple[Report, ...]
@@ -392,16 +394,16 @@ def coadjoint_double(lie: Algebra, r) -> CoadjointDoubleData:
     #              + [a,b]*, with ad* the left multiplication of [,]*
     (coact, swapped), (dual_coact, dual_swapped) = map(
         _action_blocks, (lie, dual_bracket))
-    bracket_r = Algebra.from_blocks(
+    bracket = Algebra.from_blocks(
         [[(lie, None), (dual_swapped, coact)],
          [(dual_coact, swapped), (None, dual_bracket)]], lie.basis, "*")
     twisted = _semidirect(lie, (coact, swapped), rr)
-    reports.append(_relabel(check(bracket_r, "jacobi_antisym"),
+    reports.append(_relabel(check(bracket, "jacobi_antisym"),
                             "full_bracket_jacobi"))
     reports.append(_relabel(check(twisted, "jacobi_antisym"),
                             "twisted_bracket_jacobi"))
     xi = _upper_block(lie.dim, r.r_sharp, -1, 1)
-    reports.append(_xi_report(twisted, bracket_r, xi))
+    reports.append(_xi_report(twisted, bracket, xi))
     return CoadjointDoubleData(dual_bracket=dual_bracket, rr=rr,
-                               bracket_r=bracket_r, twisted=twisted, xi=xi,
+                               bracket=bracket, twisted=twisted, xi=xi,
                                reports=tuple(reports))

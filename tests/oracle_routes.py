@@ -123,10 +123,11 @@ def _matvec(a, v):
 # -- products and left multiplications ----------------------------------------
 
 def product(alg, u, v) -> tuple:
-    n = alg.dim
-    return tuple(sum((u[i] * v[j] * alg.table[i][j][k]
-                      for i in range(n) for j in range(n)), ZERO)
-                 for k in range(n))
+    """sum u_i v_j (e_i.e_j) over the nonzero coordinates of u and v."""
+    pairs = [(x * y, alg.table[i][j]) for i, x in enumerate(u) if x
+             for j, y in enumerate(v) if y]
+    return tuple(sum((w * cell[k] for w, cell in pairs), ZERO)
+                 for k in range(alg.dim))
 
 
 def bracket(alg, u, v) -> tuple:
@@ -563,24 +564,21 @@ def is_invariant_form(omega, alg):
 
 
 def levi_civita_table(lie, metric):
-    """2<u.v,w> = <[u,v],w> + <[w,u],v> + <[w,v],u>, solved cell by cell."""
+    """2<u.v,w> = <[u,v],w> + <[w,u],v> + <[w,v],u>, solved cell by cell:
+    the brackets of basis pairs come from product, and <x, e_c> is
+    column c of the Gram matrix against x."""
     n = lie.dim
-    g = metric.matrix
-    g_inv = g.inverse().row_list()
+    g = metric.matrix.row_list()
+    g_inv = metric.matrix.inverse().row_list()
     half = Fraction(1, 2)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            u, v = _basis(n, i), _basis(n, j)
-            cov = tuple(
-                form_value(metric, product(lie, u, v), w)
-                + form_value(metric, product(lie, w, u), v)
-                + form_value(metric, product(lie, w, v), u)
-                for w in (_basis(n, a) for a in range(n)))
-            row.append(tuple(half * x for x in _matvec(g_inv, cov)))
-        table.append(row)
-    return table
+    br = [[product(lie, _basis(n, i), _basis(n, j)) for j in range(n)]
+          for i in range(n)]
+
+    def pair(x, c):                 # <x, e_c>
+        return sum((x[a] * g[a][c] for a in range(n) if x[a]), ZERO)
+    return [[tuple(half * x for x in _matvec(g_inv, tuple(
+        pair(br[i][j], w) + pair(br[w][i], j) + pair(br[w][j], i)
+        for w in range(n)))) for j in range(n)] for i in range(n)]
 
 
 def nijenhuis_table(a, alg):
@@ -1045,9 +1043,13 @@ def parallel_witness(lie, metric, m):
     """The first (i,) with L_i m != m L_i, L_i the left multiplications
     of the Levi-Civita product built through product, as list matrices;
     None where m is parallel."""
-    n = lie.dim
-    lc = SimpleNamespace(dim=n, table=levi_civita_table(lie, metric))
-    mr = m.row_list()
+    return _parallel_witness(SimpleNamespace(
+        dim=lie.dim, table=levi_civita_table(lie, metric)), m)
+
+
+def _parallel_witness(lc, m):
+    """parallel_witness for the Levi-Civita product lc."""
+    n, mr = lc.dim, m.row_list()
     return next(((i,) for i in range(n)
                  if _matmul(left_mult(lc, _basis(n, i)), mr)
                  != _matmul(mr, left_mult(lc, _basis(n, i)))), None)
@@ -1081,7 +1083,7 @@ def para_kahler_reports(lie, metric, k):
             for r1, r2 in zip(_matmul(kt, g), _matmul(g, kr))]
     out.append(("metric_skew_k", not any(map(any, skew)), None))
     lc = SimpleNamespace(dim=n, table=levi_civita_table(lie, metric))
-    bad = parallel_witness(lie, metric, k)
+    bad = _parallel_witness(lc, k)
     out.append(("parallel_k", bad is None, bad))
     out.append(("torsion_k", not any(any(cell) for row in nijenhuis_table(k, lie)
                                      for cell in row), None))

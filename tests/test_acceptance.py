@@ -169,7 +169,7 @@ def test_criterion_05_hyper_certificates():
         nab = canonical("dim2_nonabelian", {"a": 1})["alg"]
         data = build_hyper(nab, nab, omega)
         assert data.cert.passed
-        assert data.complex_product.lie.dim == 4
+        assert data.parts["complex_product"].bracket.dim == 4
         e2 = basis_vec(2, 1)
         pair = canonical("compat_family1", {"a": 1, "b": 1})
         assert build_hyper(pair["bullet"], pair["circ"],

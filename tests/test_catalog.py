@@ -10,7 +10,7 @@ from lsaforge import (Bilinear, Mat, algebra, build_complex_product,
                       build_hyper, build_phase, build_symp_double,
                       build_theta_double, catalog, check, cli, cocycle_check,
                       doubling, dual_product_from_r, exact, is_invariant_form,
-                      levi_civita, twisted_structures)
+                      levi_civita, phase, smatrix, twisted_structures)
 from lsaforge.algebra import Algebra, product_subspaces
 from lsaforge.catalog import (DEFAULT_SCALARS, FAMILIES, _fingerprint,
                               _model_params,
@@ -578,12 +578,19 @@ def _construction_calls():
     }
 
 
+# computed outside `check`, each in every module that holds it
+COUNTED = ("nijenhuis", "_classify", "_para_kahler")
+
+
 @pytest.mark.parametrize("construction", sorted(_construction_calls()))
 def test_each_law_is_checked_once_per_construction(monkeypatch,
                                                    construction):
     """Every `check` a construction makes, keyed by predicate and object
-    identity (each object is held, so no id is reused): no pair runs
-    twice, and the double product of a compatible pair is built once."""
+    identity, and every call of a COUNTED function, keyed by the
+    identities of its arguments (each object is held, so no id is
+    reused): no key runs twice, a construction classifies at most one r
+    and certifies at most one para-Kahler structure, and the double
+    product of a compatible pair is built once."""
     call = _construction_calls()[construction]
     counts, held = Counter(), []
     for predicate, sweep in list(algebra._CHECKS.items()):
@@ -592,6 +599,14 @@ def test_each_law_is_checked_once_per_construction(monkeypatch,
             counts[_predicate, id(alg)] += 1
             return _sweep(alg)
         monkeypatch.setitem(algebra._CHECKS, predicate, counted)
+    for module in (algebra, phase, smatrix, doubling, catalog):
+        for name in COUNTED:
+            if hasattr(module, name):
+                def wrapped(*args, _name=name, _call=getattr(module, name)):
+                    held.append(args)
+                    counts[(_name,) + tuple(map(id, args))] += 1
+                    return _call(*args)
+                monkeypatch.setattr(module, name, wrapped)
     built = Counter()
 
     def tu_counted(bullet, circ, _make=doubling.tu_product):
@@ -600,6 +615,11 @@ def test_each_law_is_checked_once_per_construction(monkeypatch,
     monkeypatch.setattr(doubling, "tu_product", tu_counted)
     assert call().passed
     assert counts and max(counts.values()) == 1, sorted(
-        (p, n) for (p, _), n in counts.items() if n > 1)
+        (key[0], n) for key, n in counts.items() if n > 1)
+    per_name = Counter()
+    for key, n in counts.items():
+        per_name[key[0]] += n
+    assert per_name["_classify"] <= 1 and per_name["_para_kahler"] <= 1, \
+        per_name
     if construction == "build_hyper":
         assert built["tu_product"] == 1

@@ -45,9 +45,10 @@ from hypothesis import strategies as st
 
 import oracle_routes as oracle
 from lsaforge import (Bilinear, LieTriple, Mat, Subspace, a_product,
-                      build_hyper, build_phase, build_symp_double,
-                      build_theta_double, check, coadjoint_double,
-                      cybe_double, delta_op, delta_r, dual_product_from_r,
+                      build_hyper, build_phase, build_quadratic_symplectic,
+                      build_symp_double, build_theta_double, check,
+                      coadjoint_double, cybe_double, delta_op, delta_r,
+                      dual_product_from_r, flat_double,
                       is_derivation, is_invariant_form, is_two_cocycle,
                       levi_civita, lts_from_o, lts_from_yb, myb_residual,
                       nijenhuis, o_op, oeq_check, twisted_structures,
@@ -886,10 +887,28 @@ def _quasi_s(rng, u):
     return Mat.zeros(n, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _route_double(source, hyper=False):
+    """The Double of a doubling route on the smallest input that the
+    construction tests certify (dims 4 to 8)."""
+    if source == "flat":
+        q = build_quadratic_symplectic(_aff(), 1)
+        return flat_double(q.lie, q.metric)
+    if source == "cybe":
+        return cybe_double(_heis(), Mat.from_rows(
+            [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]), Mat.zeros(3, 3))
+    if source == "symp":
+        return build_symp_double(Algebra.zero(2), _omega2(), Mat.identity(2))
+    return build_theta_double(_ab_lsa(), _omega2(), Mat.identity(2), hyper)
+
+
 def _para_kahler_triple(source, rng):
-    """A para-Kahler (bracket, metric, K) on the 4-dimensional double of a
-    catalog plane in a random basis: its phase space, or its twist by a
-    quasi-S r."""
+    """A para-Kahler (bracket, metric, K): the 4-dimensional double of a
+    catalog plane in a random basis, as its phase space or its twist by a
+    quasi-S r, or the Double of a doubling route."""
+    if source not in ("phase", "twist"):
+        d = _route_double(source)
+        return d.bracket, d.metric, d.k
     u = _moved(rng, rng.choice(_planes()))
     if source == "phase":
         ps = build_phase(u)
@@ -935,7 +954,7 @@ def _tampered(kind, triple, rng):
     return triple
 
 
-CERT_SOURCES = ("phase", "twist")
+CERT_SOURCES = ("phase", "twist", "flat", "cybe", "symp", "theta")
 CERT_KINDS = ("as_built", "moved", "non_parallel_k", "skew_metric",
               "random_metric", "not_lie")
 
@@ -1031,7 +1050,8 @@ def test_certificate_cases_reach_both_verdicts():
 @functools.lru_cache(maxsize=None)
 def _hyper_triples():
     """(bracket, metric, K, J) of the hyper-para-Kahler doubles of the
-    self-double of the nonabelian plane and of both compatible families."""
+    self-double of the nonabelian plane and of both compatible families,
+    and of the hyper Theta double."""
     omega = Bilinear(Mat.from_rows([[0, 1], [-1, 0]]), "skew")
     nab = canonical("dim2_nonabelian", {"a": 1})["alg"]
     pairs = [(nab, nab, omega)] + [
@@ -1041,9 +1061,9 @@ def _hyper_triples():
     out = []
     for bullet, circ, form in pairs:
         data = build_hyper(bullet, circ, form)
-        cp = data.complex_product
-        out.append((cp.lie, data.metric, cp.k1, cp.j1))
-    return tuple(out)
+        out.append((data.bracket, data.metric, data.k, data.j))
+    d = _route_double("theta", hyper=True)
+    return tuple(out) + ((d.bracket, d.metric, d.k, d.j),)
 
 
 J_KINDS = ("as_built", "moved", "negated", "non_parallel_j")
@@ -1247,7 +1267,7 @@ def test_cybe_dual_product_matches_formula_route(kind, seed):
     lie, b = _yang_baxter_case(random.Random(seed), kind)
     data = cybe_double(lie, b, Mat.zeros(lie.dim, lie.dim))
     assert data.cert.passed
-    assert data.dual_product.table == oracle.cybe_dual_product_table(lie, b)
+    assert data.parts["dual_product"].table == oracle.cybe_dual_product_table(lie, b)
 
 
 def test_derived_checks_reach_both_verdicts(monkeypatch):

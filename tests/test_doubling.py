@@ -62,7 +62,7 @@ def test_compat_curvature_values():
 def test_build_hyper_self_double(nab_lsa, omega2):
     data = build_hyper(nab_lsa, nab_lsa, omega2)
     assert data.cert.passed
-    assert data.complex_product.lie.dim == 4
+    assert data.parts["complex_product"].bracket.dim == 4
     pair = canonical("compat_family1", {"a": 1, "b": 1})
     assert build_hyper(pair["bullet"], pair["circ"],
                        pair["omega"]).cert.passed
@@ -176,17 +176,17 @@ def _symp_zero_double(omega2):
 
 
 def test_symp_quasi_s_disagreement_names_both_routes(monkeypatch, omega2):
-    classify = doubling.classify_r
+    classify = doubling._classify
 
-    def flipped(u, r):
-        cls = classify(u, r)
+    def flipped(u, r, delta):
+        cls = classify(u, r, delta)
         skew = failing("skew_part_invariant", cls.reports[0].anchor,
                        witness=(0, 1, 0))
         return RClass(is_quasi_s=False, is_s=cls.is_s,
                       reports=(skew,) + cls.reports[1:])
 
     assert _symp_zero_double(omega2).cert.passed
-    monkeypatch.setattr(doubling, "classify_r", flipped)
+    monkeypatch.setattr(doubling, "_classify", flipped)
     with pytest.raises(InternalInconsistency) as err:
         _symp_zero_double(omega2)
     assert str(err.value) == (

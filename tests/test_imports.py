@@ -301,3 +301,43 @@ def test_oracles_do_not_use_the_kernel_they_check():
     path = os.path.join(os.path.dirname(__file__), "oracle_routes.py")
     with open(path, encoding="utf-8") as handle:
         assert _kernel_reads(handle.read()) == []
+
+
+def _dataclasses(sources: dict) -> set:
+    """module.Class for each class decorated by dataclass, called or not,
+    imported by name or read off the dataclasses module."""
+    def named(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) \
+            else getattr(node, "id", None)
+    return {module + "." + node.name for module, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            and "dataclass" in map(named, node.decorator_list)}
+
+
+def test_the_guard_sees_a_dataclass():
+    assert _dataclasses({
+        "low": "import dataclasses\nfrom dataclasses import dataclass\n"
+               "@dataclass\nclass A:\n    x: int\n"
+               "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+               "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+               "@other\nclass D:\n    x: int\nclass E:\n    x: int\n",
+    }) == {"low.A", "low.B", "low.C"}
+
+
+# Every dataclass of the package, so that a new result type is seen in
+# review: the doubles share `phase.Double`, and the phase space, twist
+# and quadratic results keep their own field names, which the
+# benchmark's workloads read.
+DATACLASSES = {
+    "algebra.Endo", "catalog.CanonicalId", "catalog.CatalogEntry",
+    "catalog.CompatVerdict", "catalog.DerivationPhaseData",
+    "catalog.QuadraticData", "cli.StructFile", "forms.Bilinear",
+    "phase.Double", "phase.PhaseSpace", "report.Certificate",
+    "report.Report", "smatrix.CoadjointDoubleData", "smatrix.RClass",
+    "smatrix.Tensor2", "smatrix.TwistData"}
+
+
+def test_only_listed_dataclasses_are_defined():
+    assert _dataclasses(_package_sources()) == DATACLASSES
